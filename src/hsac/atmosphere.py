@@ -400,20 +400,6 @@ def band_params_from_fields(
     return params
 
 
-def compute_band_params(
-    band: BandDefinition,
-    srf: SRF,
-    geometry: Geometry,
-    state: AtmosphericState,
-    model: AerosolModel,
-    e0_grid: np.ndarray,
-    grid: SpectralGrid,
-    rayleigh_scale: float = 1.0,
-) -> BandAtmParams:
-    fields = compute_fine_fields(grid, geometry, state, model, e0_grid, rayleigh_scale)
-    return band_params_from_fields(band, srf, fields, grid)
-
-
 class AnalyticProvider:
     """Computes band parameters from the built-in analytic model.
 
@@ -550,15 +536,6 @@ class AuxCatalogue:
             if ew <= w and es_ <= s and ee >= e and en >= n:
                 return float(entry["value"])
         raise MissingEntry(f"{dataset} has no entry for date={date}, bbox={list(bbox)}")
-
-
-def lookup_atmospheric_state(catalogue: AuxCatalogue, date: str, bbox) -> AtmosphericState:
-    return AtmosphericState(
-        aod550=catalogue.lookup(AOD_DATASET, date, bbox),
-        tco3=catalogue.lookup(OZONE_DATASET, date, bbox),
-        tcwv=catalogue.lookup(WV_DATASET, date, bbox),
-        source="catalogue",
-    )
 
 
 def resolve_atmospheric_state(

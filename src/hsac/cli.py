@@ -21,7 +21,6 @@ from .pipeline import (
     RunConfig,
     StageError,
     compare_against_reference,
-    run_benchmark,
     run_pipeline,
     run_self_test,
 )
@@ -75,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="divide the TOA term by total gas transmittance instead of ozone only")
 
     st = sub.add_parser("self-test", help="hermetic synthetic round-trip test")
-    st.add_argument("--bench", action="store_true", help="also run the stage-4 benchmark")
     st.add_argument("--output", default="", help="optional output directory for products")
     st.add_argument("--workers", type=int, default=0)
     st.add_argument("--aerosol", default="Continental", choices=sorted(aerosol_models()))
@@ -122,7 +120,7 @@ def _cmd_run(args) -> int:
         print(f"hsac run: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = run_pipeline(config)
+        report = run_pipeline(config).report
     except StageError as exc:
         print(f"hsac run failed: {exc}", file=sys.stderr)
         return EXIT_STAGE.get(exc.stage, EXIT_STAGE[STAGE_INGEST])
@@ -130,7 +128,7 @@ def _cmd_run(args) -> int:
     print(
         f"done: scene={report.scene_id!r} masked_bands={masked} "
         f"negativity_rate={report.negativity_rate:.4f} "
-        f"kernel={report.kernel_backend} output={config.output_path}"
+        f"output={config.output_path}"
     )
     return EXIT_OK
 
@@ -143,18 +141,12 @@ def _cmd_self_test(args) -> int:
         self_test=True,
     )
     try:
-        passed, max_rel, report = run_self_test(config)
+        passed, max_rel, _ = run_self_test(config)
     except StageError as exc:
         print(f"self-test failed: {exc}", file=sys.stderr)
         return EXIT_STAGE.get(exc.stage, 5)
     status = "PASS" if passed else "FAIL"
-    print(
-        f"self-test {status}: max relative error {max_rel:.3e} "
-        f"(tolerance 1e-10), kernel={report.kernel_backend}"
-    )
-    if args.bench:
-        results = run_benchmark(config)
-        print(json.dumps(results, indent=2))
+    print(f"self-test {status}: max relative error {max_rel:.3e} (tolerance 1e-10)")
     return EXIT_OK if passed else 5
 
 

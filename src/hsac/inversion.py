@@ -48,7 +48,6 @@ class InversionReport:
     masked_bands: dict[int, str] = field(default_factory=dict)
     valid_band_count: int = 0
     provider: str = ""
-    kernel_backend: str = kernels.BACKEND
 
 
 @dataclass

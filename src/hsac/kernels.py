@@ -1,35 +1,33 @@
-"""Kernel backend selection: compiled extension when available, numpy fallback.
+"""Per-plane inversion and forward-model kernels (numpy).
 
-Set HSAC_FORCE_PY_KERNELS=1 to force the fallback (used by the benchmark
-to compare both backends).
+The expression order is fixed: products are byte-identical across runs and
+worker counts only as long as it does not change.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-if os.environ.get("HSAC_FORCE_PY_KERNELS"):
-    _backend = _kernels_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _backend  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        _backend = _kernels_py
-        BACKEND = "python"
-
-invert_plane = _backend.invert_plane
-forward_plane = _backend.forward_plane
+import numpy as np
 
 
-def get_backend(name: str):
-    """Explicit backend access for benchmarking: 'cython' or 'python'."""
-    if name == "python":
-        return _kernels_py
-    from . import _kernels  # raises ImportError if the extension is absent
+def invert_plane(l_toa, d_squared, t_g_o3, l_path, coupling_c, s_atm, nodata, eps):
+    nodata_mask = l_toa == nodata
+    y = l_toa * d_squared / t_g_o3 - l_path
+    denom = coupling_c + s_atm * y
+    degenerate_mask = (np.abs(denom) < eps) & ~nodata_mask
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = y / denom
+    out[degenerate_mask] = nodata
+    out[nodata_mask] = nodata
+    return out, int(np.count_nonzero(degenerate_mask))
 
-    return _kernels
+
+def forward_plane(rho_w, d_squared, t_g_o3, l_path, coupling_c, s_atm, nodata, eps):
+    nodata_mask = rho_w == nodata
+    scale = t_g_o3 / d_squared
+    a = 1.0 - s_atm * rho_w
+    singular_mask = (np.abs(a) < eps) & ~nodata_mask
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = scale * (l_path + rho_w * coupling_c / a)
+    out[singular_mask] = nodata
+    out[nodata_mask] = nodata
+    return out, int(np.count_nonzero(singular_mask))

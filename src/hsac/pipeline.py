@@ -14,16 +14,19 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .atmosphere import (
+    AerosolModel,
     AnalyticProvider,
     AtmosphericState,
     AuxCatalogue,
+    BandAtmParams,
     Geometry,
     TableProvider,
     aerosol_model,
@@ -54,7 +57,15 @@ from .scene import (
     earth_sun_distance,
     parse_scene_metadata,
 )
-from .spectral import build_grid, check_nyquist, resample_reference_spectrum, srf_for_band
+from .spectral import (
+    SRF,
+    NyquistReport,
+    SpectralGrid,
+    build_grid,
+    check_nyquist,
+    resample_reference_spectrum,
+    srf_for_band,
+)
 
 STAGE_INGEST = "ingest"
 STAGE_CONFIGURE = "configure"
@@ -113,29 +124,19 @@ class ProcessingReport:
     degenerate_pixels: int = 0
     atmospheric_state: dict = field(default_factory=dict)
     provider: str = ""
-    kernel_backend: str = ""
     srf_sources: dict = field(default_factory=dict)
     failure_stage: str | None = None
     error: str | None = None
     version: str = __version__
 
-    def to_dict(self) -> dict:
-        return {
-            "scene_id": self.scene_id,
-            "timings_ms": self.timings_ms,
-            "worker_count": self.worker_count,
-            "nyquist": self.nyquist,
-            "masked_bands": self.masked_bands,
-            "negativity_rate": self.negativity_rate,
-            "degenerate_pixels": self.degenerate_pixels,
-            "atmospheric_state": self.atmospheric_state,
-            "provider": self.provider,
-            "kernel_backend": self.kernel_backend,
-            "srf_sources": self.srf_sources,
-            "failure_stage": self.failure_stage,
-            "error": self.error,
-            "version": self.version,
-        }
+
+@dataclass
+class PipelineResult:
+    """What a successful run produced, for callers that go on using it."""
+
+    report: ProcessingReport
+    product: ReflectanceProduct
+    params: list[BandAtmParams]
 
 
 def _find_one(directory: str, pattern: str, what: str) -> str:
@@ -182,6 +183,59 @@ def load_bundled_bands() -> list[BandDefinition]:
     return bands
 
 
+@dataclass(frozen=True)
+class SceneSetup:
+    """Everything stages 2 and 3 derive from scene metadata and a RunConfig."""
+
+    bands: list[BandDefinition]
+    geometry: Geometry
+    state: AtmosphericState
+    model: AerosolModel
+    grid: SpectralGrid
+    nyquist: NyquistReport
+    e0_grid: np.ndarray
+    srfs: list[SRF]
+    srf_sources: dict[str, int]
+    d_squared: float
+
+    def analytic_provider(self) -> AnalyticProvider:
+        return AnalyticProvider(
+            self.grid, self.geometry, self.state, self.model, self.e0_grid
+        )
+
+
+def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
+    """Stage 2: geometry, atmospheric state, simulation grid, SRFs and d^2."""
+    bands = list(metadata.bands)
+    catalogue = (
+        AuxCatalogue.from_file(config.aux_catalogue_path)
+        if config.aux_catalogue_path
+        else None
+    )
+    state = resolve_atmospheric_state(
+        metadata,
+        policy=config.state_policy,
+        catalogue=catalogue,
+        override=config.override_state,
+    )
+    grid = simulation_grid(bands, config.grid_step)
+    srf_pairs = [srf_for_band(b, grid) for b in bands]
+    return SceneSetup(
+        bands=bands,
+        geometry=Geometry.from_metadata(metadata),
+        state=state,
+        model=aerosol_model(config.aerosol),
+        grid=grid,
+        nyquist=check_nyquist(bands, config.grid_step),
+        e0_grid=resample_reference_spectrum(load_solar_irradiance(), grid),
+        srfs=[srf for srf, _ in srf_pairs],
+        srf_sources=dict(Counter(source for _, source in srf_pairs)),
+        d_squared=earth_sun_distance(
+            compute_julian_day(metadata.acquisition_date)
+        ).d_squared,
+    )
+
+
 def compute_all_band_params(provider, bands, srfs, workers: int):
     """Stage 3: one task per band; results ordered by band index."""
     def task(i):
@@ -199,8 +253,6 @@ def _apply_extra_gas_division(params):
     Replaces t_g_o3 by t_g_total per band so moderate-absorption unmasked
     bands are corrected for water vapour and oxygen too.
     """
-    from .atmosphere import BandAtmParams
-
     return [
         BandAtmParams(
             band_index=p.band_index,
@@ -259,12 +311,12 @@ def write_report(report: ProcessingReport, output_path: str) -> None:
     os.makedirs(output_path, exist_ok=True)
     tmp = os.path.join(output_path, "report.json.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, os.path.join(output_path, "report.json"))
 
 
-def run_pipeline(config: RunConfig) -> ProcessingReport:
+def run_pipeline(config: RunConfig) -> PipelineResult:
     """Execute the five stages; raises StageError naming the failed stage
     (after writing a partial report when the output directory is known)."""
     report = ProcessingReport(worker_count=config.workers)
@@ -299,34 +351,19 @@ def _stage(report: ProcessingReport, name: str):
     return _Timer()
 
 
-def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingReport:
+def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult:
     # stage 1: ingest
     with _stage(report, STAGE_INGEST):
         if config.self_test:
-            metadata, cube, rho_true = synthesize_scene(config)
+            metadata, cube = synthesize_scene(config)
         else:
             metadata, cube = ingest_scene(config.input_path)
-            rho_true = None
         report.scene_id = metadata.scene_id
-    bands = list(metadata.bands)
 
     # stage 2: configure
     with _stage(report, STAGE_CONFIGURE):
-        geometry = Geometry.from_metadata(metadata)
-        model = aerosol_model(config.aerosol)
-        catalogue = (
-            AuxCatalogue.from_file(config.aux_catalogue_path)
-            if config.aux_catalogue_path
-            else None
-        )
-        state = resolve_atmospheric_state(
-            metadata,
-            policy=config.state_policy,
-            catalogue=catalogue,
-            override=config.override_state,
-        )
-        grid = simulation_grid(bands, config.grid_step)
-        nyquist = check_nyquist(bands, config.grid_step)
+        setup = configure_scene(metadata, config)
+        nyquist = setup.nyquist
         report.nyquist = {
             "step": nyquist.step,
             "overall": nyquist.overall,
@@ -339,14 +376,8 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingRepo
                 f"grid step {config.grid_step} nm violates the Nyquist criterion "
                 f"for {len(report.nyquist['violations'])} bands"
             )
-        e0_grid = resample_reference_spectrum(load_solar_irradiance(), grid)
-        srf_pairs = [srf_for_band(b, grid) for b in bands]
-        srfs = [p[0] for p in srf_pairs]
-        report.srf_sources = {
-            source: sum(1 for _, s in srf_pairs if s == source)
-            for source in {s for _, s in srf_pairs}
-        }
-        d2 = earth_sun_distance(compute_julian_day(metadata.acquisition_date)).d_squared
+        report.srf_sources = setup.srf_sources
+        state = setup.state
         report.atmospheric_state = {
             "aod550": state.aod550,
             "tcwv": state.tcwv,
@@ -360,8 +391,8 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingRepo
             with open(config.params_table_path, encoding="utf-8") as fh:
                 provider = TableProvider.from_csv(fh.read())
         else:
-            provider = AnalyticProvider(grid, geometry, state, model, e0_grid)
-        params = compute_all_band_params(provider, bands, srfs, config.workers)
+            provider = setup.analytic_provider()
+        params = compute_all_band_params(provider, setup.bands, setup.srfs, config.workers)
         if config.divide_total_gas:
             params = _apply_extra_gas_division(params)
         report.provider = provider.provenance
@@ -371,38 +402,46 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingRepo
         policy = MaskPolicy(
             tg_threshold=config.tg_threshold, clip_negative=config.clip_negative
         )
-        product = invert_cube(
-            cube, d2, params, policy, workers=config.workers, provider=provider.provenance
-        )
+        product = invert_cube(cube, setup.d_squared, params, policy,
+                              workers=config.workers, provider=provider.provenance)
         report.masked_bands = {
             str(i): reason for i, reason in product.report.masked_bands.items()
         }
         report.negativity_rate = product.report.negativity_rate
         report.degenerate_pixels = product.report.degenerate_pixels
-        report.kernel_backend = product.report.kernel_backend
 
     # stage 5: export
     with _stage(report, STAGE_EXPORT):
         if config.output_path:
-            write_product(product, bands, config.output_path, params=params, report=report)
+            write_product(
+                product, setup.bands, config.output_path, params=params, report=report
+            )
     if config.output_path:
         # rewrite once more so the report on disk includes the export timing
         write_report(report, config.output_path)
 
-    report._product = product  # type: ignore[attr-defined]
-    report._params = params  # type: ignore[attr-defined]
-    report._rho_true = rho_true  # type: ignore[attr-defined]
-    return report
+    return PipelineResult(report=report, product=product, params=params)
 
 
 # --- self-test ------------------------------------------------------------
 
 SELF_TEST_NODATA = -9999.0
+SELF_TEST_SIZE = 128
+SELF_TEST_SEED = 42
 
 
-def synthesize_scene(config: RunConfig, size: int = 128, seed: int = 42):
-    """Hermetic synthetic scene: bundled 228-band sensor, forward-modelled
-    TOA radiance from a known reflectance cube."""
+def self_test_reflectance(
+    n_bands: int, size: int = SELF_TEST_SIZE, seed: int = SELF_TEST_SEED
+) -> np.ndarray:
+    """The known rho_w cube the synthetic scene is forward-modelled from."""
+    return np.random.default_rng(seed).uniform(0.001, 0.4, size=(n_bands, size, size))
+
+
+def synthesize_scene(
+    config: RunConfig, size: int = SELF_TEST_SIZE, seed: int = SELF_TEST_SEED
+) -> tuple[SceneMetadata, RadianceCube]:
+    """Hermetic synthetic scene: bundled 228-band sensor, TOA radiance
+    forward-modelled with the analytic provider from `self_test_reflectance`."""
     bands = load_bundled_bands()
     metadata = SceneMetadata(
         acquisition_date=datetime.date(2024, 7, 24),
@@ -417,79 +456,32 @@ def synthesize_scene(config: RunConfig, size: int = 128, seed: int = 42):
         bands=tuple(bands),
         scene_id="self-test",
     )
-    geometry = Geometry.from_metadata(metadata)
-    model = aerosol_model(config.aerosol)
-    state = AtmosphericState(
-        aod550=metadata.aod550, tcwv=metadata.tcwv, tco3=metadata.tco3, source="metadata"
+    setup = configure_scene(metadata, config)
+    params = compute_all_band_params(
+        setup.analytic_provider(), setup.bands, setup.srfs, config.workers
     )
-    grid = simulation_grid(bands, config.grid_step)
-    e0_grid = resample_reference_spectrum(load_solar_irradiance(), grid)
-    srfs = [srf_for_band(b, grid)[0] for b in bands]
-    provider = AnalyticProvider(grid, geometry, state, model, e0_grid)
-    params = compute_all_band_params(provider, bands, srfs, config.workers)
-    d2 = earth_sun_distance(compute_julian_day(metadata.acquisition_date)).d_squared
-
-    rng = np.random.default_rng(seed)
-    rho_true = rng.uniform(0.001, 0.4, size=(len(bands), size, size))
+    rho_true = self_test_reflectance(len(bands), size, seed)
     l_toa = np.empty_like(rho_true)
     for b, p in enumerate(params):
-        l_toa[b] = forward_model_toa(rho_true[b], d2, p, nodata=SELF_TEST_NODATA)
-    cube = RadianceCube(data=l_toa, nodata_value=SELF_TEST_NODATA)
-    return metadata, cube, rho_true
+        l_toa[b] = forward_model_toa(rho_true[b], setup.d_squared, p, nodata=SELF_TEST_NODATA)
+    return metadata, RadianceCube(data=l_toa, nodata_value=SELF_TEST_NODATA)
 
 
-def run_self_test(config: RunConfig, tolerance: float = 1e-10) -> tuple[bool, float, ProcessingReport]:
+def run_self_test(
+    config: RunConfig, tolerance: float = 1e-10
+) -> tuple[bool, float, ProcessingReport]:
     """Full-pipeline round trip on the synthetic scene.
 
     Returns (passed, max relative error over valid bands, report)."""
     config.self_test = True
-    report = run_pipeline(config)
-    product: ReflectanceProduct = report._product  # type: ignore[attr-defined]
-    rho_true = report._rho_true  # type: ignore[attr-defined]
+    result = run_pipeline(config)
+    product = result.product
     valid = product.valid_band_indices
+    rho_true = self_test_reflectance(len(product.band_mask))[valid]
     recovered = product.rho_w[valid]
-    truth = rho_true[valid]
-    rel = np.abs(recovered - truth) / np.maximum(np.abs(truth), 1e-30)
+    rel = np.abs(recovered - rho_true) / np.maximum(np.abs(rho_true), 1e-30)
     max_rel = float(rel.max())
-    return max_rel <= tolerance, max_rel, report
-
-
-def run_benchmark(config: RunConfig, size: int = 512) -> dict:
-    """Stage-4 benchmark on a 228-band size x size cube, comparing the
-    compiled kernel backend against the pure-Python fallback."""
-    from . import kernels
-
-    metadata, cube, _ = synthesize_scene(config, size=size)
-    bands = list(metadata.bands)
-    d2 = earth_sun_distance(compute_julian_day(metadata.acquisition_date)).d_squared
-
-    geometry = Geometry.from_metadata(metadata)
-    model = aerosol_model(config.aerosol)
-    state = AtmosphericState(
-        aod550=metadata.aod550, tcwv=metadata.tcwv, tco3=metadata.tco3, source="metadata"
-    )
-    grid = simulation_grid(bands, config.grid_step)
-    e0_grid = resample_reference_spectrum(load_solar_irradiance(), grid)
-    srfs = [srf_for_band(b, grid)[0] for b in bands]
-    provider = AnalyticProvider(grid, geometry, state, model, e0_grid)
-    params = compute_all_band_params(provider, bands, srfs, config.workers)
-
-    results = {"size": size, "n_bands": len(bands), "workers": config.workers}
-    available = ["python"] if kernels.BACKEND == "python" else ["cython", "python"]
-    import hsac.inversion as inv
-
-    original = (inv.kernels.invert_plane, inv.kernels.forward_plane)
-    try:
-        for backend_name in available:
-            backend = kernels.get_backend(backend_name)
-            inv.kernels.invert_plane = backend.invert_plane
-            t0 = time.perf_counter()
-            invert_cube(cube, d2, params, MaskPolicy(), workers=config.workers)
-            results[f"stage4_seconds_{backend_name}"] = time.perf_counter() - t0
-    finally:
-        inv.kernels.invert_plane, inv.kernels.forward_plane = original
-    results["active_backend"] = kernels.BACKEND
-    return results
+    return max_rel <= tolerance, max_rel, result.report
 
 
 # --- comparison against reference spectra ---------------------------------

@@ -5,20 +5,21 @@ import pytest
 
 from conftest import random_params
 from hsac.atmosphere import (
+    AOD_DATASET,
+    OZONE_DATASET,
+    WV_DATASET,
     AnalyticProvider,
     AtmosphericState,
     AuxCatalogue,
     Geometry,
     aerosol_model,
     aerosol_optical_depth,
-    compute_band_params,
     compute_fine_fields,
     downwelling_irradiance,
     gas_transmittance_total,
     henyey_greenstein_phase,
     load_params_table,
     load_solar_irradiance,
-    lookup_atmospheric_state,
     ozone_transmittance,
     path_radiance,
     rayleigh_optical_depth,
@@ -247,9 +248,10 @@ class TestComputeBandParams:
         e0 = resample_reference_spectrum(load_solar_irradiance(), grid)
         band = BandDefinition(0, 550.0, 6.5)
         srf = SRF(0, np.array([550.0]), np.array([1.0]))
-        p = compute_band_params(
-            band, srf, default_geometry, default_state, continental, e0, grid
+        provider = AnalyticProvider(
+            grid, default_geometry, default_state, continental, e0
         )
+        p = provider.band_params(band, srf)
         g, s = default_geometry, default_state
         e0_550 = e0[grid.index_of(550.0)]
         assert p.l_path == pytest.approx(
@@ -277,9 +279,10 @@ class TestComputeBandParams:
         state = AtmosphericState(aod550=0.0, tcwv=0.0, tco3=0.0, source="override")
         band = BandDefinition(0, 550.0, 6.5)
         srf = gaussian_srf(band, grid)
-        p = compute_band_params(
-            band, srf, default_geometry, state, continental, e0, grid, rayleigh_scale=0.0
+        provider = AnalyticProvider(
+            grid, default_geometry, state, continental, e0, rayleigh_scale=0.0
         )
+        p = provider.band_params(band, srf)
         assert p.l_path == 0.0
         assert p.t_g_o3 == 1.0
         assert p.t_g_total == 1.0
@@ -382,10 +385,33 @@ CATALOGUE = [
 ]
 
 
+BBOX = [-1.0, 39.0, -0.9, 39.1]
+DATASETS = (AOD_DATASET, OZONE_DATASET, WV_DATASET)
+
+
+def scene_metadata(aod=0.12, tcwv=1.8, tco3=310.0):
+    import datetime
+
+    from hsac.scene import SceneMetadata
+
+    return SceneMetadata(
+        acquisition_date=datetime.date(2024, 7, 24),
+        acquisition_time=0.0,
+        sza=30.0, saa=0.0, vza=0.0, vaa=0.0,
+        aod550=aod, tcwv=tcwv, tco3=tco3,
+    )
+
+
 class TestCatalogue:
     def test_direct_lookup(self):
         cat = AuxCatalogue(CATALOGUE)
-        state = lookup_atmospheric_state(cat, "2024-07-24", [-1.0, 39.0, -0.9, 39.1])
+        assert cat.lookup(AOD_DATASET, "2024-07-24", BBOX) == 0.21
+        assert cat.lookup(OZONE_DATASET, "2024-07-24", BBOX) == 295.0
+        assert cat.lookup(WV_DATASET, "2024-07-24", BBOX) == 1.4
+        state = resolve_atmospheric_state(
+            scene_metadata(aod=None, tcwv=None, tco3=None),
+            catalogue=cat, bbox=BBOX,
+        )
         assert state.aod550 == 0.21
         assert state.tco3 == 295.0
         assert state.tcwv == 1.4
@@ -394,32 +420,27 @@ class TestCatalogue:
     def test_missing_entry_names_dataset(self):
         cat = AuxCatalogue([e for e in CATALOGUE if e["dataset"] != "TOMS/MERGED"])
         with pytest.raises(MissingEntry, match="TOMS/MERGED"):
-            lookup_atmospheric_state(cat, "2024-07-24", [-1.0, 39.0, -0.9, 39.1])
+            cat.lookup(OZONE_DATASET, "2024-07-24", BBOX)
+        with pytest.raises(MissingEntry, match="tco3"):
+            resolve_atmospheric_state(
+                scene_metadata(tco3=None), policy="catalogue_first",
+                catalogue=cat, bbox=BBOX,
+            )
 
     def test_date_must_match_exactly(self):
         cat = AuxCatalogue(CATALOGUE)
-        with pytest.raises(MissingEntry):
-            lookup_atmospheric_state(cat, "2024-07-25", [-1.0, 39.0, -0.9, 39.1])
+        for dataset in DATASETS:
+            with pytest.raises(MissingEntry):
+                cat.lookup(dataset, "2024-07-25", BBOX)
 
     def test_bbox_containment_required(self):
         cat = AuxCatalogue(CATALOGUE)
-        with pytest.raises(MissingEntry):
-            lookup_atmospheric_state(cat, "2024-07-24", [-5.0, 39.0, -0.9, 39.1])
+        for dataset in DATASETS:
+            with pytest.raises(MissingEntry):
+                cat.lookup(dataset, "2024-07-24", [-5.0, 39.0, -0.9, 39.1])
 
 
 class TestStatePolicy:
-    def _metadata(self, aod=0.12, tcwv=1.8, tco3=310.0):
-        import datetime
-
-        from hsac.scene import SceneMetadata
-
-        return SceneMetadata(
-            acquisition_date=datetime.date(2024, 7, 24),
-            acquisition_time=0.0,
-            sza=30.0, saa=0.0, vza=0.0, vaa=0.0,
-            aod550=aod, tcwv=tcwv, tco3=tco3,
-        )
-
     @pytest.mark.parametrize(
         "policy,expected_aod,expected_source",
         [
@@ -430,8 +451,7 @@ class TestStatePolicy:
     def test_policy_matrix(self, policy, expected_aod, expected_source):
         cat = AuxCatalogue(CATALOGUE)
         state = resolve_atmospheric_state(
-            self._metadata(), policy=policy, catalogue=cat,
-            bbox=[-1.0, 39.0, -0.9, 39.1],
+            scene_metadata(), policy=policy, catalogue=cat, bbox=BBOX
         )
         assert state.aod550 == expected_aod
         assert state.source == expected_source
@@ -439,20 +459,19 @@ class TestStatePolicy:
     def test_catalogue_fills_missing_metadata(self):
         cat = AuxCatalogue(CATALOGUE)
         state = resolve_atmospheric_state(
-            self._metadata(aod=None), policy="metadata_first", catalogue=cat,
-            bbox=[-1.0, 39.0, -0.9, 39.1],
+            scene_metadata(aod=None), policy="metadata_first", catalogue=cat, bbox=BBOX
         )
         assert state.aod550 == 0.21
         assert state.tcwv == 1.8
 
     def test_missing_everywhere_raises(self):
         with pytest.raises(MissingEntry, match="aod550"):
-            resolve_atmospheric_state(self._metadata(aod=None), policy="metadata_first")
+            resolve_atmospheric_state(scene_metadata(aod=None), policy="metadata_first")
 
     def test_override_policy(self):
         override = AtmosphericState(aod550=0.5, tcwv=3.0, tco3=280.0, source="override")
         state = resolve_atmospheric_state(
-            self._metadata(), policy="override", override=override
+            scene_metadata(), policy="override", override=override
         )
         assert state == override
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the five-stage pipeline and the `hsac` CLI."""
 
+import dataclasses
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 
 from hsac import cli
 from hsac.pipeline import (
+    ProcessingReport,
     RunConfig,
     StageError,
     ingest_scene,
@@ -45,15 +47,25 @@ def scene_xml(centers=BAND_CENTERS) -> str:
 """
 
 
+def make_scene_dir(path, centers=BAND_CENTERS):
+    path.mkdir()
+    (path / "scene.xml").write_text(scene_xml(centers))
+    rng = np.random.default_rng(7)
+    data = rng.uniform(0.05, 0.4, size=(len(centers), 6, 5)).astype(np.float32)
+    write_cube(str(path / "radiance"), RadianceCube(data=data))
+    return path
+
+
 @pytest.fixture
 def scene_dir(tmp_path):
-    d = tmp_path / "scene"
-    d.mkdir()
-    (d / "scene.xml").write_text(scene_xml())
-    rng = np.random.default_rng(7)
-    data = rng.uniform(0.05, 0.4, size=(len(BAND_CENTERS), 6, 5)).astype(np.float32)
-    write_cube(str(d / "radiance"), RadianceCube(data=data))
-    return d
+    return make_scene_dir(tmp_path / "scene")
+
+
+def read_params_table(path) -> dict[int, dict[str, float]]:
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+    return {int(row["band_index"]): row for row in rows}
 
 
 class TestParseCli:
@@ -158,6 +170,42 @@ class TestRunEndToEnd:
             "ingest", "configure", "rtm", "inversion", "export"
         }
         assert report["atmospheric_state"]["source"] == "metadata"
+
+    def test_report_keys_are_the_dataclass_fields(self, scene_dir, tmp_path):
+        fields = {f.name for f in dataclasses.fields(ProcessingReport)}
+        ok, failed = tmp_path / "ok", tmp_path / "failed"
+        table = tmp_path / "bad.csv"
+        table.write_text("garbage\n")
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(ok)]) == 0
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(failed),
+            "--provider", "table", "--params-table", str(table),
+        ]) == 4
+        for out in (ok, failed):
+            assert set(json.loads((out / "report.json").read_text())) == fields
+
+    def test_divide_total_gas(self, tmp_path):
+        # 500/560 nm: no absorber but ozone; 700/720/820 nm: water vapour and
+        # oxygen absorb but stay above the mask threshold; 760 nm: masked
+        scene = make_scene_dir(
+            tmp_path / "scene", centers=(500.0, 560.0, 700.0, 720.0, 760.0, 820.0)
+        )
+        default, divided = tmp_path / "default", tmp_path / "divided"
+        assert cli.main(["run", "--input", str(scene), "--output", str(default)]) == 0
+        assert cli.main([
+            "run", "--input", str(scene), "--output", str(divided), "--divide-total-gas",
+        ]) == 0
+        divided_params = read_params_table(divided / "band_params.csv")
+        assert all(p["t_g_o3"] == p["t_g_total"] for p in divided_params.values())
+
+        params = read_params_table(default / "band_params.csv").values()
+        valid = [p for p in params if p["t_g_total"] >= 0.85]  # default threshold
+        a = read_cube(str(default / "rho_w"))
+        b = read_cube(str(divided / "rho_w"))
+        assert a.wavelengths == b.wavelengths == (500.0, 560.0, 700.0, 720.0, 820.0)
+        changed = [not np.array_equal(a.data[k], b.data[k]) for k in range(len(valid))]
+        assert changed == [p["t_g_total"] < p["t_g_o3"] for p in valid]
+        assert changed == [False, False, True, True, True]
 
     def test_table_provider_reproduces_analytic_product(self, scene_dir, tmp_path):
         first = tmp_path / "first"
