@@ -265,7 +265,6 @@ def path_radiance(
     aod550: float,
     model: AerosolModel,
     e0_at_band,
-    rayleigh_scale: float = 1.0,
 ):
     """Single-scattering path radiance at 1 AU.
 
@@ -275,7 +274,7 @@ def path_radiance(
     e0 = np.asarray(e0_at_band, dtype=np.float64)
     if np.any(e0 < 0):
         raise OutOfRange("e0 must be >= 0")
-    tau_r = rayleigh_scale * np.asarray(rayleigh_optical_depth(wavelength))
+    tau_r = np.asarray(rayleigh_optical_depth(wavelength))
     tau_a = np.asarray(aerosol_optical_depth(wavelength, aod550, model))
     cos_theta = geometry.cos_scattering
     rho = (
@@ -288,24 +287,20 @@ def path_radiance(
     return lp if lp.ndim else float(lp)
 
 
-def _diffuse_transmittance(wavelength, mu: float, aod550, model, rayleigh_scale=1.0):
+def _diffuse_transmittance(wavelength, mu: float, aod550, model):
     """Gordon-style total (direct+diffuse) transmittance along a slant path."""
-    tau_r = rayleigh_scale * np.asarray(rayleigh_optical_depth(wavelength))
+    tau_r = np.asarray(rayleigh_optical_depth(wavelength))
     tau_a = np.asarray(aerosol_optical_depth(wavelength, aod550, model))
     forward_fraction = (1.0 + model.asymmetry) / 2.0
     effective = tau_r / 2.0 + (1.0 - model.single_scatter_albedo * forward_fraction) * tau_a
     return np.exp(-effective / mu)
 
 
-def transmittance_up(
-    wavelength, vza: float, aod550: float, model: AerosolModel, rayleigh_scale: float = 1.0
-):
+def transmittance_up(wavelength, vza: float, aod550: float, model: AerosolModel):
     """Upward (surface-to-sensor) total transmittance, direct + diffuse."""
     if not 0 <= vza < 90:
         raise OutOfRange(f"vza {vza} outside [0, 90)")
-    t = _diffuse_transmittance(
-        wavelength, math.cos(math.radians(vza)), aod550, model, rayleigh_scale
-    )
+    t = _diffuse_transmittance(wavelength, math.cos(math.radians(vza)), aod550, model)
     return t if t.ndim else float(t)
 
 
@@ -315,22 +310,19 @@ def downwelling_irradiance(
     aod550: float,
     model: AerosolModel,
     e0_at_band,
-    rayleigh_scale: float = 1.0,
 ):
     """Total downwelling surface irradiance at 1 AU: E0 * mu_s * T_down."""
     if not 0 <= sza < 90:
         raise OutOfRange(f"sza {sza} outside [0, 90)")
     mu_s = math.cos(math.radians(sza))
-    t_down = _diffuse_transmittance(wavelength, mu_s, aod550, model, rayleigh_scale)
+    t_down = _diffuse_transmittance(wavelength, mu_s, aod550, model)
     e = np.asarray(e0_at_band, dtype=np.float64) * mu_s * t_down
     return e if e.ndim else float(e)
 
 
-def spherical_albedo(
-    wavelength, aod550: float, model: AerosolModel, rayleigh_scale: float = 1.0
-):
+def spherical_albedo(wavelength, aod550: float, model: AerosolModel):
     """First-order atmospheric spherical albedo, clamped to [0, 0.99]."""
-    tau_r = rayleigh_scale * np.asarray(rayleigh_optical_depth(wavelength))
+    tau_r = np.asarray(rayleigh_optical_depth(wavelength))
     tau_a = np.asarray(aerosol_optical_depth(wavelength, aod550, model))
     s = np.minimum(
         0.92 * tau_r
@@ -351,13 +343,12 @@ def compute_fine_fields(
     state: AtmosphericState,
     model: AerosolModel,
     e0_grid: np.ndarray,
-    rayleigh_scale: float = 1.0,
 ) -> dict[str, np.ndarray]:
     """Evaluate every per-wavelength quantity on the full simulation grid."""
     wl = grid.wavelengths
     return {
         "l_path": np.asarray(
-            path_radiance(wl, geometry, state.aod550, model, e0_grid, rayleigh_scale)
+            path_radiance(wl, geometry, state.aod550, model, e0_grid)
         ),
         "t_g_o3": np.asarray(
             ozone_transmittance(wl, state.tco3, geometry.sza, geometry.vza)
@@ -366,15 +357,11 @@ def compute_fine_fields(
             gas_transmittance_total(wl, state.tcwv, state.tco3, geometry.sza, geometry.vza)
         ),
         "t_up": np.asarray(
-            transmittance_up(wl, geometry.vza, state.aod550, model, rayleigh_scale)
+            transmittance_up(wl, geometry.vza, state.aod550, model)
         ),
-        "s_atm": np.asarray(
-            spherical_albedo(wl, state.aod550, model, rayleigh_scale)
-        ),
+        "s_atm": np.asarray(spherical_albedo(wl, state.aod550, model)),
         "e_s": np.asarray(
-            downwelling_irradiance(
-                wl, geometry.sza, state.aod550, model, e0_grid, rayleigh_scale
-            )
+            downwelling_irradiance(wl, geometry.sza, state.aod550, model, e0_grid)
         ),
     }
 
@@ -416,12 +403,9 @@ class AnalyticProvider:
         state: AtmosphericState,
         model: AerosolModel,
         e0_grid: np.ndarray,
-        rayleigh_scale: float = 1.0,
     ):
         self.grid = grid
-        self.fields = compute_fine_fields(
-            grid, geometry, state, model, e0_grid, rayleigh_scale
-        )
+        self.fields = compute_fine_fields(grid, geometry, state, model, e0_grid)
 
     def band_params(self, band: BandDefinition, srf: SRF) -> BandAtmParams:
         return band_params_from_fields(band, srf, self.fields, self.grid)

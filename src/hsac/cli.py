@@ -123,7 +123,7 @@ def _cmd_run(args) -> int:
         report = run_pipeline(config).report
     except StageError as exc:
         print(f"hsac run failed: {exc}", file=sys.stderr)
-        return EXIT_STAGE.get(exc.stage, EXIT_STAGE[STAGE_INGEST])
+        return EXIT_STAGE[exc.stage]
     masked = len(report.masked_bands)
     print(
         f"done: scene={report.scene_id!r} masked_bands={masked} "
@@ -144,7 +144,7 @@ def _cmd_self_test(args) -> int:
         passed, max_rel, _ = run_self_test(config)
     except StageError as exc:
         print(f"self-test failed: {exc}", file=sys.stderr)
-        return EXIT_STAGE.get(exc.stage, 5)
+        return EXIT_STAGE[exc.stage]
     status = "PASS" if passed else "FAIL"
     print(f"self-test {status}: max relative error {max_rel:.3e} (tolerance 1e-10)")
     return EXIT_OK if passed else 5

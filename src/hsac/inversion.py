@@ -45,6 +45,7 @@ class MaskPolicy:
 class InversionReport:
     negativity_rate: float = 0.0
     degenerate_pixels: int = 0
+    nonfinite_pixels: int = 0
     masked_bands: dict[int, str] = field(default_factory=dict)
     valid_band_count: int = 0
     provider: str = ""
@@ -52,13 +53,13 @@ class InversionReport:
 
 @dataclass
 class ReflectanceProduct:
-    """Per-band rho_w and R_rs planes with band validity mask and report.
+    """rho_w and R_rs planes of the valid bands, with band mask and report.
 
-    Masked band planes are filled with the nodata sentinel; R_rs is exactly
-    rho_w / pi on valid pixels.
+    Plane k of rho_w and r_rs is band valid_band_indices[k]; masked bands
+    are not stored. R_rs is exactly rho_w / pi on valid pixels.
     """
 
-    rho_w: np.ndarray  # (bands, rows, cols) float64
+    rho_w: np.ndarray  # (valid bands, rows, cols) float64
     r_rs: np.ndarray
     band_mask: list[str]  # BAND_VALID | BAND_MASKED_LOW_TG per band
     nodata_value: float
@@ -153,10 +154,11 @@ def invert_cube(
     workers: int = 1,
     provider: str = "",
 ) -> ReflectanceProduct:
-    """Invert every valid band of a cube; masked bands stay at the sentinel.
+    """Invert the valid bands of a cube into a product holding only those.
 
     Work is split into (band, row-tile) units; per-pixel arithmetic order is
-    fixed, so results are bit-identical for any worker count.
+    fixed, so results are bit-identical for any worker count. Non-finite
+    rho_w (from NaN or infinite radiance) becomes nodata and is counted.
     """
     policy = policy or MaskPolicy()
     if len(params) != cube.n_bands:
@@ -164,46 +166,41 @@ def invert_cube(
             f"{len(params)} parameter sets for {cube.n_bands} bands"
         )
     band_mask = mask_bands(params, policy)
+    valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
     nodata = cube.nodata_value
-    rho_w = np.full(cube.data.shape, nodata, dtype=np.float64)
-    degenerate_counts: dict[tuple[int, int], int] = {}
-
-    tasks = []
-    for b, reason in enumerate(band_mask):
-        if reason != BAND_VALID:
-            continue
-        for r0 in range(0, cube.n_rows, ROW_TILE):
-            tasks.append((b, r0, min(r0 + ROW_TILE, cube.n_rows)))
+    rho_w = np.empty((len(valid), cube.n_rows, cube.n_cols), dtype=np.float64)
+    tasks = [
+        (k, r0, min(r0 + ROW_TILE, cube.n_rows))
+        for k in range(len(valid))
+        for r0 in range(0, cube.n_rows, ROW_TILE)
+    ]
 
     def run(task):
-        b, r0, r1 = task
+        k, r0, r1 = task
+        b = valid[k]
         plane, count = invert_band_plane(
             cube.data[b, r0:r1, :], d_squared, params[b], nodata
         )
-        rho_w[b, r0:r1, :] = plane
-        degenerate_counts[(b, r0)] = count
+        rho_w[k, r0:r1, :] = plane
+        return count
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, tasks))
-    else:
-        for task in tasks:
-            run(task)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        degenerate = sum(pool.map(run, tasks))
 
-    valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
-    valid_planes = rho_w[valid] if valid else np.empty((0,) + cube.data.shape[1:])
-    data_mask = valid_planes != nodata
-    n_data = int(np.count_nonzero(data_mask))
-    n_negative = int(np.count_nonzero(valid_planes[data_mask] < 0)) if n_data else 0
-
-    if policy.clip_negative and n_data:
-        for b in valid:
-            plane = rho_w[b]
-            plane[(plane != nodata) & (plane < 0)] = 0.0
+    nonfinite = ~np.isfinite(rho_w)
+    n_nonfinite = int(np.count_nonzero(nonfinite))
+    rho_w[nonfinite] = nodata
+    data = rho_w != nodata
+    negative = data & (rho_w < 0)
+    n_data = int(np.count_nonzero(data))
+    n_negative = int(np.count_nonzero(negative))
+    if policy.clip_negative:
+        rho_w[negative] = 0.0
 
     report = InversionReport(
         negativity_rate=(n_negative / n_data) if n_data else 0.0,
-        degenerate_pixels=sum(degenerate_counts.values()),
+        degenerate_pixels=degenerate,
+        nonfinite_pixels=n_nonfinite,
         masked_bands={
             i: m for i, m in enumerate(band_mask) if m != BAND_VALID
         },

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodataPixel, NoOverlap, OutOfBounds, ZeroVector
-from .inversion import BAND_VALID, ReflectanceProduct
-from .scene import BandDefinition
+from .errors import MissingField, NodataPixel, NoOverlap, OutOfBounds, ZeroVector
+from .raster import RadianceCube
 
 
 @dataclass(frozen=True)
@@ -122,30 +121,26 @@ def compare_spectra(
     return error_stats(d, r, window=window)
 
 
-def extract_pixel_spectrum(
-    product: ReflectanceProduct,
-    bands: list[BandDefinition],
-    row: int,
-    col: int,
-    quantity: str = "r_rs",
-) -> SpectrumSample:
-    """Spectrum over valid (unmasked) bands at one pixel."""
-    planes = product.r_rs if quantity == "r_rs" else product.rho_w
-    if not (0 <= row < planes.shape[1] and 0 <= col < planes.shape[2]):
-        raise OutOfBounds(f"pixel ({row}, {col}) outside raster")
-    wl, values = [], []
-    for i, mask in enumerate(product.band_mask):
-        if mask != BAND_VALID:
-            continue
-        v = planes[i, row, col]
-        if v == product.nodata_value:
-            raise NodataPixel(f"pixel ({row}, {col}) is nodata in band {i}")
-        wl.append(bands[i].center_wavelength)
-        values.append(v)
-    if not wl:
-        raise NoOverlap("no valid bands in product")
+def pixel_spectrum(cube: RadianceCube, row: int, col: int) -> SpectrumSample:
+    """Spectrum of an exported product raster at one pixel, by header wavelength.
+
+    Raises OutOfBounds outside the raster and NodataPixel when any band
+    holds the header's nodata value there.
+    """
+    if cube.wavelengths is None:
+        raise MissingField("product header lacks a wavelength list")
+    if not (0 <= row < cube.n_rows and 0 <= col < cube.n_cols):
+        raise OutOfBounds(
+            f"pixel ({row}, {col}) outside the {cube.n_rows}x{cube.n_cols} raster"
+        )
+    values = cube.data[:, row, col].astype(np.float64)
+    nodata = np.flatnonzero(values == cube.nodata_value)
+    if nodata.size:
+        raise NodataPixel(
+            f"pixel ({row}, {col}) is nodata at {cube.wavelengths[nodata[0]]} nm"
+        )
     return SpectrumSample(
-        np.asarray(wl), np.asarray(values), label=f"pixel({row},{col})"
+        np.asarray(cube.wavelengths), values, label=f"pixel({row},{col})"
     )
 
 

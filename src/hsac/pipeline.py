@@ -1,13 +1,15 @@
 """Five-stage processing pipeline: ingest, configure, per-band RTM,
 pixel-wise inversion, export.
 
-Stage errors are tagged with the failing stage so the CLI can map them to
-stable exit codes; a partial report naming the failure stage is still
-written.
+Each stage wraps its errors in a StageError naming the stage, so the CLI
+can map them to stable exit codes; a partial report naming the failure
+stage is still written.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import datetime
 import glob
 import json
@@ -37,17 +39,16 @@ from .atmosphere import (
 )
 from .errors import HsacError, IoFailure, MissingField, OutOfRange
 from .inversion import (
-    BAND_VALID,
     MaskPolicy,
     ReflectanceProduct,
     forward_model_toa,
     invert_cube,
 )
 from .metrics import (
-    SpectrumSample,
     aggregate_reports,
     compare_spectra,
     load_reference_spectrum,
+    pixel_spectrum,
 )
 from .raster import RadianceCube, read_cube, write_cube
 from .scene import (
@@ -122,6 +123,7 @@ class ProcessingReport:
     masked_bands: dict = field(default_factory=dict)
     negativity_rate: float = 0.0
     degenerate_pixels: int = 0
+    nonfinite_pixels: int = 0
     atmospheric_state: dict = field(default_factory=dict)
     provider: str = ""
     srf_sources: dict = field(default_factory=dict)
@@ -238,13 +240,8 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
 
 def compute_all_band_params(provider, bands, srfs, workers: int):
     """Stage 3: one task per band; results ordered by band index."""
-    def task(i):
-        return provider.band_params(bands[i], srfs[i])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, range(len(bands))))
-    return [task(i) for i in range(len(bands))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(provider.band_params, bands, srfs))
 
 
 def _apply_extra_gas_division(params):
@@ -253,18 +250,7 @@ def _apply_extra_gas_division(params):
     Replaces t_g_o3 by t_g_total per band so moderate-absorption unmasked
     bands are corrected for water vapour and oxygen too.
     """
-    return [
-        BandAtmParams(
-            band_index=p.band_index,
-            l_path=p.l_path,
-            t_g_o3=p.t_g_total,
-            t_g_total=p.t_g_total,
-            t_up=p.t_up,
-            s_atm=p.s_atm,
-            e_s=p.e_s,
-        )
-        for p in params
-    ]
+    return [dataclasses.replace(p, t_g_o3=p.t_g_total) for p in params]
 
 
 def write_product(
@@ -272,17 +258,16 @@ def write_product(
     bands: list[BandDefinition],
     output_path: str,
     params=None,
-    report: ProcessingReport | None = None,
 ) -> None:
-    """Write rho_w/R_rs cubes (valid bands only), mask CSV, params CSV, report."""
+    """Write rho_w/R_rs cubes (valid bands only), mask CSV and params CSV."""
     os.makedirs(output_path, exist_ok=True)
-    valid = product.valid_band_indices
-    wavelengths = tuple(bands[i].center_wavelength for i in valid)
+    wavelengths = tuple(
+        bands[i].center_wavelength for i in product.valid_band_indices
+    )
     try:
         for name, planes in (("rho_w", product.rho_w), ("r_rs", product.r_rs)):
             cube = RadianceCube(
-                data=planes[valid].astype(np.float32) if valid else
-                np.empty((0,) + planes.shape[1:], dtype=np.float32),
+                data=planes.astype(np.float32),
                 nodata_value=product.nodata_value,
                 wavelengths=wavelengths,
             )
@@ -300,9 +285,6 @@ def write_product(
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(serialize_params_table(params))
             os.replace(tmp, os.path.join(output_path, "band_params.csv"))
-
-        if report is not None:
-            write_report(report, output_path)
     except OSError as exc:
         raise IoFailure(f"writing product to {output_path}: {exc}") from exc
 
@@ -322,33 +304,27 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     report = ProcessingReport(worker_count=config.workers)
     try:
         return _run_pipeline(config, report)
-    except StageError:
-        raise
-    except Exception as exc:  # tag and re-raise with partial report
-        stage = getattr(exc, "_hsac_stage", STAGE_INGEST)
-        report.failure_stage = stage
-        report.error = str(exc)
+    except StageError as exc:
+        report.failure_stage = exc.stage
+        report.error = str(exc.cause)
         if config.output_path:
             try:
                 write_report(report, config.output_path)
             except OSError:
                 pass
-        raise StageError(stage, exc) from exc
+        raise
 
 
+@contextlib.contextmanager
 def _stage(report: ProcessingReport, name: str):
-    class _Timer:
-        def __enter__(self):
-            self.t0 = time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            report.timings_ms[name] = (time.perf_counter() - self.t0) * 1000.0
-            if exc is not None and not isinstance(exc, StageError):
-                exc._hsac_stage = name
-            return False
-
-    return _Timer()
+    """Time one stage into the report; wrap its errors in a StageError."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    finally:
+        report.timings_ms[name] = (time.perf_counter() - t0) * 1000.0
 
 
 def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult:
@@ -409,16 +385,18 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
         }
         report.negativity_rate = product.report.negativity_rate
         report.degenerate_pixels = product.report.degenerate_pixels
+        report.nonfinite_pixels = product.report.nonfinite_pixels
 
     # stage 5: export
     with _stage(report, STAGE_EXPORT):
         if config.output_path:
-            write_product(
-                product, setup.bands, config.output_path, params=params, report=report
-            )
+            write_product(product, setup.bands, config.output_path, params=params)
     if config.output_path:
-        # rewrite once more so the report on disk includes the export timing
-        write_report(report, config.output_path)
+        # written after the export timing is recorded, so it includes it
+        try:
+            write_report(report, config.output_path)
+        except OSError as exc:
+            raise StageError(STAGE_EXPORT, exc) from exc
 
     return PipelineResult(report=report, product=product, params=params)
 
@@ -476,10 +454,10 @@ def run_self_test(
     config.self_test = True
     result = run_pipeline(config)
     product = result.product
-    valid = product.valid_band_indices
-    rho_true = self_test_reflectance(len(product.band_mask))[valid]
-    recovered = product.rho_w[valid]
-    rel = np.abs(recovered - rho_true) / np.maximum(np.abs(rho_true), 1e-30)
+    rho_true = self_test_reflectance(len(product.band_mask))[
+        product.valid_band_indices
+    ]
+    rel = np.abs(product.rho_w - rho_true) / np.maximum(np.abs(rho_true), 1e-30)
     max_rel = float(rel.max())
     return max_rel <= tolerance, max_rel, result.report
 
@@ -493,14 +471,7 @@ def compare_against_reference(
     pixel: tuple[int, int],
 ) -> dict:
     """Compare the exported R_rs product at one pixel against reference CSVs."""
-    cube = read_cube(os.path.join(product_dir, "r_rs"))
-    if cube.wavelengths is None:
-        raise MissingField("product r_rs header lacks a wavelength list")
-    row, col = pixel
-    values = cube.data[:, row, col].astype(np.float64)
-    derived = SpectrumSample(
-        np.asarray(cube.wavelengths), values, label=f"pixel({row},{col})"
-    )
+    derived = pixel_spectrum(read_cube(os.path.join(product_dir, "r_rs")), *pixel)
     reports = []
     per_reference = {}
     for path in reference_files:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hsac.atmosphere
 from conftest import random_params
 from hsac.atmosphere import (
     AOD_DATASET,
@@ -39,6 +40,17 @@ from hsac.errors import (
 )
 from hsac.scene import BandDefinition
 from hsac.spectral import SRF, build_grid, gaussian_srf, resample_reference_spectrum
+
+
+@pytest.fixture
+def rayleigh_tau(monkeypatch):
+    """Call with tau to make the Rayleigh optical depth tau at every wavelength."""
+    def force(tau):
+        monkeypatch.setattr(
+            hsac.atmosphere, "rayleigh_optical_depth",
+            lambda wavelength: np.full(np.shape(wavelength), tau),
+        )
+    return force
 
 
 class TestRayleigh:
@@ -137,8 +149,9 @@ class TestGasTransmittance:
 
 
 class TestPathRadiance:
-    def test_no_scatterers(self, default_geometry, continental):
-        lp = path_radiance(550.0, default_geometry, 0.0, continental, 1.5, rayleigh_scale=0.0)
+    def test_no_scatterers(self, default_geometry, continental, rayleigh_tau):
+        rayleigh_tau(0.0)
+        lp = path_radiance(550.0, default_geometry, 0.0, continental, 1.5)
         assert lp == 0.0
 
     def test_backscatter_phase_identity(self, continental):
@@ -188,13 +201,13 @@ class TestPathRadiance:
 
 
 class TestTransmittanceUp:
-    def test_transparent_atmosphere(self, continental):
-        assert transmittance_up(550.0, 0.0, 0.0, continental, rayleigh_scale=0.0) == 1.0
+    def test_transparent_atmosphere(self, continental, rayleigh_tau):
+        rayleigh_tau(0.0)
+        assert transmittance_up(550.0, 0.0, 0.0, continental) == 1.0
 
-    def test_half_rayleigh_closed_form(self, continental):
-        tau_r = rayleigh_optical_depth(550.0)
-        scale = 0.1 / tau_r  # force tau_R = 0.1
-        got = transmittance_up(550.0, 0.0, 0.0, continental, rayleigh_scale=scale)
+    def test_half_rayleigh_closed_form(self, continental, rayleigh_tau):
+        rayleigh_tau(0.1)
+        got = transmittance_up(550.0, 0.0, 0.0, continental)
         assert got == pytest.approx(math.exp(-0.05), rel=1e-9)
 
     def test_monotone_in_view_angle(self, continental):
@@ -207,31 +220,32 @@ class TestTransmittanceUp:
 
 
 class TestDownwellingIrradiance:
-    def test_transparent_overhead_sun(self, continental):
+    def test_transparent_overhead_sun(self, continental, rayleigh_tau):
+        rayleigh_tau(0.0)
         assert downwelling_irradiance(
-            550.0, 0.0, 0.0, continental, 1.36, rayleigh_scale=0.0
+            550.0, 0.0, 0.0, continental, 1.36
         ) == pytest.approx(1.36)
 
-    def test_cosine_factor(self, continental):
+    def test_cosine_factor(self, continental, rayleigh_tau):
+        rayleigh_tau(0.0)
         assert downwelling_irradiance(
-            550.0, 60.0, 0.0, continental, 2.0, rayleigh_scale=0.0
+            550.0, 60.0, 0.0, continental, 2.0
         ) == pytest.approx(1.0)
 
-    def test_attenuated_closed_form(self, continental):
-        tau_r = rayleigh_optical_depth(550.0)
-        scale = 0.1 / tau_r
-        got = downwelling_irradiance(550.0, 0.0, 0.0, continental, 1.0, rayleigh_scale=scale)
+    def test_attenuated_closed_form(self, continental, rayleigh_tau):
+        rayleigh_tau(0.1)
+        got = downwelling_irradiance(550.0, 0.0, 0.0, continental, 1.0)
         assert got == pytest.approx(math.exp(-0.05), rel=1e-9)
 
 
 class TestSphericalAlbedo:
-    def test_empty_atmosphere(self, continental):
-        assert spherical_albedo(550.0, 0.0, continental, rayleigh_scale=0.0) == 0.0
+    def test_empty_atmosphere(self, continental, rayleigh_tau):
+        rayleigh_tau(0.0)
+        assert spherical_albedo(550.0, 0.0, continental) == 0.0
 
-    def test_rayleigh_only_closed_form(self, continental):
-        tau_r = rayleigh_optical_depth(550.0)
-        scale = 0.1 / tau_r
-        got = spherical_albedo(550.0, 0.0, continental, rayleigh_scale=scale)
+    def test_rayleigh_only_closed_form(self, continental, rayleigh_tau):
+        rayleigh_tau(0.1)
+        got = spherical_albedo(550.0, 0.0, continental)
         assert got == pytest.approx(0.092, rel=1e-9)
 
     def test_clamped(self, continental):
@@ -273,15 +287,16 @@ class TestComputeBandParams:
             downwelling_irradiance(550.0, g.sza, s.aod550, continental, e0_550), rel=1e-12
         )
 
-    def test_transparent_atmosphere_identity(self, default_geometry, continental):
+    def test_transparent_atmosphere_identity(
+        self, default_geometry, continental, rayleigh_tau
+    ):
+        rayleigh_tau(0.0)
         grid = build_grid(500, 600, 2.5)
         e0 = np.full(grid.n_points, 1.7)
         state = AtmosphericState(aod550=0.0, tcwv=0.0, tco3=0.0, source="override")
         band = BandDefinition(0, 550.0, 6.5)
         srf = gaussian_srf(band, grid)
-        provider = AnalyticProvider(
-            grid, default_geometry, state, continental, e0, rayleigh_scale=0.0
-        )
+        provider = AnalyticProvider(grid, default_geometry, state, continental, e0)
         p = provider.band_params(band, srf)
         assert p.l_path == 0.0
         assert p.t_g_o3 == 1.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ class TestInvertCube:
         cube, d2, params, _ = self._cube_and_params()
         product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=1.0))
         assert product.band_mask == [BAND_MASKED_LOW_TG] * cube.n_bands
-        assert np.all(product.rho_w == cube.nodata_value)
+        assert product.rho_w.shape == product.r_rs.shape == (0, 8, 8)
         assert product.report.valid_band_count == 0
         assert len(product.report.masked_bands) == cube.n_bands
 
@@ -232,11 +233,16 @@ class TestInvertCube:
         )
         assert product.rho_w[0, 0, 0] == 0.0
 
-    def test_masked_band_filled_with_sentinel(self):
+    def test_masked_band_absent(self):
         cube, d2, params, _ = self._cube_and_params()
-        low = BandAtmParams(0, params[0].l_path, params[0].t_g_o3, 0.01,
-                            params[0].t_up, params[0].s_atm, params[0].e_s)
-        params = [low] + params[1:]
+        params = [replace(p, t_g_total=1.0) for p in params]
+        params[1] = replace(params[1], t_g_total=0.01)
         product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=0.85))
-        assert product.band_mask[0] == BAND_MASKED_LOW_TG
-        assert np.all(product.rho_w[0] == cube.nodata_value)
+        assert product.band_mask[1] == BAND_MASKED_LOW_TG
+        valid = product.valid_band_indices
+        assert valid == [0, 2, 3]
+        assert product.rho_w.shape == (len(valid),) + cube.data.shape[1:]
+        for k, b in enumerate(valid):
+            expected, _ = invert_band_plane(cube.data[b], d2, params[b])
+            np.testing.assert_array_equal(product.rho_w[k], expected)
+            np.testing.assert_array_equal(product.r_rs[k], to_rrs(expected))

@@ -15,11 +15,12 @@ from hsac.metrics import (
     align_spectra,
     compare_spectra,
     error_stats,
-    extract_pixel_spectrum,
     load_reference_spectrum,
+    pixel_spectrum,
     spectral_angle,
 )
-from hsac.raster import RadianceCube
+from hsac.pipeline import write_product
+from hsac.raster import RadianceCube, read_cube
 from hsac.scene import BandDefinition
 
 
@@ -157,7 +158,9 @@ class TestAlignSpectra:
 
 
 class TestExtractPixelSpectrum:
-    def _product(self):
+    @pytest.fixture
+    def exported(self, tmp_path):
+        """An inverted 3-band product with band 1 masked, written and read back."""
         rng = np.random.default_rng(47)
         bands = [
             BandDefinition(0, 500.0, 6.5),
@@ -174,30 +177,33 @@ class TestExtractPixelSpectrum:
         rho = rng.uniform(0.01, 0.3, size=(3, 2, 2))
         l_toa = np.stack([forward_model_toa(rho[b], 1.0, params[b]) for b in range(3)])
         l_toa[2, 1, 1] = -9999.0  # nodata pixel in band 2
-        cube = RadianceCube(data=l_toa)
-        product = invert_cube(cube, 1.0, params, MaskPolicy(tg_threshold=0.85))
-        return product, bands
+        product = invert_cube(RadianceCube(data=l_toa), 1.0, params,
+                              MaskPolicy(tg_threshold=0.85))
+        write_product(product, bands, str(tmp_path))
+        return product, tmp_path
 
-    def test_mask_filtering(self):
-        product, bands = self._product()
-        s = extract_pixel_spectrum(product, bands, 0, 0)
+    def test_mask_filtering(self, exported):
+        _, out = exported
+        s = pixel_spectrum(read_cube(str(out / "r_rs")), 0, 0)
         np.testing.assert_array_equal(s.wavelengths, [500.0, 600.0])
 
-    def test_nodata_pixel(self):
-        product, bands = self._product()
+    def test_nodata_pixel(self, exported):
+        _, out = exported
         with pytest.raises(NodataPixel):
-            extract_pixel_spectrum(product, bands, 1, 1)
+            pixel_spectrum(read_cube(str(out / "r_rs")), 1, 1)
 
-    def test_out_of_bounds(self):
-        product, bands = self._product()
-        with pytest.raises(OutOfBounds):
-            extract_pixel_spectrum(product, bands, 5, 0)
+    def test_out_of_bounds(self, exported):
+        _, out = exported
+        cube = read_cube(str(out / "r_rs"))
+        for row, col in ((5, 0), (2, 0), (0, 2), (-1, 0), (0, -1)):
+            with pytest.raises(OutOfBounds):
+                pixel_spectrum(cube, row, col)
 
-    def test_values_match_planes(self):
-        product, bands = self._product()
-        s = extract_pixel_spectrum(product, bands, 0, 1, quantity="rho_w")
-        assert s.values[0] == product.rho_w[0, 0, 1]
-        assert s.values[1] == product.rho_w[2, 0, 1]
+    def test_values_match_planes(self, exported):
+        product, out = exported
+        s = pixel_spectrum(read_cube(str(out / "rho_w")), 0, 1)
+        assert s.values[0] == np.float32(product.rho_w[0, 0, 1])
+        assert s.values[1] == np.float32(product.rho_w[1, 0, 1])
 
 
 class TestCompareAndAggregate:

@@ -1,13 +1,14 @@
 """End-to-end tests for the five-stage pipeline and the `hsac` CLI."""
 
 import dataclasses
+import errno
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hsac import cli
+from hsac import cli, pipeline
 from hsac.pipeline import (
     ProcessingReport,
     RunConfig,
@@ -47,11 +48,14 @@ def scene_xml(centers=BAND_CENTERS) -> str:
 """
 
 
-def make_scene_dir(path, centers=BAND_CENTERS):
+def make_scene_dir(path, centers=BAND_CENTERS, pixels=None):
+    """A 6x5 scene; `pixels` maps (band, row, col) to a radiance to plant."""
     path.mkdir()
     (path / "scene.xml").write_text(scene_xml(centers))
     rng = np.random.default_rng(7)
     data = rng.uniform(0.05, 0.4, size=(len(centers), 6, 5)).astype(np.float32)
+    for index, value in (pixels or {}).items():
+        data[index] = value
     write_cube(str(path / "radiance"), RadianceCube(data=data))
     return path
 
@@ -207,6 +211,36 @@ class TestRunEndToEnd:
         assert changed == [p["t_g_total"] < p["t_g_o3"] for p in valid]
         assert changed == [False, False, True, True, True]
 
+    def test_nonfinite_radiance_becomes_nodata(self, tmp_path):
+        planted = {(0, 0, 0): np.nan, (2, 3, 1): np.inf, (5, 5, 4): -np.inf}
+        scene = make_scene_dir(tmp_path / "scene", pixels=planted)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene), "--output", str(out)]) == 0
+        expected = np.zeros((len(BAND_CENTERS), 6, 5), dtype=bool)
+        for index in planted:
+            expected[index] = True
+        for name in ("rho_w", "r_rs"):
+            cube = read_cube(str(out / name))
+            assert np.all(np.isfinite(cube.data)), name
+            np.testing.assert_array_equal(cube.data == cube.nodata_value, expected)
+        report = json.loads((out / "report.json").read_text())
+        assert report["nonfinite_pixels"] == len(planted)
+        assert report["degenerate_pixels"] == 0
+
+    def test_all_bands_masked_writes_empty_products(self, scene_dir, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--tg-threshold", "1.0",
+        ]) == 0
+        for name in ("rho_w", "r_rs"):
+            cube = read_cube(str(out / name))
+            assert cube.data.shape == (0, 6, 5), name
+            assert (out / f"{name}.img").stat().st_size == 0
+        mask_lines = (out / "band_mask.csv").read_text().splitlines()[1:]
+        assert len(mask_lines) == len(BAND_CENTERS)
+        assert all(line.endswith(",masked_low_tg") for line in mask_lines)
+
     def test_table_provider_reproduces_analytic_product(self, scene_dir, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"
@@ -254,6 +288,17 @@ class TestRunEndToEnd:
         ])
         assert code == 4
 
+    def test_report_write_failure_exits_6(self, scene_dir, tmp_path, monkeypatch, capsys):
+        def full_disk(report, output_path):
+            # fail only a report written after the export stage was timed
+            if "export" in report.timings_ms:
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "write_report", full_disk)
+        code = cli.main(["run", "--input", str(scene_dir), "--output", str(tmp_path / "o")])
+        assert code == 6
+        assert "stage export" in capsys.readouterr().err
+
     def test_partial_report_names_failed_stage(self, scene_dir, tmp_path):
         table = tmp_path / "bad.csv"
         table.write_text("garbage\n")
@@ -291,6 +336,24 @@ class TestCompareCli:
         assert result["aggregate"]["sam_deg"] == 0.0
         assert result["aggregate"]["rmse"] == 0.0
         assert result["references"]["match"]["n"] == len(BAND_CENTERS)
+
+    @pytest.mark.parametrize("pixel,message", [
+        ("-1,-1", "outside"),  # negative indices must not wrap round
+        ("99,0", "outside"),
+        ("1,2", "nodata"),  # nodata in the input radiance
+    ])
+    def test_unusable_pixel_exits_3(self, tmp_path, capsys, pixel, message):
+        scene = make_scene_dir(tmp_path / "scene", pixels={(3, 1, 2): -9999.0})
+        out, ref = self._run_and_reference(scene, tmp_path)
+        capsys.readouterr()
+        code = cli.main([
+            "compare", "--product", str(out), "--reference", str(ref),
+            f"--pixel={pixel}",
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_bad_pixel_argument(self, scene_dir, tmp_path):
         out, ref = self._run_and_reference(scene_dir, tmp_path)
