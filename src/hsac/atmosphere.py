@@ -57,7 +57,7 @@ class BandAtmParams:
     s_atm: float
     e_s: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("t_g_o3", "t_g_total", "t_up"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -382,9 +382,7 @@ def band_params_from_fields(
     values["s_atm"] = min(max(values["s_atm"], 0.0), 0.99)
     values["l_path"] = max(values["l_path"], 0.0)
     values["e_s"] = max(values["e_s"], 0.0)
-    params = BandAtmParams(band_index=band.index, **values)
-    params.validate()
-    return params
+    return BandAtmParams(band_index=band.index, **values)
 
 
 class AnalyticProvider:
@@ -440,9 +438,7 @@ def load_params_table(text: str) -> list[BandAtmParams]:
             raise SchemaViolation(f"non-numeric row: {row}") from exc
         if idx in params:
             raise DuplicateBand(f"band {idx} appears more than once")
-        p = BandAtmParams(idx, *values)
-        p.validate()
-        params[idx] = p
+        params[idx] = BandAtmParams(idx, *values)
     expected = set(range(len(params)))
     missing = expected - set(params)
     if missing or (params and max(params) != len(params) - 1):

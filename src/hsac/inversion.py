@@ -47,8 +47,6 @@ class InversionReport:
     degenerate_pixels: int = 0
     nonfinite_pixels: int = 0
     masked_bands: dict[int, str] = field(default_factory=dict)
-    valid_band_count: int = 0
-    provider: str = ""
 
 
 @dataclass
@@ -79,7 +77,6 @@ def invert_band_plane(
     """Invert one band plane; returns (rho_w plane, degenerate pixel count)."""
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
-    params.validate()
     coupling_c = params.e_s * params.t_up / math.pi
     plane = np.ascontiguousarray(l_toa_plane, dtype=np.float64)
     return kernels.invert_plane(
@@ -107,7 +104,6 @@ def forward_model_toa(
     """
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
-    params.validate()
     coupling_c = params.e_s * params.t_up / math.pi
     scalar = np.isscalar(rho_w)
     plane = np.ascontiguousarray(
@@ -152,7 +148,6 @@ def invert_cube(
     params: list[BandAtmParams],
     policy: MaskPolicy | None = None,
     workers: int = 1,
-    provider: str = "",
 ) -> ReflectanceProduct:
     """Invert the valid bands of a cube into a product holding only those.
 
@@ -204,8 +199,6 @@ def invert_cube(
         masked_bands={
             i: m for i, m in enumerate(band_mask) if m != BAND_VALID
         },
-        valid_band_count=len(valid),
-        provider=provider,
     )
     return ReflectanceProduct(
         rho_w=rho_w,

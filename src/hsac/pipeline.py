@@ -17,7 +17,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ from .atmosphere import (
     resolve_atmospheric_state,
     serialize_params_table,
 )
-from .errors import HsacError, IoFailure, MissingField, OutOfRange
+from .errors import HsacError, IoFailure, MissingField, OutOfRange, UnsupportedDataType
 from .inversion import (
     MaskPolicy,
     ReflectanceProduct,
@@ -154,6 +153,15 @@ def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
         metadata = parse_scene_metadata(fh.read())
     hdr_path = _find_one(input_path, "*.hdr", "raster header")
     cube = read_cube(hdr_path[: -len(".hdr")])
+    if cube.data.dtype != np.float32:
+        raise UnsupportedDataType(
+            f"{hdr_path}: data type {cube.data.dtype} is not float32 radiance; "
+            "calibrate the DN to radiance before running hsac"
+        )
+    if not math.isfinite(cube.nodata_value):
+        raise OutOfRange(
+            f"{hdr_path}: data ignore value {cube.nodata_value} is not finite"
+        )
     return metadata, cube
 
 
@@ -238,10 +246,9 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
     )
 
 
-def compute_all_band_params(provider, bands, srfs, workers: int):
-    """Stage 3: one task per band; results ordered by band index."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(provider.band_params, bands, srfs))
+def compute_all_band_params(provider, bands, srfs):
+    """Stage 3: one parameter set per band, in band order."""
+    return [provider.band_params(b, s) for b, s in zip(bands, srfs)]
 
 
 def _apply_extra_gas_division(params):
@@ -266,12 +273,15 @@ def write_product(
     )
     try:
         for name, planes in (("rho_w", product.rho_w), ("r_rs", product.r_rs)):
-            cube = RadianceCube(
-                data=planes.astype(np.float32),
-                nodata_value=product.nodata_value,
-                wavelengths=wavelengths,
+            # unnamed, so each float32 cast is freed before the next is made
+            write_cube(
+                os.path.join(output_path, name),
+                RadianceCube(
+                    data=planes.astype(np.float32),
+                    nodata_value=product.nodata_value,
+                    wavelengths=wavelengths,
+                ),
             )
-            write_cube(os.path.join(output_path, name), cube)
 
         tmp = os.path.join(output_path, "band_mask.csv.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -368,7 +378,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
                 provider = TableProvider.from_csv(fh.read())
         else:
             provider = setup.analytic_provider()
-        params = compute_all_band_params(provider, setup.bands, setup.srfs, config.workers)
+        params = compute_all_band_params(provider, setup.bands, setup.srfs)
         if config.divide_total_gas:
             params = _apply_extra_gas_division(params)
         report.provider = provider.provenance
@@ -378,8 +388,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
         policy = MaskPolicy(
             tg_threshold=config.tg_threshold, clip_negative=config.clip_negative
         )
-        product = invert_cube(cube, setup.d_squared, params, policy,
-                              workers=config.workers, provider=provider.provenance)
+        product = invert_cube(cube, setup.d_squared, params, policy, workers=config.workers)
         report.masked_bands = {
             str(i): reason for i, reason in product.report.masked_bands.items()
         }
@@ -435,9 +444,7 @@ def synthesize_scene(
         scene_id="self-test",
     )
     setup = configure_scene(metadata, config)
-    params = compute_all_band_params(
-        setup.analytic_provider(), setup.bands, setup.srfs, config.workers
-    )
+    params = compute_all_band_params(setup.analytic_provider(), setup.bands, setup.srfs)
     rho_true = self_test_reflectance(len(bands), size, seed)
     l_toa = np.empty_like(rho_true)
     for b, p in enumerate(params):

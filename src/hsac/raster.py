@@ -4,6 +4,11 @@ Two-file convention: a text header (.hdr) describing dimensions, data type
 and interleave, next to a raw little-endian binary payload. Supported data
 types are 4 (float32) and 12 (uint16); supported interleaves are bsq and
 bil. Cubes are always returned in canonical band-sequential order.
+
+Payloads are never copied: `read_cube` maps the payload file read-only
+(a BIL payload is returned as a transposed view of the mapping), so only
+the pages a caller touches are read, and `write_cube` writes the array
+from its own buffer.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import numpy as np
 from .errors import (
     HeaderPayloadMismatch,
     IoFailure,
-    LengthMismatch,
     UnsupportedDataType,
     UnsupportedInterleave,
 )
@@ -69,9 +73,11 @@ def parse_envi_header(text: str) -> dict:
     return fields
 
 
-def read_radiance_cube(header: str, payload: bytes) -> RadianceCube:
-    """Decode a header + raw payload into a canonical BSQ cube."""
-    fields = parse_envi_header(header)
+def read_cube(base_path: str) -> RadianceCube:
+    """Map `base_path`.hdr + `base_path`.img (or `base_path` raw) read-only."""
+    img = base_path + ".img" if os.path.exists(base_path + ".img") else base_path
+    with open(base_path + ".hdr", encoding="utf-8") as fh:
+        fields = parse_envi_header(fh.read())
     try:
         samples = int(fields["samples"])
         lines = int(fields["lines"])
@@ -88,17 +94,19 @@ def read_radiance_cube(header: str, payload: bytes) -> RadianceCube:
 
     dtype = _DTYPE_CODES[dtype_code]
     expected = samples * lines * bands * dtype.itemsize
-    if len(payload) != expected:
-        raise HeaderPayloadMismatch(
-            f"payload is {len(payload)} bytes, header implies {expected}"
-        )
+    size = os.path.getsize(img)
+    if size != expected:
+        raise HeaderPayloadMismatch(f"payload is {size} bytes, header implies {expected}")
 
-    flat = np.frombuffer(payload, dtype=dtype)
+    if expected:
+        # a plain ndarray view: slicing it skips the memmap subclass's overhead
+        flat = np.memmap(img, dtype=dtype, mode="r").view(np.ndarray)
+    else:
+        flat = np.empty(0, dtype=dtype)  # an empty file cannot be mapped
     if interleave == "bsq":
         data = flat.reshape(bands, lines, samples)
     else:  # bil: (lines, bands, samples)
         data = flat.reshape(lines, bands, samples).transpose(1, 0, 2)
-    data = np.ascontiguousarray(data)
 
     nodata = float(fields.get("data ignore value", DEFAULT_NODATA))
     wavelengths = None
@@ -107,11 +115,7 @@ def read_radiance_cube(header: str, payload: bytes) -> RadianceCube:
     return RadianceCube(data=data, nodata_value=nodata, wavelengths=wavelengths)
 
 
-def format_envi_header(
-    cube: RadianceCube,
-    interleave: str = "bsq",
-    description: str = "hsac raster",
-) -> str:
+def format_envi_header(cube: RadianceCube, interleave: str = "bsq") -> str:
     dtype_code = _CODE_FOR_DTYPE.get(cube.data.dtype)
     if dtype_code is None:
         raise UnsupportedDataType(f"cannot write dtype {cube.data.dtype}")
@@ -119,7 +123,7 @@ def format_envi_header(
         raise UnsupportedInterleave(interleave)
     lines = [
         "ENVI",
-        f"description = {{{description}}}",
+        "description = {hsac raster}",
         f"samples = {cube.n_cols}",
         f"lines = {cube.n_rows}",
         f"bands = {cube.n_bands}",
@@ -136,31 +140,10 @@ def format_envi_header(
     return "\n".join(lines) + "\n"
 
 
-def encode_payload(cube: RadianceCube, interleave: str = "bsq") -> bytes:
-    if interleave == "bsq":
-        arr = cube.data
-    elif interleave == "bil":
-        arr = cube.data.transpose(1, 0, 2)
-    else:
-        raise UnsupportedInterleave(interleave)
-    return np.ascontiguousarray(arr).tobytes()
-
-
-def read_cube(base_path: str) -> RadianceCube:
-    """Read `base_path`.hdr + `base_path`.img (or `base_path` raw)."""
-    hdr = base_path + ".hdr"
-    img = base_path + ".img" if os.path.exists(base_path + ".img") else base_path
-    with open(hdr, encoding="utf-8") as fh:
-        header = fh.read()
-    with open(img, "rb") as fh:
-        payload = fh.read()
-    return read_radiance_cube(header, payload)
-
-
 def write_cube(base_path: str, cube: RadianceCube, interleave: str = "bsq") -> None:
     """Write header + payload atomically (temp file then rename)."""
     header = format_envi_header(cube, interleave=interleave)
-    payload = encode_payload(cube, interleave=interleave)
+    data = cube.data if interleave == "bsq" else cube.data.transpose(1, 0, 2)
     try:
         tmp = base_path + ".hdr.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -168,28 +151,7 @@ def write_cube(base_path: str, cube: RadianceCube, interleave: str = "bsq") -> N
         os.replace(tmp, base_path + ".hdr")
         tmp = base_path + ".img.tmp"
         with open(tmp, "wb") as fh:
-            fh.write(payload)
+            np.ascontiguousarray(data).tofile(fh)
         os.replace(tmp, base_path + ".img")
     except OSError as exc:
         raise IoFailure(f"writing {base_path}: {exc}") from exc
-
-
-def apply_radiometric_scaling(
-    dn_cube: RadianceCube, gains, offsets
-) -> RadianceCube:
-    """L = gain * DN + offset per band; nodata pixels pass through unscaled."""
-    gains = np.asarray(gains, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.float64)
-    if gains.shape != (dn_cube.n_bands,) or offsets.shape != (dn_cube.n_bands,):
-        raise LengthMismatch(
-            f"need {dn_cube.n_bands} gains/offsets, got {gains.size}/{offsets.size}"
-        )
-    dn = dn_cube.data.astype(np.float64)
-    scaled = dn * gains[:, None, None] + offsets[:, None, None]
-    nodata_mask = dn_cube.data == dn_cube.nodata_value
-    scaled[nodata_mask] = dn_cube.nodata_value
-    return RadianceCube(
-        data=scaled,
-        nodata_value=dn_cube.nodata_value,
-        wavelengths=dn_cube.wavelengths,
-    )

@@ -190,9 +190,7 @@ class TestAcceptance:
         config = RunConfig(self_test=True)
         metadata, cube = synthesize_scene(config, size=512)
         setup = configure_scene(metadata, config)
-        params = compute_all_band_params(
-            setup.analytic_provider(), setup.bands, setup.srfs, config.workers
-        )
+        params = compute_all_band_params(setup.analytic_provider(), setup.bands, setup.srfs)
         t0 = time.perf_counter()
         invert_cube(cube, setup.d_squared, params, MaskPolicy(), workers=config.workers)
         elapsed = time.perf_counter() - t0

@@ -193,7 +193,7 @@ class TestInvertCube:
         product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=1.0))
         assert product.band_mask == [BAND_MASKED_LOW_TG] * cube.n_bands
         assert product.rho_w.shape == product.r_rs.shape == (0, 8, 8)
-        assert product.report.valid_band_count == 0
+        assert product.valid_band_indices == []
         assert len(product.report.masked_bands) == cube.n_bands
 
     def test_single_pixel_matches_band_plane(self):

@@ -279,6 +279,21 @@ class TestRunEndToEnd:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("dtype,nodata,message", [
+        (np.uint16, 0.0, "calibrate the DN to radiance"),  # uncalibrated DN
+        (np.float32, np.nan, "not finite"),  # a NaN sentinel cannot mark nodata
+    ], ids=["uint16_dn", "nan_nodata"])
+    def test_unsupported_input_exits_3(self, scene_dir, tmp_path, capsys,
+                                       dtype, nodata, message):
+        radiance = str(scene_dir / "radiance")
+        data = (read_cube(radiance).data * 10000).astype(dtype)
+        data[0, 0, 0] = nodata
+        write_cube(radiance, RadianceCube(data=data, nodata_value=nodata))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+
     def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path):
         table = tmp_path / "bad.csv"
         table.write_text("not,a,params,table\n1,2,3,4\n")

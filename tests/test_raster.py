@@ -3,19 +3,10 @@ import pytest
 
 from hsac.errors import (
     HeaderPayloadMismatch,
-    LengthMismatch,
     UnsupportedDataType,
     UnsupportedInterleave,
 )
-from hsac.raster import (
-    RadianceCube,
-    apply_radiometric_scaling,
-    encode_payload,
-    format_envi_header,
-    read_cube,
-    read_radiance_cube,
-    write_cube,
-)
+from hsac.raster import RadianceCube, read_cube, write_cube
 
 
 def make_header(samples, lines, bands, dtype_code=4, interleave="bsq"):
@@ -26,40 +17,62 @@ def make_header(samples, lines, bands, dtype_code=4, interleave="bsq"):
     )
 
 
+def write_raw(tmp_path, header, payload, name="cube"):
+    """Write a header and a raw payload as `name`.hdr/.img; return the base path."""
+    base = tmp_path / name
+    (tmp_path / f"{name}.hdr").write_text(header)
+    (tmp_path / f"{name}.img").write_bytes(payload)
+    return str(base)
+
+
 class TestRead:
-    def test_bsq_literal_values(self):
+    def test_bsq_literal_values(self, tmp_path):
         data = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
-        cube = read_radiance_cube(make_header(2, 2, 2), data.tobytes())
+        cube = read_cube(write_raw(tmp_path, make_header(2, 2, 2), data.tobytes()))
         np.testing.assert_array_equal(cube.data, data)
 
-    def test_header_payload_mismatch(self):
-        payload = np.zeros(2 * 2 * 2, dtype=np.float32).tobytes()
-        with pytest.raises(HeaderPayloadMismatch):
-            read_radiance_cube(make_header(2, 2, 3), payload)
+    def test_header_payload_mismatch(self, tmp_path):
+        # the header implies 2x2x3 values: one payload too short, one too long
+        for n_values in (2 * 2 * 2, 2 * 2 * 4):
+            payload = np.zeros(n_values, dtype=np.float32).tobytes()
+            with pytest.raises(HeaderPayloadMismatch):
+                read_cube(write_raw(tmp_path, make_header(2, 2, 3), payload))
 
-    def test_unsupported_data_type(self):
+    def test_unsupported_data_type(self, tmp_path):
         with pytest.raises(UnsupportedDataType):
-            read_radiance_cube(make_header(1, 1, 1, dtype_code=5), b"\0" * 8)
+            read_cube(write_raw(tmp_path, make_header(1, 1, 1, dtype_code=5), b"\0" * 8))
 
-    def test_unsupported_interleave(self):
+    def test_unsupported_interleave(self, tmp_path):
         with pytest.raises(UnsupportedInterleave):
-            read_radiance_cube(
-                make_header(1, 1, 1, interleave="bip"), b"\0" * 4
+            read_cube(
+                write_raw(tmp_path, make_header(1, 1, 1, interleave="bip"), b"\0" * 4)
             )
 
-    def test_bil_equals_bsq(self):
+    def test_bil_equals_bsq(self, tmp_path):
         rng = np.random.default_rng(7)
         data = rng.random((3, 4, 5)).astype(np.float32)
-        bsq = read_radiance_cube(make_header(5, 4, 3, interleave="bsq"), data.tobytes())
+        bsq = read_cube(
+            write_raw(tmp_path, make_header(5, 4, 3, interleave="bsq"), data.tobytes(), "bsq")
+        )
         bil_payload = data.transpose(1, 0, 2).copy().tobytes()
-        bil = read_radiance_cube(make_header(5, 4, 3, interleave="bil"), bil_payload)
+        bil = read_cube(
+            write_raw(tmp_path, make_header(5, 4, 3, interleave="bil"), bil_payload, "bil")
+        )
         np.testing.assert_array_equal(bsq.data, bil.data)
 
-    def test_wavelength_list_parsed(self):
+    def test_wavelength_list_parsed(self, tmp_path):
         header = make_header(1, 1, 2) + "wavelength = {550.0,\n 650.0}\n"
         payload = np.zeros(2, dtype=np.float32).tobytes()
-        cube = read_radiance_cube(header, payload)
+        cube = read_cube(write_raw(tmp_path, header, payload))
         assert cube.wavelengths == (550.0, 650.0)
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_payload_is_read_only(self, tmp_path, interleave):
+        base = str(tmp_path / "cube")
+        write_cube(base, RadianceCube(data=np.ones((2, 3, 4), dtype=np.float32)), interleave)
+        cube = read_cube(base)
+        with pytest.raises(ValueError):
+            cube.data[0, 0, 0] = 0.0
 
 
 class TestRoundTrip:
@@ -80,46 +93,10 @@ class TestRoundTrip:
         assert back.nodata_value == cube.nodata_value
         assert back.wavelengths == cube.wavelengths
 
-    def test_encode_header_consistency(self):
-        data = np.zeros((2, 3, 4), dtype=np.float32)
-        cube = RadianceCube(data=data)
-        header = format_envi_header(cube, interleave="bil")
-        back = read_radiance_cube(header, encode_payload(cube, "bil"))
-        np.testing.assert_array_equal(back.data, data)
-
-
-class TestRadiometricScaling:
-    def test_identity(self):
-        data = np.arange(8, dtype=np.uint16).reshape(2, 2, 2)
-        cube = RadianceCube(data=data, nodata_value=-9999.0)
-        out = apply_radiometric_scaling(cube, [1.0, 1.0], [0.0, 0.0])
-        np.testing.assert_array_equal(out.data, data.astype(np.float64))
-
-    def test_linear_evaluation(self):
-        cube = RadianceCube(data=np.full((1, 1, 1), 1000, dtype=np.uint16))
-        out = apply_radiometric_scaling(cube, [0.01], [0.5])
-        assert out.data[0, 0, 0] == pytest.approx(10.5)
-
-    def test_elementwise_oracle(self):
-        rng = np.random.default_rng(3)
-        data = rng.integers(0, 1000, size=(3, 4, 5)).astype(np.uint16)
-        gains = rng.uniform(0.001, 0.1, 3)
-        offsets = rng.uniform(-1, 1, 3)
-        out = apply_radiometric_scaling(RadianceCube(data=data), gains, offsets)
-        for b in range(3):
-            for r in range(4):
-                for c in range(5):
-                    expected = gains[b] * float(data[b, r, c]) + offsets[b]
-                    assert out.data[b, r, c] == expected
-
-    def test_nodata_propagated_unscaled(self):
-        data = np.array([[[5, 7]]], dtype=np.float32)
-        cube = RadianceCube(data=data, nodata_value=7.0)
-        out = apply_radiometric_scaling(cube, [2.0], [1.0])
-        assert out.data[0, 0, 0] == 11.0
-        assert out.data[0, 0, 1] == 7.0
-
-    def test_length_mismatch(self):
-        cube = RadianceCube(data=np.zeros((2, 1, 1), dtype=np.uint16))
-        with pytest.raises(LengthMismatch):
-            apply_radiometric_scaling(cube, [1.0], [0.0, 0.0])
+    def test_encode_header_consistency(self, tmp_path):
+        # the bytes on disk, not only a read back: header says bil, payload is BIL
+        data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        write_cube(str(tmp_path / "cube"), RadianceCube(data=data), interleave="bil")
+        assert "interleave = bil\n" in (tmp_path / "cube.hdr").read_text()
+        expected = data.transpose(1, 0, 2).copy().tobytes()
+        assert (tmp_path / "cube.img").read_bytes() == expected
