@@ -51,14 +51,13 @@ class InversionReport:
 
 @dataclass
 class ReflectanceProduct:
-    """rho_w and R_rs planes of the valid bands, with band mask and report.
+    """rho_w planes of the valid bands, with band mask and report.
 
-    Plane k of rho_w and r_rs is band valid_band_indices[k]; masked bands
-    are not stored. R_rs is exactly rho_w / pi on valid pixels.
+    Plane k of rho_w is band valid_band_indices[k]; masked bands are not
+    stored. R_rs is not stored either: `to_rrs` derives it at export.
     """
 
     rho_w: np.ndarray  # (valid bands, rows, cols) float64
-    r_rs: np.ndarray
     band_mask: list[str]  # BAND_VALID | BAND_MASKED_LOW_TG per band
     nodata_value: float
     report: InversionReport
@@ -134,11 +133,11 @@ def mask_bands(params: list[BandAtmParams], policy: MaskPolicy) -> list[str]:
     ]
 
 
-def to_rrs(rho_w_planes: np.ndarray, nodata: float = -9999.0) -> np.ndarray:
-    """Elementwise rho_w / pi with nodata propagation."""
-    rho = np.asarray(rho_w_planes, dtype=np.float64)
-    out = rho / math.pi
-    out[rho == nodata] = nodata
+def to_rrs(rho_w: np.ndarray, nodata: float = -9999.0) -> np.ndarray:
+    """The float32 R_rs raster: float64 rho_w / pi cast once, nodata kept."""
+    out = np.empty(rho_w.shape, dtype=np.float32)
+    np.divide(rho_w, math.pi, out=out, casting="same_kind")
+    out[rho_w == nodata] = nodata
     return out
 
 
@@ -151,46 +150,44 @@ def invert_cube(
 ) -> ReflectanceProduct:
     """Invert the valid bands of a cube into a product holding only those.
 
-    Work is split into (band, row-tile) units; per-pixel arithmetic order is
-    fixed, so results are bit-identical for any worker count. Non-finite
-    rho_w (from NaN or infinite radiance) becomes nodata and is counted.
+    One task per row tile inverts every valid band in place, then on that
+    tile sets non-finite rho_w to nodata, counts non-finite, data and
+    negative pixels, and applies the opt-in clip, which is refused when
+    nodata is 0.0. Per-pixel arithmetic order is fixed, so results are
+    bit-identical for any worker count.
     """
     policy = policy or MaskPolicy()
     if len(params) != cube.n_bands:
         raise LengthMismatch(
             f"{len(params)} parameter sets for {cube.n_bands} bands"
         )
+    nodata = cube.nodata_value
+    if policy.clip_negative and nodata == 0.0:
+        raise OutOfRange("clipping negative rho_w to 0.0 collides with nodata 0.0")
     band_mask = mask_bands(params, policy)
     valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
-    nodata = cube.nodata_value
     rho_w = np.empty((len(valid), cube.n_rows, cube.n_cols), dtype=np.float64)
-    tasks = [
-        (k, r0, min(r0 + ROW_TILE, cube.n_rows))
-        for k in range(len(valid))
-        for r0 in range(0, cube.n_rows, ROW_TILE)
-    ]
 
-    def run(task):
-        k, r0, r1 = task
-        b = valid[k]
-        plane, count = invert_band_plane(
-            cube.data[b, r0:r1, :], d_squared, params[b], nodata
-        )
-        rho_w[k, r0:r1, :] = plane
-        return count
+    def run(r0):
+        tile = rho_w[:, r0:r0 + ROW_TILE, :]
+        degenerate = 0
+        for k, b in enumerate(valid):
+            tile[k], count = invert_band_plane(
+                cube.data[b, r0:r0 + ROW_TILE, :], d_squared, params[b], nodata
+            )
+            degenerate += count
+        nonfinite = ~np.isfinite(tile)
+        tile[nonfinite] = nodata
+        data = tile != nodata
+        negative = data & (tile < 0)
+        if policy.clip_negative:
+            tile[negative] = 0.0
+        return degenerate, *(int(np.count_nonzero(m)) for m in (nonfinite, data, negative))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        degenerate = sum(pool.map(run, tasks))
-
-    nonfinite = ~np.isfinite(rho_w)
-    n_nonfinite = int(np.count_nonzero(nonfinite))
-    rho_w[nonfinite] = nodata
-    data = rho_w != nodata
-    negative = data & (rho_w < 0)
-    n_data = int(np.count_nonzero(data))
-    n_negative = int(np.count_nonzero(negative))
-    if policy.clip_negative:
-        rho_w[negative] = 0.0
+        tiles = pool.map(run, range(0, cube.n_rows, ROW_TILE))
+        # the zero row makes the sums 0 for a cube without rows
+        degenerate, n_nonfinite, n_data, n_negative = map(sum, zip((0, 0, 0, 0), *tiles))
 
     report = InversionReport(
         negativity_rate=(n_negative / n_data) if n_data else 0.0,
@@ -202,7 +199,6 @@ def invert_cube(
     )
     return ReflectanceProduct(
         rho_w=rho_w,
-        r_rs=to_rrs(rho_w, nodata),
         band_mask=band_mask,
         nodata_value=nodata,
         report=report,

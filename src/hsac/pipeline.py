@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, inversion
 from .atmosphere import (
     AerosolModel,
     AnalyticProvider,
@@ -271,17 +271,17 @@ def write_product(
     wavelengths = tuple(
         bands[i].center_wavelength for i in product.valid_band_indices
     )
+    nodata = product.nodata_value
     try:
-        for name, planes in (("rho_w", product.rho_w), ("r_rs", product.r_rs)):
-            # unnamed, so each float32 cast is freed before the next is made
-            write_cube(
-                os.path.join(output_path, name),
-                RadianceCube(
-                    data=planes.astype(np.float32),
-                    nodata_value=product.nodata_value,
-                    wavelengths=wavelengths,
-                ),
-            )
+        # each raster is freed before the next is made; perfbench traces inversion.to_rrs
+        write_cube(
+            os.path.join(output_path, "rho_w"),
+            RadianceCube(product.rho_w.astype(np.float32), nodata, wavelengths),
+        )
+        write_cube(
+            os.path.join(output_path, "r_rs"),
+            RadianceCube(inversion.to_rrs(product.rho_w, nodata), nodata, wavelengths),
+        )
 
         tmp = os.path.join(output_path, "band_mask.csv.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -1,9 +1,9 @@
 """ENVI-style raster reading and writing.
 
 Two-file convention: a text header (.hdr) describing dimensions, data type
-and interleave, next to a raw little-endian binary payload. Supported data
-types are 4 (float32) and 12 (uint16); supported interleaves are bsq and
-bil. Cubes are always returned in canonical band-sequential order.
+and interleave, next to a raw payload, little-endian from byte 0 (byte order
+and header offset 0). Data types are 4 (float32) and 12 (uint16); interleaves
+bsq and bil. Cubes are always returned in canonical band-sequential order.
 
 Payloads are never copied: `read_cube` maps the payload file read-only
 (a BIL payload is returned as a transposed view of the mapping), so only
@@ -91,6 +91,10 @@ def read_cube(base_path: str) -> RadianceCube:
         raise UnsupportedDataType(f"data type {dtype_code} not in {sorted(_DTYPE_CODES)}")
     if interleave not in ("bsq", "bil"):
         raise UnsupportedInterleave(f"interleave {interleave!r} not in {{bsq, bil}}")
+    if int(fields.get("byte order", 0)) != 0:
+        raise UnsupportedDataType(f"byte order {fields['byte order']}: only 0 (little-endian)")
+    if int(fields.get("header offset", 0)) != 0:
+        raise HeaderPayloadMismatch(f"header offset {fields['header offset']}: only 0")
 
     dtype = _DTYPE_CODES[dtype_code]
     expected = samples * lines * bands * dtype.itemsize

@@ -160,8 +160,9 @@ class TestToRrs:
         rng = np.random.default_rng(31)
         rho = rng.normal(size=(2, 3, 4))
         out = to_rrs(rho)
+        assert out.dtype == np.float32
         for idx in np.ndindex(rho.shape):
-            assert out[idx] == rho[idx] / math.pi
+            assert out[idx] == np.float32(rho[idx] / math.pi)
 
     def test_nodata_propagated(self):
         rho = np.array([[[-9999.0, 0.5]]])
@@ -184,15 +185,16 @@ class TestInvertCube:
         cube, d2, params, rho_true = self._cube_and_params()
         product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=0.01))
         np.testing.assert_allclose(product.rho_w, rho_true, rtol=1e-12)
+        # rho_w within 1e-12 may still round to a neighbouring float32
         np.testing.assert_allclose(
-            product.r_rs, rho_true / math.pi, rtol=1e-12
+            to_rrs(product.rho_w), to_rrs(rho_true), rtol=np.finfo(np.float32).eps
         )
 
     def test_all_bands_masked(self):
         cube, d2, params, _ = self._cube_and_params()
         product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=1.0))
         assert product.band_mask == [BAND_MASKED_LOW_TG] * cube.n_bands
-        assert product.rho_w.shape == product.r_rs.shape == (0, 8, 8)
+        assert product.rho_w.shape == (0, 8, 8)
         assert product.valid_band_indices == []
         assert len(product.report.masked_bands) == cube.n_bands
 
@@ -233,6 +235,52 @@ class TestInvertCube:
         )
         assert product.rho_w[0, 0, 0] == 0.0
 
+    def test_clip_with_zero_nodata_rejected(self):
+        # a clipped pixel would become exactly the nodata sentinel
+        cube, d2, params, _ = self._cube_and_params()
+        cube.nodata_value = 0.0
+        policy = MaskPolicy(tg_threshold=0.01, clip_negative=True)
+        with pytest.raises(OutOfRange, match="collides with nodata 0.0"):
+            invert_cube(cube, d2, params, policy)
+
+    def test_fused_pixel_account(self):
+        # 2 bands x 130 rows: row tiles [0, 64), [64, 128) and [128, 130)
+        c = PARAMS.e_s * PARAMS.t_up / math.pi
+        data = np.full((2, 130, 5), forward_model_toa(0.05, 1.0, PARAMS))
+        planted = {
+            (0, 3, 1): np.nan,
+            (1, 10, 2): forward_model_toa(-0.02, 1.0, PARAMS),
+            (0, 70, 0): np.inf,
+            (1, 100, 4): -9999.0,
+            (0, 80, 3): (PARAMS.l_path - c / PARAMS.s_atm) * PARAMS.t_g_o3,  # degenerate
+            (1, 129, 4): -np.inf,
+            (0, 128, 0): forward_model_toa(-0.03, 1.0, PARAMS),
+        }
+        for index, value in planted.items():
+            data[index] = value
+        cube = RadianceCube(data=data)
+        for clip in (False, True):
+            expected = np.stack([invert_band_plane(plane, 1.0, PARAMS)[0] for plane in data])
+            expected[~np.isfinite(expected)] = -9999.0
+            if clip:
+                expected[(expected < 0) & (expected != -9999.0)] = 0.0
+            for workers in (1, 2, 8):
+                product = invert_cube(
+                    cube, 1.0, [PARAMS, PARAMS], MaskPolicy(clip_negative=clip), workers
+                )
+                np.testing.assert_array_equal(product.rho_w, expected)
+                assert product.report.degenerate_pixels == 1
+                assert product.report.nonfinite_pixels == 3
+                # 2 negative of 1300 pixels less 3 non-finite, 1 nodata, 1 degenerate
+                assert product.report.negativity_rate == 2 / (1300 - 5)
+            rho = product.rho_w
+            assert all(rho[i] == -9999.0 for i in planted if i not in ((1, 10, 2), (0, 128, 0)))
+            if clip:
+                assert rho[1, 10, 2] == rho[0, 128, 0] == 0.0
+            else:
+                assert rho[1, 10, 2] == pytest.approx(-0.02, rel=1e-12)
+                assert rho[0, 128, 0] == pytest.approx(-0.03, rel=1e-12)
+
     def test_masked_band_absent(self):
         cube, d2, params, _ = self._cube_and_params()
         params = [replace(p, t_g_total=1.0) for p in params]
@@ -245,4 +293,4 @@ class TestInvertCube:
         for k, b in enumerate(valid):
             expected, _ = invert_band_plane(cube.data[b], d2, params[b])
             np.testing.assert_array_equal(product.rho_w[k], expected)
-            np.testing.assert_array_equal(product.r_rs[k], to_rrs(expected))
+            np.testing.assert_array_equal(to_rrs(product.rho_w[k]), to_rrs(expected))

@@ -279,20 +279,37 @@ class TestRunEndToEnd:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("dtype,nodata,message", [
-        (np.uint16, 0.0, "calibrate the DN to radiance"),  # uncalibrated DN
-        (np.float32, np.nan, "not finite"),  # a NaN sentinel cannot mark nodata
-    ], ids=["uint16_dn", "nan_nodata"])
+    @pytest.mark.parametrize("dtype,nodata,header_edit,message", [
+        (np.uint16, 0.0, None, "calibrate the DN to radiance"),  # uncalibrated DN
+        (np.float32, np.nan, None, "not finite"),  # a NaN sentinel cannot mark nodata
+        (np.float32, -9999.0, ("byte order = 0", "byte order = 1"), "byte order 1"),
+        (np.float32, -9999.0, ("header offset = 0", "header offset = 64"),
+         "header offset 64"),
+    ], ids=["uint16_dn", "nan_nodata", "big_endian", "header_offset"])
     def test_unsupported_input_exits_3(self, scene_dir, tmp_path, capsys,
-                                       dtype, nodata, message):
+                                       dtype, nodata, header_edit, message):
         radiance = str(scene_dir / "radiance")
         data = (read_cube(radiance).data * 10000).astype(dtype)
         data[0, 0, 0] = nodata
         write_cube(radiance, RadianceCube(data=data, nodata_value=nodata))
+        if header_edit:
+            header = scene_dir / "radiance.hdr"
+            header.write_text(header.read_text().replace(*header_edit))
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         assert message in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+
+    def test_clip_with_zero_nodata_exits_5(self, scene_dir, tmp_path, capsys):
+        radiance = str(scene_dir / "radiance")
+        data = np.array(read_cube(radiance).data)
+        write_cube(radiance, RadianceCube(data=data, nodata_value=0.0))
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out), "--clip-negative",
+        ]) == 5
+        assert "collides with nodata 0.0" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "inversion"
 
     def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path):
         table = tmp_path / "bad.csv"

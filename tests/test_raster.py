@@ -48,6 +48,19 @@ class TestRead:
                 write_raw(tmp_path, make_header(1, 1, 1, interleave="bip"), b"\0" * 4)
             )
 
+    def test_big_endian_rejected(self, tmp_path):
+        # read as little-endian, [1.5, 2.5] would come back as [6.9e-41, 1.2e-41]
+        header = make_header(2, 1, 1).replace("byte order = 0", "byte order = 1")
+        payload = np.array([1.5, 2.5], dtype=">f4").tobytes()
+        with pytest.raises(UnsupportedDataType, match="byte order 1"):
+            read_cube(write_raw(tmp_path, header, payload))
+
+    def test_header_offset_rejected(self, tmp_path):
+        header = make_header(2, 1, 1) + "header offset = 16\n"
+        for payload_bytes in (8, 16 + 8):  # the size without and with the offset
+            with pytest.raises(HeaderPayloadMismatch, match="header offset 16"):
+                read_cube(write_raw(tmp_path, header, b"\0" * payload_bytes))
+
     def test_bil_equals_bsq(self, tmp_path):
         rng = np.random.default_rng(7)
         data = rng.random((3, 4, 5)).astype(np.float32)
