@@ -373,9 +373,10 @@ def band_params_from_fields(
     grid: SpectralGrid,
 ) -> BandAtmParams:
     """Convolve each fine-grid quantity to the band through its SRF."""
-    values = {
-        name: convolve_to_band(fields[name], srf, grid) for name in FINE_FIELD_NAMES
-    }
+    values = dict(zip(
+        FINE_FIELD_NAMES,
+        convolve_to_band([fields[name] for name in FINE_FIELD_NAMES], srf, grid),
+    ))
     # The weighted mean of in-range samples can exceed the range by one ulp.
     for name in ("t_g_o3", "t_g_total", "t_up"):
         values[name] = min(values[name], 1.0)

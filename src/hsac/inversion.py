@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -55,9 +56,10 @@ class ReflectanceProduct:
 
     Plane k of rho_w is band valid_band_indices[k]; masked bands are not
     stored. R_rs is not stored either: `to_rrs` derives it at export.
+    rho_w is None when the tiles went to a sink instead (see invert_cube).
     """
 
-    rho_w: np.ndarray  # (valid bands, rows, cols) float64
+    rho_w: np.ndarray | None  # (valid bands, rows, cols) float64
     band_mask: list[str]  # BAND_VALID | BAND_MASKED_LOW_TG per band
     nodata_value: float
     report: InversionReport
@@ -141,19 +143,41 @@ def to_rrs(rho_w: np.ndarray, nodata: float = -9999.0) -> np.ndarray:
     return out
 
 
+TileWriter = Callable[[int, np.ndarray], None]
+
+
+def _finish_tile(tile: np.ndarray, nodata: float, clip_negative: bool) -> tuple[int, int, int]:
+    """Non-finite rho_w to nodata, then the opt-in clip, on one tile in place.
+
+    Returns the tile's (non-finite, data, negative) pixel counts.
+    """
+    nonfinite = ~np.isfinite(tile)
+    tile[nonfinite] = nodata
+    data = tile != nodata
+    negative = data & (tile < 0)
+    if clip_negative:
+        tile[negative] = 0.0
+    return tuple(int(np.count_nonzero(m)) for m in (nonfinite, data, negative))
+
+
 def invert_cube(
     cube: RadianceCube,
     d_squared: float,
     params: list[BandAtmParams],
     policy: MaskPolicy | None = None,
     workers: int = 1,
+    open_sink: Callable[[list[int], int, int], TileWriter] | None = None,
 ) -> ReflectanceProduct:
-    """Invert the valid bands of a cube into a product holding only those.
+    """Invert the valid bands of a cube, one row tile at a time.
 
-    One task per row tile inverts every valid band in place, then on that
-    tile sets non-finite rho_w to nodata, counts non-finite, data and
-    negative pixels, and applies the opt-in clip, which is refused when
-    nodata is 0.0. Per-pixel arithmetic order is fixed, so results are
+    One task per row tile inverts every valid band into a float64 tile,
+    then sets its non-finite rho_w to nodata, counts its non-finite, data
+    and negative pixels, applies the opt-in clip (refused when nodata is
+    0.0), and hands the finished tile to a sink as `write(r0, tile)`, from
+    its worker thread. `open_sink(valid band indices, rows, cols)` is called
+    once before the pool and returns that `write`; the product's rho_w is
+    then None. Without it, the tiles fill one in-memory float64 array,
+    returned as rho_w. Per-pixel arithmetic order is fixed, so results are
     bit-identical for any worker count.
     """
     policy = policy or MaskPolicy()
@@ -166,26 +190,29 @@ def invert_cube(
         raise OutOfRange("clipping negative rho_w to 0.0 collides with nodata 0.0")
     band_mask = mask_bands(params, policy)
     valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
-    rho_w = np.empty((len(valid), cube.n_rows, cube.n_cols), dtype=np.float64)
+    n_rows, n_cols = cube.n_rows, cube.n_cols
+    if open_sink is None:
+        rho_w = np.empty((len(valid), n_rows, n_cols), dtype=np.float64)
+
+        def write(r0, tile):
+            rho_w[:, r0:r0 + ROW_TILE] = tile
+    else:
+        rho_w, write = None, open_sink(valid, n_rows, n_cols)
 
     def run(r0):
-        tile = rho_w[:, r0:r0 + ROW_TILE, :]
+        tile = np.empty((len(valid), min(ROW_TILE, n_rows - r0), n_cols))
         degenerate = 0
         for k, b in enumerate(valid):
             tile[k], count = invert_band_plane(
                 cube.data[b, r0:r0 + ROW_TILE, :], d_squared, params[b], nodata
             )
             degenerate += count
-        nonfinite = ~np.isfinite(tile)
-        tile[nonfinite] = nodata
-        data = tile != nodata
-        negative = data & (tile < 0)
-        if policy.clip_negative:
-            tile[negative] = 0.0
-        return degenerate, *(int(np.count_nonzero(m)) for m in (nonfinite, data, negative))
+        counts = _finish_tile(tile, nodata, policy.clip_negative)
+        write(r0, tile)
+        return degenerate, *counts
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        tiles = pool.map(run, range(0, cube.n_rows, ROW_TILE))
+        tiles = pool.map(run, range(0, n_rows, ROW_TILE))
         # the zero row makes the sums 0 for a cube without rows
         degenerate, n_nonfinite, n_data, n_negative = map(sum, zip((0, 0, 0, 0), *tiles))
 

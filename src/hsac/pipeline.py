@@ -38,6 +38,7 @@ from .atmosphere import (
 )
 from .errors import HsacError, IoFailure, MissingField, OutOfRange, UnsupportedDataType
 from .inversion import (
+    ROW_TILE,
     MaskPolicy,
     ReflectanceProduct,
     forward_model_toa,
@@ -49,7 +50,7 @@ from .metrics import (
     load_reference_spectrum,
     pixel_spectrum,
 )
-from .raster import RadianceCube, read_cube, write_cube
+from .raster import CubeWriter, RadianceCube, read_cube, write_cube
 from .scene import (
     BandDefinition,
     SceneMetadata,
@@ -133,7 +134,11 @@ class ProcessingReport:
 
 @dataclass
 class PipelineResult:
-    """What a successful run produced, for callers that go on using it."""
+    """What a successful run produced, for callers that go on using it.
+
+    A run with an output path other than the self-test streams its rasters
+    to disk, so its product.rho_w is None.
+    """
 
     report: ProcessingReport
     product: ReflectanceProduct
@@ -260,28 +265,70 @@ def _apply_extra_gas_division(params):
     return [dataclasses.replace(p, t_g_o3=p.t_g_total) for p in params]
 
 
+class ProductSink:
+    """The tile sink of an exported product: each finished float64 rho_w
+    row tile is written as float32 rho_w into `rho_w.img.tmp` and as R_rs
+    into `r_rs.img.tmp`, at its BSQ offsets. `write_product` commits both;
+    `discard` deletes whatever was not committed."""
+
+    def __init__(self, output_path: str, bands: list[BandDefinition], nodata: float):
+        self.output_path = output_path
+        self.bands = bands
+        self.nodata = nodata
+        self.rasters: dict[str, CubeWriter] = {}
+
+    def open(self, valid: list[int], n_rows: int, n_cols: int):
+        """Preallocate both payloads for the valid bands; returns `write`."""
+        try:
+            os.makedirs(self.output_path, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"creating {self.output_path}: {exc}") from exc
+        wavelengths = tuple(self.bands[i].center_wavelength for i in valid)
+        for name in ("rho_w", "r_rs"):
+            self.rasters[name] = CubeWriter(
+                os.path.join(self.output_path, name),
+                (len(valid), n_rows, n_cols),
+                np.float32,
+                self.nodata,
+                wavelengths,
+            )
+        return self.write
+
+    def write(self, r0: int, tile: np.ndarray) -> None:
+        self.rasters["rho_w"].write_rows(r0, tile.astype(np.float32))
+        # looked up on the module: perfbench traces inversion.to_rrs
+        self.rasters["r_rs"].write_rows(r0, inversion.to_rrs(tile, self.nodata))
+
+    def discard(self) -> None:
+        for writer in self.rasters.values():
+            writer.discard()
+
+
 def write_product(
     product: ReflectanceProduct,
     bands: list[BandDefinition],
     output_path: str,
     params=None,
+    sink: ProductSink | None = None,
 ) -> None:
-    """Write rho_w/R_rs cubes (valid bands only), mask CSV and params CSV."""
+    """Commit the rho_w/R_rs rasters (valid bands only), then write the
+    mask CSV and the params CSV.
+
+    `sink` holds the rasters of a streamed run, whose tiles it was given
+    during the inversion. Without it, the in-memory `product.rho_w` goes
+    through a new ProductSink one row tile at a time, so no whole-cube
+    float32 copy is made.
+    """
     os.makedirs(output_path, exist_ok=True)
-    wavelengths = tuple(
-        bands[i].center_wavelength for i in product.valid_band_indices
-    )
-    nodata = product.nodata_value
     try:
-        # each raster is freed before the next is made; perfbench traces inversion.to_rrs
-        write_cube(
-            os.path.join(output_path, "rho_w"),
-            RadianceCube(product.rho_w.astype(np.float32), nodata, wavelengths),
-        )
-        write_cube(
-            os.path.join(output_path, "r_rs"),
-            RadianceCube(inversion.to_rrs(product.rho_w, nodata), nodata, wavelengths),
-        )
+        if sink is None:
+            sink = ProductSink(output_path, bands, product.nodata_value)
+            _, n_rows, n_cols = product.rho_w.shape
+            write = sink.open(product.valid_band_indices, n_rows, n_cols)
+            for r0 in range(0, n_rows, ROW_TILE):
+                write(r0, product.rho_w[:, r0:r0 + ROW_TILE])
+        for name, writer in sink.rasters.items():
+            write_cube(os.path.join(output_path, name), writer)
 
         tmp = os.path.join(output_path, "band_mask.csv.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -297,6 +344,8 @@ def write_product(
             os.replace(tmp, os.path.join(output_path, "band_params.csv"))
     except OSError as exc:
         raise IoFailure(f"writing product to {output_path}: {exc}") from exc
+    finally:
+        sink.discard()  # a no-op for committed rasters
 
 
 def write_report(report: ProcessingReport, output_path: str) -> None:
@@ -332,7 +381,8 @@ def _stage(report: ProcessingReport, name: str):
     try:
         yield
     except Exception as exc:
-        raise StageError(name, exc) from exc
+        # product rasters are streamed during the inversion: writes fail in export
+        raise StageError(STAGE_EXPORT if isinstance(exc, IoFailure) else name, exc) from exc
     finally:
         report.timings_ms[name] = (time.perf_counter() - t0) * 1000.0
 
@@ -383,12 +433,23 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
             params = _apply_extra_gas_division(params)
         report.provider = provider.provenance
 
-    # stage 4: pixel-wise inversion
+    # stage 4: pixel-wise inversion; an exported run streams its rasters
+    # through a ProductSink, the self-test keeps float64 rho_w to check it
     with _stage(report, STAGE_INVERSION):
         policy = MaskPolicy(
             tg_threshold=config.tg_threshold, clip_negative=config.clip_negative
         )
-        product = invert_cube(cube, setup.d_squared, params, policy, workers=config.workers)
+        sink = None
+        if config.output_path and not config.self_test:
+            sink = ProductSink(config.output_path, setup.bands, cube.nodata_value)
+        try:
+            product = invert_cube(cube, setup.d_squared, params, policy,
+                                  workers=config.workers,
+                                  open_sink=sink.open if sink else None)
+        except BaseException:
+            if sink is not None:
+                sink.discard()
+            raise
         report.masked_bands = {
             str(i): reason for i, reason in product.report.masked_bands.items()
         }
@@ -399,7 +460,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
     # stage 5: export
     with _stage(report, STAGE_EXPORT):
         if config.output_path:
-            write_product(product, setup.bands, config.output_path, params=params)
+            write_product(product, setup.bands, config.output_path, params=params, sink=sink)
     if config.output_path:
         # written after the export timing is recorded, so it includes it
         try:

@@ -5,14 +5,21 @@ and interleave, next to a raw payload, little-endian from byte 0 (byte order
 and header offset 0). Data types are 4 (float32) and 12 (uint16); interleaves
 bsq and bil. Cubes are always returned in canonical band-sequential order.
 
-Payloads are never copied: `read_cube` maps the payload file read-only
+Payloads are never copied. `read_cube` maps the payload file read-only
 (a BIL payload is returned as a transposed view of the mapping), so only
-the pages a caller touches are read, and `write_cube` writes the array
-from its own buffer.
+the pages a caller touches are read. A `CubeWriter` preallocates the payload
+as `<base>.img.tmp` and writes rows at their offsets with `os.pwrite`, from
+the caller's buffers and from any thread; the written pages sit in the page
+cache and do not count in the writer's resident memory. `write_cube`
+commits a writer: it writes the header, then renames header and payload
+into place, so a reader never sees a partial raster. An in-memory cube is
+written through a new writer first.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -119,43 +126,127 @@ def read_cube(base_path: str) -> RadianceCube:
     return RadianceCube(data=data, nodata_value=nodata, wavelengths=wavelengths)
 
 
-def format_envi_header(cube: RadianceCube, interleave: str = "bsq") -> str:
-    dtype_code = _CODE_FOR_DTYPE.get(cube.data.dtype)
+def format_envi_header(
+    shape: tuple[int, int, int],
+    dtype,
+    nodata_value: float,
+    wavelengths: tuple[float, ...] | None,
+    interleave: str,
+) -> str:
+    """Header of a (bands, rows, cols) raster."""
+    dtype_code = _CODE_FOR_DTYPE.get(np.dtype(dtype))
     if dtype_code is None:
-        raise UnsupportedDataType(f"cannot write dtype {cube.data.dtype}")
+        raise UnsupportedDataType(f"cannot write dtype {dtype}")
     if interleave not in ("bsq", "bil"):
         raise UnsupportedInterleave(interleave)
+    bands, rows, cols = shape
     lines = [
         "ENVI",
         "description = {hsac raster}",
-        f"samples = {cube.n_cols}",
-        f"lines = {cube.n_rows}",
-        f"bands = {cube.n_bands}",
+        f"samples = {cols}",
+        f"lines = {rows}",
+        f"bands = {bands}",
         "header offset = 0",
         "file type = ENVI Standard",
         f"data type = {dtype_code}",
         f"interleave = {interleave}",
         "byte order = 0",
-        f"data ignore value = {cube.nodata_value!r}",
+        f"data ignore value = {nodata_value!r}",
     ]
-    if cube.wavelengths is not None:
-        wl = ", ".join(f"{w:.6f}" for w in cube.wavelengths)
+    if wavelengths is not None:
+        wl = ", ".join(f"{w:.6f}" for w in wavelengths)
         lines.append(f"wavelength = {{{wl}}}")
     return "\n".join(lines) + "\n"
 
 
-def write_cube(base_path: str, cube: RadianceCube, interleave: str = "bsq") -> None:
-    """Write header + payload atomically (temp file then rename)."""
-    header = format_envi_header(cube, interleave=interleave)
-    data = cube.data if interleave == "bsq" else cube.data.transpose(1, 0, 2)
+def _pwrite_all(fd: int, array: np.ndarray, offset: int) -> None:
+    view = memoryview(np.ascontiguousarray(array)).cast("B")
+    while view:
+        n = os.pwrite(fd, view, offset)
+        view, offset = view[n:], offset + n
+
+
+class CubeWriter:
+    """The payload of a (bands, rows, cols) raster being written.
+
+    `<base_path>.img.tmp` is created at its full size; `write_rows` writes
+    row blocks at their offsets and may be called from several threads for
+    disjoint rows. `write_cube(base_path, writer)` commits it; `discard`
+    deletes an uncommitted payload.
+    """
+
+    def __init__(
+        self,
+        base_path: str,
+        shape: tuple[int, int, int],
+        dtype,
+        nodata_value: float,
+        wavelengths: tuple[float, ...] | None,
+        interleave: str = "bsq",
+    ):
+        self.header = format_envi_header(shape, dtype, nodata_value, wavelengths, interleave)
+        self.shape = shape
+        self.dtype = np.dtype(dtype)
+        self.interleave = interleave
+        self.path = base_path + ".img.tmp"
+        self._fd = -1
+        try:
+            self._fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            os.ftruncate(self._fd, math.prod(shape) * self.dtype.itemsize)
+        except OSError as exc:
+            self.discard()
+            raise IoFailure(f"creating {self.path}: {exc}") from exc
+
+    def write_rows(self, r0: int, rows: np.ndarray) -> None:
+        """Write rows[:, i] of every band as raster row r0 + i."""
+        if rows.dtype != self.dtype:
+            raise UnsupportedDataType(f"rows are {rows.dtype}, the raster is {self.dtype}")
+        bands, n_rows, n_cols = self.shape
+        row_bytes = n_cols * self.dtype.itemsize
+        try:
+            if self.interleave == "bsq":
+                for k in range(bands):
+                    _pwrite_all(self._fd, rows[k], (k * n_rows + r0) * row_bytes)
+            else:  # bil: one (bands, cols) block per row
+                for i in range(rows.shape[1]):
+                    _pwrite_all(self._fd, rows[:, i], (r0 + i) * bands * row_bytes)
+        except OSError as exc:
+            raise IoFailure(f"writing {self.path}: {exc}") from exc
+
+    def close(self) -> None:
+        if self._fd >= 0:
+            fd, self._fd = self._fd, -1
+            os.close(fd)
+
+    def discard(self) -> None:
+        """Close, and delete the payload unless it was committed (best effort)."""
+        with contextlib.suppress(OSError):
+            self.close()
+            os.unlink(self.path)
+
+
+def write_cube(base_path: str, cube: RadianceCube | CubeWriter, interleave: str = "bsq") -> None:
+    """Commit a raster at `base_path`: write the header, then rename header
+    and payload from their temporary names.
+
+    `cube` is a CubeWriter holding every row, or an in-memory RadianceCube,
+    which is first written from its own buffer through a new CubeWriter
+    (`interleave` applies to this case only).
+    """
+    writer = cube
+    if isinstance(cube, RadianceCube):
+        writer = CubeWriter(base_path, cube.data.shape, cube.data.dtype,
+                            cube.nodata_value, cube.wavelengths, interleave)
     try:
+        if writer is not cube:
+            writer.write_rows(0, cube.data)
+        writer.close()
         tmp = base_path + ".hdr.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(header)
+            fh.write(writer.header)
         os.replace(tmp, base_path + ".hdr")
-        tmp = base_path + ".img.tmp"
-        with open(tmp, "wb") as fh:
-            np.ascontiguousarray(data).tofile(fh)
-        os.replace(tmp, base_path + ".img")
+        os.replace(writer.path, base_path + ".img")
     except OSError as exc:
         raise IoFailure(f"writing {base_path}: {exc}") from exc
+    finally:
+        writer.discard()  # a no-op once the payload is renamed

@@ -147,14 +147,19 @@ def srf_for_band(band: BandDefinition, grid: SpectralGrid) -> tuple[SRF, str]:
     return gaussian_srf(band, grid), "gaussian"
 
 
-def convolve_to_band(fine_spectrum: np.ndarray, srf: SRF, grid: SpectralGrid) -> float:
-    """Response-weighted mean of a fine-grid spectrum over the SRF window."""
+def convolve_to_band(fine_spectra, srf: SRF, grid: SpectralGrid) -> list[float]:
+    """Response-weighted mean over the SRF window of each fine-grid spectrum.
+
+    `fine_spectra` is a sequence of grid-length 1-D arrays. The window and
+    the response sum are found once; each mean is its own `np.dot`, so it
+    equals the convolution of that spectrum alone, to the bit.
+    """
     i0 = grid.index_of(float(srf.wavelengths[0]))
     i1 = grid.index_of(float(srf.wavelengths[-1]))
     if i1 - i0 + 1 != len(srf.wavelengths):
         raise GridMismatch("SRF samples are not consecutive grid points")
-    window = np.asarray(fine_spectrum)[i0 : i1 + 1]
-    return float(np.dot(window, srf.responses) / np.sum(srf.responses))
+    total = np.sum(srf.responses)
+    return [float(np.dot(s[i0 : i1 + 1], srf.responses) / total) for s in fine_spectra]
 
 
 def resample_reference_spectrum(

@@ -273,6 +273,22 @@ class TestInvertCube:
                 assert product.report.nonfinite_pixels == 3
                 # 2 negative of 1300 pixels less 3 non-finite, 1 nodata, 1 degenerate
                 assert product.report.negativity_rate == 2 / (1300 - 5)
+                # a sink gets the same finished tiles, and the same report
+                tiles = {}
+
+                def open_sink(valid, n_rows, n_cols):
+                    assert (valid, n_rows, n_cols) == ([0, 1], 130, 5)
+                    return tiles.__setitem__
+
+                streamed = invert_cube(
+                    cube, 1.0, [PARAMS, PARAMS], MaskPolicy(clip_negative=clip), workers,
+                    open_sink=open_sink,
+                )
+                assert streamed.rho_w is None
+                assert streamed.report == product.report
+                assert sorted(tiles) == [0, 64, 128]
+                joined = np.concatenate([tiles[r] for r in (0, 64, 128)], axis=1)
+                np.testing.assert_array_equal(joined, expected)
             rho = product.rho_w
             assert all(rho[i] == -9999.0 for i in planted if i not in ((1, 10, 2), (0, 128, 0)))
             if clip:

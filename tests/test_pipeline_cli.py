@@ -4,11 +4,14 @@ import dataclasses
 import errno
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hsac import cli, pipeline
+from hsac.atmosphere import load_params_table
+from hsac.inversion import ROW_TILE, MaskPolicy, invert_cube
 from hsac.pipeline import (
     ProcessingReport,
     RunConfig,
@@ -48,12 +51,12 @@ def scene_xml(centers=BAND_CENTERS) -> str:
 """
 
 
-def make_scene_dir(path, centers=BAND_CENTERS, pixels=None):
-    """A 6x5 scene; `pixels` maps (band, row, col) to a radiance to plant."""
+def make_scene_dir(path, centers=BAND_CENTERS, pixels=None, rows=6, cols=5):
+    """A rows x cols scene; `pixels` maps (band, row, col) to a radiance to plant."""
     path.mkdir()
     (path / "scene.xml").write_text(scene_xml(centers))
     rng = np.random.default_rng(7)
-    data = rng.uniform(0.05, 0.4, size=(len(centers), 6, 5)).astype(np.float32)
+    data = rng.uniform(0.05, 0.4, size=(len(centers), rows, cols)).astype(np.float32)
     for index, value in (pixels or {}).items():
         data[index] = value
     write_cube(str(path / "radiance"), RadianceCube(data=data))
@@ -253,16 +256,58 @@ class TestRunEndToEnd:
         b = read_cube(str(second / "r_rs"))
         np.testing.assert_allclose(b.data, a.data, rtol=1e-9)
 
-    def test_worker_counts_byte_identical_products(self, scene_dir, tmp_path):
-        blobs = []
-        for w in (1, 2):
-            out = tmp_path / f"w{w}"
-            assert cli.main([
-                "run", "--input", str(scene_dir), "--output", str(out),
-                "--workers", str(w),
-            ]) == 0
-            blobs.append((out / "rho_w.img").read_bytes())
-        assert blobs[0] == blobs[1]
+    def test_worker_counts_byte_identical_products(self, tmp_path):
+        # row tiles [0, 64), [64, 128) and [128, 130), each with planted pixels;
+        # radiance 0.0 inverts to a negative rho_w. A degenerate pixel needs a
+        # float64 radiance: test_fused_pixel_account plants one.
+        planted = {(0, 3, 1): np.nan, (4, 10, 3): 0.0, (2, 70, 0): np.inf,
+                   (1, 100, 2): -9999.0, (5, 129, 4): -np.inf, (3, 128, 0): 0.0}
+        scene = make_scene_dir(tmp_path / "scene", pixels=planted, rows=130)
+        metadata, cube = ingest_scene(str(scene))
+        setup = pipeline.configure_scene(metadata, RunConfig())
+        for opts in ([], ["--clip-negative"], ["--divide-total-gas"]):
+            tag = "-".join(opts) or "default"
+            in_memory = None
+            for w in (1, 2, 8):
+                out = tmp_path / f"{tag}-w{w}"
+                assert cli.main([
+                    "run", "--input", str(scene), "--output", str(out), "--workers", str(w),
+                    *opts,
+                ]) == 0
+                if in_memory is None:
+                    # the same run held in memory, then written by write_product
+                    params = load_params_table((out / "band_params.csv").read_text())
+                    policy = MaskPolicy(clip_negative="--clip-negative" in opts)
+                    product = invert_cube(cube, setup.d_squared, params, policy)
+                    assert product.report.nonfinite_pixels == 3
+                    assert product.report.negativity_rate > 0
+                    in_memory = tmp_path / f"{tag}-in-memory"
+                    pipeline.write_product(product, setup.bands, str(in_memory))
+                for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img"):
+                    streamed = (out / name).read_bytes()
+                    assert streamed == (in_memory / name).read_bytes(), (tag, w, name)
+
+    def test_streamed_run_never_holds_the_cube(self, tmp_path, monkeypatch):
+        bands, rows, cols = 4, 640, 64  # ten row tiles
+        scene = make_scene_dir(tmp_path / "scene", centers=BAND_CENTERS[:bands],
+                               rows=rows, cols=cols)
+        peaks = []
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()  # counts only what the inversion allocates
+            try:
+                return invert_cube(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(pipeline, "invert_cube", traced)
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene), "--output", str(out), "--workers", "1",
+        ]) == 0
+        assert read_cube(str(out / "rho_w")).n_bands == bands
+        assert peaks[0] < bands * rows * cols * 8 / 2  # half the float64 cube
 
     def test_table_provider_requires_table_path(self, scene_dir, tmp_path):
         code = cli.main([
@@ -329,6 +374,32 @@ class TestRunEndToEnd:
         monkeypatch.setattr(pipeline, "write_report", full_disk)
         code = cli.main(["run", "--input", str(scene_dir), "--output", str(tmp_path / "o")])
         assert code == 6
+        assert "stage export" in capsys.readouterr().err
+
+    def test_tile_write_failure_exits_6(self, tmp_path, monkeypatch, capsys):
+        rows, cols = 130, 5
+        scene = make_scene_dir(tmp_path / "scene", rows=rows)
+        pwrite = os.pwrite
+
+        def full_disk(fd, data, offset):
+            # every BSQ payload write starts at a row: fail those of the second tile on
+            if offset // (cols * 4) % rows >= ROW_TILE:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", full_disk)
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene), "--output", str(out), "--workers", "1",
+        ]) == 6
+        assert "stage export" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "export"
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+    def test_output_path_not_a_directory_exits_6(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("a file")
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 6
         assert "stage export" in capsys.readouterr().err
 
     def test_partial_report_names_failed_stage(self, scene_dir, tmp_path):

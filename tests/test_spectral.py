@@ -121,18 +121,18 @@ class TestConvolveToBand:
         grid = build_grid(500, 600, 2.5)
         srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
         spectrum = np.full(grid.n_points, 3.7)
-        assert convolve_to_band(spectrum, srf, grid) == pytest.approx(3.7, rel=1e-12)
+        assert convolve_to_band([spectrum], srf, grid) == [pytest.approx(3.7, rel=1e-12)]
 
     def test_delta_srf_picks_single_value(self):
         grid = build_grid(500, 600, 2.5)
         srf = SRF(0, np.array([550.0]), np.array([1.0]))
         spectrum = grid.wavelengths * 2.0
-        assert convolve_to_band(spectrum, srf, grid) == 1100.0
+        assert convolve_to_band([spectrum], srf, grid) == [1100.0]
 
     def test_linear_spectrum_symmetric_srf(self):
         grid = build_grid(500, 600, 2.5)
         srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
-        band_value = convolve_to_band(grid.wavelengths.copy(), srf, grid)
+        (band_value,) = convolve_to_band([grid.wavelengths.copy()], srf, grid)
         assert band_value == pytest.approx(550.0, abs=1e-6)
 
     def test_linearity(self):
@@ -142,8 +142,9 @@ class TestConvolveToBand:
         f = rng.random(grid.n_points)
         g = rng.random(grid.n_points)
         a, b = 2.5, -1.25
-        lhs = convolve_to_band(a * f + b * g, srf, grid)
-        rhs = a * convolve_to_band(f, srf, grid) + b * convolve_to_band(g, srf, grid)
+        (lhs,) = convolve_to_band([a * f + b * g], srf, grid)
+        cf, cg = convolve_to_band([f, g], srf, grid)
+        rhs = a * cf + b * cg
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_bounded_by_spectrum_extrema(self):
@@ -152,14 +153,14 @@ class TestConvolveToBand:
         srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
         for _ in range(50):
             f = rng.random(grid.n_points)
-            v = convolve_to_band(f, srf, grid)
+            (v,) = convolve_to_band([f], srf, grid)
             assert f.min() <= v <= f.max()
 
     def test_off_grid_srf_rejected(self):
         grid = build_grid(500, 600, 2.5)
         srf = SRF(0, np.array([550.7]), np.array([1.0]))
         with pytest.raises(GridMismatch):
-            convolve_to_band(np.zeros(grid.n_points), srf, grid)
+            convolve_to_band([np.zeros(grid.n_points)], srf, grid)
 
 
 class TestResampleReference:
