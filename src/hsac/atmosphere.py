@@ -134,7 +134,9 @@ class Geometry:
 @lru_cache(maxsize=None)
 def _load_table(filename: str) -> np.ndarray:
     path = os.path.join(data_dir(), filename)
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    table.flags.writeable = False  # shared by every caller of the cache
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -159,9 +161,10 @@ def aerosol_model(name: str) -> AerosolModel:
     return models[name]
 
 
-def load_solar_irradiance() -> list[tuple[float, float]]:
-    table = _load_table("solar_irradiance.csv")
-    return [(float(w), float(v)) for w, v in table]
+def load_solar_irradiance() -> np.ndarray:
+    """The bundled exo-atmospheric irradiance, a read-only (n, 2) array of
+    (wavelength nm, irradiance) rows at 1 AU."""
+    return _load_table("solar_irradiance.csv")
 
 
 def _table_interp(wavelength, filename: str, column: int) -> np.ndarray:
@@ -196,8 +199,7 @@ def rayleigh_optical_depth(wavelength):
     if np.any(wl < WAVELENGTH_MIN) or np.any(wl > WAVELENGTH_MAX):
         raise OutOfRange(f"wavelength outside [{WAVELENGTH_MIN}, {WAVELENGTH_MAX}] nm")
     um = wl / 1000.0
-    tau = 0.008569 * um**-4 * (1.0 + 0.0113 * um**-2 + 0.00013 * um**-4)
-    return tau if tau.ndim else float(tau)
+    return 0.008569 * um**-4 * (1.0 + 0.0113 * um**-2 + 0.00013 * um**-4)
 
 
 def aerosol_optical_depth(wavelength, aod550: float, model: AerosolModel):
@@ -205,8 +207,7 @@ def aerosol_optical_depth(wavelength, aod550: float, model: AerosolModel):
     if aod550 < 0:
         raise OutOfRange(f"aod550 must be >= 0, got {aod550}")
     wl = np.asarray(wavelength, dtype=np.float64)
-    tau = aod550 * (wl / 550.0) ** (-model.angstrom_exponent)
-    return tau if tau.ndim else float(tau)
+    return aod550 * (wl / 550.0) ** (-model.angstrom_exponent)
 
 
 def _air_mass(sza: float, vza: float) -> float:
@@ -221,8 +222,7 @@ def ozone_transmittance(wavelength, tco3: float, sza: float, vza: float):
         raise OutOfRange("tco3 must be >= 0")
     m = _air_mass(sza, vza)
     u = tco3 / 1000.0  # DU -> atm-cm
-    t = np.exp(-ozone_coefficient(wavelength) * u * m)
-    return t if t.ndim else float(t)
+    return np.exp(-ozone_coefficient(wavelength) * u * m)
 
 
 def water_vapour_transmittance(wavelength, tcwv: float, sza: float, vza: float):
@@ -231,14 +231,12 @@ def water_vapour_transmittance(wavelength, tcwv: float, sza: float, vza: float):
         raise OutOfRange("tcwv must be >= 0")
     m = _air_mass(sza, vza)
     a, b = water_vapour_coefficients(wavelength)
-    t = np.exp(-a * np.power(tcwv * m, b))
-    return t if t.ndim else float(t)
+    return np.exp(-a * np.power(tcwv * m, b))
 
 
 def oxygen_transmittance(wavelength, sza: float, vza: float):
     m = _air_mass(sza, vza)
-    t = np.exp(-oxygen_coefficient(wavelength) * math.sqrt(m))
-    return t if t.ndim else float(t)
+    return np.exp(-oxygen_coefficient(wavelength) * math.sqrt(m))
 
 
 def gas_transmittance_total(wavelength, tcwv: float, tco3: float, sza: float, vza: float):
@@ -274,8 +272,8 @@ def path_radiance(
     e0 = np.asarray(e0_at_band, dtype=np.float64)
     if np.any(e0 < 0):
         raise OutOfRange("e0 must be >= 0")
-    tau_r = np.asarray(rayleigh_optical_depth(wavelength))
-    tau_a = np.asarray(aerosol_optical_depth(wavelength, aod550, model))
+    tau_r = rayleigh_optical_depth(wavelength)
+    tau_a = aerosol_optical_depth(wavelength, aod550, model)
     cos_theta = geometry.cos_scattering
     rho = (
         tau_r * rayleigh_phase(cos_theta)
@@ -283,14 +281,13 @@ def path_radiance(
         * tau_a
         * henyey_greenstein_phase(cos_theta, model.asymmetry)
     ) / (4.0 * geometry.mu_s * geometry.mu_v)
-    lp = rho * e0 * geometry.mu_s / math.pi
-    return lp if lp.ndim else float(lp)
+    return rho * e0 * geometry.mu_s / math.pi
 
 
 def _diffuse_transmittance(wavelength, mu: float, aod550, model):
     """Gordon-style total (direct+diffuse) transmittance along a slant path."""
-    tau_r = np.asarray(rayleigh_optical_depth(wavelength))
-    tau_a = np.asarray(aerosol_optical_depth(wavelength, aod550, model))
+    tau_r = rayleigh_optical_depth(wavelength)
+    tau_a = aerosol_optical_depth(wavelength, aod550, model)
     forward_fraction = (1.0 + model.asymmetry) / 2.0
     effective = tau_r / 2.0 + (1.0 - model.single_scatter_albedo * forward_fraction) * tau_a
     return np.exp(-effective / mu)
@@ -300,8 +297,7 @@ def transmittance_up(wavelength, vza: float, aod550: float, model: AerosolModel)
     """Upward (surface-to-sensor) total transmittance, direct + diffuse."""
     if not 0 <= vza < 90:
         raise OutOfRange(f"vza {vza} outside [0, 90)")
-    t = _diffuse_transmittance(wavelength, math.cos(math.radians(vza)), aod550, model)
-    return t if t.ndim else float(t)
+    return _diffuse_transmittance(wavelength, math.cos(math.radians(vza)), aod550, model)
 
 
 def downwelling_irradiance(
@@ -316,20 +312,18 @@ def downwelling_irradiance(
         raise OutOfRange(f"sza {sza} outside [0, 90)")
     mu_s = math.cos(math.radians(sza))
     t_down = _diffuse_transmittance(wavelength, mu_s, aod550, model)
-    e = np.asarray(e0_at_band, dtype=np.float64) * mu_s * t_down
-    return e if e.ndim else float(e)
+    return np.asarray(e0_at_band, dtype=np.float64) * mu_s * t_down
 
 
 def spherical_albedo(wavelength, aod550: float, model: AerosolModel):
     """First-order atmospheric spherical albedo, clamped to [0, 0.99]."""
-    tau_r = np.asarray(rayleigh_optical_depth(wavelength))
-    tau_a = np.asarray(aerosol_optical_depth(wavelength, aod550, model))
-    s = np.minimum(
+    tau_r = rayleigh_optical_depth(wavelength)
+    tau_a = aerosol_optical_depth(wavelength, aod550, model)
+    return np.minimum(
         0.92 * tau_r
         + (1.0 - model.asymmetry) * model.single_scatter_albedo * tau_a / 3.0,
         0.99,
     )
-    return s if s.ndim else float(s)
 
 
 # --- analytic provider ----------------------------------------------------
@@ -347,22 +341,14 @@ def compute_fine_fields(
     """Evaluate every per-wavelength quantity on the full simulation grid."""
     wl = grid.wavelengths
     return {
-        "l_path": np.asarray(
-            path_radiance(wl, geometry, state.aod550, model, e0_grid)
+        "l_path": path_radiance(wl, geometry, state.aod550, model, e0_grid),
+        "t_g_o3": ozone_transmittance(wl, state.tco3, geometry.sza, geometry.vza),
+        "t_g_total": gas_transmittance_total(
+            wl, state.tcwv, state.tco3, geometry.sza, geometry.vza
         ),
-        "t_g_o3": np.asarray(
-            ozone_transmittance(wl, state.tco3, geometry.sza, geometry.vza)
-        ),
-        "t_g_total": np.asarray(
-            gas_transmittance_total(wl, state.tcwv, state.tco3, geometry.sza, geometry.vza)
-        ),
-        "t_up": np.asarray(
-            transmittance_up(wl, geometry.vza, state.aod550, model)
-        ),
-        "s_atm": np.asarray(spherical_albedo(wl, state.aod550, model)),
-        "e_s": np.asarray(
-            downwelling_irradiance(wl, geometry.sza, state.aod550, model, e0_grid)
-        ),
+        "t_up": transmittance_up(wl, geometry.vza, state.aod550, model),
+        "s_atm": spherical_albedo(wl, state.aod550, model),
+        "e_s": downwelling_irradiance(wl, geometry.sza, state.aod550, model, e0_grid),
     }
 
 

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 CLI misuse (argparse default), 3 ingest failure,
+Exit codes: 0 success, 2 CLI misuse, 3 ingest failure,
 4 provider failure, 5 inversion failure, 6 export failure.
 """
 
@@ -87,6 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    # an option that the other options leave unread is refused, not ignored
+    if args.params_table is not None and args.provider != "table":
+        raise HsacError("--params-table is read only with --provider table")
+    given = [f"--{name}" for name in ("aod550", "tcwv", "tco3") if getattr(args, name) is not None]
+    if given and args.state_policy != "override":
+        raise HsacError(f"{' '.join(given)}: read only with --state-policy override")
     override = None
     if args.state_policy == "override":
         if args.aod550 is None or args.tcwv is None or args.tco3 is None:

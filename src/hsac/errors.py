@@ -81,12 +81,6 @@ class MissingEntry(HsacError):
     """Auxiliary catalogue has no entry for the requested key."""
 
 
-# --- inversion ---
-
-class SingularCoupling(HsacError):
-    """Forward model hit S_atm * rho == 1."""
-
-
 # --- metrics ---
 
 class ZeroVector(HsacError):

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import kernels
 from .atmosphere import BandAtmParams
-from .errors import LengthMismatch, OutOfRange, SingularCoupling
-from .raster import RadianceCube
+from .errors import LengthMismatch, OutOfRange
+from .raster import NODATA, RadianceCube
 
 DENOMINATOR_EPS = 1e-12
 ROW_TILE = 64
@@ -56,12 +56,12 @@ class ReflectanceProduct:
 
     Plane k of rho_w is band valid_band_indices[k]; masked bands are not
     stored. R_rs is not stored either: `to_rrs` derives it at export.
-    rho_w is None when the tiles went to a sink instead (see invert_cube).
+    rho_w is None when the tiles went to a sink instead (see invert_cube);
+    otherwise its nodata pixels hold NODATA.
     """
 
     rho_w: np.ndarray | None  # (valid bands, rows, cols) float64
     band_mask: list[str]  # BAND_VALID | BAND_MASKED_LOW_TG per band
-    nodata_value: float
     report: InversionReport
 
     @property
@@ -73,9 +73,12 @@ def invert_band_plane(
     l_toa_plane: np.ndarray,
     d_squared: float,
     params: BandAtmParams,
-    nodata: float = -9999.0,
+    nodata: float = NODATA,
 ) -> tuple[np.ndarray, int]:
-    """Invert one band plane; returns (rho_w plane, degenerate pixel count)."""
+    """Invert one band plane; returns (rho_w plane, degenerate pixel count).
+
+    Pixels equal to the input's `nodata` and degenerate pixels become NODATA.
+    """
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
     coupling_c = params.e_s * params.t_up / math.pi
@@ -93,24 +96,21 @@ def invert_band_plane(
 
 
 def forward_model_toa(
-    rho_w,
+    rho_w: np.ndarray,
     d_squared: float,
     params: BandAtmParams,
-    nodata: float = -9999.0,
-):
-    """TOA radiance from rho_w (inverse of invert_band_plane).
+    nodata: float = NODATA,
+) -> np.ndarray:
+    """TOA radiance plane from a rho_w plane (inverse of invert_band_plane).
 
-    Accepts scalars or planes; raises SingularCoupling when every requested
-    pixel hits S_atm * rho == 1.
+    Pixels equal to `nodata`, and pixels where S_atm * rho_w == 1, become
+    `nodata` in the radiance.
     """
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
     coupling_c = params.e_s * params.t_up / math.pi
-    scalar = np.isscalar(rho_w)
-    plane = np.ascontiguousarray(
-        np.atleast_2d(np.asarray(rho_w, dtype=np.float64))
-    )
-    out, singular = kernels.forward_plane(
+    plane = np.ascontiguousarray(rho_w, dtype=np.float64)
+    return kernels.forward_plane(
         plane,
         d_squared,
         params.t_g_o3,
@@ -120,11 +120,6 @@ def forward_model_toa(
         nodata,
         DENOMINATOR_EPS,
     )
-    if scalar:
-        if singular:
-            raise SingularCoupling(f"S_atm * rho == 1 for rho = {rho_w}")
-        return float(out[0, 0])
-    return out
 
 
 def mask_bands(params: list[BandAtmParams], policy: MaskPolicy) -> list[str]:
@@ -135,25 +130,25 @@ def mask_bands(params: list[BandAtmParams], policy: MaskPolicy) -> list[str]:
     ]
 
 
-def to_rrs(rho_w: np.ndarray, nodata: float = -9999.0) -> np.ndarray:
-    """The float32 R_rs raster: float64 rho_w / pi cast once, nodata kept."""
+def to_rrs(rho_w: np.ndarray) -> np.ndarray:
+    """The float32 R_rs raster: float64 rho_w / pi cast once, NODATA kept."""
     out = np.empty(rho_w.shape, dtype=np.float32)
     np.divide(rho_w, math.pi, out=out, casting="same_kind")
-    out[rho_w == nodata] = nodata
+    out[rho_w == NODATA] = NODATA
     return out
 
 
 TileWriter = Callable[[int, np.ndarray], None]
 
 
-def _finish_tile(tile: np.ndarray, nodata: float, clip_negative: bool) -> tuple[int, int, int]:
-    """Non-finite rho_w to nodata, then the opt-in clip, on one tile in place.
+def _finish_tile(tile: np.ndarray, clip_negative: bool) -> tuple[int, int, int]:
+    """Non-finite rho_w to NODATA, then the opt-in clip, on one tile in place.
 
     Returns the tile's (non-finite, data, negative) pixel counts.
     """
     nonfinite = ~np.isfinite(tile)
-    tile[nonfinite] = nodata
-    data = tile != nodata
+    tile[nonfinite] = NODATA
+    data = tile != NODATA
     negative = data & (tile < 0)
     if clip_negative:
         tile[negative] = 0.0
@@ -171,14 +166,15 @@ def invert_cube(
     """Invert the valid bands of a cube, one row tile at a time.
 
     One task per row tile inverts every valid band into a float64 tile,
-    then sets its non-finite rho_w to nodata, counts its non-finite, data
-    and negative pixels, applies the opt-in clip (refused when nodata is
-    0.0), and hands the finished tile to a sink as `write(r0, tile)`, from
-    its worker thread. `open_sink(valid band indices, rows, cols)` is called
-    once before the pool and returns that `write`; the product's rho_w is
-    then None. Without it, the tiles fill one in-memory float64 array,
-    returned as rho_w. Per-pixel arithmetic order is fixed, so results are
-    bit-identical for any worker count.
+    then sets its non-finite rho_w to NODATA, counts its non-finite, data
+    and negative pixels, applies the opt-in clip, and hands the finished
+    tile to a sink as `write(r0, tile)`, from its worker thread.
+    `open_sink(valid band indices, rows, cols)` is called once before the
+    pool and returns that `write`; the product's rho_w is then None.
+    Without it, the tiles fill one in-memory float64 array, returned as
+    rho_w. Input pixels equal to the cube's nodata value become NODATA.
+    Per-pixel arithmetic order is fixed, so results are bit-identical for
+    any worker count.
     """
     policy = policy or MaskPolicy()
     if len(params) != cube.n_bands:
@@ -186,8 +182,6 @@ def invert_cube(
             f"{len(params)} parameter sets for {cube.n_bands} bands"
         )
     nodata = cube.nodata_value
-    if policy.clip_negative and nodata == 0.0:
-        raise OutOfRange("clipping negative rho_w to 0.0 collides with nodata 0.0")
     band_mask = mask_bands(params, policy)
     valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
     n_rows, n_cols = cube.n_rows, cube.n_cols
@@ -207,7 +201,7 @@ def invert_cube(
                 cube.data[b, r0:r0 + ROW_TILE, :], d_squared, params[b], nodata
             )
             degenerate += count
-        counts = _finish_tile(tile, nodata, policy.clip_negative)
+        counts = _finish_tile(tile, policy.clip_negative)
         write(r0, tile)
         return degenerate, *counts
 
@@ -227,6 +221,5 @@ def invert_cube(
     return ReflectanceProduct(
         rho_w=rho_w,
         band_mask=band_mask,
-        nodata_value=nodata,
         report=report,
     )

@@ -50,7 +50,7 @@ from .metrics import (
     load_reference_spectrum,
     pixel_spectrum,
 )
-from .raster import CubeWriter, RadianceCube, read_cube, write_cube
+from .raster import NODATA, CubeWriter, RadianceCube, read_cube, write_cube
 from .scene import (
     BandDefinition,
     SceneMetadata,
@@ -62,7 +62,6 @@ from .spectral import (
     SRF,
     NyquistReport,
     SpectralGrid,
-    build_grid,
     check_nyquist,
     resample_reference_spectrum,
     srf_for_band,
@@ -178,7 +177,7 @@ def simulation_grid(bands: list[BandDefinition], step: float):
     stop = 350.0 + step * math.ceil((hi - 350.0) / step)
     start = max(start, 350.0)
     stop = min(stop, 350.0 + step * math.floor((2600.0 - 350.0) / step))
-    return build_grid(start, stop, step)
+    return SpectralGrid(start, stop, step)
 
 
 def load_bundled_bands() -> list[BandDefinition]:
@@ -271,10 +270,9 @@ class ProductSink:
     into `r_rs.img.tmp`, at its BSQ offsets. `write_product` commits both;
     `discard` deletes whatever was not committed."""
 
-    def __init__(self, output_path: str, bands: list[BandDefinition], nodata: float):
+    def __init__(self, output_path: str, bands: list[BandDefinition]):
         self.output_path = output_path
         self.bands = bands
-        self.nodata = nodata
         self.rasters: dict[str, CubeWriter] = {}
 
     def open(self, valid: list[int], n_rows: int, n_cols: int):
@@ -289,7 +287,7 @@ class ProductSink:
                 os.path.join(self.output_path, name),
                 (len(valid), n_rows, n_cols),
                 np.float32,
-                self.nodata,
+                NODATA,
                 wavelengths,
             )
         return self.write
@@ -297,7 +295,7 @@ class ProductSink:
     def write(self, r0: int, tile: np.ndarray) -> None:
         self.rasters["rho_w"].write_rows(r0, tile.astype(np.float32))
         # looked up on the module: perfbench traces inversion.to_rrs
-        self.rasters["r_rs"].write_rows(r0, inversion.to_rrs(tile, self.nodata))
+        self.rasters["r_rs"].write_rows(r0, inversion.to_rrs(tile))
 
     def discard(self) -> None:
         for writer in self.rasters.values():
@@ -322,7 +320,7 @@ def write_product(
     os.makedirs(output_path, exist_ok=True)
     try:
         if sink is None:
-            sink = ProductSink(output_path, bands, product.nodata_value)
+            sink = ProductSink(output_path, bands)
             _, n_rows, n_cols = product.rho_w.shape
             write = sink.open(product.valid_band_indices, n_rows, n_cols)
             for r0 in range(0, n_rows, ROW_TILE):
@@ -441,7 +439,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
         )
         sink = None
         if config.output_path and not config.self_test:
-            sink = ProductSink(config.output_path, setup.bands, cube.nodata_value)
+            sink = ProductSink(config.output_path, setup.bands)
         try:
             product = invert_cube(cube, setup.d_squared, params, policy,
                                   workers=config.workers,
@@ -473,7 +471,6 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
 
 # --- self-test ------------------------------------------------------------
 
-SELF_TEST_NODATA = -9999.0
 SELF_TEST_SIZE = 128
 SELF_TEST_SEED = 42
 
@@ -509,8 +506,8 @@ def synthesize_scene(
     rho_true = self_test_reflectance(len(bands), size, seed)
     l_toa = np.empty_like(rho_true)
     for b, p in enumerate(params):
-        l_toa[b] = forward_model_toa(rho_true[b], setup.d_squared, p, nodata=SELF_TEST_NODATA)
-    return metadata, RadianceCube(data=l_toa, nodata_value=SELF_TEST_NODATA)
+        l_toa[b] = forward_model_toa(rho_true[b], setup.d_squared, p)
+    return metadata, RadianceCube(data=l_toa, nodata_value=NODATA)
 
 
 def run_self_test(

@@ -32,7 +32,9 @@ from .errors import (
     UnsupportedInterleave,
 )
 
-DEFAULT_NODATA = -9999.0
+# nodata of every product raster, whatever the input's, and far from any
+# rho_w; also a cube's when its header names none
+NODATA = -9999.0
 
 _DTYPE_CODES = {4: np.dtype("<f4"), 12: np.dtype("<u2")}
 _CODE_FOR_DTYPE = {np.dtype("float32"): 4, np.dtype("uint16"): 12}
@@ -43,7 +45,7 @@ class RadianceCube:
     """Band-sequential raster: data has shape (n_bands, n_rows, n_cols)."""
 
     data: np.ndarray
-    nodata_value: float = DEFAULT_NODATA
+    nodata_value: float = NODATA
     wavelengths: tuple[float, ...] | None = None
 
     @property
@@ -119,7 +121,7 @@ def read_cube(base_path: str) -> RadianceCube:
     else:  # bil: (lines, bands, samples)
         data = flat.reshape(lines, bands, samples).transpose(1, 0, 2)
 
-    nodata = float(fields.get("data ignore value", DEFAULT_NODATA))
+    nodata = float(fields.get("data ignore value", NODATA))
     wavelengths = None
     if "wavelength" in fields:
         wavelengths = tuple(float(w) for w in fields["wavelength"])

@@ -26,15 +26,21 @@ class BandDefinition:
     srf: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.fwhm <= 0:
-            raise OutOfRange(f"band {self.index}: fwhm must be > 0, got {self.fwhm}")
+        if not 0.0 < self.fwhm < math.inf:
+            raise OutOfRange(f"band {self.index}: fwhm must be finite and > 0, got {self.fwhm}")
         if not 350.0 <= self.center_wavelength <= 2600.0:
             raise OutOfRange(
                 f"band {self.index}: center wavelength {self.center_wavelength} nm "
                 "outside [350, 2600]"
             )
         if self.srf is not None:
+            if not all(math.isfinite(v) for pair in self.srf for v in pair):
+                raise OutOfRange(f"band {self.index}: SRF values must be finite")
+            wavelengths = [w for w, _ in self.srf]
             responses = [r for _, r in self.srf]
+            if any(b <= a for a, b in zip(wavelengths, wavelengths[1:])):
+                # np.interp needs increasing sample points
+                raise OutOfRange(f"band {self.index}: SRF wavelengths not strictly increasing")
             if any(r < 0 for r in responses):
                 raise OutOfRange(f"band {self.index}: negative SRF response")
             if max(responses, default=0.0) <= 0:
@@ -72,8 +78,8 @@ class SceneMetadata:
             raise OutOfRange(f"vaa {self.vaa} outside [0, 360)")
         for name in ("aod550", "tcwv", "tco3"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise OutOfRange(f"{name} must be non-negative, got {value}")
+            if value is not None and not 0.0 <= value < math.inf:
+                raise OutOfRange(f"{name} must be finite and non-negative, got {value}")
         if self.tco3 is not None and not 100.0 <= self.tco3 <= 600.0:
             warnings.warn(
                 f"tco3 = {self.tco3} DU outside plausible range [100, 600]",

@@ -49,25 +49,17 @@ class SpectralGrid:
         return idx
 
 
-def build_grid(start: float, stop: float, step: float = DEFAULT_GRID_STEP) -> SpectralGrid:
-    return SpectralGrid(start=start, stop=stop, step=step)
-
-
 @dataclass(frozen=True)
 class SRF:
-    """Sampled spectral response of one band, aligned to a grid sub-range."""
+    """Sampled spectral response of one band, aligned to a grid sub-range.
+
+    Built by `gaussian_srf` or `measured_srf`: consecutive grid points and
+    non-negative responses with a positive maximum.
+    """
 
     band_index: int
     wavelengths: np.ndarray
     responses: np.ndarray
-
-    def __post_init__(self):
-        if len(self.wavelengths) != len(self.responses):
-            raise GridMismatch("SRF wavelength/response lengths differ")
-        if np.any(np.diff(self.wavelengths) <= 0):
-            raise GridMismatch("SRF wavelengths must be strictly increasing")
-        if np.any(self.responses < 0) or float(np.sum(self.responses)) <= 0:
-            raise GridMismatch("SRF responses must be >= 0 with positive sum")
 
 
 @dataclass(frozen=True)
@@ -162,12 +154,13 @@ def convolve_to_band(fine_spectra, srf: SRF, grid: SpectralGrid) -> list[float]:
     return [float(np.dot(s[i0 : i1 + 1], srf.responses) / total) for s in fine_spectra]
 
 
-def resample_reference_spectrum(
-    reference: list[tuple[float, float]], grid: SpectralGrid
-) -> np.ndarray:
-    """Linear interpolation of a tabulated reference spectrum onto the grid."""
-    wl = np.array([w for w, _ in reference], dtype=np.float64)
-    values = np.array([v for _, v in reference], dtype=np.float64)
+def resample_reference_spectrum(reference, grid: SpectralGrid) -> np.ndarray:
+    """Linear interpolation of a tabulated reference spectrum onto the grid.
+
+    `reference` is any (n, 2) array-like of (wavelength, value) rows, such
+    as the table `load_solar_irradiance` returns or a list of pairs.
+    """
+    wl, values = np.asarray(reference, dtype=np.float64).T
     if np.any(np.diff(wl) <= 0):
         raise InvalidRange("reference wavelengths must be strictly increasing")
     if grid.start < wl[0] - 1e-9 or grid.stop > wl[-1] + 1e-9:

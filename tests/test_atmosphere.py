@@ -39,7 +39,7 @@ from hsac.errors import (
     SchemaViolation,
 )
 from hsac.scene import BandDefinition
-from hsac.spectral import SRF, build_grid, gaussian_srf, resample_reference_spectrum
+from hsac.spectral import SRF, SpectralGrid, gaussian_srf, resample_reference_spectrum
 
 
 @pytest.fixture
@@ -258,7 +258,7 @@ class TestComputeBandParams:
     def test_delta_srf_reduces_to_scalar_ops(
         self, default_geometry, default_state, continental
     ):
-        grid = build_grid(350, 2600, 2.5)
+        grid = SpectralGrid(350, 2600, 2.5)
         e0 = resample_reference_spectrum(load_solar_irradiance(), grid)
         band = BandDefinition(0, 550.0, 6.5)
         srf = SRF(0, np.array([550.0]), np.array([1.0]))
@@ -291,7 +291,7 @@ class TestComputeBandParams:
         self, default_geometry, continental, rayleigh_tau
     ):
         rayleigh_tau(0.0)
-        grid = build_grid(500, 600, 2.5)
+        grid = SpectralGrid(500, 600, 2.5)
         e0 = np.full(grid.n_points, 1.7)
         state = AtmosphericState(aod550=0.0, tcwv=0.0, tco3=0.0, source="override")
         band = BandDefinition(0, 550.0, 6.5)
@@ -310,7 +310,7 @@ class TestComputeBandParams:
     ):
         from hsac.atmosphere import FINE_FIELD_NAMES
 
-        grid = build_grid(500, 700, 2.5)
+        grid = SpectralGrid(500, 700, 2.5)
         e0 = np.linspace(1.5, 1.9, grid.n_points)
         fields = compute_fine_fields(
             grid, default_geometry, default_state, continental, e0
@@ -327,7 +327,7 @@ class TestComputeBandParams:
 
     def test_transmittance_bounds_randomized(self, continental):
         rng = np.random.default_rng(17)
-        grid = build_grid(400, 2500, 2.5)
+        grid = SpectralGrid(400, 2500, 2.5)
         e0 = np.full(grid.n_points, 1.5)
         for _ in range(200):
             geom = Geometry(

@@ -19,7 +19,7 @@ from hsac.inversion import (
     mask_bands,
     to_rrs,
 )
-from hsac.raster import RadianceCube
+from hsac.raster import NODATA, RadianceCube
 
 PARAMS = BandAtmParams(
     band_index=0, l_path=0.12, t_g_o3=0.93, t_g_total=0.9, t_up=0.95,
@@ -52,8 +52,8 @@ class TestInvertBandPlane:
         for rho_true in (0.001, 0.02, 0.3):
             p = random_params(rng)
             d2 = rng.uniform(0.966, 1.034)
-            l_toa = forward_model_toa(rho_true, d2, p)
-            out, _ = invert_band_plane(plane(l_toa), d2, p)
+            l_toa = forward_model_toa(plane(rho_true), d2, p)
+            out, _ = invert_band_plane(l_toa, d2, p)
             assert out[0, 0] == pytest.approx(rho_true, rel=1e-12)
 
     def test_nodata_propagates(self):
@@ -91,14 +91,14 @@ class TestInvertBandPlane:
 
 class TestForwardModel:
     def test_zero_reflectance_pure_path_term(self):
-        assert forward_model_toa(0.0, 1.01, PARAMS) == pytest.approx(
+        assert forward_model_toa(plane(0.0), 1.01, PARAMS)[0, 0] == pytest.approx(
             PARAMS.t_g_o3 * PARAMS.l_path / 1.01, rel=1e-14
         )
 
     def test_linear_regime_without_coupling(self):
         p = BandAtmParams(0, 0.12, 0.93, 0.9, 0.95, 0.0, 1.6)
         expected = (p.t_g_o3 / 1.01) * (p.l_path + 0.1 * p.e_s * p.t_up / math.pi)
-        assert forward_model_toa(0.1, 1.01, p) == pytest.approx(expected, rel=1e-14)
+        assert forward_model_toa(plane(0.1), 1.01, p)[0, 0] == pytest.approx(expected, rel=1e-14)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -122,10 +122,10 @@ class TestForwardModel:
         p = random_params(np.random.default_rng(seed))
         if p.s_atm * rho >= 0.99:
             return
-        l_toa = forward_model_toa(rho, d2, p)
-        out, _ = invert_band_plane(plane(l_toa), d2, p)
+        l_toa = forward_model_toa(plane(rho), d2, p)
+        out, _ = invert_band_plane(l_toa, d2, p)
         c = p.e_s * p.t_up / math.pi
-        floor = 6 * d2 / (p.t_g_o3 * c) * math.ulp(l_toa)
+        floor = 6 * d2 / (p.t_g_o3 * c) * math.ulp(l_toa[0, 0])
         assert out[0, 0] == pytest.approx(rho, rel=1e-12, abs=floor)
 
 
@@ -166,7 +166,7 @@ class TestToRrs:
 
     def test_nodata_propagated(self):
         rho = np.array([[[-9999.0, 0.5]]])
-        out = to_rrs(rho, nodata=-9999.0)
+        out = to_rrs(rho)
         assert out[0, 0, 0] == -9999.0
 
 
@@ -222,39 +222,54 @@ class TestInvertCube:
     def test_negativity_reported_not_clipped(self):
         cube, d2, params, rho_true = self._cube_and_params()
         # force a negative reflectance at one pixel
-        cube.data[0, 0, 0] = forward_model_toa(-0.02, d2, params[0])
+        cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
         product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=0.01))
         assert product.rho_w[0, 0, 0] == pytest.approx(-0.02, rel=1e-12)
         assert product.report.negativity_rate > 0
 
     def test_clip_negative_opt_in(self):
         cube, d2, params, _ = self._cube_and_params()
-        cube.data[0, 0, 0] = forward_model_toa(-0.02, d2, params[0])
+        cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
         product = invert_cube(
             cube, d2, params, MaskPolicy(tg_threshold=0.01, clip_negative=True)
         )
         assert product.rho_w[0, 0, 0] == 0.0
 
-    def test_clip_with_zero_nodata_rejected(self):
-        # a clipped pixel would become exactly the nodata sentinel
+    def test_clip_with_zero_nodata_keeps_sentinel(self):
+        # the input's nodata 0.0 is not the product's: a clipped pixel stays data
         cube, d2, params, _ = self._cube_and_params()
         cube.nodata_value = 0.0
+        cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
+        cube.data[0, 0, 1] = 0.0
         policy = MaskPolicy(tg_threshold=0.01, clip_negative=True)
-        with pytest.raises(OutOfRange, match="collides with nodata 0.0"):
-            invert_cube(cube, d2, params, policy)
+        product = invert_cube(cube, d2, params, policy)
+        assert product.rho_w[0, 0, 0] == 0.0 != NODATA
+        assert product.rho_w[0, 0, 1] == NODATA
+        assert product.report.negativity_rate == 1 / (4 * 8 * 8 - 1)
+
+    def test_zero_reflectance_is_data_when_input_nodata_is_zero(self):
+        # y = L * d^2 / T_g_O3 - L_path is exactly 0 at L = 0.5
+        p = BandAtmParams(0, l_path=1.0, t_g_o3=0.5, t_g_total=0.9, t_up=0.95,
+                          s_atm=0.08, e_s=1.6)
+        cube = RadianceCube(data=np.array([[[0.5, 0.0, 0.4]]]), nodata_value=0.0)
+        product = invert_cube(cube, 1.0, [p])
+        assert product.rho_w[0, 0, 0] == 0.0
+        assert product.rho_w[0, 0, 1] == NODATA
+        assert product.rho_w[0, 0, 2] < 0
+        assert product.report.negativity_rate == 1 / 2  # of the two data pixels
 
     def test_fused_pixel_account(self):
         # 2 bands x 130 rows: row tiles [0, 64), [64, 128) and [128, 130)
         c = PARAMS.e_s * PARAMS.t_up / math.pi
-        data = np.full((2, 130, 5), forward_model_toa(0.05, 1.0, PARAMS))
+        data = np.full((2, 130, 5), forward_model_toa(plane(0.05), 1.0, PARAMS)[0, 0])
         planted = {
             (0, 3, 1): np.nan,
-            (1, 10, 2): forward_model_toa(-0.02, 1.0, PARAMS),
+            (1, 10, 2): forward_model_toa(plane(-0.02), 1.0, PARAMS)[0, 0],
             (0, 70, 0): np.inf,
             (1, 100, 4): -9999.0,
             (0, 80, 3): (PARAMS.l_path - c / PARAMS.s_atm) * PARAMS.t_g_o3,  # degenerate
             (1, 129, 4): -np.inf,
-            (0, 128, 0): forward_model_toa(-0.03, 1.0, PARAMS),
+            (0, 128, 0): forward_model_toa(plane(-0.03), 1.0, PARAMS)[0, 0],
         }
         for index, value in planted.items():
             data[index] = value

@@ -1,10 +1,13 @@
 """End-to-end tests for the five-stage pipeline and the `hsac` CLI."""
 
+import argparse
 import dataclasses
 import errno
 import json
 import os
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from hsac.pipeline import (
     run_self_test,
     simulation_grid,
 )
-from hsac.raster import RadianceCube, read_cube, write_cube
+from hsac.raster import NODATA, RadianceCube, read_cube, write_cube
 from hsac.scene import BandDefinition
 
 BAND_CENTERS = (500.0, 530.0, 560.0, 590.0, 620.0, 650.0)
@@ -111,6 +114,28 @@ class TestParseCli:
              "--state-policy", "override", "--aod550", "0.1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--params-table", "/nonexistent.csv"], "--provider table"),
+        (["--aod550", "0.9"], "--state-policy override"),
+        (["--tcwv", "3", "--tco3", "280", "--state-policy", "catalogue_first"],
+         "--state-policy override"),
+    ], ids=["params_table_without_table_provider", "aod550_without_override",
+            "tcwv_tco3_without_override"])
+    def test_unread_option_exits_2(self, scene_dir, tmp_path, capsys, extra, message):
+        out = tmp_path / "o"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out), *extra]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_lists_every_run_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"Useful options:\n\n```\n(.*?)```", readme, re.DOTALL).group(1)
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {f for a in sub.choices["run"]._actions for f in a.option_strings}
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", block)) == flags - {
+            "--input", "--output", "-h", "--help"}
 
 
 class TestIngest:
@@ -345,16 +370,31 @@ class TestRunEndToEnd:
         assert message in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
 
-    def test_clip_with_zero_nodata_exits_5(self, scene_dir, tmp_path, capsys):
-        radiance = str(scene_dir / "radiance")
+    def test_srf_wavelengths_not_increasing_exits_3(self, scene_dir, tmp_path, capsys):
+        xml = scene_dir / "scene.xml"
+        xml.write_text(xml.read_text().replace(
+            "<fwhm>6.5</fwhm></band>",
+            "<fwhm>6.5</fwhm><srf>495 0.2 505 0.2 500 1.0</srf></band>", 1))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        assert "SRF wavelengths not strictly increasing" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+
+    def test_clip_with_zero_nodata_writes_fixed_sentinel(self, tmp_path):
+        # radiance 1e-6 inverts to a negative rho_w, clipped to 0.0; 0.0 is nodata
+        scene = make_scene_dir(tmp_path / "scene", pixels={(0, 0, 0): 1e-6, (0, 1, 1): 0.0})
+        radiance = str(scene / "radiance")
         data = np.array(read_cube(radiance).data)
         write_cube(radiance, RadianceCube(data=data, nodata_value=0.0))
         out = tmp_path / "out"
         assert cli.main([
-            "run", "--input", str(scene_dir), "--output", str(out), "--clip-negative",
-        ]) == 5
-        assert "collides with nodata 0.0" in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "inversion"
+            "run", "--input", str(scene), "--output", str(out), "--clip-negative",
+        ]) == 0
+        for name in ("rho_w", "r_rs"):
+            assert "data ignore value = -9999.0" in (out / f"{name}.hdr").read_text()
+            cube = read_cube(str(out / name))
+            assert cube.data[0, 0, 0] == 0.0 != cube.nodata_value, name
+            assert cube.data[0, 1, 1] == cube.nodata_value == NODATA, name
 
     def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path):
         table = tmp_path / "bad.csv"

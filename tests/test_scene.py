@@ -88,6 +88,17 @@ class TestParseSceneMetadata:
         with pytest.raises(OutOfRange):
             parse_scene_metadata(doc)
 
+    @pytest.mark.parametrize("old,new", [
+        ("<fwhm>6.5</fwhm>", "<fwhm>nan</fwhm>"),
+        ("650.0 1.0", "650.0 nan"),
+        ("655.0 0.1", "inf 0.1"),
+        ("<aod550>0.12</aod550>", "<aod550>nan</aod550>"),
+        ("<tcwv>1.8</tcwv>", "<tcwv>inf</tcwv>"),
+    ])
+    def test_non_finite_value_rejected(self, old, new):
+        with pytest.raises(OutOfRange, match="finite"):
+            parse_scene_metadata(FIXTURE_XML.replace(old, new, 1))
+
     def test_tco3_implausible_warns(self):
         doc = FIXTURE_XML.replace("<tco3>310</tco3>", "<tco3>50</tco3>")
         with pytest.warns(UserWarning, match="tco3"):
