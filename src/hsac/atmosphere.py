@@ -13,6 +13,7 @@ only inside the inversion.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -31,7 +32,7 @@ from .errors import (
     OutOfRange,
     SchemaViolation,
 )
-from .scene import BandDefinition, SceneMetadata
+from .scene import STATE_KEYS, BandDefinition, SceneMetadata, check_state_value
 from .spectral import SRF, SpectralGrid, convolve_to_band
 
 WAVELENGTH_MIN = 350.0
@@ -90,9 +91,8 @@ class AtmosphericState:
     source: str  # metadata | catalogue | override
 
     def __post_init__(self):
-        for name in ("aod550", "tcwv", "tco3"):
-            if getattr(self, name) < 0:
-                raise OutOfRange(f"{name} must be non-negative")
+        for name in STATE_KEYS:
+            check_state_value(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -469,6 +469,7 @@ class TableProvider:
 AOD_DATASET = "MODIS/061/MCD19A2_GRANULES"
 OZONE_DATASET = "TOMS/MERGED"
 WV_DATASET = "NCEP_RE/surface_wv"
+CATALOGUE_DATASETS = {"aod550": AOD_DATASET, "tcwv": WV_DATASET, "tco3": OZONE_DATASET}
 
 
 class AuxCatalogue:
@@ -512,46 +513,35 @@ def resolve_atmospheric_state(
     bbox=None,
     override: AtmosphericState | None = None,
 ) -> AtmosphericState:
-    """Pick aod550/tcwv/tco3 per the configured precedence policy."""
+    """Pick aod550/tcwv/tco3 per the configured precedence policy.
+
+    Each value comes from the first of metadata and catalogue, in policy
+    order, that has it; the source is the one used, or "mixed" for both.
+    """
     if policy == "override":
         if override is None:
             raise MissingEntry("state policy 'override' requires explicit values")
         return override
-
-    from_meta = {
-        "aod550": metadata.aod550,
-        "tcwv": metadata.tcwv,
-        "tco3": metadata.tco3,
-    }
-    from_cat: dict[str, float | None] = {"aod550": None, "tcwv": None, "tco3": None}
-    if catalogue is not None:
-        date = metadata.acquisition_date.isoformat()
-        box = bbox if bbox is not None else [-180.0, -90.0, 180.0, 90.0]
-        datasets = {"aod550": AOD_DATASET, "tco3": OZONE_DATASET, "tcwv": WV_DATASET}
-        for key, dataset in datasets.items():
-            try:
-                from_cat[key] = catalogue.lookup(dataset, date, box)
-            except MissingEntry:
-                from_cat[key] = None
-
     if policy == "metadata_first":
-        first, second, source = from_meta, from_cat, "metadata"
+        order = ("metadata", "catalogue")
     elif policy == "catalogue_first":
-        first, second, source = from_cat, from_meta, "catalogue"
+        order = ("catalogue", "metadata")
     else:
         raise OutOfRange(f"unknown state policy {policy!r}")
 
-    resolved = {}
-    for key in ("aod550", "tcwv", "tco3"):
-        value = first[key] if first[key] is not None else second[key]
-        if value is None:
+    found = {"metadata": {k: getattr(metadata, k) for k in STATE_KEYS}, "catalogue": {}}
+    if catalogue is not None:
+        date = metadata.acquisition_date.isoformat()
+        box = bbox if bbox is not None else [-180.0, -90.0, 180.0, 90.0]
+        for key, dataset in CATALOGUE_DATASETS.items():
+            with contextlib.suppress(MissingEntry):
+                found["catalogue"][key] = catalogue.lookup(dataset, date, box)
+
+    values, used = {}, set()
+    for key in STATE_KEYS:
+        source = next((s for s in order if found[s].get(key) is not None), None)
+        if source is None:
             raise MissingEntry(f"no value for {key} from metadata or catalogue")
-        if first[key] is None:
-            source_used = "catalogue" if source == "metadata" else "metadata"
-        else:
-            source_used = source
-        resolved[key] = value
-        resolved.setdefault("_sources", []).append(source_used)
-    sources = set(resolved.pop("_sources"))
-    label = sources.pop() if len(sources) == 1 else "mixed"
-    return AtmosphericState(source=label, **resolved)
+        values[key] = found[source][key]
+        used.add(source)
+    return AtmosphericState(source=used.pop() if len(used) == 1 else "mixed", **values)

@@ -7,11 +7,13 @@ Exit codes: 0 success, 2 CLI misuse, 3 ingest failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .atmosphere import AtmosphericState, aerosol_models
 from .errors import HsacError, MissingField
+from .inversion import MaskPolicy
 from .pipeline import (
     STAGE_CONFIGURE,
     STAGE_EXPORT,
@@ -36,6 +38,7 @@ EXIT_STAGE = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hsac",
@@ -88,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     # an option that the other options leave unread is refused, not ignored
-    if args.params_table is not None and args.provider != "table":
-        raise HsacError("--params-table is read only with --provider table")
     given = [f"--{name}" for name in ("aod550", "tcwv", "tco3") if getattr(args, name) is not None]
     if given and args.state_policy != "override":
         raise HsacError(f"{' '.join(given)}: read only with --state-policy override")
@@ -106,8 +107,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         input_path=args.input,
         output_path=args.output,
         aerosol=args.aerosol,
-        tg_threshold=args.tg_threshold,
-        clip_negative=args.clip_negative,
+        mask=MaskPolicy(tg_threshold=args.tg_threshold, clip_negative=args.clip_negative),
         provider=args.provider,
         params_table_path=args.params_table,
         aux_catalogue_path=args.aux_catalogue,

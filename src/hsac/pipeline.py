@@ -27,16 +27,22 @@ from .atmosphere import (
     AnalyticProvider,
     AtmosphericState,
     AuxCatalogue,
-    BandAtmParams,
     Geometry,
     TableProvider,
+    _load_table,
     aerosol_model,
-    data_dir,
     load_solar_irradiance,
     resolve_atmospheric_state,
     serialize_params_table,
 )
-from .errors import HsacError, IoFailure, MissingField, OutOfRange, UnsupportedDataType
+from .errors import (
+    HsacError,
+    IoFailure,
+    LengthMismatch,
+    MissingField,
+    OutOfRange,
+    UnsupportedDataType,
+)
 from .inversion import (
     ROW_TILE,
     MaskPolicy,
@@ -88,8 +94,7 @@ class RunConfig:
     input_path: str = ""
     output_path: str = ""
     aerosol: str = "Continental"
-    tg_threshold: float = 0.85
-    clip_negative: bool = False
+    mask: MaskPolicy = MaskPolicy()
     provider: str = "analytic"  # analytic | table
     params_table_path: str | None = None
     aux_catalogue_path: str | None = None
@@ -101,10 +106,10 @@ class RunConfig:
     divide_total_gas: bool = False  # optional extra-gas correction mode, off by default
 
     def __post_init__(self):
-        if not 0.0 < self.tg_threshold <= 1.0:
-            raise OutOfRange(f"tg_threshold {self.tg_threshold} outside (0, 1]")
         if self.provider == "table" and not self.params_table_path:
             raise MissingField("--params-table is required with --provider table")
+        if self.params_table_path is not None and self.provider != "table":
+            raise HsacError("--params-table is read only with --provider table")
         if self.worker_count < 0:
             raise OutOfRange("worker count must be positive or 0 (auto)")
 
@@ -141,7 +146,6 @@ class PipelineResult:
 
     report: ProcessingReport
     product: ReflectanceProduct
-    params: list[BandAtmParams]
 
 
 def _find_one(directory: str, pattern: str, what: str) -> str:
@@ -166,6 +170,19 @@ def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
         raise OutOfRange(
             f"{hdr_path}: data ignore value {cube.nodata_value} is not finite"
         )
+    indices = [b.index for b in metadata.bands]
+    expected = range(cube.n_bands)
+    if indices != list(expected):
+        problems = {
+            "missing": sorted(set(expected) - set(indices)),
+            "unexpected": sorted(set(indices) - set(expected)),
+            "duplicated": sorted(i for i, n in Counter(indices).items() if n > 1),
+        }
+        raise LengthMismatch(
+            f"{xml_path}: {len(indices)} <band> elements for {cube.n_bands} raster bands; "
+            f"band indices must be 0..{cube.n_bands - 1}: "
+            + ", ".join(f"{k} {v}" for k, v in problems.items() if v)
+        )
     return metadata, cube
 
 
@@ -181,20 +198,10 @@ def simulation_grid(bands: list[BandDefinition], step: float):
 
 
 def load_bundled_bands() -> list[BandDefinition]:
-    path = os.path.join(data_dir(), "bands_228.csv")
-    bands = []
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            idx, center, fwhm = line.strip().split(",")
-            bands.append(
-                BandDefinition(
-                    index=int(idx),
-                    center_wavelength=float(center),
-                    fwhm=float(fwhm),
-                )
-            )
-    return bands
+    return [
+        BandDefinition(index=int(idx), center_wavelength=float(center), fwhm=float(fwhm))
+        for idx, center, fwhm in _load_table("bands_228.csv")
+    ]
 
 
 @dataclass(frozen=True)
@@ -255,15 +262,6 @@ def compute_all_band_params(provider, bands, srfs):
     return [provider.band_params(b, s) for b, s in zip(bands, srfs)]
 
 
-def _apply_extra_gas_division(params):
-    """Optional mode: fold non-ozone gas absorption into the TOA division.
-
-    Replaces t_g_o3 by t_g_total per band so moderate-absorption unmasked
-    bands are corrected for water vapour and oxygen too.
-    """
-    return [dataclasses.replace(p, t_g_o3=p.t_g_total) for p in params]
-
-
 class ProductSink:
     """The tile sink of an exported product: each finished float64 rho_w
     row tile is written as float32 rho_w into `rho_w.img.tmp` and as R_rs
@@ -317,7 +315,6 @@ def write_product(
     through a new ProductSink one row tile at a time, so no whole-cube
     float32 copy is made.
     """
-    os.makedirs(output_path, exist_ok=True)
     try:
         if sink is None:
             sink = ProductSink(output_path, bands)
@@ -411,13 +408,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
                 f"for {len(report.nyquist['violations'])} bands"
             )
         report.srf_sources = setup.srf_sources
-        state = setup.state
-        report.atmospheric_state = {
-            "aod550": state.aod550,
-            "tcwv": state.tcwv,
-            "tco3": state.tco3,
-            "source": state.source,
-        }
+        report.atmospheric_state = asdict(setup.state)
 
     # stage 3: per-band RTM parameters
     with _stage(report, STAGE_RTM):
@@ -428,20 +419,18 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
             provider = setup.analytic_provider()
         params = compute_all_band_params(provider, setup.bands, setup.srfs)
         if config.divide_total_gas:
-            params = _apply_extra_gas_division(params)
+            # unmasked bands are then corrected for water vapour and oxygen too
+            params = [dataclasses.replace(p, t_g_o3=p.t_g_total) for p in params]
         report.provider = provider.provenance
 
     # stage 4: pixel-wise inversion; an exported run streams its rasters
     # through a ProductSink, the self-test keeps float64 rho_w to check it
     with _stage(report, STAGE_INVERSION):
-        policy = MaskPolicy(
-            tg_threshold=config.tg_threshold, clip_negative=config.clip_negative
-        )
         sink = None
         if config.output_path and not config.self_test:
             sink = ProductSink(config.output_path, setup.bands)
         try:
-            product = invert_cube(cube, setup.d_squared, params, policy,
+            product = invert_cube(cube, setup.d_squared, params, config.mask,
                                   workers=config.workers,
                                   open_sink=sink.open if sink else None)
         except BaseException:
@@ -466,7 +455,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
         except OSError as exc:
             raise StageError(STAGE_EXPORT, exc) from exc
 
-    return PipelineResult(report=report, product=product, params=params)
+    return PipelineResult(report=report, product=product)
 
 
 # --- self-test ------------------------------------------------------------
@@ -516,8 +505,7 @@ def run_self_test(
     """Full-pipeline round trip on the synthetic scene.
 
     Returns (passed, max relative error over valid bands, report)."""
-    config.self_test = True
-    result = run_pipeline(config)
+    result = run_pipeline(dataclasses.replace(config, self_test=True))
     product = result.product
     rho_true = self_test_reflectance(len(product.band_mask))[
         product.valid_band_indices

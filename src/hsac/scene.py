@@ -15,6 +15,14 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidDate, MalformedXml, MissingField, OutOfRange
 
+STATE_KEYS = ("aod550", "tcwv", "tco3")
+
+
+def check_state_value(name: str, value: float) -> None:
+    """The one range rule for an atmospheric-state value: finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise OutOfRange(f"{name} must be finite and non-negative, got {value}")
+
 
 @dataclass(frozen=True)
 class BandDefinition:
@@ -76,10 +84,10 @@ class SceneMetadata:
             raise OutOfRange(f"saa {self.saa} outside [0, 360)")
         if not 0.0 <= self.vaa < 360.0:
             raise OutOfRange(f"vaa {self.vaa} outside [0, 360)")
-        for name in ("aod550", "tcwv", "tco3"):
+        for name in STATE_KEYS:
             value = getattr(self, name)
-            if value is not None and not 0.0 <= value < math.inf:
-                raise OutOfRange(f"{name} must be finite and non-negative, got {value}")
+            if value is not None:
+                check_state_value(name, value)
         if self.tco3 is not None and not 100.0 <= self.tco3 <= 600.0:
             warnings.warn(
                 f"tco3 = {self.tco3} DU outside plausible range [100, 600]",
@@ -147,7 +155,10 @@ def _parse_srf(node: ET.Element, band_index: int) -> tuple[tuple[float, float], 
     tokens = (node.text or "").split()
     if len(tokens) % 2 != 0:
         raise MalformedXml(f"band {band_index}: srf needs wavelength/response pairs")
-    values = [float(t) for t in tokens]
+    try:
+        values = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise MalformedXml(f"band {band_index}: <srf> token is not a number ({exc})") from exc
     return tuple(zip(values[0::2], values[1::2]))
 
 

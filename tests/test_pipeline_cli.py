@@ -71,6 +71,18 @@ def scene_dir(tmp_path):
     return make_scene_dir(tmp_path / "scene")
 
 
+def write_catalogue(tmp_path, aod550=0.21):
+    """An auxiliary catalogue whose entries cover the whole globe on the fixture's date."""
+    entries = [
+        {"dataset": dataset, "date": "2024-07-24", "bbox": [-180, -90, 180, 90], "value": value}
+        for dataset, value in (("MODIS/061/MCD19A2_GRANULES", aod550),
+                               ("NCEP_RE/surface_wv", 1.4), ("TOMS/MERGED", 295.0))
+    ]
+    path = tmp_path / "aux.json"
+    path.write_text(json.dumps(entries))
+    return path
+
+
 def read_params_table(path) -> dict[int, dict[str, float]]:
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -370,6 +382,23 @@ class TestRunEndToEnd:
         assert message in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda xml: re.sub(r'\s*<band index="5".*</band>', "", xml),
+         "5 <band> elements for 6 raster bands; band indices must be 0..5: missing [5]"),
+        (lambda xml: xml.replace('index="5"', 'index="4"'), "missing [5], duplicated [4]"),
+        (lambda xml: re.sub(r'index="(\d)"', lambda m: f'index="{int(m[1]) + 1}"', xml),
+         "missing [0], unexpected [6]"),
+        (lambda xml: re.sub(r"<bandCharacterisation>.*</bandCharacterisation>", "", xml,
+                            flags=re.DOTALL), "0 <band> elements for 6 raster bands"),
+    ], ids=["five_bands_for_six", "duplicated_index", "one_based", "no_band_element"])
+    def test_band_set_not_the_raster_exits_3(self, scene_dir, tmp_path, capsys, edit, message):
+        xml = scene_dir / "scene.xml"
+        xml.write_text(edit(xml.read_text()))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+
     def test_srf_wavelengths_not_increasing_exits_3(self, scene_dir, tmp_path, capsys):
         xml = scene_dir / "scene.xml"
         xml.write_text(xml.read_text().replace(
@@ -395,6 +424,41 @@ class TestRunEndToEnd:
             cube = read_cube(str(out / name))
             assert cube.data[0, 0, 0] == 0.0 != cube.nodata_value, name
             assert cube.data[0, 1, 1] == cube.nodata_value == NODATA, name
+
+    @pytest.mark.parametrize("policy,xml_edit,state", [
+        ("catalogue_first", ("", ""),
+         {"aod550": 0.21, "tcwv": 1.4, "tco3": 295.0, "source": "catalogue"}),
+        ("metadata_first", ("<aod550>0.12</aod550>", ""),
+         {"aod550": 0.21, "tcwv": 2.0, "tco3": 300.0, "source": "mixed"}),
+    ], ids=["catalogue_first", "metadata_first_without_aod550"])
+    def test_state_from_catalogue(self, scene_dir, tmp_path, policy, xml_edit, state):
+        xml = scene_dir / "scene.xml"
+        xml.write_text(xml.read_text().replace(*xml_edit))
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--aux-catalogue", str(write_catalogue(tmp_path)), "--state-policy", policy,
+        ]) == 0
+        assert json.loads((out / "report.json").read_text())["atmospheric_state"] == state
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_state_refused(self, scene_dir, tmp_path, capsys, value):
+        out = tmp_path / "catalogue"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--aux-catalogue", str(write_catalogue(tmp_path, aod550=float(value))),
+            "--state-policy", "catalogue_first",
+        ]) == 4
+        assert "aod550 must be finite" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "configure"
+
+        out = tmp_path / "override"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out), "--state-policy",
+            "override", "--aod550", value, "--tcwv", "2", "--tco3", "300",
+        ]) == 2
+        assert "aod550 must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path):
         table = tmp_path / "bad.csv"
@@ -509,10 +573,12 @@ class TestCompareCli:
 
 class TestSelfTest:
     def test_pipeline_self_test_passes(self):
-        passed, max_rel, report = run_self_test(RunConfig(self_test=True))
+        config = RunConfig()
+        passed, max_rel, report = run_self_test(config)
         assert passed, f"max relative error {max_rel}"
         assert max_rel <= 1e-10
         assert report.scene_id == "self-test"
+        assert config == RunConfig()  # the caller's config is left as it was
 
     def test_cli_self_test_exit_zero(self, capsys):
         assert cli.main(["self-test"]) == 0

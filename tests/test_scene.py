@@ -99,6 +99,10 @@ class TestParseSceneMetadata:
         with pytest.raises(OutOfRange, match="finite"):
             parse_scene_metadata(FIXTURE_XML.replace(old, new, 1))
 
+    def test_srf_token_not_a_number(self):
+        with pytest.raises(MalformedXml, match=r"band 1: <srf> token is not a number.*'x'"):
+            parse_scene_metadata(FIXTURE_XML.replace("650.0 1.0", "650.0 x", 1))
+
     def test_tco3_implausible_warns(self):
         doc = FIXTURE_XML.replace("<tco3>310</tco3>", "<tco3>50</tco3>")
         with pytest.warns(UserWarning, match="tco3"):
