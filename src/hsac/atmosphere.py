@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DuplicateBand,
     InvariantViolation,
+    LengthMismatch,
     MissingBand,
     MissingEntry,
     OutOfRange,
@@ -38,12 +39,7 @@ from .spectral import SRF, SpectralGrid, convolve_to_band
 WAVELENGTH_MIN = 350.0
 WAVELENGTH_MAX = 2600.0
 
-_PKG_DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-def data_dir() -> str:
-    """Bundled data-asset directory; HSAC_DATA_DIR overrides it."""
-    return os.environ.get("HSAC_DATA_DIR", _PKG_DATA)
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")  # the bundled data assets
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,7 @@ class Geometry:
 
 @lru_cache(maxsize=None)
 def _load_table(filename: str) -> np.ndarray:
-    path = os.path.join(data_dir(), filename)
+    path = os.path.join(DATA_DIR, filename)
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     table.flags.writeable = False  # shared by every caller of the cache
     return table
@@ -141,7 +137,7 @@ def _load_table(filename: str) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def aerosol_models() -> dict[str, AerosolModel]:
-    path = os.path.join(data_dir(), "aerosol_models.csv")
+    path = os.path.join(DATA_DIR, "aerosol_models.csv")
     models = {}
     with open(path, encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
@@ -426,11 +422,10 @@ def load_params_table(text: str) -> list[BandAtmParams]:
         if idx in params:
             raise DuplicateBand(f"band {idx} appears more than once")
         params[idx] = BandAtmParams(idx, *values)
-    expected = set(range(len(params)))
-    missing = expected - set(params)
-    if missing or (params and max(params) != len(params) - 1):
-        absent = sorted(missing) or sorted(set(params) - expected)
-        raise MissingBand(f"band indices not contiguous from 0; problem: {absent}")
+    # the n indices are unique, so none missing from 0..n-1 means exactly 0..n-1
+    missing = sorted(set(range(len(params))) - set(params))
+    if missing:
+        raise MissingBand(f"band indices not contiguous from 0; problem: {missing}")
     return [params[i] for i in sorted(params)]
 
 
@@ -455,8 +450,12 @@ class TableProvider:
         self._by_index = {p.band_index: p for p in params}
 
     @classmethod
-    def from_csv(cls, text: str) -> "TableProvider":
-        return cls(load_params_table(text))
+    def from_csv(cls, text: str, n_bands: int) -> "TableProvider":
+        """The table of an n_bands scene; a table of another size is refused."""
+        params = load_params_table(text)
+        if len(params) != n_bands:
+            raise LengthMismatch(f"parameter table has {len(params)} bands, the scene has {n_bands}")
+        return cls(params)
 
     def band_params(self, band: BandDefinition, srf: SRF) -> BandAtmParams:
         if band.index not in self._by_index:
@@ -472,12 +471,29 @@ WV_DATASET = "NCEP_RE/surface_wv"
 CATALOGUE_DATASETS = {"aod550": AOD_DATASET, "tcwv": WV_DATASET, "tco3": OZONE_DATASET}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_catalogue_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("dataset"), str)
+        and isinstance(entry.get("date"), str)
+        and isinstance(entry.get("bbox"), list)
+        and len(entry["bbox"]) == 4
+        and all(map(_is_number, entry["bbox"]))
+        and _is_number(entry.get("value"))
+    )
+
+
 class AuxCatalogue:
     """Local JSON catalogue of atmospheric state scalars.
 
     Entries: {"dataset": ..., "date": "YYYY-MM-DD", "bbox": [w, s, e, n],
-    "value": float}. Lookup matches the date exactly and requires the query
-    bbox to be contained in the entry bbox; no interpolation.
+    "value": float}; `from_json` refuses an entry of any other shape.
+    Lookup matches the date exactly and requires the query bbox to be
+    contained in the entry bbox; no interpolation.
     """
 
     def __init__(self, entries: list[dict]):
@@ -488,12 +504,13 @@ class AuxCatalogue:
         entries = json.loads(text)
         if not isinstance(entries, list):
             raise SchemaViolation("catalogue JSON must be an array of objects")
+        for i, entry in enumerate(entries):
+            if not _is_catalogue_entry(entry):
+                raise SchemaViolation(
+                    f"catalogue entry {i}: {entry!r} is not an object with a string "
+                    "dataset and date, a four-number bbox and a numeric value"
+                )
         return cls(entries)
-
-    @classmethod
-    def from_file(cls, path: str) -> "AuxCatalogue":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
 
     def lookup(self, dataset: str, date: str, bbox) -> float:
         w, s, e, n = bbox

@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="divide the TOA term by total gas transmittance instead of ozone only")
 
     st = sub.add_parser("self-test", help="hermetic synthetic round-trip test")
-    st.add_argument("--output", default="", help="optional output directory for products")
     st.add_argument("--workers", type=int, default=0)
     st.add_argument("--aerosol", default="Continental", choices=sorted(aerosol_models()))
 
@@ -140,12 +139,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_self_test(args) -> int:
-    config = RunConfig(
-        output_path=args.output,
-        aerosol=args.aerosol,
-        worker_count=args.workers,
-        self_test=True,
-    )
+    config = RunConfig(aerosol=args.aerosol, worker_count=args.workers)
     try:
         passed, max_rel, _ = run_self_test(config)
     except StageError as exc:

@@ -27,6 +27,7 @@ from .atmosphere import (
     AnalyticProvider,
     AtmosphericState,
     AuxCatalogue,
+    BandAtmParams,
     Geometry,
     TableProvider,
     _load_table,
@@ -44,7 +45,6 @@ from .errors import (
     UnsupportedDataType,
 )
 from .inversion import (
-    ROW_TILE,
     MaskPolicy,
     ReflectanceProduct,
     forward_model_toa,
@@ -56,7 +56,7 @@ from .metrics import (
     load_reference_spectrum,
     pixel_spectrum,
 )
-from .raster import NODATA, CubeWriter, RadianceCube, read_cube, write_cube
+from .raster import NODATA, CubeWriter, RadianceCube, read_cube, replace_with_text, write_cube
 from .scene import (
     BandDefinition,
     SceneMetadata,
@@ -140,8 +140,8 @@ class ProcessingReport:
 class PipelineResult:
     """What a successful run produced, for callers that go on using it.
 
-    A run with an output path other than the self-test streams its rasters
-    to disk, so its product.rho_w is None.
+    A run with an output path streams its rasters to disk, so its
+    product.rho_w is None.
     """
 
     report: ProcessingReport
@@ -228,11 +228,10 @@ class SceneSetup:
 def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
     """Stage 2: geometry, atmospheric state, simulation grid, SRFs and d^2."""
     bands = list(metadata.bands)
-    catalogue = (
-        AuxCatalogue.from_file(config.aux_catalogue_path)
-        if config.aux_catalogue_path
-        else None
-    )
+    catalogue = None
+    if config.aux_catalogue_path:
+        with open(config.aux_catalogue_path, encoding="utf-8") as fh:
+            catalogue = AuxCatalogue.from_json(fh.read())
     state = resolve_atmospheric_state(
         metadata,
         policy=config.state_policy,
@@ -263,7 +262,7 @@ def compute_all_band_params(provider, bands, srfs):
 
 
 class ProductSink:
-    """The tile sink of an exported product: each finished float64 rho_w
+    """The rasters of an exported product: each finished float64 rho_w
     row tile is written as float32 rho_w into `rho_w.img.tmp` and as R_rs
     into `r_rs.img.tmp`, at its BSQ offsets. `write_product` commits both;
     `discard` deletes whatever was not committed."""
@@ -300,56 +299,32 @@ class ProductSink:
             writer.discard()
 
 
-def write_product(
-    product: ReflectanceProduct,
-    bands: list[BandDefinition],
-    output_path: str,
-    params=None,
-    sink: ProductSink | None = None,
-) -> None:
-    """Commit the rho_w/R_rs rasters (valid bands only), then write the
-    mask CSV and the params CSV.
-
-    `sink` holds the rasters of a streamed run, whose tiles it was given
-    during the inversion. Without it, the in-memory `product.rho_w` goes
-    through a new ProductSink one row tile at a time, so no whole-cube
-    float32 copy is made.
-    """
+def write_product(sink: ProductSink, band_mask: list[str], params: list[BandAtmParams]) -> None:
+    """Commit the rho_w/R_rs rasters the sink was given during the
+    inversion, then write the mask CSV and the params CSV."""
+    out, bands = sink.output_path, sink.bands
     try:
-        if sink is None:
-            sink = ProductSink(output_path, bands)
-            _, n_rows, n_cols = product.rho_w.shape
-            write = sink.open(product.valid_band_indices, n_rows, n_cols)
-            for r0 in range(0, n_rows, ROW_TILE):
-                write(r0, product.rho_w[:, r0:r0 + ROW_TILE])
         for name, writer in sink.rasters.items():
-            write_cube(os.path.join(output_path, name), writer)
-
-        tmp = os.path.join(output_path, "band_mask.csv.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("band_index,center_nm,status\n")
-            for i, status in enumerate(product.band_mask):
-                fh.write(f"{i},{bands[i].center_wavelength},{status}\n")
-        os.replace(tmp, os.path.join(output_path, "band_mask.csv"))
-
-        if params is not None:
-            tmp = os.path.join(output_path, "band_params.csv.tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(serialize_params_table(params))
-            os.replace(tmp, os.path.join(output_path, "band_params.csv"))
+            write_cube(os.path.join(out, name), writer)
+        replace_with_text(
+            os.path.join(out, "band_mask.csv"),
+            "band_index,center_nm,status\n"
+            + "".join(f"{i},{bands[i].center_wavelength},{status}\n"
+                      for i, status in enumerate(band_mask)),
+        )
+        replace_with_text(os.path.join(out, "band_params.csv"), serialize_params_table(params))
     except OSError as exc:
-        raise IoFailure(f"writing product to {output_path}: {exc}") from exc
+        raise IoFailure(f"writing product to {out}: {exc}") from exc
     finally:
         sink.discard()  # a no-op for committed rasters
 
 
 def write_report(report: ProcessingReport, output_path: str) -> None:
     os.makedirs(output_path, exist_ok=True)
-    tmp = os.path.join(output_path, "report.json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(output_path, "report.json"))
+    replace_with_text(
+        os.path.join(output_path, "report.json"),
+        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
+    )
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -414,7 +389,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
     with _stage(report, STAGE_RTM):
         if config.provider == "table":
             with open(config.params_table_path, encoding="utf-8") as fh:
-                provider = TableProvider.from_csv(fh.read())
+                provider = TableProvider.from_csv(fh.read(), len(setup.bands))
         else:
             provider = setup.analytic_provider()
         params = compute_all_band_params(provider, setup.bands, setup.srfs)
@@ -424,11 +399,9 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
         report.provider = provider.provenance
 
     # stage 4: pixel-wise inversion; an exported run streams its rasters
-    # through a ProductSink, the self-test keeps float64 rho_w to check it
+    # through a ProductSink, a run without an output path keeps float64 rho_w
     with _stage(report, STAGE_INVERSION):
-        sink = None
-        if config.output_path and not config.self_test:
-            sink = ProductSink(config.output_path, setup.bands)
+        sink = ProductSink(config.output_path, setup.bands) if config.output_path else None
         try:
             product = invert_cube(cube, setup.d_squared, params, config.mask,
                                   workers=config.workers,
@@ -446,8 +419,8 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
 
     # stage 5: export
     with _stage(report, STAGE_EXPORT):
-        if config.output_path:
-            write_product(product, setup.bands, config.output_path, params=params, sink=sink)
+        if sink is not None:
+            write_product(sink, product.band_mask, params)
     if config.output_path:
         # written after the export timing is recorded, so it includes it
         try:
@@ -502,10 +475,11 @@ def synthesize_scene(
 def run_self_test(
     config: RunConfig, tolerance: float = 1e-10
 ) -> tuple[bool, float, ProcessingReport]:
-    """Full-pipeline round trip on the synthetic scene.
+    """Full-pipeline round trip on the synthetic scene, without an output
+    path, so the float64 rho_w stays in memory for the check.
 
     Returns (passed, max relative error over valid bands, report)."""
-    result = run_pipeline(dataclasses.replace(config, self_test=True))
+    result = run_pipeline(dataclasses.replace(config, self_test=True, output_path=""))
     product = result.product
     rho_true = self_test_reflectance(len(product.band_mask))[
         product.valid_band_indices

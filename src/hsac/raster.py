@@ -227,6 +227,15 @@ class CubeWriter:
             os.unlink(self.path)
 
 
+def replace_with_text(path: str, text: str) -> None:
+    """Write `text` to `path.tmp`, then rename it to `path`, so a reader
+    sees the old file or the whole new one."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_cube(base_path: str, cube: RadianceCube | CubeWriter, interleave: str = "bsq") -> None:
     """Commit a raster at `base_path`: write the header, then rename header
     and payload from their temporary names.
@@ -243,10 +252,7 @@ def write_cube(base_path: str, cube: RadianceCube | CubeWriter, interleave: str 
         if writer is not cube:
             writer.write_rows(0, cube.data)
         writer.close()
-        tmp = base_path + ".hdr.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(writer.header)
-        os.replace(tmp, base_path + ".hdr")
+        replace_with_text(base_path + ".hdr", writer.header)
         os.replace(writer.path, base_path + ".img")
     except OSError as exc:
         raise IoFailure(f"writing {base_path}: {exc}") from exc

@@ -215,11 +215,15 @@ def parse_scene_metadata(xml_document: str) -> SceneMetadata:
             idx_text = node.get("index")
             if idx_text is None:
                 raise MissingField("band/@index")
+            try:
+                index = int(idx_text)
+            except ValueError as exc:
+                raise MalformedXml(f"band/@index is not an integer: {idx_text!r}") from exc
             srf_node = node.find("srf")
-            srf = _parse_srf(srf_node, int(idx_text)) if srf_node is not None else None
+            srf = _parse_srf(srf_node, index) if srf_node is not None else None
             bands.append(
                 BandDefinition(
-                    index=int(idx_text),
+                    index=index,
                     center_wavelength=_float_of(node, "centerWavelength"),
                     fwhm=_float_of(node, "fwhm"),
                     srf=srf,

@@ -5,7 +5,7 @@ import shutil
 import subprocess
 import sys
 
-from hsac.atmosphere import data_dir
+from hsac.atmosphere import DATA_DIR
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ASSETS = ("aerosol_models.csv", "bands_228.csv", "gas_h2o.csv", "gas_o2.csv",
@@ -20,5 +20,5 @@ def test_bundled_assets_match_generator(tmp_path):
     generated = tmp_path / "src" / "hsac" / "data"
     assert sorted(os.listdir(generated)) == list(ASSETS)
     for name in ASSETS:
-        with open(os.path.join(data_dir(), name), "rb") as fh:
+        with open(os.path.join(DATA_DIR, name), "rb") as fh:
             assert (generated / name).read_bytes() == fh.read(), name

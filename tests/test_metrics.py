@@ -19,7 +19,7 @@ from hsac.metrics import (
     pixel_spectrum,
     spectral_angle,
 )
-from hsac.pipeline import write_product
+from hsac.pipeline import ProductSink, write_product
 from hsac.raster import RadianceCube, read_cube
 from hsac.scene import BandDefinition
 
@@ -160,7 +160,8 @@ class TestAlignSpectra:
 class TestExtractPixelSpectrum:
     @pytest.fixture
     def exported(self, tmp_path):
-        """An inverted 3-band product with band 1 masked, written and read back."""
+        """A 3-band product with band 1 masked, streamed to disk through a
+        ProductSink, and the same inversion held in memory as the reference."""
         rng = np.random.default_rng(47)
         bands = [
             BandDefinition(0, 500.0, 6.5),
@@ -177,10 +178,11 @@ class TestExtractPixelSpectrum:
         rho = rng.uniform(0.01, 0.3, size=(3, 2, 2))
         l_toa = np.stack([forward_model_toa(rho[b], 1.0, params[b]) for b in range(3)])
         l_toa[2, 1, 1] = -9999.0  # nodata pixel in band 2
-        product = invert_cube(RadianceCube(data=l_toa), 1.0, params,
-                              MaskPolicy(tg_threshold=0.85))
-        write_product(product, bands, str(tmp_path))
-        return product, tmp_path
+        cube, policy = RadianceCube(data=l_toa), MaskPolicy(tg_threshold=0.85)
+        sink = ProductSink(str(tmp_path), bands)
+        streamed = invert_cube(cube, 1.0, params, policy, open_sink=sink.open)
+        write_product(sink, streamed.band_mask, params)
+        return invert_cube(cube, 1.0, params, policy), tmp_path
 
     def test_mask_filtering(self, exported):
         _, out = exported

@@ -14,7 +14,7 @@ import pytest
 
 from hsac import cli, pipeline
 from hsac.atmosphere import load_params_table
-from hsac.inversion import ROW_TILE, MaskPolicy, invert_cube
+from hsac.inversion import ROW_TILE, MaskPolicy, invert_cube, to_rrs
 from hsac.pipeline import (
     ProcessingReport,
     RunConfig,
@@ -24,7 +24,7 @@ from hsac.pipeline import (
     run_self_test,
     simulation_grid,
 )
-from hsac.raster import NODATA, RadianceCube, read_cube, write_cube
+from hsac.raster import NODATA, RadianceCube, format_envi_header, read_cube, write_cube
 from hsac.scene import BandDefinition
 
 BAND_CENTERS = (500.0, 530.0, 560.0, 590.0, 620.0, 650.0)
@@ -141,13 +141,17 @@ class TestParseCli:
         assert not out.exists()
 
     def test_readme_lists_every_run_flag(self):
+        # each subcommand's README section shows every flag in its code blocks
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        block = re.search(r"Useful options:\n\n```\n(.*?)```", readme, re.DOTALL).group(1)
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        flags = {f for a in sub.choices["run"]._actions for f in a.option_strings}
-        assert set(re.findall(r"--[a-z][a-z0-9-]*", block)) == flags - {
-            "--input", "--output", "-h", "--help"}
+        for command, heading in (("run", "## Quick start"), ("self-test", "### Self-test"),
+                                 ("compare", "### Compare against reference spectra")):
+            section = re.split(r"\n#+ ", readme.split(f"\n{heading}\n", 1)[1], maxsplit=1)[0]
+            blocks = "".join(re.findall(r"```.*?\n(.*?)```", section, re.DOTALL))
+            flags = {f for a in sub.choices[command]._actions for f in a.option_strings}
+            assert set(re.findall(r"--[a-z][a-z0-9-]*", blocks)) == flags - {"-h", "--help"}, \
+                command
 
 
 class TestIngest:
@@ -304,25 +308,32 @@ class TestRunEndToEnd:
         setup = pipeline.configure_scene(metadata, RunConfig())
         for opts in ([], ["--clip-negative"], ["--divide-total-gas"]):
             tag = "-".join(opts) or "default"
-            in_memory = None
+            expected = None
             for w in (1, 2, 8):
                 out = tmp_path / f"{tag}-w{w}"
                 assert cli.main([
                     "run", "--input", str(scene), "--output", str(out), "--workers", str(w),
                     *opts,
                 ]) == 0
-                if in_memory is None:
-                    # the same run held in memory, then written by write_product
+                if expected is None:
+                    # the same run held in memory, cast and formatted without a sink
                     params = load_params_table((out / "band_params.csv").read_text())
                     policy = MaskPolicy(clip_negative="--clip-negative" in opts)
                     product = invert_cube(cube, setup.d_squared, params, policy)
                     assert product.report.nonfinite_pixels == 3
                     assert product.report.negativity_rate > 0
-                    in_memory = tmp_path / f"{tag}-in-memory"
-                    pipeline.write_product(product, setup.bands, str(in_memory))
-                for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img"):
-                    streamed = (out / name).read_bytes()
-                    assert streamed == (in_memory / name).read_bytes(), (tag, w, name)
+                    wavelengths = tuple(setup.bands[i].center_wavelength
+                                        for i in product.valid_band_indices)
+                    header = format_envi_header(product.rho_w.shape, np.float32, NODATA,
+                                                wavelengths, "bsq").encode()
+                    expected = {
+                        "rho_w.hdr": header,
+                        "rho_w.img": product.rho_w.astype(np.float32).tobytes(),
+                        "r_rs.hdr": header,
+                        "r_rs.img": to_rrs(product.rho_w).tobytes(),
+                    }
+                for name, data in expected.items():
+                    assert (out / name).read_bytes() == data, (tag, w, name)
 
     def test_streamed_run_never_holds_the_cube(self, tmp_path, monkeypatch):
         bands, rows, cols = 4, 640, 64  # ten row tiles
@@ -460,6 +471,43 @@ class TestRunEndToEnd:
         assert "aod550 must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda entry: {k: v for k, v in entry.items() if k != "date"},
+        lambda entry: {**entry, "value": "abc"},
+        lambda entry: {**entry, "bbox": [-180, -90, 180]},
+        lambda entry: entry["dataset"],
+    ], ids=["missing_date", "value_not_a_number", "bbox_of_three", "not_an_object"])
+    def test_malformed_catalogue_entry_exits_4(self, scene_dir, tmp_path, capsys, edit):
+        catalogue = write_catalogue(tmp_path)
+        entries = json.loads(catalogue.read_text())
+        entries[1] = edit(entries[1])
+        catalogue.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--aux-catalogue", str(catalogue),
+        ]) == 4
+        assert "catalogue entry 1: " in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "configure"
+
+    @pytest.mark.parametrize("n_rows", [4, 8], ids=["short", "long"])
+    def test_params_table_of_another_band_count_exits_4(self, scene_dir, tmp_path, capsys,
+                                                        n_rows):
+        first = tmp_path / "first"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(first)]) == 0
+        header, *rows = (first / "band_params.csv").read_text().splitlines()
+        # rows 0..n_rows-1, reusing the six bands' values
+        rows = [f"{i}," + rows[i % len(rows)].split(",", 1)[1] for i in range(n_rows)]
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--provider", "table", "--params-table", str(table),
+        ]) == 4
+        assert f"parameter table has {n_rows} bands, the scene has 6" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "rtm"
+
     def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path):
         table = tmp_path / "bad.csv"
         table.write_text("not,a,params,table\n1,2,3,4\n")
@@ -583,3 +631,9 @@ class TestSelfTest:
     def test_cli_self_test_exit_zero(self, capsys):
         assert cli.main(["self-test"]) == 0
         assert "self-test PASS" in capsys.readouterr().out
+
+    def test_cli_self_test_has_no_output(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["self-test", "--output", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()

@@ -103,6 +103,10 @@ class TestParseSceneMetadata:
         with pytest.raises(MalformedXml, match=r"band 1: <srf> token is not a number.*'x'"):
             parse_scene_metadata(FIXTURE_XML.replace("650.0 1.0", "650.0 x", 1))
 
+    def test_band_index_not_an_integer(self):
+        with pytest.raises(MalformedXml, match=r"band/@index is not an integer: 'two'"):
+            parse_scene_metadata(FIXTURE_XML.replace('index="1"', 'index="two"'))
+
     def test_tco3_implausible_warns(self):
         doc = FIXTURE_XML.replace("<tco3>310</tco3>", "<tco3>50</tco3>")
         with pytest.warns(UserWarning, match="tco3"):
