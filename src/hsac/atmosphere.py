@@ -533,7 +533,9 @@ def resolve_atmospheric_state(
     """Pick aod550/tcwv/tco3 per the configured precedence policy.
 
     Each value comes from the first of metadata and catalogue, in policy
-    order, that has it; the source is the one used, or "mixed" for both.
+    order, that has it. A source is asked for a value only when the sources
+    before it lack it, so under metadata_first complete metadata costs no
+    catalogue lookup. The source is the one used, or "mixed" for both.
     """
     if policy == "override":
         if override is None:
@@ -546,19 +548,24 @@ def resolve_atmospheric_state(
     else:
         raise OutOfRange(f"unknown state policy {policy!r}")
 
-    found = {"metadata": {k: getattr(metadata, k) for k in STATE_KEYS}, "catalogue": {}}
-    if catalogue is not None:
-        date = metadata.acquisition_date.isoformat()
-        box = bbox if bbox is not None else [-180.0, -90.0, 180.0, 90.0]
-        for key, dataset in CATALOGUE_DATASETS.items():
-            with contextlib.suppress(MissingEntry):
-                found["catalogue"][key] = catalogue.lookup(dataset, date, box)
+    date = metadata.acquisition_date.isoformat()
+    box = bbox if bbox is not None else [-180.0, -90.0, 180.0, 90.0]
 
+    def from_catalogue(key):
+        if catalogue is None:
+            return None
+        with contextlib.suppress(MissingEntry):
+            return catalogue.lookup(CATALOGUE_DATASETS[key], date, box)
+        return None
+
+    sources = {"metadata": lambda key: getattr(metadata, key), "catalogue": from_catalogue}
     values, used = {}, set()
     for key in STATE_KEYS:
-        source = next((s for s in order if found[s].get(key) is not None), None)
-        if source is None:
+        for source in order:
+            values[key] = sources[source](key)
+            if values[key] is not None:
+                used.add(source)
+                break
+        else:
             raise MissingEntry(f"no value for {key} from metadata or catalogue")
-        values[key] = found[source][key]
-        used.add(source)
     return AtmosphericState(source=used.pop() if len(used) == 1 else "mixed", **values)

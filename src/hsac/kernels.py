@@ -2,6 +2,11 @@
 
 The expression order is fixed: products are byte-identical across runs and
 worker counts only as long as it does not change.
+
+`invert_plane` takes one plane or a block of band planes. For a block, the
+atmospheric terms are per-band columns of shape (bands, 1, 1), and a caller
+that passes `out` and `scratch` gets every intermediate written into its own
+buffers, so the kernel allocates nothing and can run in place on `l_toa`.
 """
 
 from __future__ import annotations
@@ -11,17 +16,36 @@ import numpy as np
 from .raster import NODATA
 
 
-def invert_plane(l_toa, d_squared, t_g_o3, l_path, coupling_c, s_atm, nodata, eps):
-    """rho_w of one plane; input pixels equal to `nodata` and degenerate
-    pixels become NODATA. Returns (plane, degenerate pixel count)."""
-    nodata_mask = l_toa == nodata
-    y = l_toa * d_squared / t_g_o3 - l_path
-    denom = coupling_c + s_atm * y
-    degenerate_mask = (np.abs(denom) < eps) & ~nodata_mask
+def invert_plane(l_toa, d_squared, t_g_o3, l_path, coupling_c, s_atm, nodata, eps,
+                 out=None, scratch=None):
+    """rho_w of float64 `l_toa`; input pixels equal to `nodata` and degenerate
+    pixels become NODATA. Returns (rho_w, degenerate pixel count).
+
+    `out` receives rho_w and may be `l_toa` itself; `scratch` is a float64
+    array and two bool arrays shaped like `l_toa`. Both are allocated when
+    not given.
+    """
+    if out is None:
+        out = np.empty_like(l_toa)
+    if scratch is None:
+        scratch = (np.empty_like(l_toa),
+                   np.empty(l_toa.shape, dtype=bool), np.empty(l_toa.shape, dtype=bool))
+    denom, nodata_mask, degenerate_mask = scratch
+    np.equal(l_toa, nodata, out=nodata_mask)  # before `out` may overwrite l_toa
+    # y = l_toa * d_squared / t_g_o3 - l_path, left to right
+    np.multiply(l_toa, d_squared, out=out)
+    np.divide(out, t_g_o3, out=out)
+    np.subtract(out, l_path, out=out)
+    # denom = coupling_c + s_atm * y
+    np.multiply(s_atm, out, out=denom)
+    np.add(coupling_c, denom, out=denom)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = y / denom
-    out[degenerate_mask] = NODATA
-    out[nodata_mask] = NODATA
+        np.divide(out, denom, out=out)
+    # degenerate: |denom| < eps, on a pixel that is not nodata
+    np.less(np.absolute(denom, out=denom), eps, out=degenerate_mask)
+    degenerate_mask[nodata_mask] = False
+    np.copyto(out, NODATA, where=degenerate_mask)
+    np.copyto(out, NODATA, where=nodata_mask)
     return out, int(np.count_nonzero(degenerate_mask))
 
 

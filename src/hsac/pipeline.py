@@ -15,6 +15,7 @@ import glob
 import json
 import math
 import os
+import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -110,6 +111,10 @@ class RunConfig:
             raise MissingField("--params-table is required with --provider table")
         if self.params_table_path is not None and self.provider != "table":
             raise HsacError("--params-table is read only with --provider table")
+        if self.provider == "table" and (self.aux_catalogue_path
+                                         or self.state_policy != "metadata_first"):
+            raise HsacError("--aux-catalogue and --state-policy are read only with "
+                            "--provider analytic")
         if self.worker_count < 0:
             raise OutOfRange("worker count must be positive or 0 (auto)")
 
@@ -210,7 +215,7 @@ class SceneSetup:
 
     bands: list[BandDefinition]
     geometry: Geometry
-    state: AtmosphericState
+    state: AtmosphericState | None  # None for a table replay
     model: AerosolModel
     grid: SpectralGrid
     nyquist: NyquistReport
@@ -226,18 +231,24 @@ class SceneSetup:
 
 
 def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
-    """Stage 2: geometry, atmospheric state, simulation grid, SRFs and d^2."""
+    """Stage 2: geometry, atmospheric state, simulation grid, SRFs and d^2.
+
+    The atmospheric state is resolved for the analytic provider only: a
+    table replay reads its parameters from the table, and its state is None.
+    """
     bands = list(metadata.bands)
-    catalogue = None
-    if config.aux_catalogue_path:
-        with open(config.aux_catalogue_path, encoding="utf-8") as fh:
-            catalogue = AuxCatalogue.from_json(fh.read())
-    state = resolve_atmospheric_state(
-        metadata,
-        policy=config.state_policy,
-        catalogue=catalogue,
-        override=config.override_state,
-    )
+    state = None
+    if config.provider == "analytic":
+        catalogue = None
+        if config.aux_catalogue_path:
+            with open(config.aux_catalogue_path, encoding="utf-8") as fh:
+                catalogue = AuxCatalogue.from_json(fh.read())
+        state = resolve_atmospheric_state(
+            metadata,
+            policy=config.state_policy,
+            catalogue=catalogue,
+            override=config.override_state,
+        )
     grid = simulation_grid(bands, config.grid_step)
     srf_pairs = [srf_for_band(b, grid) for b in bands]
     return SceneSetup(
@@ -263,14 +274,18 @@ def compute_all_band_params(provider, bands, srfs):
 
 class ProductSink:
     """The rasters of an exported product: each finished float64 rho_w
-    row tile is written as float32 rho_w into `rho_w.img.tmp` and as R_rs
+    block is written as float32 rho_w into `rho_w.img.tmp` and as R_rs
     into `r_rs.img.tmp`, at its BSQ offsets. `write_product` commits both;
-    `discard` deletes whatever was not committed."""
+    `discard` deletes whatever was not committed.
+
+    Each inversion thread casts its blocks into two float32 buffers of its
+    own, allocated at its first block and reused for the others."""
 
     def __init__(self, output_path: str, bands: list[BandDefinition]):
         self.output_path = output_path
         self.bands = bands
         self.rasters: dict[str, CubeWriter] = {}
+        self._buffers = threading.local()
 
     def open(self, valid: list[int], n_rows: int, n_cols: int):
         """Preallocate both payloads for the valid bands; returns `write`."""
@@ -289,10 +304,18 @@ class ProductSink:
             )
         return self.write
 
-    def write(self, r0: int, tile: np.ndarray) -> None:
-        self.rasters["rho_w"].write_rows(r0, tile.astype(np.float32))
+    def write(self, r0: int, k0: int, block: np.ndarray) -> None:
+        """Write rows r0.. of valid bands k0.. from a float64 rho_w block."""
+        buffers = self._buffers
+        if len(getattr(buffers, "rho_w", ())) < block.size:
+            buffers.rho_w = np.empty(block.size, dtype=np.float32)
+            buffers.r_rs = np.empty(block.size, dtype=np.float32)
+        rho_w = buffers.rho_w[:block.size].reshape(block.shape)
+        r_rs = buffers.r_rs[:block.size].reshape(block.shape)
+        np.copyto(rho_w, block, casting="same_kind")
+        self.rasters["rho_w"].write_rows(r0, rho_w, k0)
         # looked up on the module: perfbench traces inversion.to_rrs
-        self.rasters["r_rs"].write_rows(r0, inversion.to_rrs(tile))
+        self.rasters["r_rs"].write_rows(r0, inversion.to_rrs(block, out=r_rs), k0)
 
     def discard(self) -> None:
         for writer in self.rasters.values():
@@ -383,7 +406,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
                 f"for {len(report.nyquist['violations'])} bands"
             )
         report.srf_sources = setup.srf_sources
-        report.atmospheric_state = asdict(setup.state)
+        report.atmospheric_state = asdict(setup.state) if setup.state is not None else {}
 
     # stage 3: per-band RTM parameters
     with _stage(report, STAGE_RTM):
@@ -463,7 +486,9 @@ def synthesize_scene(
         bands=tuple(bands),
         scene_id="self-test",
     )
-    setup = configure_scene(metadata, config)
+    # forward-modelled with the analytic provider, whichever one the run inverts with
+    analytic = dataclasses.replace(config, provider="analytic", params_table_path=None)
+    setup = configure_scene(metadata, analytic)
     params = compute_all_band_params(setup.analytic_provider(), setup.bands, setup.srfs)
     rho_true = self_test_reflectance(len(bands), size, seed)
     l_toa = np.empty_like(rho_true)

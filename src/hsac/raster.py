@@ -172,9 +172,9 @@ class CubeWriter:
     """The payload of a (bands, rows, cols) raster being written.
 
     `<base_path>.img.tmp` is created at its full size; `write_rows` writes
-    row blocks at their offsets and may be called from several threads for
-    disjoint rows. `write_cube(base_path, writer)` commits it; `discard`
-    deletes an uncommitted payload.
+    a block of rows of a run of bands at its offsets and may be called from
+    several threads for disjoint blocks. `write_cube(base_path, writer)`
+    commits it; `discard` deletes an uncommitted payload.
     """
 
     def __init__(
@@ -199,19 +199,20 @@ class CubeWriter:
             self.discard()
             raise IoFailure(f"creating {self.path}: {exc}") from exc
 
-    def write_rows(self, r0: int, rows: np.ndarray) -> None:
-        """Write rows[:, i] of every band as raster row r0 + i."""
+    def write_rows(self, r0: int, rows: np.ndarray, k0: int = 0) -> None:
+        """Write rows[k, i] as row r0 + i of band k0 + k: one pwrite per
+        band for BSQ, one per row for BIL."""
         if rows.dtype != self.dtype:
             raise UnsupportedDataType(f"rows are {rows.dtype}, the raster is {self.dtype}")
         bands, n_rows, n_cols = self.shape
         row_bytes = n_cols * self.dtype.itemsize
         try:
             if self.interleave == "bsq":
-                for k in range(bands):
-                    _pwrite_all(self._fd, rows[k], (k * n_rows + r0) * row_bytes)
-            else:  # bil: one (bands, cols) block per row
+                for k in range(rows.shape[0]):
+                    _pwrite_all(self._fd, rows[k], ((k0 + k) * n_rows + r0) * row_bytes)
+            else:  # bil: one (bands, cols) run per row
                 for i in range(rows.shape[1]):
-                    _pwrite_all(self._fd, rows[:, i], (r0 + i) * bands * row_bytes)
+                    _pwrite_all(self._fd, rows[:, i], ((r0 + i) * bands + k0) * row_bytes)
         except OSError as exc:
             raise IoFailure(f"writing {self.path}: {exc}") from exc
 

@@ -479,6 +479,28 @@ class TestStatePolicy:
         assert state.aod550 == 0.21
         assert state.tcwv == 1.8
 
+    @pytest.mark.parametrize("policy,missing,lookups,source", [
+        ("metadata_first", {}, 0, "metadata"),
+        ("metadata_first", {"aod": None}, 1, "mixed"),
+        ("catalogue_first", {}, 3, "catalogue"),
+    ], ids=["metadata_complete", "metadata_without_aod550", "catalogue_first"])
+    def test_catalogue_searched_only_for_missing_values(self, monkeypatch, policy,
+                                                        missing, lookups, source):
+        cat = AuxCatalogue(CATALOGUE)
+        calls = []
+        lookup = cat.lookup
+
+        def counted(*args):
+            calls.append(args[0])
+            return lookup(*args)
+
+        monkeypatch.setattr(cat, "lookup", counted)
+        state = resolve_atmospheric_state(
+            scene_metadata(**missing), policy=policy, catalogue=cat, bbox=BBOX
+        )
+        assert len(calls) == lookups
+        assert state.source == source
+
     def test_missing_everywhere_raises(self):
         with pytest.raises(MissingEntry, match="aod550"):
             resolve_atmospheric_state(scene_metadata(aod=None), policy="metadata_first")

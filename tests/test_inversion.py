@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_params
+from hsac import inversion, kernels
 from hsac.atmosphere import BandAtmParams
 from hsac.errors import LengthMismatch, OutOfRange
 from hsac.inversion import (
@@ -19,7 +21,9 @@ from hsac.inversion import (
     mask_bands,
     to_rrs,
 )
+from hsac.pipeline import ProductSink, write_product
 from hsac.raster import NODATA, RadianceCube
+from hsac.scene import BandDefinition
 
 PARAMS = BandAtmParams(
     band_index=0, l_path=0.12, t_g_o3=0.93, t_g_total=0.9, t_up=0.95,
@@ -258,70 +262,119 @@ class TestInvertCube:
         assert product.rho_w[0, 0, 2] < 0
         assert product.report.negativity_rate == 1 / 2  # of the two data pixels
 
-    def test_fused_pixel_account(self):
-        # 2 bands x 130 rows: row tiles [0, 64), [64, 128) and [128, 130)
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """One entry per kernels.invert_plane call; the caller clears it."""
+        calls = []
+        kernel = kernels.invert_plane
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "invert_plane", counted)
+        return calls
+
+    def test_fused_pixel_account(self, monkeypatch, kernel_calls):
+        # bands 0, 2 and 3 valid, band 1 masked; 130 rows of 5 columns make
+        # the row tiles [0, 64), [64, 128) and [128, 130)
         c = PARAMS.e_s * PARAMS.t_up / math.pi
-        data = np.full((2, 130, 5), forward_model_toa(plane(0.05), 1.0, PARAMS)[0, 0])
+        params = [PARAMS, replace(PARAMS, t_g_total=0.5), PARAMS, PARAMS]
+        data = np.full((4, 130, 5), forward_model_toa(plane(0.05), 1.0, PARAMS)[0, 0])
         planted = {
             (0, 3, 1): np.nan,
-            (1, 10, 2): forward_model_toa(plane(-0.02), 1.0, PARAMS)[0, 0],
+            (2, 10, 2): forward_model_toa(plane(-0.02), 1.0, PARAMS)[0, 0],
             (0, 70, 0): np.inf,
-            (1, 100, 4): -9999.0,
+            (2, 100, 4): -9999.0,
             (0, 80, 3): (PARAMS.l_path - c / PARAMS.s_atm) * PARAMS.t_g_o3,  # degenerate
-            (1, 129, 4): -np.inf,
+            (3, 129, 4): -np.inf,
             (0, 128, 0): forward_model_toa(plane(-0.03), 1.0, PARAMS)[0, 0],
         }
         for index, value in planted.items():
             data[index] = value
         cube = RadianceCube(data=data)
+        plane_of = {0: 0, 2: 1, 3: 2}  # band -> rho_w plane
+        # BLOCK_PIXELS -> kernel calls over the three tiles, with g bands a block:
+        # g = 1 everywhere; g = 2 in the 64-row tiles (blocks [0, 2], [3]) and
+        # 3 in the 2-row one; g = 3 everywhere
+        block_pixels_calls = {1: 3 + 3 + 3, 2 * 64 * 5: 2 + 2 + 1, 10**6: 1 + 1 + 1}
         for clip in (False, True):
-            expected = np.stack([invert_band_plane(plane, 1.0, PARAMS)[0] for plane in data])
+            policy = MaskPolicy(clip_negative=clip)
+            expected = np.stack([invert_band_plane(data[b], 1.0, PARAMS)[0] for b in plane_of])
             expected[~np.isfinite(expected)] = -9999.0
             if clip:
                 expected[(expected < 0) & (expected != -9999.0)] = 0.0
-            for workers in (1, 2, 8):
-                product = invert_cube(
-                    cube, 1.0, [PARAMS, PARAMS], MaskPolicy(clip_negative=clip), workers
-                )
+            reports = []
+            for (block_pixels, calls), workers in itertools.product(
+                    block_pixels_calls.items(), (1, 2, 8)):
+                monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
+                kernel_calls.clear()
+                product = invert_cube(cube, 1.0, params, policy, workers)
+                assert len(kernel_calls) == calls
                 np.testing.assert_array_equal(product.rho_w, expected)
                 assert product.report.degenerate_pixels == 1
                 assert product.report.nonfinite_pixels == 3
-                # 2 negative of 1300 pixels less 3 non-finite, 1 nodata, 1 degenerate
-                assert product.report.negativity_rate == 2 / (1300 - 5)
-                # a sink gets the same finished tiles, and the same report
-                tiles = {}
+                # 2 negative of 1950 pixels less 3 non-finite, 1 nodata, 1 degenerate
+                assert product.report.negativity_rate == 2 / (1950 - 5)
+                reports.append(product.report)
+                # a sink gets the same finished blocks, and the same report
+                blocks = {}
 
                 def open_sink(valid, n_rows, n_cols):
-                    assert (valid, n_rows, n_cols) == ([0, 1], 130, 5)
-                    return tiles.__setitem__
+                    assert (valid, n_rows, n_cols) == ([0, 2, 3], 130, 5)
+                    # the block is reused once write returns: keep a copy
+                    return lambda r0, k0, block: blocks.__setitem__((r0, k0), block.copy())
 
-                streamed = invert_cube(
-                    cube, 1.0, [PARAMS, PARAMS], MaskPolicy(clip_negative=clip), workers,
-                    open_sink=open_sink,
-                )
+                streamed = invert_cube(cube, 1.0, params, policy, workers, open_sink=open_sink)
                 assert streamed.rho_w is None
                 assert streamed.report == product.report
-                assert sorted(tiles) == [0, 64, 128]
-                joined = np.concatenate([tiles[r] for r in (0, 64, 128)], axis=1)
+                assert len(blocks) == calls
+                assert sum(b.size for b in blocks.values()) == expected.size
+                joined = np.full_like(expected, np.nan)
+                for (r0, k0), block in blocks.items():
+                    joined[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
                 np.testing.assert_array_equal(joined, expected)
+            assert all(r == reports[0] for r in reports)
             rho = product.rho_w
-            assert all(rho[i] == -9999.0 for i in planted if i not in ((1, 10, 2), (0, 128, 0)))
+            negatives = ((2, 10, 2), (0, 128, 0))
+            assert all(rho[plane_of[b], r, c] == -9999.0
+                       for b, r, c in planted if (b, r, c) not in negatives)
             if clip:
                 assert rho[1, 10, 2] == rho[0, 128, 0] == 0.0
             else:
                 assert rho[1, 10, 2] == pytest.approx(-0.02, rel=1e-12)
                 assert rho[0, 128, 0] == pytest.approx(-0.03, rel=1e-12)
 
-    def test_masked_band_absent(self):
+    def test_masked_band_absent(self, monkeypatch, tmp_path, kernel_calls):
         cube, d2, params, _ = self._cube_and_params()
         params = [replace(p, t_g_total=1.0) for p in params]
         params[1] = replace(params[1], t_g_total=0.01)
-        product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=0.85))
-        assert product.band_mask[1] == BAND_MASKED_LOW_TG
-        valid = product.valid_band_indices
-        assert valid == [0, 2, 3]
-        assert product.rho_w.shape == (len(valid),) + cube.data.shape[1:]
-        for k, b in enumerate(valid):
-            expected, _ = invert_band_plane(cube.data[b], d2, params[b])
-            np.testing.assert_array_equal(product.rho_w[k], expected)
-            np.testing.assert_array_equal(to_rrs(product.rho_w[k]), to_rrs(expected))
+        policy = MaskPolicy(tg_threshold=0.85)
+        bands = [BandDefinition(i, 500.0 + 50.0 * i, 6.5) for i in range(4)]
+        reports, files = [], []
+        # one 8 x 8 tile: a band a block; blocks of bands [0, 2] and [3]; one block
+        for block_pixels, calls in ((1, 3), (2 * 64, 2), (10**6, 1)):
+            monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
+            kernel_calls.clear()
+            product = invert_cube(cube, d2, params, policy)
+            assert len(kernel_calls) == calls
+            assert product.band_mask[1] == BAND_MASKED_LOW_TG
+            valid = product.valid_band_indices
+            assert valid == [0, 2, 3]
+            assert product.rho_w.shape == (len(valid),) + cube.data.shape[1:]
+            for k, b in enumerate(valid):
+                expected, _ = invert_band_plane(cube.data[b], d2, params[b])
+                np.testing.assert_array_equal(product.rho_w[k], expected)
+                np.testing.assert_array_equal(to_rrs(product.rho_w[k]), to_rrs(expected))
+            reports.append(product.report)
+            out = tmp_path / str(block_pixels)
+            sink = ProductSink(str(out), bands)
+            streamed = invert_cube(cube, d2, params, policy, open_sink=sink.open)
+            assert streamed.report == product.report
+            write_product(sink, streamed.band_mask, params)
+            files.append({name: (out / name).read_bytes()
+                          for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img")})
+            assert files[-1]["rho_w.img"] == product.rho_w.astype(np.float32).tobytes()
+            assert files[-1]["r_rs.img"] == to_rrs(product.rho_w).tobytes()
+        assert reports[0] == reports[1] == reports[2]
+        assert files[0] == files[1] == files[2]

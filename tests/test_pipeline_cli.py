@@ -132,8 +132,13 @@ class TestParseCli:
         (["--aod550", "0.9"], "--state-policy override"),
         (["--tcwv", "3", "--tco3", "280", "--state-policy", "catalogue_first"],
          "--state-policy override"),
+        (["--provider", "table", "--params-table", "/nonexistent.csv",
+          "--aux-catalogue", "/nonexistent.json"], "--provider analytic"),
+        (["--provider", "table", "--params-table", "/nonexistent.csv",
+          "--state-policy", "catalogue_first"], "--provider analytic"),
     ], ids=["params_table_without_table_provider", "aod550_without_override",
-            "tcwv_tco3_without_override"])
+            "tcwv_tco3_without_override", "catalogue_with_table_provider",
+            "state_policy_with_table_provider"])
     def test_unread_option_exits_2(self, scene_dir, tmp_path, capsys, extra, message):
         out = tmp_path / "o"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out), *extra]) == 2
@@ -297,6 +302,20 @@ class TestRunEndToEnd:
         b = read_cube(str(second / "r_rs"))
         np.testing.assert_allclose(b.data, a.data, rtol=1e-9)
 
+    def test_table_replay_reads_no_state(self, scene_dir, tmp_path):
+        analytic, replay = tmp_path / "analytic", tmp_path / "replay"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
+        xml = scene_dir / "scene.xml"
+        xml.write_text(xml.read_text().replace("<aod550>0.12</aod550>", ""))
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(replay),
+            "--provider", "table", "--params-table", str(analytic / "band_params.csv"),
+        ]) == 0
+        for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img",
+                     "band_mask.csv", "band_params.csv"):
+            assert (replay / name).read_bytes() == (analytic / name).read_bytes(), name
+        assert json.loads((replay / "report.json").read_text())["atmospheric_state"] == {}
+
     def test_worker_counts_byte_identical_products(self, tmp_path):
         # row tiles [0, 64), [64, 128) and [128, 130), each with planted pixels;
         # radiance 0.0 inverts to a negative rho_w. A degenerate pixel needs a
@@ -336,9 +355,10 @@ class TestRunEndToEnd:
                     assert (out / name).read_bytes() == data, (tag, w, name)
 
     def test_streamed_run_never_holds_the_cube(self, tmp_path, monkeypatch):
-        bands, rows, cols = 4, 640, 64  # ten row tiles
-        scene = make_scene_dir(tmp_path / "scene", centers=BAND_CENTERS[:bands],
-                               rows=rows, cols=cols)
+        # four row tiles; one tile of all bands is 10x BLOCK_PIXELS
+        bands, rows, cols = 40, 256, 256
+        centers = tuple(400.0 + 8.0 * i for i in range(bands))  # none masked
+        scene = make_scene_dir(tmp_path / "scene", centers=centers, rows=rows, cols=cols)
         peaks = []
 
         def traced(*args, **kwargs):
@@ -355,7 +375,7 @@ class TestRunEndToEnd:
             "run", "--input", str(scene), "--output", str(out), "--workers", "1",
         ]) == 0
         assert read_cube(str(out / "rho_w")).n_bands == bands
-        assert peaks[0] < bands * rows * cols * 8 / 2  # half the float64 cube
+        assert peaks[0] < bands * ROW_TILE * cols * 8  # one float64 row tile of all bands
 
     def test_table_provider_requires_table_path(self, scene_dir, tmp_path):
         code = cli.main([
