@@ -135,12 +135,9 @@ def mask_bands(params: list[BandAtmParams], policy: MaskPolicy) -> list[str]:
     ]
 
 
-def to_rrs(rho_w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The float32 R_rs raster: float64 rho_w / pi cast once, NODATA kept.
-
-    Written into `out` (float32, shaped like rho_w) when given."""
-    if out is None:
-        out = np.empty(rho_w.shape, dtype=np.float32)
+def to_rrs(rho_w: np.ndarray) -> np.ndarray:
+    """The float32 R_rs raster: float64 rho_w / pi cast once, NODATA kept."""
+    out = np.empty(rho_w.shape, dtype=np.float32)
     np.divide(rho_w, math.pi, out=out, casting="same_kind")
     out[rho_w == NODATA] = NODATA
     return out

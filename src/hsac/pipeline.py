@@ -15,7 +15,6 @@ import glob
 import json
 import math
 import os
-import threading
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -111,8 +110,9 @@ class RunConfig:
             raise MissingField("--params-table is required with --provider table")
         if self.params_table_path is not None and self.provider != "table":
             raise HsacError("--params-table is read only with --provider table")
+        # RunConfig.state_policy is the field's default
         if self.provider == "table" and (self.aux_catalogue_path
-                                         or self.state_policy != "metadata_first"):
+                                         or self.state_policy != RunConfig.state_policy):
             raise HsacError("--aux-catalogue and --state-policy are read only with "
                             "--provider analytic")
         if self.worker_count < 0:
@@ -276,16 +276,12 @@ class ProductSink:
     """The rasters of an exported product: each finished float64 rho_w
     block is written as float32 rho_w into `rho_w.img.tmp` and as R_rs
     into `r_rs.img.tmp`, at its BSQ offsets. `write_product` commits both;
-    `discard` deletes whatever was not committed.
-
-    Each inversion thread casts its blocks into two float32 buffers of its
-    own, allocated at its first block and reused for the others."""
+    `discard` deletes whatever was not committed."""
 
     def __init__(self, output_path: str, bands: list[BandDefinition]):
         self.output_path = output_path
         self.bands = bands
         self.rasters: dict[str, CubeWriter] = {}
-        self._buffers = threading.local()
 
     def open(self, valid: list[int], n_rows: int, n_cols: int):
         """Preallocate both payloads for the valid bands; returns `write`."""
@@ -306,16 +302,9 @@ class ProductSink:
 
     def write(self, r0: int, k0: int, block: np.ndarray) -> None:
         """Write rows r0.. of valid bands k0.. from a float64 rho_w block."""
-        buffers = self._buffers
-        if len(getattr(buffers, "rho_w", ())) < block.size:
-            buffers.rho_w = np.empty(block.size, dtype=np.float32)
-            buffers.r_rs = np.empty(block.size, dtype=np.float32)
-        rho_w = buffers.rho_w[:block.size].reshape(block.shape)
-        r_rs = buffers.r_rs[:block.size].reshape(block.shape)
-        np.copyto(rho_w, block, casting="same_kind")
-        self.rasters["rho_w"].write_rows(r0, rho_w, k0)
+        self.rasters["rho_w"].write_rows(r0, block.astype(np.float32), k0)
         # looked up on the module: perfbench traces inversion.to_rrs
-        self.rasters["r_rs"].write_rows(r0, inversion.to_rrs(block, out=r_rs), k0)
+        self.rasters["r_rs"].write_rows(r0, inversion.to_rrs(block), k0)
 
     def discard(self) -> None:
         for writer in self.rasters.values():
