@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,18 +35,23 @@ from .errors import (
     OutOfRange,
     SchemaViolation,
 )
-from .scene import STATE_KEYS, BandDefinition, SceneMetadata, check_state_value
+from .scene import (
+    STATE_KEYS,
+    WAVELENGTH_MAX,
+    WAVELENGTH_MIN,
+    BandDefinition,
+    SceneMetadata,
+    check_state_value,
+)
 from .spectral import SRF, SpectralGrid, convolve_to_band
 
-WAVELENGTH_MIN = 350.0
-WAVELENGTH_MAX = 2600.0
-
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")  # the bundled data assets
+TRANSMITTANCES = ("t_g_o3", "t_g_total", "t_up")  # the BandAtmParams fields in (0, 1]
 
 
 @dataclass(frozen=True)
 class BandAtmParams:
-    """The six per-band quantities consumed by the inversion (all at 1 AU)."""
+    """The per-band quantities the inversion consumes (at 1 AU), in table column order."""
 
     band_index: int
     l_path: float
@@ -55,7 +62,7 @@ class BandAtmParams:
     e_s: float
 
     def __post_init__(self):
-        for name in ("t_g_o3", "t_g_total", "t_up"):
+        for name in TRANSMITTANCES:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise InvariantViolation(
@@ -65,10 +72,18 @@ class BandAtmParams:
             raise InvariantViolation(
                 f"band {self.band_index}: s_atm = {self.s_atm} outside [0, 1)"
             )
-        if self.l_path < 0:
-            raise InvariantViolation(f"band {self.band_index}: l_path < 0")
-        if self.e_s < 0:
-            raise InvariantViolation(f"band {self.band_index}: e_s < 0")
+        for name in ("l_path", "e_s"):
+            if getattr(self, name) < 0:
+                raise InvariantViolation(f"band {self.band_index}: {name} < 0")
+
+    @property
+    def kernel_terms(self) -> tuple[float, float, float, float]:
+        """(T_g_O3, L_path, c = E_s * T_up / pi, S_atm), the kernel's terms."""
+        return self.t_g_o3, self.l_path, self.e_s * self.t_up / math.pi, self.s_atm
+
+
+PARAMS_TABLE_HEADER = [f.name for f in dataclasses.fields(BandAtmParams)]
+FINE_FIELD_NAMES = tuple(PARAMS_TABLE_HEADER[1:])  # all but band_index
 
 
 @dataclass(frozen=True)
@@ -163,12 +178,16 @@ def load_solar_irradiance() -> np.ndarray:
     return _load_table("solar_irradiance.csv")
 
 
-def _table_interp(wavelength, filename: str, column: int) -> np.ndarray:
-    table = _load_table(filename)
+def _checked_wavelengths(wavelength) -> np.ndarray:
     wl = np.asarray(wavelength, dtype=np.float64)
     if np.any(wl < WAVELENGTH_MIN) or np.any(wl > WAVELENGTH_MAX):
         raise OutOfRange(f"wavelength outside [{WAVELENGTH_MIN}, {WAVELENGTH_MAX}] nm")
-    return np.interp(wl, table[:, 0], table[:, column])
+    return wl
+
+
+def _table_interp(wavelength, filename: str, column: int) -> np.ndarray:
+    table = _load_table(filename)
+    return np.interp(_checked_wavelengths(wavelength), table[:, 0], table[:, column])
 
 
 def ozone_coefficient(wavelength) -> np.ndarray:
@@ -191,10 +210,7 @@ def oxygen_coefficient(wavelength) -> np.ndarray:
 
 def rayleigh_optical_depth(wavelength):
     """Rayleigh optical depth at standard pressure (Hansen-Travis closed form)."""
-    wl = np.asarray(wavelength, dtype=np.float64)
-    if np.any(wl < WAVELENGTH_MIN) or np.any(wl > WAVELENGTH_MAX):
-        raise OutOfRange(f"wavelength outside [{WAVELENGTH_MIN}, {WAVELENGTH_MAX}] nm")
-    um = wl / 1000.0
+    um = _checked_wavelengths(wavelength) / 1000.0
     return 0.008569 * um**-4 * (1.0 + 0.0113 * um**-2 + 0.00013 * um**-4)
 
 
@@ -324,9 +340,6 @@ def spherical_albedo(wavelength, aod550: float, model: AerosolModel):
 
 # --- analytic provider ----------------------------------------------------
 
-FINE_FIELD_NAMES = ("l_path", "t_g_o3", "t_g_total", "t_up", "s_atm", "e_s")
-
-
 def compute_fine_fields(
     grid: SpectralGrid,
     geometry: Geometry,
@@ -348,31 +361,11 @@ def compute_fine_fields(
     }
 
 
-def band_params_from_fields(
-    band: BandDefinition,
-    srf: SRF,
-    fields: dict[str, np.ndarray],
-    grid: SpectralGrid,
-) -> BandAtmParams:
-    """Convolve each fine-grid quantity to the band through its SRF."""
-    values = dict(zip(
-        FINE_FIELD_NAMES,
-        convolve_to_band([fields[name] for name in FINE_FIELD_NAMES], srf, grid),
-    ))
-    # The weighted mean of in-range samples can exceed the range by one ulp.
-    for name in ("t_g_o3", "t_g_total", "t_up"):
-        values[name] = min(values[name], 1.0)
-    values["s_atm"] = min(max(values["s_atm"], 0.0), 0.99)
-    values["l_path"] = max(values["l_path"], 0.0)
-    values["e_s"] = max(values["e_s"], 0.0)
-    return BandAtmParams(band_index=band.index, **values)
-
-
 class AnalyticProvider:
     """Computes band parameters from the built-in analytic model.
 
-    Fine-grid fields are evaluated once per scene; per-band convolution is
-    pure and is the unit of band-level parallelism.
+    Fine-grid fields are evaluated once per scene; `band_params` convolves
+    them to one band.
     """
 
     provenance = "analytic"
@@ -389,12 +382,19 @@ class AnalyticProvider:
         self.fields = compute_fine_fields(grid, geometry, state, model, e0_grid)
 
     def band_params(self, band: BandDefinition, srf: SRF) -> BandAtmParams:
-        return band_params_from_fields(band, srf, self.fields, self.grid)
+        """Convolve each fine-grid quantity to the band through its SRF."""
+        spectra = [self.fields[name] for name in FINE_FIELD_NAMES]
+        values = dict(zip(FINE_FIELD_NAMES, convolve_to_band(spectra, srf, self.grid)))
+        # The weighted mean of in-range samples can exceed the range by one ulp.
+        for name in TRANSMITTANCES:
+            values[name] = min(values[name], 1.0)
+        values["s_atm"] = min(max(values["s_atm"], 0.0), 0.99)
+        values["l_path"] = max(values["l_path"], 0.0)
+        values["e_s"] = max(values["e_s"], 0.0)
+        return BandAtmParams(band_index=band.index, **values)
 
 
 # --- table provider -------------------------------------------------------
-
-PARAMS_TABLE_HEADER = ["band_index", "l_path", "t_g_o3", "t_g_total", "t_up", "s_atm", "e_s"]
 
 
 def load_params_table(text: str) -> list[BandAtmParams]:
@@ -412,8 +412,10 @@ def load_params_table(text: str) -> list[BandAtmParams]:
     for row in reader:
         if not row:
             continue
-        if len(row) != 7:
-            raise SchemaViolation(f"row has {len(row)} fields, expected 7: {row}")
+        if len(row) != len(PARAMS_TABLE_HEADER):
+            raise SchemaViolation(
+                f"row has {len(row)} fields, expected {len(PARAMS_TABLE_HEADER)}: {row}"
+            )
         try:
             idx = int(row[0])
             values = [float(v) for v in row[1:]]
@@ -431,23 +433,18 @@ def load_params_table(text: str) -> list[BandAtmParams]:
 
 def serialize_params_table(params: list[BandAtmParams]) -> str:
     """Inverse of load_params_table; %.17g keeps float64 round-trip exact."""
-    out = io.StringIO()
-    out.write(",".join(PARAMS_TABLE_HEADER) + "\n")
-    for p in params:
-        out.write(
-            f"{p.band_index},{p.l_path:.17g},{p.t_g_o3:.17g},{p.t_g_total:.17g},"
-            f"{p.t_up:.17g},{p.s_atm:.17g},{p.e_s:.17g}\n"
-        )
-    return out.getvalue()
+    row = "%d" + ",%.17g" * len(FINE_FIELD_NAMES) + "\n"
+    values = operator.attrgetter(*PARAMS_TABLE_HEADER)
+    return ",".join(PARAMS_TABLE_HEADER) + "\n" + "".join(row % values(p) for p in params)
 
 
 class TableProvider:
-    """Serves pre-computed parameters keyed by band index."""
+    """Serves pre-computed parameters, one per band in band order."""
 
     provenance = "table"
 
     def __init__(self, params: list[BandAtmParams]):
-        self._by_index = {p.band_index: p for p in params}
+        self.params = params
 
     @classmethod
     def from_csv(cls, text: str, n_bands: int) -> "TableProvider":
@@ -458,9 +455,7 @@ class TableProvider:
         return cls(params)
 
     def band_params(self, band: BandDefinition, srf: SRF) -> BandAtmParams:
-        if band.index not in self._by_index:
-            raise MissingBand(f"table has no parameters for band {band.index}")
-        return self._by_index[band.index]
+        return self.params[band.index]
 
 
 # --- auxiliary catalogue --------------------------------------------------
@@ -523,6 +518,9 @@ class AuxCatalogue:
         raise MissingEntry(f"{dataset} has no entry for date={date}, bbox={list(bbox)}")
 
 
+STATE_POLICIES = ("metadata_first", "catalogue_first", "override")
+
+
 def resolve_atmospheric_state(
     metadata: SceneMetadata,
     policy: str = "metadata_first",
@@ -537,16 +535,13 @@ def resolve_atmospheric_state(
     before it lack it, so under metadata_first complete metadata costs no
     catalogue lookup. The source is the one used, or "mixed" for both.
     """
+    if policy not in STATE_POLICIES:
+        raise OutOfRange(f"unknown state policy {policy!r}")
     if policy == "override":
         if override is None:
             raise MissingEntry("state policy 'override' requires explicit values")
         return override
-    if policy == "metadata_first":
-        order = ("metadata", "catalogue")
-    elif policy == "catalogue_first":
-        order = ("catalogue", "metadata")
-    else:
-        raise OutOfRange(f"unknown state policy {policy!r}")
+    order = ("metadata", "catalogue") if policy == "metadata_first" else ("catalogue", "metadata")
 
     date = metadata.acquisition_date.isoformat()
     box = bbox if bbox is not None else [-180.0, -90.0, 180.0, 90.0]

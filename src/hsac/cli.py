@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .atmosphere import AtmosphericState, aerosol_models
+from .atmosphere import STATE_POLICIES, AtmosphericState, aerosol_models
 from .errors import HsacError, MissingField
 from .inversion import MaskPolicy
 from .pipeline import (
@@ -47,38 +47,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every default is read from RunConfig or MaskPolicy, the one place it is set
     run = sub.add_parser("run", help="process a scene directory")
     run.add_argument("--input", required=True, help="input folder with scene XML and raster")
     run.add_argument("--output", required=True, help="output directory")
-    run.add_argument(
-        "--aerosol",
-        default="Continental",
-        choices=sorted(aerosol_models()),
-        help="aerosol model",
-    )
-    run.add_argument("--tg-threshold", type=float, default=0.85,
+    run.add_argument("--aerosol", default=RunConfig.aerosol, choices=sorted(aerosol_models()),
+                     help="aerosol model")
+    run.add_argument("--tg-threshold", type=float, default=MaskPolicy.tg_threshold,
                      help="mask bands with total gas transmittance below this")
-    run.add_argument("--provider", choices=["analytic", "table"], default="analytic")
-    run.add_argument("--params-table", default=None, help="parameter CSV for --provider table")
-    run.add_argument("--aux-catalogue", default=None, help="local auxiliary catalogue JSON")
-    run.add_argument(
-        "--state-policy",
-        choices=["metadata_first", "catalogue_first", "override"],
-        default="metadata_first",
-    )
-    run.add_argument("--aod550", type=float, default=None, help="override AOD at 550 nm")
-    run.add_argument("--tcwv", type=float, default=None, help="override TCWV (g cm^-2)")
-    run.add_argument("--tco3", type=float, default=None, help="override ozone (DU)")
-    run.add_argument("--grid-step", type=float, default=2.5, help="simulation grid step (nm)")
-    run.add_argument("--workers", type=int, default=0, help="worker count, 0 = all cores")
+    run.add_argument("--provider", choices=["analytic", "table"], default=RunConfig.provider)
+    run.add_argument("--params-table", help="parameter CSV for --provider table")
+    run.add_argument("--aux-catalogue", help="local auxiliary catalogue JSON")
+    run.add_argument("--state-policy", choices=STATE_POLICIES, default=RunConfig.state_policy)
+    run.add_argument("--aod550", type=float, help="override AOD at 550 nm")
+    run.add_argument("--tcwv", type=float, help="override TCWV (g cm^-2)")
+    run.add_argument("--tco3", type=float, help="override ozone (DU)")
+    run.add_argument("--grid-step", type=float, default=RunConfig.grid_step,
+                     help="simulation grid step (nm)")
+    run.add_argument("--workers", type=int, default=RunConfig.worker_count,
+                     help="worker count, 0 = all cores")
     run.add_argument("--clip-negative", action="store_true",
                      help="clip negative reflectance to zero (off by default)")
     run.add_argument("--divide-total-gas", action="store_true",
                      help="divide the TOA term by total gas transmittance instead of ozone only")
 
     st = sub.add_parser("self-test", help="hermetic synthetic round-trip test")
-    st.add_argument("--workers", type=int, default=0)
-    st.add_argument("--aerosol", default="Continental", choices=sorted(aerosol_models()))
+    st.add_argument("--workers", type=int, default=RunConfig.worker_count)
+    st.add_argument("--aerosol", default=RunConfig.aerosol, choices=sorted(aerosol_models()))
 
     cmp_ = sub.add_parser("compare", help="compare a product against reference spectra")
     cmp_.add_argument("--product", required=True, help="product directory from `hsac run`")

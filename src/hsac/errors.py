@@ -70,7 +70,7 @@ class DuplicateBand(HsacError):
 
 
 class SchemaViolation(HsacError):
-    """Parameter table header or row shape is wrong."""
+    """A table's header or row shape is wrong (parameter or reference CSV)."""
 
 
 class InvariantViolation(HsacError):

@@ -86,18 +86,8 @@ def invert_band_plane(
     """
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
-    coupling_c = params.e_s * params.t_up / math.pi
     plane = np.ascontiguousarray(l_toa_plane, dtype=np.float64)
-    return kernels.invert_plane(
-        plane,
-        d_squared,
-        params.t_g_o3,
-        params.l_path,
-        coupling_c,
-        params.s_atm,
-        nodata,
-        DENOMINATOR_EPS,
-    )
+    return kernels.invert_plane(plane, d_squared, *params.kernel_terms, nodata, DENOMINATOR_EPS)
 
 
 def forward_model_toa(
@@ -113,18 +103,8 @@ def forward_model_toa(
     """
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
-    coupling_c = params.e_s * params.t_up / math.pi
     plane = np.ascontiguousarray(rho_w, dtype=np.float64)
-    return kernels.forward_plane(
-        plane,
-        d_squared,
-        params.t_g_o3,
-        params.l_path,
-        coupling_c,
-        params.s_atm,
-        nodata,
-        DENOMINATOR_EPS,
-    )
+    return kernels.forward_plane(plane, d_squared, *params.kernel_terms, nodata, DENOMINATOR_EPS)
 
 
 def mask_bands(params: list[BandAtmParams], policy: MaskPolicy) -> list[str]:
@@ -205,11 +185,7 @@ def invert_cube(
     valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
     n_valid, n_rows, n_cols = len(valid), cube.n_rows, cube.n_cols
     # the kernel's atmospheric terms, one (valid bands, 1, 1) column each
-    terms = np.array(
-        [(p.t_g_o3, p.l_path, p.e_s * p.t_up / math.pi, p.s_atm)
-         for p in (params[b] for b in valid)],
-        dtype=np.float64,
-    ).reshape(n_valid, 4)
+    terms = np.array([params[b].kernel_terms for b in valid], dtype=np.float64).reshape(n_valid, 4)
     columns = terms.T[:, :, np.newaxis, np.newaxis]
     if open_sink is None:
         rho_w = np.empty((n_valid, n_rows, n_cols), dtype=np.float64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingField, NodataPixel, NoOverlap, OutOfBounds, ZeroVector
+from .errors import MissingField, NodataPixel, NoOverlap, OutOfBounds, SchemaViolation, ZeroVector
 from .raster import RadianceCube
 
 
@@ -145,11 +145,12 @@ def pixel_spectrum(cube: RadianceCube, row: int, col: int) -> SpectrumSample:
 
 
 def load_reference_spectrum(path: str) -> SpectrumSample:
-    """CSV `wavelength_nm,value`; an optional `# label:` comment names it."""
+    """CSV `wavelength_nm,value`; an optional `# label:` comment names it.
+    A row that is not two numbers, or no data row, is a SchemaViolation."""
     label = ""
     wl, values = [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -159,9 +160,14 @@ def load_reference_spectrum(path: str) -> SpectrumSample:
                 continue
             if line.lower().startswith("wavelength"):
                 continue
-            w, v = line.split(",")
-            wl.append(float(w))
-            values.append(float(v))
+            try:
+                w, v = map(float, line.split(","))
+            except ValueError:
+                raise SchemaViolation(f"{path}:{line_no}: {line!r} is not two numbers") from None
+            wl.append(w)
+            values.append(v)
+    if not wl:
+        raise SchemaViolation(f"{path}: no data rows")
     return SpectrumSample(np.asarray(wl), np.asarray(values), label=label)
 
 

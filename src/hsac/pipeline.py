@@ -65,11 +65,13 @@ from .scene import (
     parse_scene_metadata,
 )
 from .spectral import (
+    DEFAULT_GRID_STEP,
     SRF,
     NyquistReport,
     SpectralGrid,
     check_nyquist,
     resample_reference_spectrum,
+    simulation_grid,
     srf_for_band,
 )
 
@@ -101,7 +103,7 @@ class RunConfig:
     state_policy: str = "metadata_first"  # metadata_first | catalogue_first | override
     override_state: AtmosphericState | None = None
     worker_count: int = 0  # 0 = auto
-    grid_step: float = 2.5
+    grid_step: float = DEFAULT_GRID_STEP
     self_test: bool = False
     divide_total_gas: bool = False  # optional extra-gas correction mode, off by default
 
@@ -189,17 +191,6 @@ def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
             + ", ".join(f"{k} {v}" for k, v in problems.items() if v)
         )
     return metadata, cube
-
-
-def simulation_grid(bands: list[BandDefinition], step: float):
-    """Grid anchored at 350 nm covering every band's SRF window."""
-    lo = min(b.center_wavelength - 3.0 * b.fwhm for b in bands)
-    hi = max(b.center_wavelength + 3.0 * b.fwhm for b in bands)
-    start = 350.0 + step * math.floor((lo - 350.0) / step)
-    stop = 350.0 + step * math.ceil((hi - 350.0) / step)
-    start = max(start, 350.0)
-    stop = min(stop, 350.0 + step * math.floor((2600.0 - 350.0) / step))
-    return SpectralGrid(start, stop, step)
 
 
 def load_bundled_bands() -> list[BandDefinition]:

@@ -74,7 +74,10 @@ def parse_envi_header(text: str) -> dict:
         value = value.strip()
         if value.startswith("{"):
             while "}" not in value:
-                value += " " + next(lines).strip()
+                more = next(lines, None)
+                if more is None:
+                    raise HeaderPayloadMismatch(f"header field {key!r}: '{{' is never closed")
+                value += " " + more.strip()
             inner = value[value.index("{") + 1 : value.index("}")]
             fields[key] = [v.strip() for v in inner.split(",") if v.strip()]
         else:
@@ -82,28 +85,37 @@ def parse_envi_header(text: str) -> dict:
     return fields
 
 
+def _header_field(fields: dict, key: str, cast=int, default=None):
+    """`cast` of a header field, or `default` when it is absent;
+    HeaderPayloadMismatch names a field that is missing or of the wrong type."""
+    value = fields.get(key, default)
+    if value is None:
+        raise HeaderPayloadMismatch(f"header missing field {key!r}")
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise HeaderPayloadMismatch(f"header field {key!r} is not a number: {value!r}") from None
+
+
 def read_cube(base_path: str) -> RadianceCube:
     """Map `base_path`.hdr + `base_path`.img (or `base_path` raw) read-only."""
     img = base_path + ".img" if os.path.exists(base_path + ".img") else base_path
     with open(base_path + ".hdr", encoding="utf-8") as fh:
         fields = parse_envi_header(fh.read())
-    try:
-        samples = int(fields["samples"])
-        lines = int(fields["lines"])
-        bands = int(fields["bands"])
-        dtype_code = int(fields["data type"])
-        interleave = str(fields["interleave"]).lower()
-    except KeyError as exc:
-        raise HeaderPayloadMismatch(f"header missing field {exc}") from exc
+    samples = _header_field(fields, "samples")
+    lines = _header_field(fields, "lines")
+    bands = _header_field(fields, "bands")
+    dtype_code = _header_field(fields, "data type")
+    interleave = _header_field(fields, "interleave", str).lower()
 
     if dtype_code not in _DTYPE_CODES:
         raise UnsupportedDataType(f"data type {dtype_code} not in {sorted(_DTYPE_CODES)}")
     if interleave not in ("bsq", "bil"):
         raise UnsupportedInterleave(f"interleave {interleave!r} not in {{bsq, bil}}")
-    if int(fields.get("byte order", 0)) != 0:
-        raise UnsupportedDataType(f"byte order {fields['byte order']}: only 0 (little-endian)")
-    if int(fields.get("header offset", 0)) != 0:
-        raise HeaderPayloadMismatch(f"header offset {fields['header offset']}: only 0")
+    if (byte_order := _header_field(fields, "byte order", default=0)) != 0:
+        raise UnsupportedDataType(f"byte order {byte_order}: only 0 (little-endian)")
+    if (header_offset := _header_field(fields, "header offset", default=0)) != 0:
+        raise HeaderPayloadMismatch(f"header offset {header_offset}: only 0")
 
     dtype = _DTYPE_CODES[dtype_code]
     expected = samples * lines * bands * dtype.itemsize
@@ -121,10 +133,10 @@ def read_cube(base_path: str) -> RadianceCube:
     else:  # bil: (lines, bands, samples)
         data = flat.reshape(lines, bands, samples).transpose(1, 0, 2)
 
-    nodata = float(fields.get("data ignore value", NODATA))
+    nodata = _header_field(fields, "data ignore value", float, NODATA)
     wavelengths = None
     if "wavelength" in fields:
-        wavelengths = tuple(float(w) for w in fields["wavelength"])
+        wavelengths = _header_field(fields, "wavelength", lambda ws: tuple(map(float, ws)))
     return RadianceCube(data=data, nodata_value=nodata, wavelengths=wavelengths)
 
 

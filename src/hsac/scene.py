@@ -16,6 +16,9 @@ from dataclasses import dataclass, field
 from .errors import InvalidDate, MalformedXml, MissingField, OutOfRange
 
 STATE_KEYS = ("aod550", "tcwv", "tco3")
+# the spectral support, in nm, of every band centre and of the bundled tables
+WAVELENGTH_MIN = 350.0
+WAVELENGTH_MAX = 2600.0
 
 
 def check_state_value(name: str, value: float) -> None:
@@ -36,10 +39,10 @@ class BandDefinition:
     def __post_init__(self):
         if not 0.0 < self.fwhm < math.inf:
             raise OutOfRange(f"band {self.index}: fwhm must be finite and > 0, got {self.fwhm}")
-        if not 350.0 <= self.center_wavelength <= 2600.0:
+        if not WAVELENGTH_MIN <= self.center_wavelength <= WAVELENGTH_MAX:
             raise OutOfRange(
                 f"band {self.index}: center wavelength {self.center_wavelength} nm "
-                "outside [350, 2600]"
+                f"outside [{WAVELENGTH_MIN:g}, {WAVELENGTH_MAX:g}]"
             )
         if self.srf is not None:
             if not all(math.isfinite(v) for pair in self.srf for v in pair):

@@ -8,9 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageGap, GridMismatch, InvalidRange
-from .scene import BandDefinition
+from .scene import WAVELENGTH_MAX, WAVELENGTH_MIN, BandDefinition
 
 DEFAULT_GRID_STEP = 2.5  # nm
+GAUSSIAN_HALF_WINDOW = 3.0  # a Gaussian SRF spans center +/- this many FWHM
 
 
 @dataclass(frozen=True)
@@ -91,17 +92,37 @@ def check_nyquist(bands: list[BandDefinition], step: float) -> NyquistReport:
     return NyquistReport(step=step, bands=checks, overall=all(c.satisfied for c in checks))
 
 
+def _gaussian_window(band: BandDefinition) -> tuple[float, float]:
+    half_window = GAUSSIAN_HALF_WINDOW * band.fwhm
+    return band.center_wavelength - half_window, band.center_wavelength + half_window
+
+
+def _grid_span(grid: SpectralGrid, lo: float, hi: float) -> tuple[int, int]:
+    """Indices of the first and last grid point in [lo, hi]; i1 < i0 if none."""
+    lo, hi = max(grid.start, lo), min(grid.stop, hi)
+    i0 = int(math.ceil((lo - grid.start) / grid.step - 1e-9))
+    i1 = int(math.floor((hi - grid.start) / grid.step + 1e-9))
+    return i0, i1
+
+
+def simulation_grid(bands: list[BandDefinition], step: float) -> SpectralGrid:
+    """Grid anchored at WAVELENGTH_MIN covering every band's Gaussian window
+    and measured SRF support, clipped to [WAVELENGTH_MIN, WAVELENGTH_MAX]."""
+    lows, highs = zip(*map(_gaussian_window, bands),
+                      *((b.srf[0][0], b.srf[-1][0]) for b in bands if b.srf is not None))
+    first = max(0, math.floor((min(lows) - WAVELENGTH_MIN) / step))
+    last = min(math.ceil((max(highs) - WAVELENGTH_MIN) / step),
+               math.floor((WAVELENGTH_MAX - WAVELENGTH_MIN) / step))
+    return SpectralGrid(WAVELENGTH_MIN + step * first, WAVELENGTH_MIN + step * last, step)
+
+
 def gaussian_srf(band: BandDefinition, grid: SpectralGrid) -> SRF:
-    """Gaussian fallback SRF truncated at center +/- 3*FWHM.
+    """Gaussian fallback SRF truncated at center +/- GAUSSIAN_HALF_WINDOW * FWHM.
 
     Sampled on grid points; normalized so the largest sample is exactly 1
     (the grid point nearest the band center).
     """
-    half_window = 3.0 * band.fwhm
-    lo = max(grid.start, band.center_wavelength - half_window)
-    hi = min(grid.stop, band.center_wavelength + half_window)
-    i0 = int(math.ceil((lo - grid.start) / grid.step - 1e-9))
-    i1 = int(math.floor((hi - grid.start) / grid.step + 1e-9))
+    i0, i1 = _grid_span(grid, *_gaussian_window(band))
     if i1 < i0:
         i0 = i1 = grid.index_of(
             grid.start + grid.step * round((band.center_wavelength - grid.start) / grid.step)
@@ -115,12 +136,8 @@ def gaussian_srf(band: BandDefinition, grid: SpectralGrid) -> SRF:
 def measured_srf(band: BandDefinition, grid: SpectralGrid) -> SRF:
     """Resample a measured SRF from metadata onto the grid by linear interpolation."""
     assert band.srf is not None
-    wl_in = np.array([w for w, _ in band.srf])
-    r_in = np.array([r for _, r in band.srf])
-    lo = max(grid.start, wl_in[0])
-    hi = min(grid.stop, wl_in[-1])
-    i0 = int(math.ceil((lo - grid.start) / grid.step - 1e-9))
-    i1 = int(math.floor((hi - grid.start) / grid.step + 1e-9))
+    wl_in, r_in = map(np.array, zip(*band.srf))
+    i0, i1 = _grid_span(grid, wl_in[0], wl_in[-1])
     if i1 < i0:
         raise GridMismatch(
             f"band {band.index}: measured SRF support does not reach any grid point"

@@ -104,7 +104,7 @@ class TestForwardModel:
         expected = (p.t_g_o3 / 1.01) * (p.l_path + 0.1 * p.e_s * p.t_up / math.pi)
         assert forward_model_toa(plane(0.1), 1.01, p)[0, 0] == pytest.approx(expected, rel=1e-14)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         rho=st.floats(min_value=-0.05, max_value=0.9),
         seed=st.integers(min_value=0, max_value=2**31),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_params
 from hsac.atmosphere import BandAtmParams
-from hsac.errors import NodataPixel, NoOverlap, OutOfBounds, ZeroVector
+from hsac.errors import NodataPixel, NoOverlap, OutOfBounds, SchemaViolation, ZeroVector
 from hsac.inversion import MaskPolicy, forward_model_toa, invert_cube
 from hsac.metrics import (
     SpectrumSample,
@@ -60,7 +60,7 @@ class TestSpectralAngle:
         b = spectrum([400, 500], [0.01, 0.02])
         assert 0.0 <= spectral_angle(a, b) <= 180.0
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_triangle_inequality_on_positive_spectra(self, seed):
         rng = np.random.default_rng(seed)
@@ -102,7 +102,7 @@ class TestErrorStats:
         assert report.rmse == pytest.approx(rmse, rel=1e-12)
         assert report.std == pytest.approx(std, rel=1e-12)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_decomposition_identity(self, seed):
         rng = np.random.default_rng(seed)
@@ -243,3 +243,15 @@ class TestReferenceFile:
         assert s.label == "site-A"
         np.testing.assert_array_equal(s.wavelengths, [400.0, 500.0])
         np.testing.assert_array_equal(s.values, [0.01, 0.02])
+
+    @pytest.mark.parametrize("body,message", [
+        ("400,0.01\nabc,0.02\n", ":3:"),
+        ("400,0.01\n500,0.02,7\n", ":3:"),
+        ("", "no data rows"),
+    ], ids=["non_numeric", "third_column", "header_only"])
+    def test_malformed_file_names_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "ref.csv"
+        path.write_text("wavelength_nm,value\n" + body)
+        with pytest.raises(SchemaViolation, match=message) as exc:
+            load_reference_spectrum(str(path))
+        assert str(path) in str(exc.value)

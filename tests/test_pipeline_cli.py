@@ -103,6 +103,17 @@ class TestParseCli:
         assert args.workers == 0
         assert not args.clip_negative
 
+    def test_run_without_options_is_the_default_config(self):
+        args = cli.build_parser().parse_args(["run", "--input", "X", "--output", "Y"])
+        assert cli.config_from_args(args) == RunConfig(input_path="X", output_path="Y")
+
+    def test_self_test_without_options_is_the_default_config(self, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli, "run_self_test",
+                            lambda config: configs.append(config) or (True, 0.0, None))
+        assert cli.main(["self-test"]) == 0
+        assert configs == [RunConfig()]
+
     def test_unknown_aerosol_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(
@@ -430,6 +441,15 @@ class TestRunEndToEnd:
         assert message in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
 
+    def test_unterminated_header_list_exits_3_naming_the_field(self, scene_dir, tmp_path):
+        header = scene_dir / "radiance.hdr"
+        header.write_text(header.read_text() + "wavelength = {500.0,\n 530.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure_stage"] == "ingest"
+        assert "'wavelength'" in report["error"]
+
     def test_srf_wavelengths_not_increasing_exits_3(self, scene_dir, tmp_path, capsys):
         xml = scene_dir / "scene.xml"
         xml.write_text(xml.read_text().replace(
@@ -629,6 +649,18 @@ class TestCompareCli:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("body", ["400,0.01\nabc,0.02\n", "400,0.01,7\n", ""],
+                             ids=["non_numeric", "third_column", "header_only"])
+    def test_malformed_reference_exits_3(self, scene_dir, tmp_path, capsys, body):
+        out, _ = self._run_and_reference(scene_dir, tmp_path)
+        ref = tmp_path / "bad.csv"
+        ref.write_text("wavelength_nm,value\n" + body)
+        capsys.readouterr()
+        code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
+                         "--pixel", "2,3"])
+        assert code == 3
+        assert str(ref) in capsys.readouterr().err
 
     def test_bad_pixel_argument(self, scene_dir, tmp_path):
         out, ref = self._run_and_reference(scene_dir, tmp_path)

@@ -79,6 +79,18 @@ class TestRead:
         cube = read_cube(write_raw(tmp_path, header, payload))
         assert cube.wavelengths == (550.0, 650.0)
 
+    def test_unterminated_list_names_field(self, tmp_path):
+        header = make_header(1, 1, 2) + "wavelength = {550.0,\n 650.0\n"
+        with pytest.raises(HeaderPayloadMismatch, match="'wavelength'"):
+            read_cube(write_raw(tmp_path, header, b"\0" * 8))
+
+    @pytest.mark.parametrize("field", ["samples", "lines", "bands", "data type", "wavelength"])
+    def test_non_number_names_field(self, tmp_path, field):
+        header = make_header(1, 1, 2) + "wavelength = {550.0, 650.0}\n"
+        header = header.replace(f"{field} = ", f"{field} = x")
+        with pytest.raises(HeaderPayloadMismatch, match=f"'{field}'"):
+            read_cube(write_raw(tmp_path, header, b"\0" * 8))
+
     @pytest.mark.parametrize("interleave", ["bsq", "bil"])
     def test_payload_is_read_only(self, tmp_path, interleave):
         base = str(tmp_path / "cube")

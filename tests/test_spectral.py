@@ -13,6 +13,7 @@ from hsac.spectral import (
     gaussian_srf,
     measured_srf,
     resample_reference_spectrum,
+    simulation_grid,
     srf_for_band,
 )
 
@@ -114,6 +115,21 @@ class TestMeasuredSrf:
         band = BandDefinition(0, 550.0, 6.5, srf=pairs)
         srf = measured_srf(band, grid)
         assert set(srf.wavelengths).issubset(set(grid.wavelengths))
+
+
+class TestSimulationGrid:
+    def test_covers_measured_srf_beyond_gaussian_window(self):
+        # centre +/- 3 FWHM is [400.5, 439.5]; the measured response spans 395-445
+        pairs = tuple((w, 1.0 - abs(w - 420.0) / 30.0) for w in np.arange(395.0, 446.0))
+        band = BandDefinition(0, 420.0, 6.5, srf=pairs)
+        srf, _ = srf_for_band(band, simulation_grid([band], 2.5))
+        assert (srf.wavelengths[0], srf.wavelengths[-1]) == (395.0, 445.0)
+
+    def test_measured_support_clipped_to_wavelength_range(self):
+        band = BandDefinition(0, 355.0, 5.0, srf=((330.0, 0.5), (355.0, 1.0), (380.0, 0.5)))
+        grid = simulation_grid([band], 2.5)
+        assert grid.start == 350.0
+        assert grid.stop >= 380.0
 
 
 class TestConvolveToBand:
