@@ -378,13 +378,12 @@ class AnalyticProvider:
         model: AerosolModel,
         e0_grid: np.ndarray,
     ):
-        self.grid = grid
         self.fields = compute_fine_fields(grid, geometry, state, model, e0_grid)
 
     def band_params(self, band: BandDefinition, srf: SRF) -> BandAtmParams:
         """Convolve each fine-grid quantity to the band through its SRF."""
         spectra = [self.fields[name] for name in FINE_FIELD_NAMES]
-        values = dict(zip(FINE_FIELD_NAMES, convolve_to_band(spectra, srf, self.grid)))
+        values = dict(zip(FINE_FIELD_NAMES, convolve_to_band(spectra, srf)))
         # The weighted mean of in-range samples can exceed the range by one ulp.
         for name in TRANSMITTANCES:
             values[name] = min(values[name], 1.0)

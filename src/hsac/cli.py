@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--aod550", type=float, help="override AOD at 550 nm")
     run.add_argument("--tcwv", type=float, help="override TCWV (g cm^-2)")
     run.add_argument("--tco3", type=float, help="override ozone (DU)")
-    run.add_argument("--grid-step", type=float, default=RunConfig.grid_step,
-                     help="simulation grid step (nm)")
     run.add_argument("--workers", type=int, default=RunConfig.worker_count,
                      help="worker count, 0 = all cores")
     run.add_argument("--clip-negative", action="store_true",
@@ -108,7 +106,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         state_policy=args.state_policy,
         override_state=override,
         worker_count=args.workers,
-        grid_step=args.grid_step,
         divide_total_gas=args.divide_total_gas,
     )
 

@@ -65,7 +65,7 @@ from .scene import (
     parse_scene_metadata,
 )
 from .spectral import (
-    DEFAULT_GRID_STEP,
+    GRID_STEP,
     SRF,
     NyquistReport,
     SpectralGrid,
@@ -103,7 +103,6 @@ class RunConfig:
     state_policy: str = "metadata_first"  # metadata_first | catalogue_first | override
     override_state: AtmosphericState | None = None
     worker_count: int = 0  # 0 = auto
-    grid_step: float = DEFAULT_GRID_STEP
     self_test: bool = False
     divide_total_gas: bool = False  # optional extra-gas correction mode, off by default
 
@@ -156,9 +155,13 @@ class PipelineResult:
 
 
 def _find_one(directory: str, pattern: str, what: str) -> str:
+    """The one file in `directory` matching `pattern`; none or several is an error."""
     matches = sorted(glob.glob(os.path.join(directory, pattern)))
     if not matches:
         raise MissingField(f"no {what} matching {pattern} in {directory}")
+    if len(matches) > 1:
+        raise HsacError(f"{len(matches)} files match {pattern} in {directory}, one {what} "
+                        f"expected: {', '.join(map(os.path.basename, matches))}")
     return matches[0]
 
 
@@ -240,7 +243,7 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
             catalogue=catalogue,
             override=config.override_state,
         )
-    grid = simulation_grid(bands, config.grid_step)
+    grid = simulation_grid(bands, GRID_STEP)
     srf_pairs = [srf_for_band(b, grid) for b in bands]
     return SceneSetup(
         bands=bands,
@@ -248,7 +251,7 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
         state=state,
         model=aerosol_model(config.aerosol),
         grid=grid,
-        nyquist=check_nyquist(bands, config.grid_step),
+        nyquist=check_nyquist(bands, GRID_STEP),
         e0_grid=resample_reference_spectrum(load_solar_irradiance(), grid),
         srfs=[srf for srf, _ in srf_pairs],
         srf_sources=dict(Counter(source for _, source in srf_pairs)),
@@ -382,7 +385,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
             import warnings
 
             warnings.warn(
-                f"grid step {config.grid_step} nm violates the Nyquist criterion "
+                f"grid step {GRID_STEP} nm violates the Nyquist criterion "
                 f"for {len(report.nyquist['violations'])} bands"
             )
         report.srf_sources = setup.srf_sources

@@ -136,6 +136,12 @@ def read_cube(base_path: str) -> RadianceCube:
     nodata = _header_field(fields, "data ignore value", float, NODATA)
     wavelengths = None
     if "wavelength" in fields:
+        listed = fields["wavelength"]
+        if not isinstance(listed, list) or len(listed) != bands:
+            raise HeaderPayloadMismatch(
+                f"header field 'wavelength' must be a {{...}} list of {bands} values, "
+                f"got {listed!r}"
+            )
         wavelengths = _header_field(fields, "wavelength", lambda ws: tuple(map(float, ws)))
     return RadianceCube(data=data, nodata_value=nodata, wavelengths=wavelengths)
 

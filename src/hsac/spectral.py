@@ -10,7 +10,9 @@ import numpy as np
 from .errors import CoverageGap, GridMismatch, InvalidRange
 from .scene import WAVELENGTH_MAX, WAVELENGTH_MIN, BandDefinition
 
-DEFAULT_GRID_STEP = 2.5  # nm
+# The bundled tables are tabulated at 340 + 2.5 k nm, so a grid anchored at
+# WAVELENGTH_MIN with this step lies on their nodes.
+GRID_STEP = 2.5  # nm
 GAUSSIAN_HALF_WINDOW = 3.0  # a Gaussian SRF spans center +/- this many FWHM
 
 
@@ -20,7 +22,7 @@ class SpectralGrid:
 
     start: float
     stop: float
-    step: float = DEFAULT_GRID_STEP
+    step: float
 
     def __post_init__(self):
         if self.start >= self.stop:
@@ -41,25 +43,18 @@ class SpectralGrid:
     def wavelengths(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.n_points)
 
-    def index_of(self, wavelength: float) -> int:
-        """Index of an on-grid wavelength; GridMismatch when off-grid."""
-        pos = (wavelength - self.start) / self.step
-        idx = int(round(pos))
-        if abs(pos - idx) > 1e-6 or not 0 <= idx < self.n_points:
-            raise GridMismatch(f"{wavelength} nm is not a grid point")
-        return idx
-
 
 @dataclass(frozen=True)
 class SRF:
-    """Sampled spectral response of one band, aligned to a grid sub-range.
+    """Sampled spectral response of one band on the grid slice
+    [start, start + len(responses)).
 
-    Built by `gaussian_srf` or `measured_srf`: consecutive grid points and
-    non-negative responses with a positive maximum.
+    Built by `gaussian_srf` or `measured_srf`: non-negative responses with a
+    positive maximum.
     """
 
     band_index: int
-    wavelengths: np.ndarray
+    start: int  # grid index of the first sample
     responses: np.ndarray
 
 
@@ -120,17 +115,16 @@ def gaussian_srf(band: BandDefinition, grid: SpectralGrid) -> SRF:
     """Gaussian fallback SRF truncated at center +/- GAUSSIAN_HALF_WINDOW * FWHM.
 
     Sampled on grid points; normalized so the largest sample is exactly 1
-    (the grid point nearest the band center).
+    (the grid point nearest the band center). A window that falls between
+    two grid points keeps that nearest point alone.
     """
     i0, i1 = _grid_span(grid, *_gaussian_window(band))
     if i1 < i0:
-        i0 = i1 = grid.index_of(
-            grid.start + grid.step * round((band.center_wavelength - grid.start) / grid.step)
-        )
-    wl = grid.start + grid.step * np.arange(i0, i1 + 1)
+        i0 = i1 = round((band.center_wavelength - grid.start) / grid.step)
+    wl = grid.wavelengths[i0 : i1 + 1]
     resp = np.exp(-4.0 * math.log(2.0) * (wl - band.center_wavelength) ** 2 / band.fwhm**2)
     resp = resp / resp.max()
-    return SRF(band_index=band.index, wavelengths=wl, responses=resp)
+    return SRF(band_index=band.index, start=i0, responses=resp)
 
 
 def measured_srf(band: BandDefinition, grid: SpectralGrid) -> SRF:
@@ -142,11 +136,10 @@ def measured_srf(band: BandDefinition, grid: SpectralGrid) -> SRF:
         raise GridMismatch(
             f"band {band.index}: measured SRF support does not reach any grid point"
         )
-    wl = grid.start + grid.step * np.arange(i0, i1 + 1)
-    resp = np.interp(wl, wl_in, r_in)
+    resp = np.interp(grid.wavelengths[i0 : i1 + 1], wl_in, r_in)
     if resp.max() <= 0:
         raise GridMismatch(f"band {band.index}: resampled SRF is all zero")
-    return SRF(band_index=band.index, wavelengths=wl, responses=resp)
+    return SRF(band_index=band.index, start=i0, responses=resp)
 
 
 def srf_for_band(band: BandDefinition, grid: SpectralGrid) -> tuple[SRF, str]:
@@ -156,19 +149,16 @@ def srf_for_band(band: BandDefinition, grid: SpectralGrid) -> tuple[SRF, str]:
     return gaussian_srf(band, grid), "gaussian"
 
 
-def convolve_to_band(fine_spectra, srf: SRF, grid: SpectralGrid) -> list[float]:
-    """Response-weighted mean over the SRF window of each fine-grid spectrum.
+def convolve_to_band(fine_spectra, srf: SRF) -> list[float]:
+    """Response-weighted mean over the SRF's grid slice of each fine-grid spectrum.
 
-    `fine_spectra` is a sequence of grid-length 1-D arrays. The window and
-    the response sum are found once; each mean is its own `np.dot`, so it
-    equals the convolution of that spectrum alone, to the bit.
+    `fine_spectra` is a sequence of grid-length 1-D arrays. The response sum
+    is found once; each mean is its own `np.dot`, so it equals the
+    convolution of that spectrum alone, to the bit.
     """
-    i0 = grid.index_of(float(srf.wavelengths[0]))
-    i1 = grid.index_of(float(srf.wavelengths[-1]))
-    if i1 - i0 + 1 != len(srf.wavelengths):
-        raise GridMismatch("SRF samples are not consecutive grid points")
+    window = slice(srf.start, srf.start + len(srf.responses))
     total = np.sum(srf.responses)
-    return [float(np.dot(s[i0 : i1 + 1], srf.responses) / total) for s in fine_spectra]
+    return [float(np.dot(s[window], srf.responses) / total) for s in fine_spectra]
 
 
 def resample_reference_spectrum(reference, grid: SpectralGrid) -> np.ndarray:

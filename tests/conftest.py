@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,17 @@ from hsac.atmosphere import (
 )
 from hsac.pipeline import load_bundled_bands, simulation_grid
 from hsac.spectral import resample_reference_spectrum, srf_for_band
+
+
+def pytest_collection_modifyitems(config, items):
+    """Run every test under tests/ with warnings as errors: a numpy
+    RuntimeWarning from a divide or invalid operation outside an errstate is
+    the usual sign of a silent NaN. Prepended, so a test's own
+    filterwarnings marks still take precedence."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 @pytest.fixture(scope="session")

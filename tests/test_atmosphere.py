@@ -261,13 +261,14 @@ class TestComputeBandParams:
         grid = SpectralGrid(350, 2600, 2.5)
         e0 = resample_reference_spectrum(load_solar_irradiance(), grid)
         band = BandDefinition(0, 550.0, 6.5)
-        srf = SRF(0, np.array([550.0]), np.array([1.0]))
+        i550 = 80  # (550 - 350) / 2.5
+        srf = SRF(0, i550, np.array([1.0]))
         provider = AnalyticProvider(
             grid, default_geometry, default_state, continental, e0
         )
         p = provider.band_params(band, srf)
         g, s = default_geometry, default_state
-        e0_550 = e0[grid.index_of(550.0)]
+        e0_550 = e0[i550]
         assert p.l_path == pytest.approx(
             path_radiance(550.0, g, s.aod550, continental, e0_550), rel=1e-12
         )

@@ -99,7 +99,6 @@ class TestParseCli:
         assert args.tg_threshold == 0.85
         assert args.provider == "analytic"
         assert args.state_policy == "metadata_first"
-        assert args.grid_step == 2.5
         assert args.workers == 0
         assert not args.clip_negative
 
@@ -450,6 +449,24 @@ class TestRunEndToEnd:
         assert report["failure_stage"] == "ingest"
         assert "'wavelength'" in report["error"]
 
+    @pytest.mark.parametrize("value", ["500", "{500, 530}"], ids=["unbraced", "two_for_six"])
+    def test_header_wavelength_not_one_per_band_exits_3(self, scene_dir, tmp_path, value):
+        header = scene_dir / "radiance.hdr"
+        header.write_text(header.read_text() + f"wavelength = {value}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure_stage"] == "ingest"
+        assert "'wavelength'" in report["error"]
+
+    def test_second_raster_in_scene_directory_exits_3(self, scene_dir, tmp_path, capsys):
+        # a run written into its own input directory adds r_rs.hdr and rho_w.hdr
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(scene_dir)]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        assert "r_rs.hdr, radiance.hdr, rho_w.hdr" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+
     def test_srf_wavelengths_not_increasing_exits_3(self, scene_dir, tmp_path, capsys):
         xml = scene_dir / "scene.xml"
         xml.write_text(xml.read_text().replace(
@@ -661,6 +678,17 @@ class TestCompareCli:
                          "--pixel", "2,3"])
         assert code == 3
         assert str(ref) in capsys.readouterr().err
+
+    def test_product_wavelength_not_one_per_band_exits_3(self, scene_dir, tmp_path, capsys):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        header = out / "r_rs.hdr"
+        header.write_text(re.sub(r"wavelength = \{.*\}", "wavelength = 500",
+                                 header.read_text(), flags=re.DOTALL))
+        capsys.readouterr()
+        code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
+                         "--pixel", "2,3"])
+        assert code == 3
+        assert "'wavelength'" in capsys.readouterr().err
 
     def test_bad_pixel_argument(self, scene_dir, tmp_path):
         out, ref = self._run_and_reference(scene_dir, tmp_path)

@@ -84,6 +84,13 @@ class TestRead:
         with pytest.raises(HeaderPayloadMismatch, match="'wavelength'"):
             read_cube(write_raw(tmp_path, header, b"\0" * 8))
 
+    @pytest.mark.parametrize("value", ["500", "{500, 600}"], ids=["unbraced", "two_for_three"])
+    def test_wavelength_not_one_per_band_names_field(self, tmp_path, value):
+        # unbraced, "500" used to read as (5.0, 0.0, 0.0), one value per character
+        header = make_header(1, 1, 3) + f"wavelength = {value}\n"
+        with pytest.raises(HeaderPayloadMismatch, match="'wavelength'.* 3 values"):
+            read_cube(write_raw(tmp_path, header, b"\0" * 12))
+
     @pytest.mark.parametrize("field", ["samples", "lines", "bands", "data type", "wavelength"])
     def test_non_number_names_field(self, tmp_path, field):
         header = make_header(1, 1, 2) + "wavelength = {550.0, 650.0}\n"

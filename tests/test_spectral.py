@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hsac.errors import CoverageGap, GridMismatch, InvalidRange
+from hsac.errors import CoverageGap, InvalidRange
 from hsac.scene import BandDefinition
 from hsac.spectral import (
     SRF,
@@ -16,6 +16,11 @@ from hsac.spectral import (
     simulation_grid,
     srf_for_band,
 )
+
+
+def srf_wavelengths(srf, grid):
+    """The grid wavelengths of an SRF's samples."""
+    return grid.wavelengths[srf.start : srf.start + len(srf.responses)]
 
 
 class TestBuildGrid:
@@ -60,13 +65,13 @@ class TestGaussianSrf:
     def test_peak_is_one_on_grid_center(self):
         grid = SpectralGrid(500, 600, 2.5)
         srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
-        i = list(srf.wavelengths).index(550.0)
+        i = list(srf_wavelengths(srf, grid)).index(550.0)
         assert srf.responses[i] == 1.0
 
     def test_half_maximum_at_half_fwhm(self):
         grid = SpectralGrid(500, 600, 0.5)
         srf = gaussian_srf(BandDefinition(0, 550.0, 5.0), grid)
-        i = list(srf.wavelengths).index(552.5)
+        i = list(srf_wavelengths(srf, grid)).index(552.5)
         assert srf.responses[i] == pytest.approx(0.5, abs=1e-9)
 
     def test_integral_matches_analytic_gaussian_area(self):
@@ -80,7 +85,7 @@ class TestGaussianSrf:
     def test_symmetry_about_center(self):
         grid = SpectralGrid(500, 600, 2.5)
         srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
-        wl = list(srf.wavelengths)
+        wl = list(srf_wavelengths(srf, grid))
         for offset in (2.5, 5.0, 7.5):
             assert srf.responses[wl.index(550.0 + offset)] == pytest.approx(
                 srf.responses[wl.index(550.0 - offset)], rel=1e-12
@@ -89,8 +94,18 @@ class TestGaussianSrf:
     def test_truncated_at_three_fwhm(self):
         grid = SpectralGrid(350, 800, 2.5)
         srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
-        assert srf.wavelengths[0] >= 550.0 - 3 * 6.5
-        assert srf.wavelengths[-1] <= 550.0 + 3 * 6.5
+        wl = srf_wavelengths(srf, grid)
+        assert wl[0] >= 550.0 - 3 * 6.5
+        assert wl[-1] <= 550.0 + 3 * 6.5
+
+    def test_window_between_grid_points_keeps_the_nearest_point(self):
+        # centre +/- 3 FWHM is [550.4, 551.6]: no grid point; 550.0 is nearest
+        grid = SpectralGrid(500, 600, 2.5)
+        srf = gaussian_srf(BandDefinition(0, 551.0, 0.2), grid)
+        assert srf.start == 20 and grid.wavelengths[srf.start] == 550.0
+        assert list(srf.responses) == [1.0]
+        spectrum = grid.wavelengths * 2.0
+        assert convolve_to_band([spectrum], srf) == [1100.0]
 
 
 class TestMeasuredSrf:
@@ -101,7 +116,7 @@ class TestMeasuredSrf:
         )
         srf, source = srf_for_band(band, grid)
         assert source == "measured"
-        i = list(srf.wavelengths).index(550.0)
+        i = list(srf_wavelengths(srf, grid)).index(550.0)
         assert srf.responses[i] == 1.0
 
     def test_gaussian_fallback(self):
@@ -114,7 +129,7 @@ class TestMeasuredSrf:
         pairs = tuple((545.0 + i, math.exp(-((i - 5.0) ** 2) / 8)) for i in range(11))
         band = BandDefinition(0, 550.0, 6.5, srf=pairs)
         srf = measured_srf(band, grid)
-        assert set(srf.wavelengths).issubset(set(grid.wavelengths))
+        assert set(srf_wavelengths(srf, grid)).issubset(set(grid.wavelengths))
 
 
 class TestSimulationGrid:
@@ -122,8 +137,10 @@ class TestSimulationGrid:
         # centre +/- 3 FWHM is [400.5, 439.5]; the measured response spans 395-445
         pairs = tuple((w, 1.0 - abs(w - 420.0) / 30.0) for w in np.arange(395.0, 446.0))
         band = BandDefinition(0, 420.0, 6.5, srf=pairs)
-        srf, _ = srf_for_band(band, simulation_grid([band], 2.5))
-        assert (srf.wavelengths[0], srf.wavelengths[-1]) == (395.0, 445.0)
+        grid = simulation_grid([band], 2.5)
+        srf, _ = srf_for_band(band, grid)
+        wl = srf_wavelengths(srf, grid)
+        assert (wl[0], wl[-1]) == (395.0, 445.0)
 
     def test_measured_support_clipped_to_wavelength_range(self):
         band = BandDefinition(0, 355.0, 5.0, srf=((330.0, 0.5), (355.0, 1.0), (380.0, 0.5)))
@@ -137,18 +154,18 @@ class TestConvolveToBand:
         grid = SpectralGrid(500, 600, 2.5)
         srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
         spectrum = np.full(grid.n_points, 3.7)
-        assert convolve_to_band([spectrum], srf, grid) == [pytest.approx(3.7, rel=1e-12)]
+        assert convolve_to_band([spectrum], srf) == [pytest.approx(3.7, rel=1e-12)]
 
     def test_delta_srf_picks_single_value(self):
         grid = SpectralGrid(500, 600, 2.5)
-        srf = SRF(0, np.array([550.0]), np.array([1.0]))
+        srf = SRF(0, 20, np.array([1.0]))  # the 550 nm sample
         spectrum = grid.wavelengths * 2.0
-        assert convolve_to_band([spectrum], srf, grid) == [1100.0]
+        assert convolve_to_band([spectrum], srf) == [1100.0]
 
     def test_linear_spectrum_symmetric_srf(self):
         grid = SpectralGrid(500, 600, 2.5)
         srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
-        (band_value,) = convolve_to_band([grid.wavelengths.copy()], srf, grid)
+        (band_value,) = convolve_to_band([grid.wavelengths.copy()], srf)
         assert band_value == pytest.approx(550.0, abs=1e-6)
 
     def test_linearity(self):
@@ -158,8 +175,8 @@ class TestConvolveToBand:
         f = rng.random(grid.n_points)
         g = rng.random(grid.n_points)
         a, b = 2.5, -1.25
-        (lhs,) = convolve_to_band([a * f + b * g], srf, grid)
-        cf, cg = convolve_to_band([f, g], srf, grid)
+        (lhs,) = convolve_to_band([a * f + b * g], srf)
+        cf, cg = convolve_to_band([f, g], srf)
         rhs = a * cf + b * cg
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -169,14 +186,8 @@ class TestConvolveToBand:
         srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
         for _ in range(50):
             f = rng.random(grid.n_points)
-            (v,) = convolve_to_band([f], srf, grid)
+            (v,) = convolve_to_band([f], srf)
             assert f.min() <= v <= f.max()
-
-    def test_off_grid_srf_rejected(self):
-        grid = SpectralGrid(500, 600, 2.5)
-        srf = SRF(0, np.array([550.7]), np.array([1.0]))
-        with pytest.raises(GridMismatch):
-            convolve_to_band([np.zeros(grid.n_points)], srf, grid)
 
 
 class TestResampleReference:
