@@ -7,15 +7,17 @@ Three sources feed the inversion:
   * a table provider ingesting externally computed parameter CSVs;
   * a local auxiliary-data catalogue for atmospheric state variables.
 
-All provider outputs are normalized to 1 AU; the d^2 factor is applied
-only inside the inversion.
+Both providers yield a band table: a (bands, 6) float64 array, one row per
+band and one column per FINE_FIELD_NAMES entry, which the inversion and
+the export read as it is; BandAtmParams is one row of it. All provider
+outputs are normalized to 1 AU; the d^2 factor is applied only inside the
+inversion.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -43,15 +45,54 @@ from .scene import (
     SceneMetadata,
     check_state_value,
 )
-from .spectral import SRF, SpectralGrid, convolve_to_band
+from .spectral import SRF, SpectralGrid, SRFTable, convolve
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")  # the bundled data assets
-TRANSMITTANCES = ("t_g_o3", "t_g_total", "t_up")  # the BandAtmParams fields in (0, 1]
+# the columns of a band table, one row per band, at 1 AU
+FINE_FIELD_NAMES = ("l_path", "t_g_o3", "t_g_total", "t_up", "s_atm", "e_s")
+L_PATH, T_G_O3, T_G_TOTAL, T_UP, S_ATM, E_S = range(len(FINE_FIELD_NAMES))
+TRANSMITTANCES = slice(T_G_O3, T_UP + 1)
+PARAMS_TABLE_HEADER = ["band_index", *FINE_FIELD_NAMES]
+# the range rule of a band table: each column's interval, in the order checked
+RANGE_RULE = (
+    (T_G_O3, "(0, 1]"),
+    (T_G_TOTAL, "(0, 1]"),
+    (T_UP, "(0, 1]"),
+    (S_ATM, "[0, 1)"),
+    (L_PATH, "[0, inf)"),
+    (E_S, "[0, inf)"),
+)
+IN_INTERVAL = {
+    "(0, 1]": lambda v: (0.0 < v) & (v <= 1.0),
+    "[0, 1)": lambda v: (0.0 <= v) & (v < 1.0),
+    "[0, inf)": lambda v: (0.0 <= v) & (v < math.inf),
+}
+
+
+def check_band_table(table: np.ndarray, first_band: int = 0) -> None:
+    """The one range rule of band parameters. Raises InvariantViolation
+    naming the first band (row k is band first_band + k) that breaks it,
+    and that band's first field in rule order."""
+    fails = np.array([~IN_INTERVAL[interval](table[:, col]) for col, interval in RANGE_RULE])
+    if fails.any():
+        band = int(np.flatnonzero(fails.any(axis=0))[0])
+        col, interval = RANGE_RULE[int(np.argmax(fails[:, band]))]
+        raise InvariantViolation(
+            f"band {first_band + band}: {FINE_FIELD_NAMES[col]} = "
+            f"{float(table[band, col])} outside {interval}"
+        )
+
+
+def kernel_terms(table: np.ndarray) -> np.ndarray:
+    """(bands, 4) kernel terms of a band table: T_g_O3, L_path,
+    c = E_s * T_up / pi and S_atm."""
+    return np.stack([table[:, T_G_O3], table[:, L_PATH],
+                     table[:, E_S] * table[:, T_UP] / math.pi, table[:, S_ATM]], axis=1)
 
 
 @dataclass(frozen=True)
 class BandAtmParams:
-    """The per-band quantities the inversion consumes (at 1 AU), in table column order."""
+    """The parameters of one band, a band table row with its band index."""
 
     band_index: int
     l_path: float
@@ -62,28 +103,16 @@ class BandAtmParams:
     e_s: float
 
     def __post_init__(self):
-        for name in TRANSMITTANCES:
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise InvariantViolation(
-                    f"band {self.band_index}: {name} = {v} outside (0, 1]"
-                )
-        if not 0.0 <= self.s_atm < 1.0:
-            raise InvariantViolation(
-                f"band {self.band_index}: s_atm = {self.s_atm} outside [0, 1)"
-            )
-        for name in ("l_path", "e_s"):
-            if getattr(self, name) < 0:
-                raise InvariantViolation(f"band {self.band_index}: {name} < 0")
+        check_band_table(np.array([self.row]), self.band_index)
+
+    @property
+    def row(self) -> tuple[float, ...]:
+        return operator.attrgetter(*FINE_FIELD_NAMES)(self)
 
     @property
     def kernel_terms(self) -> tuple[float, float, float, float]:
         """(T_g_O3, L_path, c = E_s * T_up / pi, S_atm), the kernel's terms."""
-        return self.t_g_o3, self.l_path, self.e_s * self.t_up / math.pi, self.s_atm
-
-
-PARAMS_TABLE_HEADER = [f.name for f in dataclasses.fields(BandAtmParams)]
-FINE_FIELD_NAMES = tuple(PARAMS_TABLE_HEADER[1:])  # all but band_index
+        return tuple(kernel_terms(np.array([self.row]))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -364,8 +393,8 @@ def compute_fine_fields(
 class AnalyticProvider:
     """Computes band parameters from the built-in analytic model.
 
-    Fine-grid fields are evaluated once per scene; `band_params` convolves
-    them to one band.
+    Fine-grid fields are evaluated once per scene, as the columns of one
+    (grid points, 6) array; `band_table` convolves them to every band.
     """
 
     provenance = "analytic"
@@ -378,26 +407,34 @@ class AnalyticProvider:
         model: AerosolModel,
         e0_grid: np.ndarray,
     ):
-        self.fields = compute_fine_fields(grid, geometry, state, model, e0_grid)
+        fields = compute_fine_fields(grid, geometry, state, model, e0_grid)
+        self.fields = np.stack([fields[name] for name in FINE_FIELD_NAMES], axis=1)
+
+    def _convolved(self, srfs: SRFTable) -> np.ndarray:
+        table = convolve(self.fields, srfs)
+        # the weighted mean of in-range samples can leave the range by one ulp
+        np.minimum(table[:, TRANSMITTANCES], 1.0, out=table[:, TRANSMITTANCES])
+        np.clip(table[:, S_ATM], 0.0, 0.99, out=table[:, S_ATM])
+        table[:, [L_PATH, E_S]] = np.maximum(table[:, [L_PATH, E_S]], 0.0)
+        return table
+
+    def band_table(self, srfs: SRFTable) -> np.ndarray:
+        """The (bands, 6) parameters of every band of an SRF table."""
+        table = self._convolved(srfs)
+        check_band_table(table)
+        return table
 
     def band_params(self, band: BandDefinition, srf: SRF) -> BandAtmParams:
-        """Convolve each fine-grid quantity to the band through its SRF."""
-        spectra = [self.fields[name] for name in FINE_FIELD_NAMES]
-        values = dict(zip(FINE_FIELD_NAMES, convolve_to_band(spectra, srf)))
-        # The weighted mean of in-range samples can exceed the range by one ulp.
-        for name in TRANSMITTANCES:
-            values[name] = min(values[name], 1.0)
-        values["s_atm"] = min(max(values["s_atm"], 0.0), 0.99)
-        values["l_path"] = max(values["l_path"], 0.0)
-        values["e_s"] = max(values["e_s"], 0.0)
-        return BandAtmParams(band_index=band.index, **values)
+        """One band's parameters: its row of any `band_table`, to the bit."""
+        return BandAtmParams(band.index, *self._convolved(SRFTable.of([srf]))[0].tolist())
 
 
 # --- table provider -------------------------------------------------------
 
 
-def load_params_table(text: str) -> list[BandAtmParams]:
-    """Parse a parameter CSV; band indices must be complete and unique."""
+def load_params_table(text: str) -> np.ndarray:
+    """Parse a parameter CSV into a (bands, 6) band table in band order;
+    band indices must be complete and unique."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -407,7 +444,7 @@ def load_params_table(text: str) -> list[BandAtmParams]:
         raise SchemaViolation(
             f"header {header} != expected {PARAMS_TABLE_HEADER}"
         )
-    params: dict[int, BandAtmParams] = {}
+    rows: dict[int, list[float]] = {}
     for row in reader:
         if not row:
             continue
@@ -420,41 +457,48 @@ def load_params_table(text: str) -> list[BandAtmParams]:
             values = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise SchemaViolation(f"non-numeric row: {row}") from exc
-        if idx in params:
+        if idx in rows:
             raise DuplicateBand(f"band {idx} appears more than once")
-        params[idx] = BandAtmParams(idx, *values)
+        rows[idx] = values
     # the n indices are unique, so none missing from 0..n-1 means exactly 0..n-1
-    missing = sorted(set(range(len(params))) - set(params))
+    missing = sorted(set(range(len(rows))) - set(rows))
     if missing:
         raise MissingBand(f"band indices not contiguous from 0; problem: {missing}")
-    return [params[i] for i in sorted(params)]
+    table = np.array([rows[i] for i in range(len(rows))], dtype=np.float64)
+    table = table.reshape(len(rows), len(FINE_FIELD_NAMES))
+    check_band_table(table)
+    return table
 
 
-def serialize_params_table(params: list[BandAtmParams]) -> str:
+def serialize_params_table(table: np.ndarray) -> str:
     """Inverse of load_params_table; %.17g keeps float64 round-trip exact."""
     row = "%d" + ",%.17g" * len(FINE_FIELD_NAMES) + "\n"
-    values = operator.attrgetter(*PARAMS_TABLE_HEADER)
-    return ",".join(PARAMS_TABLE_HEADER) + "\n" + "".join(row % values(p) for p in params)
+    return ",".join(PARAMS_TABLE_HEADER) + "\n" + "".join(
+        row % (i, *values) for i, values in enumerate(table.tolist()))
 
 
 class TableProvider:
-    """Serves pre-computed parameters, one per band in band order."""
+    """Serves a pre-computed band table, one row per band in band order."""
 
     provenance = "table"
 
-    def __init__(self, params: list[BandAtmParams]):
-        self.params = params
+    def __init__(self, table: np.ndarray):
+        self.table = table
 
     @classmethod
     def from_csv(cls, text: str, n_bands: int) -> "TableProvider":
         """The table of an n_bands scene; a table of another size is refused."""
-        params = load_params_table(text)
-        if len(params) != n_bands:
-            raise LengthMismatch(f"parameter table has {len(params)} bands, the scene has {n_bands}")
-        return cls(params)
+        table = load_params_table(text)
+        if len(table) != n_bands:
+            raise LengthMismatch(f"parameter table has {len(table)} bands, the scene has {n_bands}")
+        return cls(table)
+
+    def band_table(self, srfs: SRFTable) -> np.ndarray:
+        """A copy of the table, which the caller may change."""
+        return self.table.copy()
 
     def band_params(self, band: BandDefinition, srf: SRF) -> BandAtmParams:
-        return self.params[band.index]
+        return BandAtmParams(band.index, *self.table[band.index].tolist())
 
 
 # --- auxiliary catalogue --------------------------------------------------

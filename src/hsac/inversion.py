@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .atmosphere import BandAtmParams
+from .atmosphere import T_G_TOTAL, BandAtmParams, kernel_terms
 from .errors import LengthMismatch, OutOfRange
 from .raster import NODATA, RadianceCube
 
@@ -107,12 +107,11 @@ def forward_model_toa(
     return kernels.forward_plane(plane, d_squared, *params.kernel_terms, nodata, DENOMINATOR_EPS)
 
 
-def mask_bands(params: list[BandAtmParams], policy: MaskPolicy) -> list[str]:
-    """Per-band mask reason: strict-less comparison against the threshold."""
-    return [
-        BAND_MASKED_LOW_TG if p.t_g_total < policy.tg_threshold else BAND_VALID
-        for p in params
-    ]
+def mask_bands(table: np.ndarray, policy: MaskPolicy) -> list[str]:
+    """Per-band mask reason of a band table: strict-less comparison of
+    t_g_total against the threshold."""
+    masked = table[:, T_G_TOTAL] < policy.tg_threshold
+    return [BAND_MASKED_LOW_TG if m else BAND_VALID for m in masked.tolist()]
 
 
 def to_rrs(rho_w: np.ndarray) -> np.ndarray:
@@ -149,12 +148,13 @@ def _finish_block(block: np.ndarray, masks: tuple[np.ndarray, np.ndarray],
 def invert_cube(
     cube: RadianceCube,
     d_squared: float,
-    params: list[BandAtmParams],
+    table: np.ndarray,
     policy: MaskPolicy | None = None,
     workers: int = 1,
     open_sink: Callable[[list[int], int, int], BlockWriter] | None = None,
 ) -> ReflectanceProduct:
-    """Invert the valid bands of a cube, one row tile at a time.
+    """Invert the valid bands of a cube with the parameters of a (bands, 6)
+    band table, one row tile at a time.
 
     One task per row tile of ROW_TILE rows walks the valid bands in blocks
     of g = max(1, BLOCK_PIXELS // (tile rows * cols)) bands. It allocates
@@ -174,19 +174,18 @@ def invert_cube(
     any worker count and block size.
     """
     policy = policy or MaskPolicy()
-    if len(params) != cube.n_bands:
+    if len(table) != cube.n_bands:
         raise LengthMismatch(
-            f"{len(params)} parameter sets for {cube.n_bands} bands"
+            f"{len(table)} parameter sets for {cube.n_bands} bands"
         )
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
     nodata = cube.nodata_value
-    band_mask = mask_bands(params, policy)
+    band_mask = mask_bands(table, policy)
     valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
     n_valid, n_rows, n_cols = len(valid), cube.n_rows, cube.n_cols
     # the kernel's atmospheric terms, one (valid bands, 1, 1) column each
-    terms = np.array([params[b].kernel_terms for b in valid], dtype=np.float64).reshape(n_valid, 4)
-    columns = terms.T[:, :, np.newaxis, np.newaxis]
+    columns = kernel_terms(table[valid]).T[:, :, np.newaxis, np.newaxis]
     if open_sink is None:
         rho_w = np.empty((n_valid, n_rows, n_cols), dtype=np.float64)
 

@@ -146,7 +146,7 @@ def pixel_spectrum(cube: RadianceCube, row: int, col: int) -> SpectrumSample:
 
 def load_reference_spectrum(path: str) -> SpectrumSample:
     """CSV `wavelength_nm,value`; an optional `# label:` comment names it.
-    A row that is not two numbers, or no data row, is a SchemaViolation."""
+    A row that is not two finite numbers, or no data row, is a SchemaViolation."""
     label = ""
     wl, values = [], []
     with open(path, encoding="utf-8") as fh:
@@ -162,8 +162,11 @@ def load_reference_spectrum(path: str) -> SpectrumSample:
                 continue
             try:
                 w, v = map(float, line.split(","))
+                if not (math.isfinite(w) and math.isfinite(v)):
+                    raise ValueError
             except ValueError:
-                raise SchemaViolation(f"{path}:{line_no}: {line!r} is not two numbers") from None
+                raise SchemaViolation(
+                    f"{path}:{line_no}: {line!r} is not two finite numbers") from None
             wl.append(w)
             values.append(v)
     if not wl:

@@ -23,6 +23,8 @@ import numpy as np
 
 from . import __version__, inversion
 from .atmosphere import (
+    T_G_O3,
+    T_G_TOTAL,
     AerosolModel,
     AnalyticProvider,
     AtmosphericState,
@@ -64,15 +66,17 @@ from .scene import (
     earth_sun_distance,
     parse_scene_metadata,
 )
+# srf_for_band is imported for perfbench, which traces hsac.pipeline.srf_for_band
 from .spectral import (
     GRID_STEP,
-    SRF,
     NyquistReport,
     SpectralGrid,
+    SRFTable,
     check_nyquist,
     resample_reference_spectrum,
     simulation_grid,
     srf_for_band,
+    srf_table,
 )
 
 STAGE_INGEST = "ingest"
@@ -214,7 +218,7 @@ class SceneSetup:
     grid: SpectralGrid
     nyquist: NyquistReport
     e0_grid: np.ndarray
-    srfs: list[SRF]
+    srfs: SRFTable
     srf_sources: dict[str, int]
     d_squared: float
 
@@ -244,7 +248,7 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
             override=config.override_state,
         )
     grid = simulation_grid(bands, GRID_STEP)
-    srf_pairs = [srf_for_band(b, grid) for b in bands]
+    srfs = srf_table(bands, grid)
     return SceneSetup(
         bands=bands,
         geometry=Geometry.from_metadata(metadata),
@@ -253,17 +257,12 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
         grid=grid,
         nyquist=check_nyquist(bands, GRID_STEP),
         e0_grid=resample_reference_spectrum(load_solar_irradiance(), grid),
-        srfs=[srf for srf, _ in srf_pairs],
-        srf_sources=dict(Counter(source for _, source in srf_pairs)),
+        srfs=srfs,
+        srf_sources=dict(Counter(srfs.sources)),
         d_squared=earth_sun_distance(
             compute_julian_day(metadata.acquisition_date)
         ).d_squared,
     )
-
-
-def compute_all_band_params(provider, bands, srfs):
-    """Stage 3: one parameter set per band, in band order."""
-    return [provider.band_params(b, s) for b, s in zip(bands, srfs)]
 
 
 class ProductSink:
@@ -305,9 +304,9 @@ class ProductSink:
             writer.discard()
 
 
-def write_product(sink: ProductSink, band_mask: list[str], params: list[BandAtmParams]) -> None:
+def write_product(sink: ProductSink, band_mask: list[str], table: np.ndarray) -> None:
     """Commit the rho_w/R_rs rasters the sink was given during the
-    inversion, then write the mask CSV and the params CSV."""
+    inversion, then write the mask CSV and the band table as the params CSV."""
     out, bands = sink.output_path, sink.bands
     try:
         for name, writer in sink.rasters.items():
@@ -318,7 +317,7 @@ def write_product(sink: ProductSink, band_mask: list[str], params: list[BandAtmP
             + "".join(f"{i},{bands[i].center_wavelength},{status}\n"
                       for i, status in enumerate(band_mask)),
         )
-        replace_with_text(os.path.join(out, "band_params.csv"), serialize_params_table(params))
+        replace_with_text(os.path.join(out, "band_params.csv"), serialize_params_table(table))
     except OSError as exc:
         raise IoFailure(f"writing product to {out}: {exc}") from exc
     finally:
@@ -398,10 +397,10 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
                 provider = TableProvider.from_csv(fh.read(), len(setup.bands))
         else:
             provider = setup.analytic_provider()
-        params = compute_all_band_params(provider, setup.bands, setup.srfs)
+        table = provider.band_table(setup.srfs)
         if config.divide_total_gas:
             # unmasked bands are then corrected for water vapour and oxygen too
-            params = [dataclasses.replace(p, t_g_o3=p.t_g_total) for p in params]
+            table[:, T_G_O3] = table[:, T_G_TOTAL]
         report.provider = provider.provenance
 
     # stage 4: pixel-wise inversion; an exported run streams its rasters
@@ -409,7 +408,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
     with _stage(report, STAGE_INVERSION):
         sink = ProductSink(config.output_path, setup.bands) if config.output_path else None
         try:
-            product = invert_cube(cube, setup.d_squared, params, config.mask,
+            product = invert_cube(cube, setup.d_squared, table, config.mask,
                                   workers=config.workers,
                                   open_sink=sink.open if sink else None)
         except BaseException:
@@ -426,7 +425,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
     # stage 5: export
     with _stage(report, STAGE_EXPORT):
         if sink is not None:
-            write_product(sink, product.band_mask, params)
+            write_product(sink, product.band_mask, table)
     if config.output_path:
         # written after the export timing is recorded, so it includes it
         try:
@@ -472,11 +471,11 @@ def synthesize_scene(
     # forward-modelled with the analytic provider, whichever one the run inverts with
     analytic = dataclasses.replace(config, provider="analytic", params_table_path=None)
     setup = configure_scene(metadata, analytic)
-    params = compute_all_band_params(setup.analytic_provider(), setup.bands, setup.srfs)
+    table = setup.analytic_provider().band_table(setup.srfs)
     rho_true = self_test_reflectance(len(bands), size, seed)
     l_toa = np.empty_like(rho_true)
-    for b, p in enumerate(params):
-        l_toa[b] = forward_model_toa(rho_true[b], setup.d_squared, p)
+    for b, row in enumerate(table.tolist()):
+        l_toa[b] = forward_model_toa(rho_true[b], setup.d_squared, BandAtmParams(b, *row))
     return metadata, RadianceCube(data=l_toa, nodata_value=NODATA)
 
 

@@ -8,10 +8,13 @@ trigonometric evaluation.
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import math
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InvalidDate, MalformedXml, MissingField, OutOfRange
 
@@ -27,14 +30,19 @@ def check_state_value(name: str, value: float) -> None:
         raise OutOfRange(f"{name} must be finite and non-negative, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandDefinition:
-    """One sensor channel: center wavelength and FWHM in nm, optional measured SRF."""
+    """One sensor channel: center wavelength and FWHM in nm, optional measured SRF.
+
+    `srf` is an (n, 2) float64 array of (wavelength nm, response) rows;
+    `check_measured_srfs` holds the rule for it, and SceneMetadata applies
+    it to all the bands of a scene at once.
+    """
 
     index: int
     center_wavelength: float
     fwhm: float
-    srf: tuple[tuple[float, float], ...] | None = None
+    srf: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.fwhm < math.inf:
@@ -44,18 +52,42 @@ class BandDefinition:
                 f"band {self.index}: center wavelength {self.center_wavelength} nm "
                 f"outside [{WAVELENGTH_MIN:g}, {WAVELENGTH_MAX:g}]"
             )
-        if self.srf is not None:
-            if not all(math.isfinite(v) for pair in self.srf for v in pair):
-                raise OutOfRange(f"band {self.index}: SRF values must be finite")
-            wavelengths = [w for w, _ in self.srf]
-            responses = [r for _, r in self.srf]
-            if any(b <= a for a, b in zip(wavelengths, wavelengths[1:])):
-                # np.interp needs increasing sample points
-                raise OutOfRange(f"band {self.index}: SRF wavelengths not strictly increasing")
-            if any(r < 0 for r in responses):
-                raise OutOfRange(f"band {self.index}: negative SRF response")
-            if max(responses, default=0.0) <= 0:
-                raise OutOfRange(f"band {self.index}: SRF has no positive response")
+
+
+SRF_RULE_MESSAGES = (
+    "SRF values must be finite",
+    "SRF wavelengths not strictly increasing",
+    "negative SRF response",
+    "SRF has no positive response",
+)
+
+
+def check_measured_srfs(bands) -> None:
+    """The one rule for measured SRF samples, run over all bands at once:
+    finite, wavelengths strictly increasing (np.interp needs them so), no
+    negative response and a positive maximum. Raises OutOfRange for the
+    first band, in the given order, that breaks it."""
+    measured = [b for b in bands if b.srf is not None]
+    if not measured:
+        return
+    counts = np.array([len(b.srf) for b in measured])
+    samples = np.concatenate([b.srf for b in measured])
+    owner = np.repeat(np.arange(len(measured)), counts)  # band of each sample
+    wl, resp = samples[:, 0], samples[:, 1]
+    finite = np.isfinite(samples).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        not_increasing = np.diff(wl) <= 0
+    not_increasing &= owner[1:] == owner[:-1]  # pairs within one band
+    # the bands breaking each part of the rule, in the order it is checked
+    fails = np.zeros((4, len(measured)), dtype=bool)
+    fails[0, owner[~finite]] = True
+    fails[1, owner[1:][not_increasing]] = True
+    fails[2, owner[resp < 0]] = True
+    fails[3] = np.bincount(owner[resp > 0], minlength=len(measured)) == 0
+    if fails.any():
+        first = int(np.flatnonzero(fails.any(axis=0))[0])
+        message = SRF_RULE_MESSAGES[int(np.argmax(fails[:, first]))]
+        raise OutOfRange(f"band {measured[first].index}: {message}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +131,7 @@ class SceneMetadata:
         centers = [b.center_wavelength for b in self.bands]
         if any(b <= a for a, b in zip(centers, centers[1:])):
             raise OutOfRange("band center wavelengths must be strictly increasing")
+        check_measured_srfs(self.bands)
 
 
 @dataclass(frozen=True)
@@ -154,15 +187,27 @@ def _optional_float(root: ET.Element, tag: str) -> float | None:
         raise MalformedXml(f"element <{tag}> is not a number: {node.text!r}") from exc
 
 
-def _parse_srf(node: ET.Element, band_index: int) -> tuple[tuple[float, float], ...]:
-    tokens = (node.text or "").split()
-    if len(tokens) % 2 != 0:
-        raise MalformedXml(f"band {band_index}: srf needs wavelength/response pairs")
+def _parse_srfs(indices: list[int], nodes: list[ET.Element | None]) -> list[np.ndarray | None]:
+    """Each band's <srf> samples, None where it has none, as read-only
+    (n, 2) views into one array made by one float conversion of all tokens."""
+    tokens = [None if node is None else (node.text or "").split() for node in nodes]
+    for index, band_tokens in zip(indices, tokens):
+        if band_tokens is not None and len(band_tokens) % 2 != 0:
+            raise MalformedXml(f"band {index}: srf needs wavelength/response pairs")
     try:
-        values = [float(t) for t in tokens]
-    except ValueError as exc:
-        raise MalformedXml(f"band {band_index}: <srf> token is not a number ({exc})") from exc
-    return tuple(zip(values[0::2], values[1::2]))
+        values = np.array(list(itertools.chain.from_iterable(filter(None, tokens))),
+                          dtype=np.float64)
+    except ValueError:
+        for index, band_tokens in zip(indices, tokens):
+            try:
+                np.array(band_tokens or [], dtype=np.float64)
+            except ValueError as exc:
+                raise MalformedXml(f"band {index}: <srf> token is not a number ({exc})") from exc
+        raise
+    values.flags.writeable = False
+    pairs = values.reshape(-1, 2)
+    ends = itertools.accumulate(len(t or ()) // 2 for t in tokens)
+    return [None if t is None else pairs[end - len(t) // 2:end] for t, end in zip(tokens, ends)]
 
 
 def _solar_zenith(root: ET.Element) -> float:
@@ -212,27 +257,29 @@ def parse_scene_metadata(xml_document: str) -> SceneMetadata:
     vaa = _float_of(root, "viewAzimuth")
 
     band_parent = root.find("bandCharacterisation")
-    bands: list[BandDefinition] = []
-    if band_parent is not None:
-        for node in band_parent.findall("band"):
-            idx_text = node.get("index")
-            if idx_text is None:
-                raise MissingField("band/@index")
-            try:
-                index = int(idx_text)
-            except ValueError as exc:
-                raise MalformedXml(f"band/@index is not an integer: {idx_text!r}") from exc
-            srf_node = node.find("srf")
-            srf = _parse_srf(srf_node, index) if srf_node is not None else None
-            bands.append(
-                BandDefinition(
-                    index=index,
-                    center_wavelength=_float_of(node, "centerWavelength"),
-                    fwhm=_float_of(node, "fwhm"),
-                    srf=srf,
-                )
+    band_nodes = band_parent.findall("band") if band_parent is not None else []
+    indices = []
+    for node in band_nodes:
+        idx_text = node.get("index")
+        if idx_text is None:
+            raise MissingField("band/@index")
+        try:
+            indices.append(int(idx_text))
+        except ValueError as exc:
+            raise MalformedXml(f"band/@index is not an integer: {idx_text!r}") from exc
+    srfs = _parse_srfs(indices, [node.find("srf") for node in band_nodes])
+    bands = sorted(
+        (
+            BandDefinition(
+                index=index,
+                center_wavelength=_float_of(node, "centerWavelength"),
+                fwhm=_float_of(node, "fwhm"),
+                srf=srf,
             )
-        bands.sort(key=lambda b: b.index)
+            for index, node, srf in zip(indices, band_nodes, srfs)
+        ),
+        key=lambda b: b.index,
+    )
 
     scene_id_node = root.find("sceneId")
     scene_id = (scene_id_node.text or "").strip() if scene_id_node is not None else ""

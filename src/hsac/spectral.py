@@ -47,16 +47,32 @@ class SpectralGrid:
 @dataclass(frozen=True)
 class SRF:
     """Sampled spectral response of one band on the grid slice
-    [start, start + len(responses)).
-
-    Built by `gaussian_srf` or `measured_srf`: non-negative responses with a
-    positive maximum.
-    """
+    [start, start + len(responses)): non-negative with a positive maximum."""
 
     band_index: int
     start: int  # grid index of the first sample
     responses: np.ndarray
 
+
+@dataclass(frozen=True)
+class SRFTable:
+    """The SRFs of a list of bands on one grid, row b for band b: its
+    length[b] samples at grid points start[b], start[b] + 1, ... fill the
+    first length[b] columns of responses[b], and exact zeros the rest."""
+
+    responses: np.ndarray  # (bands, width) float64
+    start: np.ndarray  # (bands,) int
+    length: np.ndarray  # (bands,) int
+    sources: tuple[str, ...] = ()  # "measured" | "gaussian" per band, from srf_table
+
+    @classmethod
+    def of(cls, srfs) -> "SRFTable":
+        """The table of SRF records, in the given order."""
+        length = np.array([len(s.responses) for s in srfs], dtype=np.intp)
+        responses = np.zeros((len(srfs), max(length, default=0)))
+        for row, srf in zip(responses, srfs):
+            row[:len(srf.responses)] = srf.responses
+        return cls(responses, np.array([s.start for s in srfs], dtype=np.intp), length)
 
 @dataclass(frozen=True)
 class NyquistBandCheck:
@@ -92,11 +108,12 @@ def _gaussian_window(band: BandDefinition) -> tuple[float, float]:
     return band.center_wavelength - half_window, band.center_wavelength + half_window
 
 
-def _grid_span(grid: SpectralGrid, lo: float, hi: float) -> tuple[int, int]:
-    """Indices of the first and last grid point in [lo, hi]; i1 < i0 if none."""
-    lo, hi = max(grid.start, lo), min(grid.stop, hi)
-    i0 = int(math.ceil((lo - grid.start) / grid.step - 1e-9))
-    i1 = int(math.floor((hi - grid.start) / grid.step + 1e-9))
+def _grid_span(grid: SpectralGrid, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the first and last grid point in [lo, hi], elementwise over
+    arrays of bounds; i1 < i0 where there is none."""
+    lo, hi = np.maximum(grid.start, lo), np.minimum(grid.stop, hi)
+    i0 = np.ceil((lo - grid.start) / grid.step - 1e-9).astype(np.intp)
+    i1 = np.floor((hi - grid.start) / grid.step + 1e-9).astype(np.intp)
     return i0, i1
 
 
@@ -104,61 +121,88 @@ def simulation_grid(bands: list[BandDefinition], step: float) -> SpectralGrid:
     """Grid anchored at WAVELENGTH_MIN covering every band's Gaussian window
     and measured SRF support, clipped to [WAVELENGTH_MIN, WAVELENGTH_MAX]."""
     lows, highs = zip(*map(_gaussian_window, bands),
-                      *((b.srf[0][0], b.srf[-1][0]) for b in bands if b.srf is not None))
+                      *((b.srf[0, 0], b.srf[-1, 0]) for b in bands if b.srf is not None))
     first = max(0, math.floor((min(lows) - WAVELENGTH_MIN) / step))
     last = min(math.ceil((max(highs) - WAVELENGTH_MIN) / step),
                math.floor((WAVELENGTH_MAX - WAVELENGTH_MIN) / step))
     return SpectralGrid(WAVELENGTH_MIN + step * first, WAVELENGTH_MIN + step * last, step)
 
 
-def gaussian_srf(band: BandDefinition, grid: SpectralGrid) -> SRF:
-    """Gaussian fallback SRF truncated at center +/- GAUSSIAN_HALF_WINDOW * FWHM.
+def srf_table(bands: list[BandDefinition], grid: SpectralGrid) -> SRFTable:
+    """The SRF of every band on the grid; a measured SRF takes precedence
+    over the Gaussian fallback.
 
-    Sampled on grid points; normalized so the largest sample is exactly 1
-    (the grid point nearest the band center). A window that falls between
-    two grid points keeps that nearest point alone.
+    Gaussian rows come from one elementwise pass: the response at each grid
+    point of center +/- GAUSSIAN_HALF_WINDOW * FWHM, normalized so that the
+    largest sample (the one nearest the center) is exactly 1. A window that
+    falls between two grid points keeps that nearest point alone. A measured
+    SRF is resampled onto the grid points of its support by linear
+    interpolation, one band at a time.
     """
-    i0, i1 = _grid_span(grid, *_gaussian_window(band))
-    if i1 < i0:
-        i0 = i1 = round((band.center_wavelength - grid.start) / grid.step)
-    wl = grid.wavelengths[i0 : i1 + 1]
-    resp = np.exp(-4.0 * math.log(2.0) * (wl - band.center_wavelength) ** 2 / band.fwhm**2)
-    resp = resp / resp.max()
-    return SRF(band_index=band.index, start=i0, responses=resp)
+    measured = np.array([b.srf is not None for b in bands], dtype=bool)
+    center = np.array([b.center_wavelength for b in bands])
+    fwhm_squared = np.array([b.fwhm**2 for b in bands])
+    support = np.array([(b.srf[0, 0], b.srf[-1, 0]) if b.srf is not None
+                        else _gaussian_window(b) for b in bands]).reshape(-1, 2)
+    start, last = _grid_span(grid, support[:, 0], support[:, 1])
+    between = ~measured & (last < start)
+    start[between] = last[between] = np.rint((center[between] - grid.start) / grid.step)
+    length = last - start + 1
+    wavelengths = grid.wavelengths
+    responses = np.zeros((len(bands), length.max(initial=0)))
 
+    gauss = np.flatnonzero(~measured)
+    if len(gauss):
+        columns = np.arange(length[gauss].max())
+        inside = columns < length[gauss, None]
+        points = np.minimum(start[gauss, None] + columns, len(wavelengths) - 1)
+        offset = wavelengths[points] - center[gauss, None]
+        resp = np.exp(-4.0 * math.log(2.0) * offset**2 / fwhm_squared[gauss, None])
+        resp = np.where(inside, resp, 0.0)
+        # a lone point is the peak, also where its response underflows to 0
+        resp[between[gauss], 0] = 1.0
+        responses[gauss, :len(columns)] = resp / resp.max(axis=1, keepdims=True)
 
-def measured_srf(band: BandDefinition, grid: SpectralGrid) -> SRF:
-    """Resample a measured SRF from metadata onto the grid by linear interpolation."""
-    assert band.srf is not None
-    wl_in, r_in = map(np.array, zip(*band.srf))
-    i0, i1 = _grid_span(grid, wl_in[0], wl_in[-1])
-    if i1 < i0:
-        raise GridMismatch(
-            f"band {band.index}: measured SRF support does not reach any grid point"
-        )
-    resp = np.interp(grid.wavelengths[i0 : i1 + 1], wl_in, r_in)
-    if resp.max() <= 0:
-        raise GridMismatch(f"band {band.index}: resampled SRF is all zero")
-    return SRF(band_index=band.index, start=i0, responses=resp)
+    for b in np.flatnonzero(measured):
+        band = bands[b]
+        if last[b] < start[b]:
+            raise GridMismatch(
+                f"band {band.index}: measured SRF support does not reach any grid point"
+            )
+        resp = np.interp(wavelengths[start[b]:last[b] + 1], band.srf[:, 0], band.srf[:, 1])
+        if resp.max() <= 0:
+            raise GridMismatch(f"band {band.index}: resampled SRF is all zero")
+        responses[b, :length[b]] = resp
+    sources = tuple("measured" if m else "gaussian" for m in measured)
+    return SRFTable(responses, start, length, sources)
 
 
 def srf_for_band(band: BandDefinition, grid: SpectralGrid) -> tuple[SRF, str]:
-    """SRF plus its provenance: measured SRFs take precedence over the Gaussian fallback."""
-    if band.srf is not None:
-        return measured_srf(band, grid), "measured"
-    return gaussian_srf(band, grid), "gaussian"
+    """One band's SRF plus its provenance: row 0 of the one-band `srf_table`,
+    which equals that band's row of any table it is in, to the bit."""
+    table = srf_table([band], grid)
+    return SRF(band.index, int(table.start[0]), table.responses[0]), table.sources[0]
 
 
-def convolve_to_band(fine_spectra, srf: SRF) -> list[float]:
-    """Response-weighted mean over the SRF's grid slice of each fine-grid spectrum.
+def convolve(fine_spectra: np.ndarray, srfs: SRFTable) -> np.ndarray:
+    """(bands, k) response-weighted means over each SRF's grid slice of the
+    k columns of a (grid points, k) array.
 
-    `fine_spectra` is a sequence of grid-length 1-D arrays. The response sum
-    is found once; each mean is its own `np.dot`, so it equals the
-    convolution of that spectrum alone, to the bit.
+    The sums run over the table's columns from left to right, one
+    multiply-add per column for all bands at once. A padding column adds
+    an exact zero, so a band's means do not depend on the other bands in
+    the table.
     """
-    window = slice(srf.start, srf.start + len(srf.responses))
-    total = np.sum(srf.responses)
-    return [float(np.dot(s[window], srf.responses) / total) for s in fine_spectra]
+    columns = srfs.responses.shape[1]
+    points = np.minimum(srfs.start[:, None] + np.arange(columns), len(fine_spectra) - 1)
+    samples = fine_spectra[points]  # (bands, columns, k)
+    weighted = np.zeros((len(srfs.start), fine_spectra.shape[1]))
+    total = np.zeros((len(srfs.start), 1))
+    for j in range(columns):
+        w = srfs.responses[:, j:j + 1]
+        weighted += w * samples[:, j]
+        total += w
+    return weighted / total
 
 
 def resample_reference_spectrum(reference, grid: SpectralGrid) -> np.ndarray:

@@ -12,7 +12,7 @@ from hsac.atmosphere import (
     load_solar_irradiance,
 )
 from hsac.pipeline import load_bundled_bands, simulation_grid
-from hsac.spectral import resample_reference_spectrum, srf_for_band
+from hsac.spectral import resample_reference_spectrum, srf_table
 
 
 def pytest_collection_modifyitems(config, items):
@@ -58,12 +58,11 @@ def e0_228(grid228):
 
 @pytest.fixture(scope="session")
 def params228(bands228, grid228, e0_228, default_geometry, default_state, continental):
+    """The (228, 6) band table of the bundled sensor."""
     provider = AnalyticProvider(
         grid228, default_geometry, default_state, continental, e0_228
     )
-    return [
-        provider.band_params(b, srf_for_band(b, grid228)[0]) for b in bands228
-    ]
+    return provider.band_table(srf_table(bands228, grid228))
 
 
 def random_params(rng: np.random.Generator, band_index: int = 0) -> BandAtmParams:
@@ -77,3 +76,8 @@ def random_params(rng: np.random.Generator, band_index: int = 0) -> BandAtmParam
         s_atm=float(rng.uniform(0.0, 0.3)),
         e_s=float(rng.uniform(0.5, 2.0)),
     )
+
+
+def table_of(params: list[BandAtmParams]) -> np.ndarray:
+    """The (bands, 6) band table of one-band records, in the given order."""
+    return np.array([p.row for p in params], dtype=np.float64).reshape(-1, 6)

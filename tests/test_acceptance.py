@@ -25,7 +25,6 @@ from hsac.inversion import (
 from hsac.metrics import SpectrumSample, error_stats, spectral_angle
 from hsac.pipeline import (
     RunConfig,
-    compute_all_band_params,
     configure_scene,
     run_pipeline,
     run_self_test,
@@ -190,9 +189,9 @@ class TestAcceptance:
         config = RunConfig(self_test=True)
         metadata, cube = synthesize_scene(config, size=512)
         setup = configure_scene(metadata, config)
-        params = compute_all_band_params(setup.analytic_provider(), setup.bands, setup.srfs)
+        table = setup.analytic_provider().band_table(setup.srfs)
         t0 = time.perf_counter()
-        invert_cube(cube, setup.d_squared, params, MaskPolicy(), workers=config.workers)
+        invert_cube(cube, setup.d_squared, table, MaskPolicy(), workers=config.workers)
         elapsed = time.perf_counter() - t0
         report(11, f"stage-4 228x512x512 ({elapsed:.2f} s)", elapsed < 10.0)
 

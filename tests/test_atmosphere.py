@@ -1,20 +1,28 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hsac.atmosphere
-from conftest import random_params
+from conftest import random_params, table_of
 from hsac.atmosphere import (
     AOD_DATASET,
     OZONE_DATASET,
+    E_S,
+    FINE_FIELD_NAMES,
+    L_PATH,
+    T_UP,
     WV_DATASET,
     AnalyticProvider,
     AtmosphericState,
     AuxCatalogue,
+    BandAtmParams,
     Geometry,
+    TableProvider,
     aerosol_model,
     aerosol_optical_depth,
+    check_band_table,
     compute_fine_fields,
     downwelling_irradiance,
     gas_transmittance_total,
@@ -39,7 +47,14 @@ from hsac.errors import (
     SchemaViolation,
 )
 from hsac.scene import BandDefinition
-from hsac.spectral import SRF, SpectralGrid, gaussian_srf, resample_reference_spectrum
+from hsac.spectral import (
+    SRF,
+    SpectralGrid,
+    convolve,
+    resample_reference_spectrum,
+    srf_for_band,
+    srf_table,
+)
 
 
 @pytest.fixture
@@ -296,7 +311,7 @@ class TestComputeBandParams:
         e0 = np.full(grid.n_points, 1.7)
         state = AtmosphericState(aod550=0.0, tcwv=0.0, tco3=0.0, source="override")
         band = BandDefinition(0, 550.0, 6.5)
-        srf = gaussian_srf(band, grid)
+        srf, _ = srf_for_band(band, grid)
         provider = AnalyticProvider(grid, default_geometry, state, continental, e0)
         p = provider.band_params(band, srf)
         assert p.l_path == 0.0
@@ -317,7 +332,7 @@ class TestComputeBandParams:
             grid, default_geometry, default_state, continental, e0
         )
         band = BandDefinition(0, 600.0, 8.0)
-        srf = gaussian_srf(band, grid)
+        srf, _ = srf_for_band(band, grid)
         provider = AnalyticProvider(
             grid, default_geometry, default_state, continental, e0
         )
@@ -349,6 +364,78 @@ class TestComputeBandParams:
             assert np.all(fields["e_s"] >= 0)
 
 
+class TestBandTable:
+    @pytest.fixture
+    def provider(self, grid228, e0_228, default_geometry, default_state, continental):
+        return AnalyticProvider(grid228, default_geometry, default_state, continental, e0_228)
+
+    @pytest.fixture
+    def mixed_bands(self, bands228):
+        """The bundled bands, every third with a measured (triangular) SRF."""
+        def measured(b):
+            wl = np.arange(b.center_wavelength - 2 * b.fwhm, b.center_wavelength + 2 * b.fwhm)
+            resp = 1.0 - np.abs(wl - b.center_wavelength) / (2.5 * b.fwhm)
+            return BandDefinition(b.index, b.center_wavelength, b.fwhm,
+                                  srf=np.column_stack([wl, resp]))
+        return [measured(b) if b.index % 3 == 0 else b for b in bands228]
+
+    def test_one_band_params_are_the_table_row(self, provider, mixed_bands, grid228):
+        table = provider.band_table(srf_table(mixed_bands, grid228))
+        replay = TableProvider(table)
+        for b, band in enumerate(mixed_bands):
+            srf, _ = srf_for_band(band, grid228)
+            for one in (provider.band_params(band, srf), replay.band_params(band, srf)):
+                assert one.band_index == b
+                assert np.array(one.row).tobytes() == table[b].tobytes()
+
+    def test_within_conditioning_bound_of_exact_mean(self, provider, mixed_bands, grid228):
+        # every field and response is >= 0, so n rounded products summed left to
+        # right, a sum of n responses and one division leave a relative error of
+        # at most gamma_2n = 2n u / (1 - 2n u) <= (2n + 1) u, n the window length
+        srfs = srf_table(mixed_bands, grid228)
+        means = convolve(provider.fields, srfs)
+        u = np.finfo(np.float64).eps / 2
+        for b in range(len(mixed_bands)):
+            n, start = int(srfs.length[b]), int(srfs.start[b])
+            weights = [Fraction(w) for w in srfs.responses[b, :n]]
+            total = sum(weights)
+            for k in range(len(FINE_FIELD_NAMES)):
+                column = provider.fields[start:start + n, k]
+                exact = sum(w * Fraction(f) for w, f in zip(weights, column)) / total
+                error = abs(Fraction(means[b, k]) - exact)
+                assert error <= (2 * n + 1) * Fraction(u) * exact, (b, FINE_FIELD_NAMES[k])
+
+    def test_first_offending_band_is_named(self):
+        table = np.tile([0.1, 0.9, 0.8, 0.95, 0.05, 1.5], (6, 1))
+        table[4, L_PATH] = -1.0
+        table[2, E_S] = math.inf
+        table[2, T_UP] = 1.5  # band 2 breaks two parts; t_up is checked first
+        with pytest.raises(InvariantViolation, match=r"^band 2: t_up = 1.5 outside \(0, 1\]$"):
+            check_band_table(table)
+        table[2, T_UP] = 0.9
+        with pytest.raises(InvariantViolation, match=r"^band 2: e_s = inf outside \[0, inf\)$"):
+            check_band_table(table)
+        table[2, E_S] = 1.5
+        with pytest.raises(InvariantViolation, match=r"^band 4: l_path = -1.0 outside \[0, inf\)$"):
+            check_band_table(table)
+
+    @pytest.mark.parametrize("name", ["l_path", "e_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1e-300])
+    def test_radiances_must_be_finite_and_non_negative(self, name, value):
+        values = dict(l_path=0.1, t_g_o3=0.9, t_g_total=0.8, t_up=0.95, s_atm=0.05, e_s=1.5)
+        values[name] = value
+        with pytest.raises(InvariantViolation, match=f"band 7: {name} = .* outside"):
+            BandAtmParams(7, **values)
+
+    def test_rows_are_put_in_band_order(self):
+        text = (TestParamsTable.HEADER + "2,0.3,0.92,0.82,0.97,0.07,1.7\n"
+                + "0,0.1,0.9,0.8,0.95,0.05,1.5\n" + "1,0.2,0.91,0.81,1.2,0.06,1.6\n")
+        with pytest.raises(InvariantViolation, match="band 1: t_up"):
+            load_params_table(text)
+        table = load_params_table(text.replace("1.2", "0.96"))
+        assert table[:, L_PATH].tolist() == [0.1, 0.2, 0.3]
+
+
 class TestParamsTable:
     HEADER = "band_index,l_path,t_g_o3,t_g_total,t_up,s_atm,e_s\n"
 
@@ -359,10 +446,10 @@ class TestParamsTable:
             + "1,0.2,0.91,0.81,0.96,0.06,1.6\n"
             + "2,0.3,0.92,0.82,0.97,0.07,1.7\n"
         )
-        params = load_params_table(text)
-        assert len(params) == 3
-        assert params[1].l_path == 0.2
-        assert params[2].e_s == 1.7
+        table = load_params_table(text)
+        assert table.shape == (3, 6)
+        assert table[1, L_PATH] == 0.2
+        assert table[2, E_S] == 1.7
 
     def test_invariant_violation_names_band_and_field(self):
         text = self.HEADER + "0,0.1,0.9,0.8,1.2,0.05,1.5\n"
@@ -385,10 +472,9 @@ class TestParamsTable:
 
     def test_serialization_round_trip_exact(self):
         rng = np.random.default_rng(23)
-        params = [random_params(rng, i) for i in range(10)]
-        back = load_params_table(serialize_params_table(params))
-        for a, b in zip(params, back):
-            assert a == b  # %.17g keeps float64 exact
+        table = table_of([random_params(rng, i) for i in range(10)])
+        back = load_params_table(serialize_params_table(table))
+        assert back.tobytes() == table.tobytes()  # %.17g keeps float64 exact
 
 
 CATALOGUE = [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_params
+from conftest import random_params, table_of
 from hsac import inversion, kernels
 from hsac.atmosphere import BandAtmParams
 from hsac.errors import LengthMismatch, OutOfRange
@@ -138,14 +138,14 @@ class TestMaskBands:
         return BandAtmParams(0, 0.1, 0.9, tg, 0.9, 0.05, 1.5)
 
     def test_below_threshold_masked(self):
-        assert mask_bands([self._params(0.84)], MaskPolicy(0.85)) == [BAND_MASKED_LOW_TG]
+        assert mask_bands(table_of([self._params(0.84)]), MaskPolicy(0.85)) == [BAND_MASKED_LOW_TG]
 
     def test_boundary_is_strict_less(self):
-        assert mask_bands([self._params(0.85)], MaskPolicy(0.85)) == [BAND_VALID]
+        assert mask_bands(table_of([self._params(0.85)]), MaskPolicy(0.85)) == [BAND_VALID]
 
     def test_degenerate_threshold_masks_any_absorption(self):
         params = [self._params(tg) for tg in (0.5, 0.9, 0.999)]
-        assert mask_bands(params, MaskPolicy(1.0)) == [BAND_MASKED_LOW_TG] * 3
+        assert mask_bands(table_of(params), MaskPolicy(1.0)) == [BAND_MASKED_LOW_TG] * 3
 
     def test_threshold_validation(self):
         with pytest.raises(OutOfRange):
@@ -187,7 +187,7 @@ class TestInvertCube:
 
     def test_cube_round_trip(self):
         cube, d2, params, rho_true = self._cube_and_params()
-        product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=0.01))
+        product = invert_cube(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01))
         np.testing.assert_allclose(product.rho_w, rho_true, rtol=1e-12)
         # rho_w within 1e-12 may still round to a neighbouring float32
         np.testing.assert_allclose(
@@ -196,7 +196,7 @@ class TestInvertCube:
 
     def test_all_bands_masked(self):
         cube, d2, params, _ = self._cube_and_params()
-        product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=1.0))
+        product = invert_cube(cube, d2, table_of(params), MaskPolicy(tg_threshold=1.0))
         assert product.band_mask == [BAND_MASKED_LOW_TG] * cube.n_bands
         assert product.rho_w.shape == (0, 8, 8)
         assert product.valid_band_indices == []
@@ -204,19 +204,19 @@ class TestInvertCube:
 
     def test_single_pixel_matches_band_plane(self):
         cube, d2, params, _ = self._cube_and_params(n_bands=1, size=1)
-        product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=0.01))
+        product = invert_cube(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01))
         expected, _ = invert_band_plane(cube.data[0], d2, params[0])
         assert product.rho_w[0, 0, 0] == expected[0, 0]
 
     def test_length_mismatch(self):
         cube, d2, params, _ = self._cube_and_params()
         with pytest.raises(LengthMismatch):
-            invert_cube(cube, d2, params[:-1], MaskPolicy())
+            invert_cube(cube, d2, table_of(params[:-1]), MaskPolicy())
 
     def test_worker_counts_bit_identical(self):
         cube, d2, params, _ = self._cube_and_params(n_bands=6, size=130)
         products = [
-            invert_cube(cube, d2, params, MaskPolicy(tg_threshold=0.01), workers=w)
+            invert_cube(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01), workers=w)
             for w in (1, 2, 8)
         ]
         for p in products[1:]:
@@ -227,7 +227,7 @@ class TestInvertCube:
         cube, d2, params, rho_true = self._cube_and_params()
         # force a negative reflectance at one pixel
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
-        product = invert_cube(cube, d2, params, MaskPolicy(tg_threshold=0.01))
+        product = invert_cube(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01))
         assert product.rho_w[0, 0, 0] == pytest.approx(-0.02, rel=1e-12)
         assert product.report.negativity_rate > 0
 
@@ -235,7 +235,7 @@ class TestInvertCube:
         cube, d2, params, _ = self._cube_and_params()
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
         product = invert_cube(
-            cube, d2, params, MaskPolicy(tg_threshold=0.01, clip_negative=True)
+            cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01, clip_negative=True)
         )
         assert product.rho_w[0, 0, 0] == 0.0
 
@@ -246,7 +246,7 @@ class TestInvertCube:
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
         cube.data[0, 0, 1] = 0.0
         policy = MaskPolicy(tg_threshold=0.01, clip_negative=True)
-        product = invert_cube(cube, d2, params, policy)
+        product = invert_cube(cube, d2, table_of(params), policy)
         assert product.rho_w[0, 0, 0] == 0.0 != NODATA
         assert product.rho_w[0, 0, 1] == NODATA
         assert product.report.negativity_rate == 1 / (4 * 8 * 8 - 1)
@@ -256,7 +256,7 @@ class TestInvertCube:
         p = BandAtmParams(0, l_path=1.0, t_g_o3=0.5, t_g_total=0.9, t_up=0.95,
                           s_atm=0.08, e_s=1.6)
         cube = RadianceCube(data=np.array([[[0.5, 0.0, 0.4]]]), nodata_value=0.0)
-        product = invert_cube(cube, 1.0, [p])
+        product = invert_cube(cube, 1.0, table_of([p]))
         assert product.rho_w[0, 0, 0] == 0.0
         assert product.rho_w[0, 0, 1] == NODATA
         assert product.rho_w[0, 0, 2] < 0
@@ -309,7 +309,7 @@ class TestInvertCube:
                     block_pixels_calls.items(), (1, 2, 8)):
                 monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
                 kernel_calls.clear()
-                product = invert_cube(cube, 1.0, params, policy, workers)
+                product = invert_cube(cube, 1.0, table_of(params), policy, workers)
                 assert len(kernel_calls) == calls
                 np.testing.assert_array_equal(product.rho_w, expected)
                 assert product.report.degenerate_pixels == 1
@@ -325,7 +325,8 @@ class TestInvertCube:
                     # the block is reused once write returns: keep a copy
                     return lambda r0, k0, block: blocks.__setitem__((r0, k0), block.copy())
 
-                streamed = invert_cube(cube, 1.0, params, policy, workers, open_sink=open_sink)
+                streamed = invert_cube(cube, 1.0, table_of(params), policy, workers,
+                                       open_sink=open_sink)
                 assert streamed.rho_w is None
                 assert streamed.report == product.report
                 assert len(blocks) == calls
@@ -356,7 +357,7 @@ class TestInvertCube:
         for block_pixels, calls in ((1, 3), (2 * 64, 2), (10**6, 1)):
             monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
             kernel_calls.clear()
-            product = invert_cube(cube, d2, params, policy)
+            product = invert_cube(cube, d2, table_of(params), policy)
             assert len(kernel_calls) == calls
             assert product.band_mask[1] == BAND_MASKED_LOW_TG
             valid = product.valid_band_indices
@@ -369,9 +370,9 @@ class TestInvertCube:
             reports.append(product.report)
             out = tmp_path / str(block_pixels)
             sink = ProductSink(str(out), bands)
-            streamed = invert_cube(cube, d2, params, policy, open_sink=sink.open)
+            streamed = invert_cube(cube, d2, table_of(params), policy, open_sink=sink.open)
             assert streamed.report == product.report
-            write_product(sink, streamed.band_mask, params)
+            write_product(sink, streamed.band_mask, table_of(params))
             files.append({name: (out / name).read_bytes()
                           for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img")})
             assert files[-1]["rho_w.img"] == product.rho_w.astype(np.float32).tobytes()

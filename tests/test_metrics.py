@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_params
+from conftest import random_params, table_of
 from hsac.atmosphere import BandAtmParams
 from hsac.errors import NodataPixel, NoOverlap, OutOfBounds, SchemaViolation, ZeroVector
 from hsac.inversion import MaskPolicy, forward_model_toa, invert_cube
@@ -180,9 +180,10 @@ class TestExtractPixelSpectrum:
         l_toa[2, 1, 1] = -9999.0  # nodata pixel in band 2
         cube, policy = RadianceCube(data=l_toa), MaskPolicy(tg_threshold=0.85)
         sink = ProductSink(str(tmp_path), bands)
-        streamed = invert_cube(cube, 1.0, params, policy, open_sink=sink.open)
-        write_product(sink, streamed.band_mask, params)
-        return invert_cube(cube, 1.0, params, policy), tmp_path
+        table = table_of(params)
+        streamed = invert_cube(cube, 1.0, table, policy, open_sink=sink.open)
+        write_product(sink, streamed.band_mask, table)
+        return invert_cube(cube, 1.0, table, policy), tmp_path
 
     def test_mask_filtering(self, exported):
         _, out = exported
@@ -248,7 +249,12 @@ class TestReferenceFile:
         ("400,0.01\nabc,0.02\n", ":3:"),
         ("400,0.01\n500,0.02,7\n", ":3:"),
         ("", "no data rows"),
-    ], ids=["non_numeric", "third_column", "header_only"])
+        ("400,0.01\n500,nan\n", ":3:"),
+        ("400,0.01\ninf,0.02\n", ":3:"),
+        ("-inf,0.01\n500,0.02\n", ":2:"),
+        ("400,0.01\n500,-inf\n", ":3:"),
+    ], ids=["non_numeric", "third_column", "header_only", "nan_value", "inf_wavelength",
+            "minus_inf_wavelength", "minus_inf_value"])
     def test_malformed_file_names_file_and_line(self, tmp_path, body, message):
         path = tmp_path / "ref.csv"
         path.write_text("wavelength_nm,value\n" + body)

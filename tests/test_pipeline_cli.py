@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import errno
+import itertools
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsac import cli, pipeline
+from hsac import cli, inversion, pipeline
 from hsac.atmosphere import load_params_table
 from hsac.inversion import ROW_TILE, MaskPolicy, invert_cube, to_rrs
 from hsac.pipeline import (
@@ -326,7 +327,25 @@ class TestRunEndToEnd:
             assert (replay / name).read_bytes() == (analytic / name).read_bytes(), name
         assert json.loads((replay / "report.json").read_text())["atmospheric_state"] == {}
 
-    def test_worker_counts_byte_identical_products(self, tmp_path):
+    def test_table_replay_of_measured_srfs_is_byte_identical(self, scene_dir, tmp_path):
+        xml = scene_dir / "scene.xml"
+        xml.write_text(xml.read_text().replace(
+            "<centerWavelength>530.0</centerWavelength><fwhm>6.5</fwhm>",
+            "<centerWavelength>530.0</centerWavelength><fwhm>6.5</fwhm>"
+            "<srf>521 0.05 524.5 0.4 529 1.0 533.5 0.5 539 0.02</srf>", 1))
+        analytic, replay = tmp_path / "analytic", tmp_path / "replay"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(replay),
+            "--provider", "table", "--params-table", str(analytic / "band_params.csv"),
+        ]) == 0
+        for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img",
+                     "band_mask.csv", "band_params.csv"):
+            assert (replay / name).read_bytes() == (analytic / name).read_bytes(), name
+        report = json.loads((analytic / "report.json").read_text())
+        assert report["srf_sources"] == {"gaussian": 5, "measured": 1}
+
+    def test_worker_counts_byte_identical_products(self, tmp_path, monkeypatch):
         # row tiles [0, 64), [64, 128) and [128, 130), each with planted pixels;
         # radiance 0.0 inverts to a negative rho_w. A degenerate pixel needs a
         # float64 radiance: test_fused_pixel_account plants one.
@@ -335,11 +354,14 @@ class TestRunEndToEnd:
         scene = make_scene_dir(tmp_path / "scene", pixels=planted, rows=130)
         metadata, cube = ingest_scene(str(scene))
         setup = pipeline.configure_scene(metadata, RunConfig())
+        # a band a block; two bands a block in the 64-row tiles; all bands a block
+        block_sizes = (1, 2 * ROW_TILE * 5, inversion.BLOCK_PIXELS)
         for opts in ([], ["--clip-negative"], ["--divide-total-gas"]):
             tag = "-".join(opts) or "default"
             expected = None
-            for w in (1, 2, 8):
-                out = tmp_path / f"{tag}-w{w}"
+            for w, block_pixels in itertools.product((1, 2, 8), block_sizes):
+                monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
+                out = tmp_path / f"{tag}-w{w}-b{block_pixels}"
                 assert cli.main([
                     "run", "--input", str(scene), "--output", str(out), "--workers", str(w),
                     *opts,
@@ -362,7 +384,7 @@ class TestRunEndToEnd:
                         "r_rs.img": to_rrs(product.rho_w).tobytes(),
                     }
                 for name, data in expected.items():
-                    assert (out / name).read_bytes() == data, (tag, w, name)
+                    assert (out / name).read_bytes() == data, (tag, w, block_pixels, name)
 
     def test_streamed_run_never_holds_the_cube(self, tmp_path, monkeypatch):
         # four row tiles; one tile of all bands is 10x BLOCK_PIXELS
@@ -565,6 +587,28 @@ class TestRunEndToEnd:
         assert f"parameter table has {n_rows} bands, the scene has 6" in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "rtm"
 
+    @pytest.mark.parametrize("field", ["l_path", "e_s"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_params_table_value_exits_4(self, scene_dir, tmp_path, capsys,
+                                                   field, value):
+        first = tmp_path / "first"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(first)]) == 0
+        header, *rows = (first / "band_params.csv").read_text().splitlines()
+        column = header.split(",").index(field)
+        cells = rows[3].split(",")
+        cells[column] = value
+        rows[3] = ",".join(cells)
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--provider", "table", "--params-table", str(table),
+        ]) == 4
+        assert f"band 3: {field} = {value} outside [0, inf)" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "rtm"
+        assert not (out / "rho_w.img").exists()
+
     def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path):
         table = tmp_path / "bad.csv"
         table.write_text("not,a,params,table\n1,2,3,4\n")
@@ -678,6 +722,22 @@ class TestCompareCli:
                          "--pixel", "2,3"])
         assert code == 3
         assert str(ref) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["{wavelength},nan", "{wavelength},inf", "-inf,{value}"],
+                             ids=["nan_value", "inf_value", "minus_inf_wavelength"])
+    def test_non_finite_reference_row_exits_3(self, scene_dir, tmp_path, capsys, row):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        lines = ref.read_text().splitlines()
+        wavelength, value = lines[3].split(",")  # band 1, 530 nm, inside the window
+        lines[3] = row.format(wavelength=wavelength, value=value)
+        ref.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
+                         "--pixel", "2,3"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert f"{ref}:4: " in captured.err and "not two finite numbers" in captured.err
+        assert captured.out == ""
 
     def test_product_wavelength_not_one_per_band_exits_3(self, scene_dir, tmp_path, capsys):
         out, ref = self._run_and_reference(scene_dir, tmp_path)

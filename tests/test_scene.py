@@ -1,5 +1,6 @@
 import datetime
 
+import numpy as np
 import pytest
 
 from hsac.errors import InvalidDate, MalformedXml, MissingField, OutOfRange
@@ -47,7 +48,7 @@ class TestParseSceneMetadata:
         assert meta.tco3 == 310
         assert len(meta.bands) == 2
         assert meta.bands[0].center_wavelength == 550.0
-        assert meta.bands[1].srf == ((645.0, 0.1), (650.0, 1.0), (655.0, 0.1))
+        assert meta.bands[1].srf.tolist() == [[645.0, 0.1], [650.0, 1.0], [655.0, 0.1]]
 
     def test_sun_elevation_converted_to_zenith(self):
         doc = FIXTURE_XML.replace(
@@ -102,6 +103,38 @@ class TestParseSceneMetadata:
     def test_srf_token_not_a_number(self):
         with pytest.raises(MalformedXml, match=r"band 1: <srf> token is not a number.*'x'"):
             parse_scene_metadata(FIXTURE_XML.replace("650.0 1.0", "650.0 x", 1))
+
+    def test_srf_odd_token_count(self):
+        with pytest.raises(MalformedXml, match=r"band 1: srf needs wavelength/response pairs"):
+            parse_scene_metadata(FIXTURE_XML.replace("655.0 0.1", "655.0", 1))
+
+    def test_srf_samples_are_read_only(self):
+        srf = parse_scene_metadata(FIXTURE_XML).bands[1].srf
+        assert srf.dtype == np.float64 and srf.shape == (3, 2)
+        with pytest.raises(ValueError):
+            srf[0, 1] = 2.0
+
+    @pytest.mark.parametrize("srf0,srf2,message", [
+        ("500 0.1 505 -0.1", "745 0 750 1", "band 0: negative SRF response"),
+        ("505 0.1 500 -0.1", "745 0 750 1", "band 0: SRF wavelengths not strictly increasing"),
+        ("500 0.1 505 0.5", "750 0 745 1", "band 2: SRF wavelengths not strictly increasing"),
+        ("500 0.1 505 0.5", "745 0 750 0", "band 2: SRF has no positive response"),
+        ("500 0.1 505 0.5", "", "band 2: SRF has no positive response"),
+        ("500 nan 505 -0.5", "745 0 750 0", "band 0: SRF values must be finite"),
+    ], ids=["negative", "both_rules_increasing_first", "later_band", "all_zero", "empty",
+            "nan"])
+    def test_first_band_breaking_the_srf_rule_is_named(self, srf0, srf2, message):
+        bands = "".join(
+            f'<band index="{i}"><centerWavelength>{c}</centerWavelength><fwhm>6.5</fwhm>'
+            f"{srf}</band>"
+            for i, c, srf in ((0, 502.0, f"<srf>{srf0}</srf>"), (1, 600.0, ""),
+                              (2, 748.0, f"<srf>{srf2}</srf>"),
+                              (3, 800.0, "<srf>795 0.5 800 1 805 -1</srf>")))
+        start, rest = FIXTURE_XML.split("<bandCharacterisation>")
+        end = rest.split("</bandCharacterisation>")[1]
+        doc = f"{start}<bandCharacterisation>{bands}</bandCharacterisation>{end}"
+        with pytest.raises(OutOfRange, match=f"^{message}$"):
+            parse_scene_metadata(doc)
 
     def test_band_index_not_an_integer(self):
         with pytest.raises(MalformedXml, match=r"band/@index is not an integer: 'two'"):

@@ -8,19 +8,28 @@ from hsac.scene import BandDefinition
 from hsac.spectral import (
     SRF,
     SpectralGrid,
+    SRFTable,
     check_nyquist,
-    convolve_to_band,
-    gaussian_srf,
-    measured_srf,
+    convolve,
     resample_reference_spectrum,
     simulation_grid,
     srf_for_band,
+    srf_table,
 )
 
 
 def srf_wavelengths(srf, grid):
     """The grid wavelengths of an SRF's samples."""
     return grid.wavelengths[srf.start : srf.start + len(srf.responses)]
+
+
+def srf_of(band, grid):
+    return srf_for_band(band, grid)[0]
+
+
+def convolve_to_band(spectra, srf):
+    """Each spectrum's mean over one SRF, through a one-band table."""
+    return convolve(np.column_stack(spectra), SRFTable.of([srf]))[0].tolist()
 
 
 class TestBuildGrid:
@@ -64,27 +73,27 @@ class TestNyquist:
 class TestGaussianSrf:
     def test_peak_is_one_on_grid_center(self):
         grid = SpectralGrid(500, 600, 2.5)
-        srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
+        srf = srf_of(BandDefinition(0, 550.0, 6.5), grid)
         i = list(srf_wavelengths(srf, grid)).index(550.0)
         assert srf.responses[i] == 1.0
 
     def test_half_maximum_at_half_fwhm(self):
         grid = SpectralGrid(500, 600, 0.5)
-        srf = gaussian_srf(BandDefinition(0, 550.0, 5.0), grid)
+        srf = srf_of(BandDefinition(0, 550.0, 5.0), grid)
         i = list(srf_wavelengths(srf, grid)).index(552.5)
         assert srf.responses[i] == pytest.approx(0.5, abs=1e-9)
 
     def test_integral_matches_analytic_gaussian_area(self):
         grid = SpectralGrid(400, 700, 2.5)
         fwhm = 12.0  # >= 4 * step
-        srf = gaussian_srf(BandDefinition(0, 550.0, fwhm), grid)
+        srf = srf_of(BandDefinition(0, 550.0, fwhm), grid)
         integral = float(np.sum(srf.responses)) * grid.step
         expected = fwhm * math.sqrt(math.pi / (4 * math.log(2)))
         assert integral == pytest.approx(expected, rel=0.01)
 
     def test_symmetry_about_center(self):
         grid = SpectralGrid(500, 600, 2.5)
-        srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
+        srf = srf_of(BandDefinition(0, 550.0, 6.5), grid)
         wl = list(srf_wavelengths(srf, grid))
         for offset in (2.5, 5.0, 7.5):
             assert srf.responses[wl.index(550.0 + offset)] == pytest.approx(
@@ -93,7 +102,7 @@ class TestGaussianSrf:
 
     def test_truncated_at_three_fwhm(self):
         grid = SpectralGrid(350, 800, 2.5)
-        srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
+        srf = srf_of(BandDefinition(0, 550.0, 6.5), grid)
         wl = srf_wavelengths(srf, grid)
         assert wl[0] >= 550.0 - 3 * 6.5
         assert wl[-1] <= 550.0 + 3 * 6.5
@@ -101,7 +110,7 @@ class TestGaussianSrf:
     def test_window_between_grid_points_keeps_the_nearest_point(self):
         # centre +/- 3 FWHM is [550.4, 551.6]: no grid point; 550.0 is nearest
         grid = SpectralGrid(500, 600, 2.5)
-        srf = gaussian_srf(BandDefinition(0, 551.0, 0.2), grid)
+        srf = srf_of(BandDefinition(0, 551.0, 0.2), grid)
         assert srf.start == 20 and grid.wavelengths[srf.start] == 550.0
         assert list(srf.responses) == [1.0]
         spectrum = grid.wavelengths * 2.0
@@ -112,7 +121,7 @@ class TestMeasuredSrf:
     def test_measured_takes_precedence(self):
         grid = SpectralGrid(500, 600, 2.5)
         band = BandDefinition(
-            0, 550.0, 6.5, srf=((545.0, 0.2), (550.0, 1.0), (555.0, 0.2))
+            0, 550.0, 6.5, srf=np.array([(545.0, 0.2), (550.0, 1.0), (555.0, 0.2)])
         )
         srf, source = srf_for_band(band, grid)
         assert source == "measured"
@@ -126,16 +135,16 @@ class TestMeasuredSrf:
 
     def test_finer_than_grid_resampled(self):
         grid = SpectralGrid(500, 600, 2.5)
-        pairs = tuple((545.0 + i, math.exp(-((i - 5.0) ** 2) / 8)) for i in range(11))
+        pairs = np.array([(545.0 + i, math.exp(-((i - 5.0) ** 2) / 8)) for i in range(11)])
         band = BandDefinition(0, 550.0, 6.5, srf=pairs)
-        srf = measured_srf(band, grid)
+        srf = srf_of(band, grid)
         assert set(srf_wavelengths(srf, grid)).issubset(set(grid.wavelengths))
 
 
 class TestSimulationGrid:
     def test_covers_measured_srf_beyond_gaussian_window(self):
         # centre +/- 3 FWHM is [400.5, 439.5]; the measured response spans 395-445
-        pairs = tuple((w, 1.0 - abs(w - 420.0) / 30.0) for w in np.arange(395.0, 446.0))
+        pairs = np.array([(w, 1.0 - abs(w - 420.0) / 30.0) for w in np.arange(395.0, 446.0)])
         band = BandDefinition(0, 420.0, 6.5, srf=pairs)
         grid = simulation_grid([band], 2.5)
         srf, _ = srf_for_band(band, grid)
@@ -143,7 +152,8 @@ class TestSimulationGrid:
         assert (wl[0], wl[-1]) == (395.0, 445.0)
 
     def test_measured_support_clipped_to_wavelength_range(self):
-        band = BandDefinition(0, 355.0, 5.0, srf=((330.0, 0.5), (355.0, 1.0), (380.0, 0.5)))
+        srf = np.array([(330.0, 0.5), (355.0, 1.0), (380.0, 0.5)])
+        band = BandDefinition(0, 355.0, 5.0, srf=srf)
         grid = simulation_grid([band], 2.5)
         assert grid.start == 350.0
         assert grid.stop >= 380.0
@@ -152,7 +162,7 @@ class TestSimulationGrid:
 class TestConvolveToBand:
     def test_constant_spectrum(self):
         grid = SpectralGrid(500, 600, 2.5)
-        srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
+        srf = srf_of(BandDefinition(0, 550.0, 6.5), grid)
         spectrum = np.full(grid.n_points, 3.7)
         assert convolve_to_band([spectrum], srf) == [pytest.approx(3.7, rel=1e-12)]
 
@@ -164,14 +174,14 @@ class TestConvolveToBand:
 
     def test_linear_spectrum_symmetric_srf(self):
         grid = SpectralGrid(500, 600, 2.5)
-        srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
+        srf = srf_of(BandDefinition(0, 550.0, 6.5), grid)
         (band_value,) = convolve_to_band([grid.wavelengths.copy()], srf)
         assert band_value == pytest.approx(550.0, abs=1e-6)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         grid = SpectralGrid(500, 600, 2.5)
-        srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
+        srf = srf_of(BandDefinition(0, 550.0, 6.5), grid)
         f = rng.random(grid.n_points)
         g = rng.random(grid.n_points)
         a, b = 2.5, -1.25
@@ -183,11 +193,102 @@ class TestConvolveToBand:
     def test_bounded_by_spectrum_extrema(self):
         rng = np.random.default_rng(6)
         grid = SpectralGrid(500, 600, 2.5)
-        srf = gaussian_srf(BandDefinition(0, 550.0, 6.5), grid)
+        srf = srf_of(BandDefinition(0, 550.0, 6.5), grid)
         for _ in range(50):
             f = rng.random(grid.n_points)
             (v,) = convolve_to_band([f], srf)
             assert f.min() <= v <= f.max()
+
+
+def gaussian_reference(band, grid):
+    """(start, responses) of a Gaussian SRF built for one band alone, as
+    version 0.1.0 did: the grid points in center +/- 3 FWHM, or else the
+    nearest point alone, normalized to a peak of 1."""
+    lo = max(grid.start, band.center_wavelength - 3.0 * band.fwhm)
+    hi = min(grid.stop, band.center_wavelength + 3.0 * band.fwhm)
+    i0 = math.ceil((lo - grid.start) / grid.step - 1e-9)
+    i1 = math.floor((hi - grid.start) / grid.step + 1e-9)
+    if i1 < i0:
+        i0 = i1 = round((band.center_wavelength - grid.start) / grid.step)
+    wl = grid.wavelengths[i0 : i1 + 1]
+    resp = np.exp(-4.0 * math.log(2.0) * (wl - band.center_wavelength) ** 2 / band.fwhm**2)
+    return i0, resp / resp.max()
+
+
+def measured_band(index, center, fwhm, skew):
+    """A band with a skewed, 1 nm sampled measured SRF over center +/- 2 FWHM."""
+    wl = np.arange(math.floor(center - 2.0 * fwhm), math.ceil(center + 2.0 * fwhm) + 1.0)
+    width = np.where(wl < center, fwhm * (1.0 - skew), fwhm * (1.0 + skew))
+    resp = np.exp(-4.0 * math.log(2.0) * (wl - center) ** 2 / width**2)
+    return BandDefinition(index, center, fwhm, srf=np.column_stack([wl, resp]))
+
+
+def assert_row(table, b, start, responses):
+    n = table.length[b]
+    assert (table.start[b], n) == (start, len(responses))
+    assert table.responses[b, :n].tobytes() == np.asarray(responses).tobytes()
+    assert not table.responses[b, n:].any()  # exact zeros
+
+
+class TestSRFTable:
+    def test_gaussian_rows_equal_one_band_values_to_the_bit(self, bands228, grid228):
+        table = srf_table(bands228, grid228)
+        assert table.responses.shape[0] == len(bands228)
+        for b, band in enumerate(bands228):
+            assert_row(table, b, *gaussian_reference(band, grid228))
+        assert table.sources == ("gaussian",) * len(bands228)
+
+    @pytest.mark.parametrize("center,fwhm", [
+        (551.0, 0.2),  # between grid points: the nearest point alone
+        (551.3, 0.35),
+        (501.0, 10.0),  # window clipped at the grid start
+        (598.8, 6.5),  # ... and at the grid stop
+        (500.0, 0.3),  # a lone point on the first grid point
+    ], ids=["lone_point", "lone_point_below_half", "clipped_start", "clipped_stop",
+            "lone_first_point"])
+    def test_lone_point_and_clipped_rows_to_the_bit(self, center, fwhm):
+        grid = SpectralGrid(500, 600, 2.5)
+        bands = [BandDefinition(0, 550.0, 10.0), BandDefinition(1, center, fwhm)]
+        table = srf_table(bands, grid)
+        for b, band in enumerate(bands):
+            assert_row(table, b, *gaussian_reference(band, grid))
+
+    def test_lone_point_is_one_where_its_response_underflows(self):
+        # 552.5 nm is nearest; exp(-4 ln 2 (1.2 / 0.01)^2) is 0.0, yet it is the peak
+        grid = SpectralGrid(500, 600, 2.5)
+        table = srf_table([BandDefinition(0, 551.3, 0.01)], grid)
+        assert_row(table, 0, 21, [1.0])
+
+    def test_measured_rows_equal_np_interp(self, grid228):
+        bands = [measured_band(0, 450.0, 6.5, 0.1), BandDefinition(1, 500.0, 6.5),
+                 measured_band(2, 700.0, 10.0, -0.15), measured_band(3, 1200.0, 8.0, 0.0)]
+        table = srf_table(bands, grid228)
+        assert table.sources == ("measured", "gaussian", "measured", "measured")
+        wl = grid228.wavelengths
+        for b in (0, 2, 3):
+            srf = bands[b].srf
+            inside = np.flatnonzero((wl >= srf[0, 0]) & (wl <= srf[-1, 0]))
+            expected = np.interp(wl[inside], srf[:, 0], srf[:, 1])
+            assert_row(table, b, inside[0], expected)
+        assert_row(table, 1, *gaussian_reference(bands[1], grid228))
+
+    def test_one_band_srf_is_its_table_row(self, bands228, grid228):
+        bands = [measured_band(b.index, b.center_wavelength, b.fwhm, 0.1) if b.index % 3 == 0
+                 else b for b in bands228]
+        table = srf_table(bands, grid228)
+        for b, band in enumerate(bands):
+            srf, source = srf_for_band(band, grid228)
+            assert srf.band_index == band.index and source == table.sources[b]
+            assert_row(table, b, srf.start, srf.responses)
+
+    def test_band_means_do_not_depend_on_the_other_bands(self, bands228, grid228):
+        rng = np.random.default_rng(3)
+        fine = rng.uniform(0.0, 2.0, size=(grid228.n_points, 3))
+        table = srf_table(bands228, grid228)
+        means = convolve(fine, table)
+        for b, band in enumerate(bands228):
+            alone = convolve(fine, SRFTable.of([srf_of(band, grid228)]))
+            assert alone.tobytes() == means[b:b + 1].tobytes()
 
 
 class TestResampleReference:
