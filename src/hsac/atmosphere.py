@@ -45,7 +45,7 @@ from .scene import (
     SceneMetadata,
     check_state_value,
 )
-from .spectral import SRF, SpectralGrid, SRFTable, convolve
+from .spectral import SpectralGrid, SRFTable, convolve
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")  # the bundled data assets
 # the columns of a band table, one row per band, at 1 AU
@@ -375,26 +375,25 @@ def compute_fine_fields(
     state: AtmosphericState,
     model: AerosolModel,
     e0_grid: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Evaluate every per-wavelength quantity on the full simulation grid."""
+) -> np.ndarray:
+    """Every per-wavelength quantity on the full simulation grid: a
+    (grid points, 6) array, one column per FINE_FIELD_NAMES entry."""
     wl = grid.wavelengths
-    return {
-        "l_path": path_radiance(wl, geometry, state.aod550, model, e0_grid),
-        "t_g_o3": ozone_transmittance(wl, state.tco3, geometry.sza, geometry.vza),
-        "t_g_total": gas_transmittance_total(
-            wl, state.tcwv, state.tco3, geometry.sza, geometry.vza
-        ),
-        "t_up": transmittance_up(wl, geometry.vza, state.aod550, model),
-        "s_atm": spherical_albedo(wl, state.aod550, model),
-        "e_s": downwelling_irradiance(wl, geometry.sza, state.aod550, model, e0_grid),
-    }
+    return np.stack([
+        path_radiance(wl, geometry, state.aod550, model, e0_grid),
+        ozone_transmittance(wl, state.tco3, geometry.sza, geometry.vza),
+        gas_transmittance_total(wl, state.tcwv, state.tco3, geometry.sza, geometry.vza),
+        transmittance_up(wl, geometry.vza, state.aod550, model),
+        spherical_albedo(wl, state.aod550, model),
+        downwelling_irradiance(wl, geometry.sza, state.aod550, model, e0_grid),
+    ], axis=1)
 
 
 class AnalyticProvider:
     """Computes band parameters from the built-in analytic model.
 
-    Fine-grid fields are evaluated once per scene, as the columns of one
-    (grid points, 6) array; `band_table` convolves them to every band.
+    Fine-grid fields are evaluated once per scene, as `compute_fine_fields`'
+    array; `band_table` convolves them to every band.
     """
 
     provenance = "analytic"
@@ -407,8 +406,7 @@ class AnalyticProvider:
         model: AerosolModel,
         e0_grid: np.ndarray,
     ):
-        fields = compute_fine_fields(grid, geometry, state, model, e0_grid)
-        self.fields = np.stack([fields[name] for name in FINE_FIELD_NAMES], axis=1)
+        self.fields = compute_fine_fields(grid, geometry, state, model, e0_grid)
 
     def _convolved(self, srfs: SRFTable) -> np.ndarray:
         table = convolve(self.fields, srfs)
@@ -424,9 +422,10 @@ class AnalyticProvider:
         check_band_table(table)
         return table
 
-    def band_params(self, band: BandDefinition, srf: SRF) -> BandAtmParams:
-        """One band's parameters: its row of any `band_table`, to the bit."""
-        return BandAtmParams(band.index, *self._convolved(SRFTable.of([srf]))[0].tolist())
+    def band_params(self, band: BandDefinition, srfs: SRFTable) -> BandAtmParams:
+        """One band's parameters from its one-row SRF table: its row of any
+        `band_table`, to the bit."""
+        return BandAtmParams(band.index, *self._convolved(srfs)[0].tolist())
 
 
 # --- table provider -------------------------------------------------------
@@ -497,7 +496,7 @@ class TableProvider:
         """A copy of the table, which the caller may change."""
         return self.table.copy()
 
-    def band_params(self, band: BandDefinition, srf: SRF) -> BandAtmParams:
+    def band_params(self, band: BandDefinition, srfs: SRFTable) -> BandAtmParams:
         return BandAtmParams(band.index, *self.table[band.index].tolist())
 
 
@@ -539,7 +538,10 @@ class AuxCatalogue:
 
     @classmethod
     def from_json(cls, text: str) -> "AuxCatalogue":
-        entries = json.loads(text)
+        try:
+            entries = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaViolation(f"catalogue is not JSON: {exc}") from None
         if not isinstance(entries, list):
             raise SchemaViolation("catalogue JSON must be an array of objects")
         for i, entry in enumerate(entries):
@@ -561,7 +563,7 @@ class AuxCatalogue:
         raise MissingEntry(f"{dataset} has no entry for date={date}, bbox={list(bbox)}")
 
 
-STATE_POLICIES = ("metadata_first", "catalogue_first", "override")
+STATE_POLICIES = ("metadata_first", "catalogue_first")
 
 
 def resolve_atmospheric_state(
@@ -569,7 +571,6 @@ def resolve_atmospheric_state(
     policy: str = "metadata_first",
     catalogue: AuxCatalogue | None = None,
     bbox=None,
-    override: AtmosphericState | None = None,
 ) -> AtmosphericState:
     """Pick aod550/tcwv/tco3 per the configured precedence policy.
 
@@ -580,10 +581,6 @@ def resolve_atmospheric_state(
     """
     if policy not in STATE_POLICIES:
         raise OutOfRange(f"unknown state policy {policy!r}")
-    if policy == "override":
-        if override is None:
-            raise MissingEntry("state policy 'override' requires explicit values")
-        return override
     order = ("metadata", "catalogue") if policy == "metadata_first" else ("catalogue", "metadata")
 
     date = metadata.acquisition_date.isoformat()

@@ -26,6 +26,7 @@ from .pipeline import (
     run_pipeline,
     run_self_test,
 )
+from .scene import STATE_KEYS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--params-table", help="parameter CSV for --provider table")
     run.add_argument("--aux-catalogue", help="local auxiliary catalogue JSON")
     run.add_argument("--state-policy", choices=STATE_POLICIES, default=RunConfig.state_policy)
+    # the three together replace the atmospheric state of the metadata and catalogue
     run.add_argument("--aod550", type=float, help="override AOD at 550 nm")
     run.add_argument("--tcwv", type=float, help="override TCWV (g cm^-2)")
     run.add_argument("--tco3", type=float, help="override ozone (DU)")
@@ -82,19 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    # an option that the other options leave unread is refused, not ignored
-    given = [f"--{name}" for name in ("aod550", "tcwv", "tco3") if getattr(args, name) is not None]
-    if given and args.state_policy != "override":
-        raise HsacError(f"{' '.join(given)}: read only with --state-policy override")
-    override = None
-    if args.state_policy == "override":
-        if args.aod550 is None or args.tcwv is None or args.tco3 is None:
-            raise MissingField(
-                "--state-policy override requires --aod550, --tcwv and --tco3"
-            )
-        override = AtmosphericState(
-            aod550=args.aod550, tcwv=args.tcwv, tco3=args.tco3, source="override"
-        )
+    """The RunConfig of `hsac run`'s options; RunConfig refuses the
+    combinations that leave an option unread."""
+    values = [getattr(args, name) for name in STATE_KEYS]
+    if values.count(None) not in (0, len(values)):
+        raise MissingField("--aod550, --tcwv and --tco3 are given together or not at all")
+    override = None if None in values else AtmosphericState(*values, source="override")
     return RunConfig(
         input_path=args.input,
         output_path=args.output,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,7 +50,6 @@ class InversionReport:
     negativity_rate: float = 0.0
     degenerate_pixels: int = 0
     nonfinite_pixels: int = 0
-    masked_bands: dict[int, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -224,9 +223,6 @@ def invert_cube(
         negativity_rate=(n_negative / n_data) if n_data else 0.0,
         degenerate_pixels=degenerate,
         nonfinite_pixels=n_nonfinite,
-        masked_bands={
-            i: m for i, m in enumerate(band_mask) if m != BAND_VALID
-        },
     )
     return ReflectanceProduct(
         rho_w=rho_w,

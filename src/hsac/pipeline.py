@@ -44,9 +44,11 @@ from .errors import (
     LengthMismatch,
     MissingField,
     OutOfRange,
+    SchemaViolation,
     UnsupportedDataType,
 )
 from .inversion import (
+    BAND_VALID,
     MaskPolicy,
     ReflectanceProduct,
     forward_model_toa,
@@ -104,8 +106,8 @@ class RunConfig:
     provider: str = "analytic"  # analytic | table
     params_table_path: str | None = None
     aux_catalogue_path: str | None = None
-    state_policy: str = "metadata_first"  # metadata_first | catalogue_first | override
-    override_state: AtmosphericState | None = None
+    state_policy: str = "metadata_first"  # metadata_first | catalogue_first
+    override_state: AtmosphericState | None = None  # replaces the resolved state
     worker_count: int = 0  # 0 = auto
     self_test: bool = False
     divide_total_gas: bool = False  # optional extra-gas correction mode, off by default
@@ -116,10 +118,17 @@ class RunConfig:
         if self.params_table_path is not None and self.provider != "table":
             raise HsacError("--params-table is read only with --provider table")
         # RunConfig.state_policy is the field's default
-        if self.provider == "table" and (self.aux_catalogue_path
-                                         or self.state_policy != RunConfig.state_policy):
-            raise HsacError("--aux-catalogue and --state-policy are read only with "
-                            "--provider analytic")
+        policy_given = self.state_policy != RunConfig.state_policy
+        if self.provider == "table" and (self.aux_catalogue_path or policy_given
+                                         or self.override_state is not None):
+            raise HsacError("--aux-catalogue, --state-policy, --aod550, --tcwv and --tco3 "
+                            "are read only with --provider analytic")
+        if self.override_state is not None and (self.aux_catalogue_path or policy_given):
+            raise HsacError("--aux-catalogue and --state-policy are not read with "
+                            "--aod550, --tcwv and --tco3")
+        if policy_given and not self.aux_catalogue_path:
+            raise HsacError(f"--state-policy {self.state_policy} is read only with "
+                            "--aux-catalogue")
         if self.worker_count < 0:
             raise OutOfRange("worker count must be positive or 0 (auto)")
 
@@ -219,7 +228,6 @@ class SceneSetup:
     nyquist: NyquistReport
     e0_grid: np.ndarray
     srfs: SRFTable
-    srf_sources: dict[str, int]
     d_squared: float
 
     def analytic_provider(self) -> AnalyticProvider:
@@ -228,27 +236,34 @@ class SceneSetup:
         )
 
 
+def _parse_file(path: str, parse):
+    """parse(the text of the file at path); an error in the text names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(fh.read())
+        except UnicodeDecodeError as exc:
+            raise SchemaViolation(f"{path}: not UTF-8 text: {exc}") from exc
+        except HsacError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+
+
 def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
     """Stage 2: geometry, atmospheric state, simulation grid, SRFs and d^2.
 
-    The atmospheric state is resolved for the analytic provider only: a
-    table replay reads its parameters from the table, and its state is None.
+    The atmospheric state is the config's override state, if it has one,
+    and is otherwise resolved for the analytic provider only: a table
+    replay reads its parameters from the table, and its state is None.
     """
     bands = list(metadata.bands)
-    state = None
-    if config.provider == "analytic":
+    state = config.override_state
+    if state is None and config.provider == "analytic":
         catalogue = None
         if config.aux_catalogue_path:
-            with open(config.aux_catalogue_path, encoding="utf-8") as fh:
-                catalogue = AuxCatalogue.from_json(fh.read())
+            catalogue = _parse_file(config.aux_catalogue_path, AuxCatalogue.from_json)
         state = resolve_atmospheric_state(
-            metadata,
-            policy=config.state_policy,
-            catalogue=catalogue,
-            override=config.override_state,
+            metadata, policy=config.state_policy, catalogue=catalogue
         )
     grid = simulation_grid(bands, GRID_STEP)
-    srfs = srf_table(bands, grid)
     return SceneSetup(
         bands=bands,
         geometry=Geometry.from_metadata(metadata),
@@ -257,8 +272,7 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
         grid=grid,
         nyquist=check_nyquist(bands, GRID_STEP),
         e0_grid=resample_reference_spectrum(load_solar_irradiance(), grid),
-        srfs=srfs,
-        srf_sources=dict(Counter(srfs.sources)),
+        srfs=srf_table(bands, grid),
         d_squared=earth_sun_distance(
             compute_julian_day(metadata.acquisition_date)
         ).d_squared,
@@ -387,14 +401,14 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
                 f"grid step {GRID_STEP} nm violates the Nyquist criterion "
                 f"for {len(report.nyquist['violations'])} bands"
             )
-        report.srf_sources = setup.srf_sources
+        report.srf_sources = dict(Counter(setup.srfs.sources))
         report.atmospheric_state = asdict(setup.state) if setup.state is not None else {}
 
     # stage 3: per-band RTM parameters
     with _stage(report, STAGE_RTM):
         if config.provider == "table":
-            with open(config.params_table_path, encoding="utf-8") as fh:
-                provider = TableProvider.from_csv(fh.read(), len(setup.bands))
+            provider = _parse_file(config.params_table_path,
+                                   lambda text: TableProvider.from_csv(text, len(setup.bands)))
         else:
             provider = setup.analytic_provider()
         table = provider.band_table(setup.srfs)
@@ -416,7 +430,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
                 sink.discard()
             raise
         report.masked_bands = {
-            str(i): reason for i, reason in product.report.masked_bands.items()
+            str(i): reason for i, reason in enumerate(product.band_mask) if reason != BAND_VALID
         }
         report.negativity_rate = product.report.negativity_rate
         report.degenerate_pixels = product.report.degenerate_pixels

@@ -36,6 +36,7 @@ from .errors import (
 # rho_w; also a cube's when its header names none
 NODATA = -9999.0
 
+SIZE_FIELDS = ("samples", "lines", "bands")
 _DTYPE_CODES = {4: np.dtype("<f4"), 12: np.dtype("<u2")}
 _CODE_FOR_DTYPE = {np.dtype("float32"): 4, np.dtype("uint16"): 12}
 
@@ -102,9 +103,10 @@ def read_cube(base_path: str) -> RadianceCube:
     img = base_path + ".img" if os.path.exists(base_path + ".img") else base_path
     with open(base_path + ".hdr", encoding="utf-8") as fh:
         fields = parse_envi_header(fh.read())
-    samples = _header_field(fields, "samples")
-    lines = _header_field(fields, "lines")
-    bands = _header_field(fields, "bands")
+    samples, lines, bands = sizes = [_header_field(fields, key) for key in SIZE_FIELDS]
+    for key, n in zip(SIZE_FIELDS, sizes):
+        if n < 0:
+            raise HeaderPayloadMismatch(f"header field {key!r} must be an integer >= 0, got {n}")
     dtype_code = _header_field(fields, "data type")
     interleave = _header_field(fields, "interleave", str).lower()
 

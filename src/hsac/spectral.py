@@ -45,16 +45,6 @@ class SpectralGrid:
 
 
 @dataclass(frozen=True)
-class SRF:
-    """Sampled spectral response of one band on the grid slice
-    [start, start + len(responses)): non-negative with a positive maximum."""
-
-    band_index: int
-    start: int  # grid index of the first sample
-    responses: np.ndarray
-
-
-@dataclass(frozen=True)
 class SRFTable:
     """The SRFs of a list of bands on one grid, row b for band b: its
     length[b] samples at grid points start[b], start[b] + 1, ... fill the
@@ -65,14 +55,6 @@ class SRFTable:
     length: np.ndarray  # (bands,) int
     sources: tuple[str, ...] = ()  # "measured" | "gaussian" per band, from srf_table
 
-    @classmethod
-    def of(cls, srfs) -> "SRFTable":
-        """The table of SRF records, in the given order."""
-        length = np.array([len(s.responses) for s in srfs], dtype=np.intp)
-        responses = np.zeros((len(srfs), max(length, default=0)))
-        for row, srf in zip(responses, srfs):
-            row[:len(srf.responses)] = srf.responses
-        return cls(responses, np.array([s.start for s in srfs], dtype=np.intp), length)
 
 @dataclass(frozen=True)
 class NyquistBandCheck:
@@ -177,11 +159,11 @@ def srf_table(bands: list[BandDefinition], grid: SpectralGrid) -> SRFTable:
     return SRFTable(responses, start, length, sources)
 
 
-def srf_for_band(band: BandDefinition, grid: SpectralGrid) -> tuple[SRF, str]:
-    """One band's SRF plus its provenance: row 0 of the one-band `srf_table`,
-    which equals that band's row of any table it is in, to the bit."""
+def srf_for_band(band: BandDefinition, grid: SpectralGrid) -> tuple[SRFTable, str]:
+    """One band's one-row `srf_table` plus its provenance; the row equals
+    that band's row of any table it is in, to the bit."""
     table = srf_table([band], grid)
-    return SRF(band.index, int(table.start[0]), table.responses[0]), table.sources[0]
+    return table, table.sources[0]
 
 
 def convolve(fine_spectra: np.ndarray, srfs: SRFTable) -> np.ndarray:

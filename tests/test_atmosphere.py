@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,6 +13,9 @@ from hsac.atmosphere import (
     E_S,
     FINE_FIELD_NAMES,
     L_PATH,
+    S_ATM,
+    T_G_O3,
+    T_G_TOTAL,
     T_UP,
     WV_DATASET,
     AnalyticProvider,
@@ -46,10 +50,11 @@ from hsac.errors import (
     OutOfRange,
     SchemaViolation,
 )
+from hsac.pipeline import RunConfig, configure_scene
 from hsac.scene import BandDefinition
 from hsac.spectral import (
-    SRF,
     SpectralGrid,
+    SRFTable,
     convolve,
     resample_reference_spectrum,
     srf_for_band,
@@ -277,7 +282,7 @@ class TestComputeBandParams:
         e0 = resample_reference_spectrum(load_solar_irradiance(), grid)
         band = BandDefinition(0, 550.0, 6.5)
         i550 = 80  # (550 - 350) / 2.5
-        srf = SRF(0, i550, np.array([1.0]))
+        srf = SRFTable(np.array([[1.0]]), np.array([i550]), np.array([1]))
         provider = AnalyticProvider(
             grid, default_geometry, default_state, continental, e0
         )
@@ -324,8 +329,6 @@ class TestComputeBandParams:
     def test_band_values_bounded_by_fine_grid(
         self, default_geometry, default_state, continental
     ):
-        from hsac.atmosphere import FINE_FIELD_NAMES
-
         grid = SpectralGrid(500, 700, 2.5)
         e0 = np.linspace(1.5, 1.9, grid.n_points)
         fields = compute_fine_fields(
@@ -337,9 +340,8 @@ class TestComputeBandParams:
             grid, default_geometry, default_state, continental, e0
         )
         p = provider.band_params(band, srf)
-        for name in FINE_FIELD_NAMES:
-            value = getattr(p, name)
-            assert fields[name].min() - 1e-12 <= value <= fields[name].max() + 1e-12
+        for value, column in zip(p.row, fields.T):
+            assert column.min() - 1e-12 <= value <= column.max() + 1e-12
 
     def test_transmittance_bounds_randomized(self, continental):
         rng = np.random.default_rng(17)
@@ -357,11 +359,11 @@ class TestComputeBandParams:
                 source="override",
             )
             fields = compute_fine_fields(grid, geom, state, continental, e0)
-            for name in ("t_g_o3", "t_g_total", "t_up"):
-                assert np.all(fields[name] > 0) and np.all(fields[name] <= 1.0)
-            assert np.all(fields["s_atm"] >= 0) and np.all(fields["s_atm"] <= 0.99)
-            assert np.all(fields["l_path"] >= 0)
-            assert np.all(fields["e_s"] >= 0)
+            assert fields.shape == (grid.n_points, len(FINE_FIELD_NAMES))
+            transmittances = fields[:, [T_G_O3, T_G_TOTAL, T_UP]]
+            assert np.all(transmittances > 0) and np.all(transmittances <= 1.0)
+            assert np.all(fields[:, S_ATM] >= 0) and np.all(fields[:, S_ATM] <= 0.99)
+            assert np.all(fields[:, [L_PATH, E_S]] >= 0)
 
 
 class TestBandTable:
@@ -541,6 +543,11 @@ class TestCatalogue:
             with pytest.raises(MissingEntry):
                 cat.lookup(dataset, "2024-07-24", [-5.0, 39.0, -0.9, 39.1])
 
+    @pytest.mark.parametrize("text", ["{bad", "", "[1,"])
+    def test_catalogue_that_is_not_json_is_a_schema_violation(self, text):
+        with pytest.raises(SchemaViolation, match="catalogue is not JSON"):
+            AuxCatalogue.from_json(text)
+
 
 class TestStatePolicy:
     @pytest.mark.parametrize(
@@ -594,10 +601,8 @@ class TestStatePolicy:
 
     def test_override_policy(self):
         override = AtmosphericState(aod550=0.5, tcwv=3.0, tco3=280.0, source="override")
-        state = resolve_atmospheric_state(
-            scene_metadata(), policy="override", override=override
-        )
-        assert state == override
+        meta = dataclasses.replace(scene_metadata(), bands=(BandDefinition(0, 550.0, 6.5),))
+        assert configure_scene(meta, RunConfig(override_state=override)).state == override
 
     def test_unknown_aerosol_model(self):
         with pytest.raises(OutOfRange, match="Lunar"):

@@ -131,25 +131,37 @@ class TestParseCli:
             cli.build_parser().parse_args(["-h"])
         assert exc.value.code == 0
 
-    def test_override_policy_requires_all_values(self, scene_dir, tmp_path):
+    def test_override_policy_requires_all_values(self, scene_dir, tmp_path, capsys):
         code = cli.main(
             ["run", "--input", str(scene_dir), "--output", str(tmp_path / "o"),
-             "--state-policy", "override", "--aod550", "0.1"]
+             "--aod550", "0.1"]
         )
         assert code == 2
+        assert "--aod550, --tcwv and --tco3 are given together" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("extra,message", [
         (["--params-table", "/nonexistent.csv"], "--provider table"),
-        (["--aod550", "0.9"], "--state-policy override"),
+        (["--aod550", "0.9"], "--aod550, --tcwv and --tco3 are given together"),
         (["--tcwv", "3", "--tco3", "280", "--state-policy", "catalogue_first"],
-         "--state-policy override"),
+         "--aod550, --tcwv and --tco3 are given together"),
         (["--provider", "table", "--params-table", "/nonexistent.csv",
           "--aux-catalogue", "/nonexistent.json"], "--provider analytic"),
         (["--provider", "table", "--params-table", "/nonexistent.csv",
           "--state-policy", "catalogue_first"], "--provider analytic"),
+        (["--provider", "table", "--params-table", "/nonexistent.csv",
+          "--aod550", "0.1", "--tcwv", "2", "--tco3", "300"], "--provider analytic"),
+        (["--aod550", "0.1", "--tcwv", "2", "--tco3", "300",
+          "--aux-catalogue", "/nonexistent.json"], "not read with --aod550, --tcwv and --tco3"),
+        (["--aod550", "0.1", "--tcwv", "2", "--tco3", "300",
+          "--state-policy", "catalogue_first"], "not read with --aod550, --tcwv and --tco3"),
+        (["--state-policy", "catalogue_first"],
+         "--state-policy catalogue_first is read only with --aux-catalogue"),
     ], ids=["params_table_without_table_provider", "aod550_without_override",
             "tcwv_tco3_without_override", "catalogue_with_table_provider",
-            "state_policy_with_table_provider"])
+            "state_policy_with_table_provider", "override_with_table_provider",
+            "override_with_catalogue", "override_with_state_policy",
+            "state_policy_without_catalogue"])
     def test_unread_option_exits_2(self, scene_dir, tmp_path, capsys, extra, message):
         out = tmp_path / "o"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out), *extra]) == 2
@@ -462,6 +474,21 @@ class TestRunEndToEnd:
         assert message in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
 
+    @pytest.mark.parametrize("negative,field", [
+        (("samples", "lines"), "samples"), (("lines", "bands"), "lines"),
+        (("samples", "bands"), "samples"),
+    ], ids=["samples_lines", "lines_bands", "samples_bands"])
+    def test_negative_size_exits_3_naming_the_field(self, scene_dir, tmp_path, capsys,
+                                                    negative, field):
+        # two negative sizes keep the product, and so the payload size, right
+        header = scene_dir / "radiance.hdr"
+        header.write_text(re.sub(rf"^({'|'.join(negative)}) = ", r"\1 = -",
+                                 header.read_text(), flags=re.MULTILINE))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        assert f"header field '{field}' must be an integer >= 0" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+
     def test_unterminated_header_list_exits_3_naming_the_field(self, scene_dir, tmp_path):
         header = scene_dir / "radiance.hdr"
         header.write_text(header.read_text() + "wavelength = {500.0,\n 530.0\n")
@@ -531,6 +558,28 @@ class TestRunEndToEnd:
         ]) == 0
         assert json.loads((out / "report.json").read_text())["atmospheric_state"] == state
 
+    def test_override_values_give_override_state(self, scene_dir, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--aod550", "0.3", "--tcwv", "1.1", "--tco3", "280",
+        ]) == 0
+        assert json.loads((out / "report.json").read_text())["atmospheric_state"] == {
+            "aod550": 0.3, "tcwv": 1.1, "tco3": 280.0, "source": "override"}
+
+    def test_override_with_unparseable_catalogue_exits_2_unread(self, scene_dir, tmp_path,
+                                                                capsys):
+        catalogue = tmp_path / "aux.json"
+        catalogue.write_text("{not json")
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--aod550", "0.3", "--tcwv", "1.1", "--tco3", "280",
+            "--aux-catalogue", str(catalogue),
+        ]) == 2  # a catalogue that was read would fail the configure stage, exit 4
+        assert "--aux-catalogue and --state-policy are not read" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_state_refused(self, scene_dir, tmp_path, capsys, value):
         out = tmp_path / "catalogue"
@@ -544,8 +593,8 @@ class TestRunEndToEnd:
 
         out = tmp_path / "override"
         assert cli.main([
-            "run", "--input", str(scene_dir), "--output", str(out), "--state-policy",
-            "override", "--aod550", value, "--tcwv", "2", "--tco3", "300",
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--aod550", value, "--tcwv", "2", "--tco3", "300",
         ]) == 2
         assert "aod550 must be finite" in capsys.readouterr().err
         assert not out.exists()
@@ -566,8 +615,28 @@ class TestRunEndToEnd:
             "run", "--input", str(scene_dir), "--output", str(out),
             "--aux-catalogue", str(catalogue),
         ]) == 4
-        assert "catalogue entry 1: " in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "configure"
+        assert f"{catalogue}: catalogue entry 1: " in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure_stage"] == "configure"
+        assert report["error"].startswith(f"{catalogue}: catalogue entry 1: ")
+
+    @pytest.mark.parametrize("content,message", [
+        (b"{'dataset': 1}", "catalogue is not JSON: "),
+        (b'[{"dataset": "\xff"}]', "not UTF-8 text: "),
+    ], ids=["not_json", "not_utf8"])
+    def test_unreadable_catalogue_exits_4_naming_the_file(self, scene_dir, tmp_path, capsys,
+                                                          content, message):
+        catalogue = tmp_path / "aux.json"
+        catalogue.write_bytes(content)
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--aux-catalogue", str(catalogue),
+        ]) == 4
+        assert f"{catalogue}: {message}" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure_stage"] == "configure"
+        assert report["error"].startswith(f"{catalogue}: {message}")
 
     @pytest.mark.parametrize("n_rows", [4, 8], ids=["short", "long"])
     def test_params_table_of_another_band_count_exits_4(self, scene_dir, tmp_path, capsys,
@@ -609,7 +678,7 @@ class TestRunEndToEnd:
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "rtm"
         assert not (out / "rho_w.img").exists()
 
-    def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path):
+    def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path, capsys):
         table = tmp_path / "bad.csv"
         table.write_text("not,a,params,table\n1,2,3,4\n")
         code = cli.main([
@@ -617,6 +686,10 @@ class TestRunEndToEnd:
             "--provider", "table", "--params-table", str(table),
         ])
         assert code == 4
+        assert f"{table}: header ['not', 'a', 'params', 'table'] != " in capsys.readouterr().err
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["failure_stage"] == "rtm"
+        assert report["error"].startswith(f"{table}: header ")
 
     def test_report_write_failure_exits_6(self, scene_dir, tmp_path, monkeypatch, capsys):
         def full_disk(report, output_path):
@@ -749,6 +822,17 @@ class TestCompareCli:
                          "--pixel", "2,3"])
         assert code == 3
         assert "'wavelength'" in capsys.readouterr().err
+
+    def test_product_negative_size_exits_3(self, scene_dir, tmp_path, capsys):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        header = out / "r_rs.hdr"
+        header.write_text(re.sub(r"^(samples|lines) = ", r"\1 = -", header.read_text(),
+                                 flags=re.MULTILINE))
+        capsys.readouterr()
+        code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
+                         "--pixel", "2,3"])
+        assert code == 3
+        assert "header field 'samples' must be an integer >= 0" in capsys.readouterr().err
 
     def test_bad_pixel_argument(self, scene_dir, tmp_path):
         out, ref = self._run_and_reference(scene_dir, tmp_path)

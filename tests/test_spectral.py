@@ -6,7 +6,6 @@ import pytest
 from hsac.errors import CoverageGap, InvalidRange
 from hsac.scene import BandDefinition
 from hsac.spectral import (
-    SRF,
     SpectralGrid,
     SRFTable,
     check_nyquist,
@@ -19,17 +18,18 @@ from hsac.spectral import (
 
 
 def srf_wavelengths(srf, grid):
-    """The grid wavelengths of an SRF's samples."""
-    return grid.wavelengths[srf.start : srf.start + len(srf.responses)]
+    """The grid wavelengths of the samples of a one-row SRF table."""
+    return grid.wavelengths[srf.start[0] : srf.start[0] + srf.length[0]]
 
 
 def srf_of(band, grid):
+    """The band's one-row SRF table."""
     return srf_for_band(band, grid)[0]
 
 
 def convolve_to_band(spectra, srf):
-    """Each spectrum's mean over one SRF, through a one-band table."""
-    return convolve(np.column_stack(spectra), SRFTable.of([srf]))[0].tolist()
+    """Each spectrum's mean over the SRF of a one-row table."""
+    return convolve(np.column_stack(spectra), srf)[0].tolist()
 
 
 class TestBuildGrid:
@@ -75,13 +75,13 @@ class TestGaussianSrf:
         grid = SpectralGrid(500, 600, 2.5)
         srf = srf_of(BandDefinition(0, 550.0, 6.5), grid)
         i = list(srf_wavelengths(srf, grid)).index(550.0)
-        assert srf.responses[i] == 1.0
+        assert srf.responses[0, i] == 1.0
 
     def test_half_maximum_at_half_fwhm(self):
         grid = SpectralGrid(500, 600, 0.5)
         srf = srf_of(BandDefinition(0, 550.0, 5.0), grid)
         i = list(srf_wavelengths(srf, grid)).index(552.5)
-        assert srf.responses[i] == pytest.approx(0.5, abs=1e-9)
+        assert srf.responses[0, i] == pytest.approx(0.5, abs=1e-9)
 
     def test_integral_matches_analytic_gaussian_area(self):
         grid = SpectralGrid(400, 700, 2.5)
@@ -96,8 +96,8 @@ class TestGaussianSrf:
         srf = srf_of(BandDefinition(0, 550.0, 6.5), grid)
         wl = list(srf_wavelengths(srf, grid))
         for offset in (2.5, 5.0, 7.5):
-            assert srf.responses[wl.index(550.0 + offset)] == pytest.approx(
-                srf.responses[wl.index(550.0 - offset)], rel=1e-12
+            assert srf.responses[0, wl.index(550.0 + offset)] == pytest.approx(
+                srf.responses[0, wl.index(550.0 - offset)], rel=1e-12
             )
 
     def test_truncated_at_three_fwhm(self):
@@ -111,8 +111,8 @@ class TestGaussianSrf:
         # centre +/- 3 FWHM is [550.4, 551.6]: no grid point; 550.0 is nearest
         grid = SpectralGrid(500, 600, 2.5)
         srf = srf_of(BandDefinition(0, 551.0, 0.2), grid)
-        assert srf.start == 20 and grid.wavelengths[srf.start] == 550.0
-        assert list(srf.responses) == [1.0]
+        assert srf.start[0] == 20 and grid.wavelengths[srf.start[0]] == 550.0
+        assert srf.responses.tolist() == [[1.0]]
         spectrum = grid.wavelengths * 2.0
         assert convolve_to_band([spectrum], srf) == [1100.0]
 
@@ -126,7 +126,7 @@ class TestMeasuredSrf:
         srf, source = srf_for_band(band, grid)
         assert source == "measured"
         i = list(srf_wavelengths(srf, grid)).index(550.0)
-        assert srf.responses[i] == 1.0
+        assert srf.responses[0, i] == 1.0
 
     def test_gaussian_fallback(self):
         grid = SpectralGrid(500, 600, 2.5)
@@ -168,7 +168,7 @@ class TestConvolveToBand:
 
     def test_delta_srf_picks_single_value(self):
         grid = SpectralGrid(500, 600, 2.5)
-        srf = SRF(0, 20, np.array([1.0]))  # the 550 nm sample
+        srf = SRFTable(np.array([[1.0]]), np.array([20]), np.array([1]))  # the 550 nm sample
         spectrum = grid.wavelengths * 2.0
         assert convolve_to_band([spectrum], srf) == [1100.0]
 
@@ -278,8 +278,8 @@ class TestSRFTable:
         table = srf_table(bands, grid228)
         for b, band in enumerate(bands):
             srf, source = srf_for_band(band, grid228)
-            assert srf.band_index == band.index and source == table.sources[b]
-            assert_row(table, b, srf.start, srf.responses)
+            assert source == table.sources[b] and srf.sources == (source,)
+            assert_row(table, b, srf.start[0], srf.responses[0])
 
     def test_band_means_do_not_depend_on_the_other_bands(self, bands228, grid228):
         rng = np.random.default_rng(3)
@@ -287,7 +287,7 @@ class TestSRFTable:
         table = srf_table(bands228, grid228)
         means = convolve(fine, table)
         for b, band in enumerate(bands228):
-            alone = convolve(fine, SRFTable.of([srf_of(band, grid228)]))
+            alone = convolve(fine, srf_of(band, grid228))
             assert alone.tobytes() == means[b:b + 1].tobytes()
 
 
