@@ -23,6 +23,7 @@ import json
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,6 +44,7 @@ from .scene import (
     WAVELENGTH_MIN,
     BandDefinition,
     SceneMetadata,
+    check_angles,
     check_state_value,
 )
 from .spectral import SpectralGrid, SRFTable, convolve
@@ -144,6 +146,9 @@ class Geometry:
     vza: float
     vaa: float
 
+    def __post_init__(self):
+        check_angles(self.sza, self.saa, self.vza, self.vaa)
+
     @property
     def mu_s(self) -> float:
         return math.cos(math.radians(self.sza))
@@ -207,16 +212,9 @@ def load_solar_irradiance() -> np.ndarray:
     return _load_table("solar_irradiance.csv")
 
 
-def _checked_wavelengths(wavelength) -> np.ndarray:
-    wl = np.asarray(wavelength, dtype=np.float64)
-    if np.any(wl < WAVELENGTH_MIN) or np.any(wl > WAVELENGTH_MAX):
-        raise OutOfRange(f"wavelength outside [{WAVELENGTH_MIN}, {WAVELENGTH_MAX}] nm")
-    return wl
-
-
 def _table_interp(wavelength, filename: str, column: int) -> np.ndarray:
     table = _load_table(filename)
-    return np.interp(_checked_wavelengths(wavelength), table[:, 0], table[:, column])
+    return np.interp(wavelength, table[:, 0], table[:, column])
 
 
 def ozone_coefficient(wavelength) -> np.ndarray:
@@ -236,58 +234,34 @@ def oxygen_coefficient(wavelength) -> np.ndarray:
 
 
 # --- scalar atmospheric functions (vectorized over wavelength) ------------
+# Each takes its inputs as already checked: the angles by Geometry, the
+# state by AtmosphericState, and the wavelengths by rayleigh_optical_depth,
+# which compute_fine_fields calls first.
 
 def rayleigh_optical_depth(wavelength):
     """Rayleigh optical depth at standard pressure (Hansen-Travis closed form)."""
-    um = _checked_wavelengths(wavelength) / 1000.0
+    wl = np.asarray(wavelength, dtype=np.float64)
+    if np.any(wl < WAVELENGTH_MIN) or np.any(wl > WAVELENGTH_MAX):
+        raise OutOfRange(f"wavelength outside [{WAVELENGTH_MIN}, {WAVELENGTH_MAX}] nm")
+    um = wl / 1000.0
     return 0.008569 * um**-4 * (1.0 + 0.0113 * um**-2 + 0.00013 * um**-4)
 
 
 def aerosol_optical_depth(wavelength, aod550: float, model: AerosolModel):
     """Angstrom power-law extrapolation of the 550 nm aerosol optical depth."""
-    if aod550 < 0:
-        raise OutOfRange(f"aod550 must be >= 0, got {aod550}")
     wl = np.asarray(wavelength, dtype=np.float64)
     return aod550 * (wl / 550.0) ** (-model.angstrom_exponent)
 
 
-def _air_mass(sza: float, vza: float) -> float:
-    if not (0 <= sza < 90 and 0 <= vza < 90):
-        raise OutOfRange(f"angles must be in [0, 90): sza={sza}, vza={vza}")
-    return 1.0 / math.cos(math.radians(sza)) + 1.0 / math.cos(math.radians(vza))
-
-
-def ozone_transmittance(wavelength, tco3: float, sza: float, vza: float):
-    """Two-way ozone transmittance; tco3 in Dobson Units."""
-    if tco3 < 0:
-        raise OutOfRange("tco3 must be >= 0")
-    m = _air_mass(sza, vza)
-    u = tco3 / 1000.0  # DU -> atm-cm
-    return np.exp(-ozone_coefficient(wavelength) * u * m)
-
-
-def water_vapour_transmittance(wavelength, tcwv: float, sza: float, vza: float):
-    """Band-model water vapour transmittance; tcwv in g cm^-2."""
-    if tcwv < 0:
-        raise OutOfRange("tcwv must be >= 0")
-    m = _air_mass(sza, vza)
+def gas_transmittance(wavelength, tcwv: float, tco3: float, geometry: Geometry):
+    """Two-way gaseous transmittances (T_O3, T_O3 * T_H2O * T_O2); tcwv in
+    g cm^-2, tco3 in Dobson Units, along the sun-surface-sensor air mass."""
+    m = 1.0 / geometry.mu_s + 1.0 / geometry.mu_v
+    t_o3 = np.exp(-ozone_coefficient(wavelength) * (tco3 / 1000.0) * m)  # DU -> atm-cm
     a, b = water_vapour_coefficients(wavelength)
-    return np.exp(-a * np.power(tcwv * m, b))
-
-
-def oxygen_transmittance(wavelength, sza: float, vza: float):
-    m = _air_mass(sza, vza)
-    return np.exp(-oxygen_coefficient(wavelength) * math.sqrt(m))
-
-
-def gas_transmittance_total(wavelength, tcwv: float, tco3: float, sza: float, vza: float):
-    """Total two-way gaseous transmittance: ozone * water vapour * oxygen."""
-    t = (
-        ozone_transmittance(wavelength, tco3, sza, vza)
-        * water_vapour_transmittance(wavelength, tcwv, sza, vza)
-        * oxygen_transmittance(wavelength, sza, vza)
-    )
-    return t
+    t_h2o = np.exp(-a * np.power(tcwv * m, b))
+    t_o2 = np.exp(-oxygen_coefficient(wavelength) * math.sqrt(m))
+    return t_o3, t_o3 * t_h2o * t_o2
 
 
 def rayleigh_phase(cos_theta: float) -> float:
@@ -298,23 +272,12 @@ def henyey_greenstein_phase(cos_theta: float, g: float) -> float:
     return (1.0 - g * g) / (1.0 + g * g - 2.0 * g * cos_theta) ** 1.5
 
 
-def path_radiance(
-    wavelength,
-    geometry: Geometry,
-    aod550: float,
-    model: AerosolModel,
-    e0_at_band,
-):
+def path_radiance(tau_r, tau_a, geometry: Geometry, model: AerosolModel, e0):
     """Single-scattering path radiance at 1 AU.
 
     rho_path = [tau_R * P_R + ssa * tau_a * P_HG] / (4 mu_s mu_v),
     L_path = rho_path * E0 * mu_s / pi.
     """
-    e0 = np.asarray(e0_at_band, dtype=np.float64)
-    if np.any(e0 < 0):
-        raise OutOfRange("e0 must be >= 0")
-    tau_r = rayleigh_optical_depth(wavelength)
-    tau_a = aerosol_optical_depth(wavelength, aod550, model)
     cos_theta = geometry.cos_scattering
     rho = (
         tau_r * rayleigh_phase(cos_theta)
@@ -325,41 +288,16 @@ def path_radiance(
     return rho * e0 * geometry.mu_s / math.pi
 
 
-def _diffuse_transmittance(wavelength, mu: float, aod550, model):
-    """Gordon-style total (direct+diffuse) transmittance along a slant path."""
-    tau_r = rayleigh_optical_depth(wavelength)
-    tau_a = aerosol_optical_depth(wavelength, aod550, model)
+def diffuse_transmittance(tau_r, tau_a, mu: float, model: AerosolModel):
+    """Gordon-style total (direct + diffuse) transmittance along a slant
+    path of cosine mu: T_up at mu_v, T_down at mu_s."""
     forward_fraction = (1.0 + model.asymmetry) / 2.0
     effective = tau_r / 2.0 + (1.0 - model.single_scatter_albedo * forward_fraction) * tau_a
     return np.exp(-effective / mu)
 
 
-def transmittance_up(wavelength, vza: float, aod550: float, model: AerosolModel):
-    """Upward (surface-to-sensor) total transmittance, direct + diffuse."""
-    if not 0 <= vza < 90:
-        raise OutOfRange(f"vza {vza} outside [0, 90)")
-    return _diffuse_transmittance(wavelength, math.cos(math.radians(vza)), aod550, model)
-
-
-def downwelling_irradiance(
-    wavelength,
-    sza: float,
-    aod550: float,
-    model: AerosolModel,
-    e0_at_band,
-):
-    """Total downwelling surface irradiance at 1 AU: E0 * mu_s * T_down."""
-    if not 0 <= sza < 90:
-        raise OutOfRange(f"sza {sza} outside [0, 90)")
-    mu_s = math.cos(math.radians(sza))
-    t_down = _diffuse_transmittance(wavelength, mu_s, aod550, model)
-    return np.asarray(e0_at_band, dtype=np.float64) * mu_s * t_down
-
-
-def spherical_albedo(wavelength, aod550: float, model: AerosolModel):
+def spherical_albedo(tau_r, tau_a, model: AerosolModel):
     """First-order atmospheric spherical albedo, clamped to [0, 0.99]."""
-    tau_r = rayleigh_optical_depth(wavelength)
-    tau_a = aerosol_optical_depth(wavelength, aod550, model)
     return np.minimum(
         0.92 * tau_r
         + (1.0 - model.asymmetry) * model.single_scatter_albedo * tau_a / 3.0,
@@ -377,15 +315,20 @@ def compute_fine_fields(
     e0_grid: np.ndarray,
 ) -> np.ndarray:
     """Every per-wavelength quantity on the full simulation grid: a
-    (grid points, 6) array, one column per FINE_FIELD_NAMES entry."""
+    (grid points, 6) array, one column per FINE_FIELD_NAMES entry. The
+    optical depths and gas terms are evaluated once and passed down;
+    E_s = E0 mu_s T_down."""
     wl = grid.wavelengths
+    tau_r = rayleigh_optical_depth(wl)
+    tau_a = aerosol_optical_depth(wl, state.aod550, model)
+    t_o3, t_total = gas_transmittance(wl, state.tcwv, state.tco3, geometry)
     return np.stack([
-        path_radiance(wl, geometry, state.aod550, model, e0_grid),
-        ozone_transmittance(wl, state.tco3, geometry.sza, geometry.vza),
-        gas_transmittance_total(wl, state.tcwv, state.tco3, geometry.sza, geometry.vza),
-        transmittance_up(wl, geometry.vza, state.aod550, model),
-        spherical_albedo(wl, state.aod550, model),
-        downwelling_irradiance(wl, geometry.sza, state.aod550, model, e0_grid),
+        path_radiance(tau_r, tau_a, geometry, model, e0_grid),
+        t_o3,
+        t_total,
+        diffuse_transmittance(tau_r, tau_a, geometry.mu_v, model),
+        spherical_albedo(tau_r, tau_a, model),
+        e0_grid * geometry.mu_s * diffuse_transmittance(tau_r, tau_a, geometry.mu_s, model),
     ], axis=1)
 
 
@@ -508,8 +451,10 @@ WV_DATASET = "NCEP_RE/surface_wv"
 CATALOGUE_DATASETS = {"aod550": AOD_DATASET, "tcwv": WV_DATASET, "tco3": OZONE_DATASET}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    # json.loads reads NaN and Infinity as floats, and integers of any size
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def _is_catalogue_entry(entry) -> bool:
@@ -519,8 +464,8 @@ def _is_catalogue_entry(entry) -> bool:
         and isinstance(entry.get("date"), str)
         and isinstance(entry.get("bbox"), list)
         and len(entry["bbox"]) == 4
-        and all(map(_is_number, entry["bbox"]))
-        and _is_number(entry.get("value"))
+        and all(map(_is_finite_number, entry["bbox"]))
+        and _is_finite_number(entry.get("value"))
     )
 
 
@@ -528,7 +473,8 @@ class AuxCatalogue:
     """Local JSON catalogue of atmospheric state scalars.
 
     Entries: {"dataset": ..., "date": "YYYY-MM-DD", "bbox": [w, s, e, n],
-    "value": float}; `from_json` refuses an entry of any other shape.
+    "value": float}, every number finite; `from_json` refuses an entry of
+    any other shape.
     Lookup matches the date exactly and requires the query bbox to be
     contained in the entry bbox; no interpolation.
     """
@@ -548,7 +494,7 @@ class AuxCatalogue:
             if not _is_catalogue_entry(entry):
                 raise SchemaViolation(
                     f"catalogue entry {i}: {entry!r} is not an object with a string "
-                    "dataset and date, a four-number bbox and a numeric value"
+                    "dataset and date, a bbox of four finite numbers and a finite value"
                 )
         return cls(entries)
 

@@ -70,7 +70,7 @@ class DuplicateBand(HsacError):
 
 
 class SchemaViolation(HsacError):
-    """A table's header or row shape is wrong (parameter or reference CSV)."""
+    """A text input is not UTF-8, or a table's header or row shape is wrong."""
 
 
 class InvariantViolation(HsacError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingField, NodataPixel, NoOverlap, OutOfBounds, SchemaViolation, ZeroVector
-from .raster import RadianceCube
+from .raster import RadianceCube, read_text
 
 
 @dataclass(frozen=True)
@@ -149,26 +149,25 @@ def load_reference_spectrum(path: str) -> SpectrumSample:
     A row that is not two finite numbers, or no data row, is a SchemaViolation."""
     label = ""
     wl, values = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line[1:].strip().lower().startswith("label:"):
-                    label = line.split(":", 1)[1].strip()
-                continue
-            if line.lower().startswith("wavelength"):
-                continue
-            try:
-                w, v = map(float, line.split(","))
-                if not (math.isfinite(w) and math.isfinite(v)):
-                    raise ValueError
-            except ValueError:
-                raise SchemaViolation(
-                    f"{path}:{line_no}: {line!r} is not two finite numbers") from None
-            wl.append(w)
-            values.append(v)
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line[1:].strip().lower().startswith("label:"):
+                label = line.split(":", 1)[1].strip()
+            continue
+        if line.lower().startswith("wavelength"):
+            continue
+        try:
+            w, v = map(float, line.split(","))
+            if not (math.isfinite(w) and math.isfinite(v)):
+                raise ValueError
+        except ValueError:
+            raise SchemaViolation(
+                f"{path}:{line_no}: {line!r} is not two finite numbers") from None
+        wl.append(w)
+        values.append(v)
     if not wl:
         raise SchemaViolation(f"{path}: no data rows")
     return SpectrumSample(np.asarray(wl), np.asarray(values), label=label)

@@ -44,7 +44,6 @@ from .errors import (
     LengthMismatch,
     MissingField,
     OutOfRange,
-    SchemaViolation,
     UnsupportedDataType,
 )
 from .inversion import (
@@ -60,7 +59,15 @@ from .metrics import (
     load_reference_spectrum,
     pixel_spectrum,
 )
-from .raster import NODATA, CubeWriter, RadianceCube, read_cube, replace_with_text, write_cube
+from .raster import (
+    NODATA,
+    CubeWriter,
+    RadianceCube,
+    read_cube,
+    read_text,
+    replace_with_text,
+    write_cube,
+)
 from .scene import (
     BandDefinition,
     SceneMetadata,
@@ -180,8 +187,7 @@ def _find_one(directory: str, pattern: str, what: str) -> str:
 
 def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
     xml_path = _find_one(input_path, "*.xml", "metadata XML")
-    with open(xml_path, encoding="utf-8") as fh:
-        metadata = parse_scene_metadata(fh.read())
+    metadata = parse_scene_metadata(read_text(xml_path))
     hdr_path = _find_one(input_path, "*.hdr", "raster header")
     cube = read_cube(hdr_path[: -len(".hdr")])
     if cube.data.dtype != np.float32:
@@ -238,13 +244,11 @@ class SceneSetup:
 
 def _parse_file(path: str, parse):
     """parse(the text of the file at path); an error in the text names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse(fh.read())
-        except UnicodeDecodeError as exc:
-            raise SchemaViolation(f"{path}: not UTF-8 text: {exc}") from exc
-        except HsacError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+    text = read_text(path)
+    try:
+        return parse(text)
+    except HsacError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:

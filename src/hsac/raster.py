@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     HeaderPayloadMismatch,
     IoFailure,
+    SchemaViolation,
     UnsupportedDataType,
     UnsupportedInterleave,
 )
@@ -95,14 +96,14 @@ def _header_field(fields: dict, key: str, cast=int, default=None):
     try:
         return cast(value)
     except (TypeError, ValueError):
-        raise HeaderPayloadMismatch(f"header field {key!r} is not a number: {value!r}") from None
+        kind = "an integer" if cast is int else "a number"
+        raise HeaderPayloadMismatch(f"header field {key!r} is not {kind}: {value!r}") from None
 
 
 def read_cube(base_path: str) -> RadianceCube:
     """Map `base_path`.hdr + `base_path`.img (or `base_path` raw) read-only."""
     img = base_path + ".img" if os.path.exists(base_path + ".img") else base_path
-    with open(base_path + ".hdr", encoding="utf-8") as fh:
-        fields = parse_envi_header(fh.read())
+    fields = parse_envi_header(read_text(base_path + ".hdr"))
     samples, lines, bands = sizes = [_header_field(fields, key) for key in SIZE_FIELDS]
     for key, n in zip(SIZE_FIELDS, sizes):
         if n < 0:
@@ -246,6 +247,16 @@ class CubeWriter:
         with contextlib.suppress(OSError):
             self.close()
             os.unlink(self.path)
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at `path`; other bytes are a
+    SchemaViolation naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaViolation(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def replace_with_text(path: str, text: str) -> None:

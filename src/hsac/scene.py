@@ -30,6 +30,15 @@ def check_state_value(name: str, value: float) -> None:
         raise OutOfRange(f"{name} must be finite and non-negative, got {value}")
 
 
+def check_angles(sza: float, saa: float, vza: float, vaa: float) -> None:
+    """The one range rule for acquisition angles, in degrees: zeniths in
+    [0, 90), azimuths in [0, 360)."""
+    for name, value, top in (("sza", sza, 90), ("vza", vza, 90),
+                             ("saa", saa, 360), ("vaa", vaa, 360)):
+        if not 0.0 <= value < top:
+            raise OutOfRange(f"{name} {value} outside [0, {top})")
+
+
 @dataclass(frozen=True, eq=False)
 class BandDefinition:
     """One sensor channel: center wavelength and FWHM in nm, optional measured SRF.
@@ -111,14 +120,7 @@ class SceneMetadata:
     scene_id: str = ""
 
     def __post_init__(self):
-        if not 0.0 <= self.sza < 90.0:
-            raise OutOfRange(f"sza {self.sza} outside [0, 90)")
-        if not 0.0 <= self.vza < 90.0:
-            raise OutOfRange(f"vza {self.vza} outside [0, 90)")
-        if not 0.0 <= self.saa < 360.0:
-            raise OutOfRange(f"saa {self.saa} outside [0, 360)")
-        if not 0.0 <= self.vaa < 360.0:
-            raise OutOfRange(f"vaa {self.vaa} outside [0, 360)")
+        check_angles(self.sza, self.saa, self.vza, self.vaa)
         for name in STATE_KEYS:
             value = getattr(self, name)
             if value is not None:

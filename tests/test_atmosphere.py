@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import hsac.atmosphere
 from conftest import random_params, table_of
 from hsac.atmosphere import (
     AOD_DATASET,
@@ -28,19 +27,17 @@ from hsac.atmosphere import (
     aerosol_optical_depth,
     check_band_table,
     compute_fine_fields,
-    downwelling_irradiance,
-    gas_transmittance_total,
+    diffuse_transmittance,
+    gas_transmittance,
     henyey_greenstein_phase,
     load_params_table,
     load_solar_irradiance,
-    ozone_transmittance,
     path_radiance,
     rayleigh_optical_depth,
     rayleigh_phase,
     resolve_atmospheric_state,
     serialize_params_table,
     spherical_albedo,
-    transmittance_up,
 )
 from hsac.errors import (
     DuplicateBand,
@@ -60,17 +57,6 @@ from hsac.spectral import (
     srf_for_band,
     srf_table,
 )
-
-
-@pytest.fixture
-def rayleigh_tau(monkeypatch):
-    """Call with tau to make the Rayleigh optical depth tau at every wavelength."""
-    def force(tau):
-        monkeypatch.setattr(
-            hsac.atmosphere, "rayleigh_optical_depth",
-            lambda wavelength: np.full(np.shape(wavelength), tau),
-        )
-    return force
 
 
 class TestRayleigh:
@@ -105,22 +91,45 @@ class TestAerosolOpticalDepth:
         expected = 0.2 * 2.0 ** (-1.3)
         assert aerosol_optical_depth(1100.0, 0.2, continental) == pytest.approx(expected)
 
-    def test_negative_aod_rejected(self, continental):
-        with pytest.raises(OutOfRange):
-            aerosol_optical_depth(550.0, -0.1, continental)
-
     def test_monotone_decreasing_for_positive_angstrom(self, continental):
         wl = np.arange(400.0, 2400.0, 10.0)
         tau = aerosol_optical_depth(wl, 0.3, continental)
         assert np.all(np.diff(tau) < 0)
 
 
+class TestAtmosphericState:
+    def test_negative_aod_rejected(self):
+        with pytest.raises(OutOfRange, match="aod550 must be finite and non-negative"):
+            AtmosphericState(aod550=-0.1, tcwv=2.0, tco3=300.0, source="override")
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("name,value", [
+        ("sza", 95.0), ("sza", -1.0), ("sza", math.nan), ("vza", 90.0),
+        ("saa", 360.0), ("saa", -0.5), ("vaa", 400.0),
+    ])
+    def test_out_of_range_angle_refused_as_in_metadata(self, name, value):
+        angles = {"sza": 30.0, "saa": 145.0, "vza": 5.0, "vaa": 100.0, name: value}
+        with pytest.raises(OutOfRange) as from_metadata:
+            dataclasses.replace(scene_metadata(), **angles)
+        with pytest.raises(OutOfRange) as from_geometry:
+            Geometry(**angles)
+        assert str(from_geometry.value) == str(from_metadata.value)
+        assert str(from_geometry.value).startswith(f"{name} {value} outside [0, ")
+
+
+def geometry(sza=30.0, vza=5.0):
+    return Geometry(sza=sza, saa=145.0, vza=vza, vaa=100.0)
+
+
 class TestGasTransmittance:
     def test_zero_ozone(self):
-        assert ozone_transmittance(600.0, 0.0, 30.0, 5.0) == 1.0
+        t_o3, _ = gas_transmittance(600.0, 2.0, 0.0, geometry())
+        assert t_o3 == 1.0
 
     def test_outside_chappuis_band(self):
-        assert ozone_transmittance(1600.0, 300.0, 30.0, 5.0) >= 0.999
+        t_o3, _ = gas_transmittance(1600.0, 2.0, 300.0, geometry())
+        assert t_o3 >= 0.999
 
     def test_table_lookup_oracle_at_600(self):
         # independent scalar evaluation of the bundled table
@@ -133,16 +142,16 @@ class TestGasTransmittance:
         )
         k600 = np.interp(600.0, table[:, 0], table[:, 1])
         expected = math.exp(-k600 * 0.3 * 2.0)
-        assert ozone_transmittance(600.0, 300.0, 0.0, 0.0) == pytest.approx(
-            expected, rel=1e-12
-        )
+        t_o3, _ = gas_transmittance(600.0, 2.0, 300.0, geometry(sza=0.0, vza=0.0))
+        assert t_o3 == pytest.approx(expected, rel=1e-12)
 
     def test_no_absorbers_outside_o2_bands(self):
-        assert gas_transmittance_total(550.0, 0.0, 0.0, 30.0, 5.0) == 1.0
+        assert gas_transmittance(550.0, 0.0, 0.0, geometry()) == (1.0, 1.0)
 
     def test_oxygen_a_band_below_mask_threshold(self):
         # ~760 nm must fall below the 0.85 masking threshold for typical states
-        assert gas_transmittance_total(760.0, 1.0, 300.0, 30.0, 0.0) < 0.85
+        _, t_total = gas_transmittance(760.0, 1.0, 300.0, geometry(vza=0.0))
+        assert t_total < 0.85
 
     def test_total_oracle_at_550(self):
         import os
@@ -159,26 +168,23 @@ class TestGasTransmittance:
         t_wv = math.exp(-a * (2.0 * m) ** b)
         t_o2 = math.exp(-np.interp(550.0, o2[:, 0], o2[:, 1]) * math.sqrt(m))
         expected = t_o3 * t_wv * t_o2
-        assert gas_transmittance_total(550.0, 2.0, 300.0, 30.0, 0.0) == pytest.approx(
-            expected, rel=1e-12
-        )
+        _, t_total = gas_transmittance(550.0, 2.0, 300.0, geometry(vza=0.0))
+        assert t_total == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_in_ozone_column(self):
-        values = [ozone_transmittance(600.0, du, 30.0, 5.0) for du in (0, 200, 400, 600)]
+        values = [gas_transmittance(600.0, 2.0, du, geometry())[0] for du in (0, 200, 400, 600)]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 class TestPathRadiance:
-    def test_no_scatterers(self, default_geometry, continental, rayleigh_tau):
-        rayleigh_tau(0.0)
-        lp = path_radiance(550.0, default_geometry, 0.0, continental, 1.5)
-        assert lp == 0.0
+    def test_no_scatterers(self, default_geometry, continental):
+        assert path_radiance(0.0, 0.0, default_geometry, continental, 1.5) == 0.0
 
     def test_backscatter_phase_identity(self, continental):
         # sun at zenith, nadir view: scattering angle 180 deg, P_R = 3/2
         geom = Geometry(sza=0.0, saa=0.0, vza=0.0, vaa=0.0)
         tau_r = rayleigh_optical_depth(550.0)
-        lp = path_radiance(550.0, geom, 0.0, continental, 1.0)
+        lp = path_radiance(tau_r, 0.0, geom, continental, 1.0)
         rho = lp * math.pi / 1.0  # mu_s = 1
         assert rho == pytest.approx(0.375 * tau_r, rel=1e-12)
 
@@ -212,7 +218,9 @@ class TestPathRadiance:
                 tau_r * p_r + continental.single_scatter_albedo * tau_a * p_hg
             ) / (4 * math.cos(ts) * math.cos(tv))
             expected = rho * e0 * math.cos(ts) / math.pi
-            got = path_radiance(wl, geom, aod, continental, e0)
+            got = path_radiance(rayleigh_optical_depth(wl),
+                                aerosol_optical_depth(wl, aod, continental),
+                                geom, continental, e0)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_phase_functions(self):
@@ -220,57 +228,67 @@ class TestPathRadiance:
         assert henyey_greenstein_phase(0.0, 0.0) == 1.0
 
 
-class TestTransmittanceUp:
-    def test_transparent_atmosphere(self, continental, rayleigh_tau):
-        rayleigh_tau(0.0)
-        assert transmittance_up(550.0, 0.0, 0.0, continental) == 1.0
+def fields_at(geom, aod, model, wl=550.0):
+    """compute_fine_fields' row at one grid wavelength, with E0 = 1."""
+    grid = SpectralGrid(wl, wl + 2.5, 2.5)
+    state = AtmosphericState(aod550=aod, tcwv=2.0, tco3=300.0, source="override")
+    return compute_fine_fields(grid, geom, state, model, np.ones(grid.n_points))[0]
 
-    def test_half_rayleigh_closed_form(self, continental, rayleigh_tau):
-        rayleigh_tau(0.1)
-        got = transmittance_up(550.0, 0.0, 0.0, continental)
+
+class TestTransmittanceUp:
+    """T_up, the diffuse transmittance at mu_v."""
+
+    def test_transparent_atmosphere(self, continental):
+        assert diffuse_transmittance(0.0, 0.0, 1.0, continental) == 1.0
+
+    def test_half_rayleigh_closed_form(self, continental):
+        got = diffuse_transmittance(0.1, 0.0, 1.0, continental)
         assert got == pytest.approx(math.exp(-0.05), rel=1e-9)
 
     def test_monotone_in_view_angle(self, continental):
-        values = [transmittance_up(550.0, vza, 0.3, continental) for vza in range(0, 89, 8)]
+        values = [fields_at(geometry(vza=vza), 0.3, continental)[T_UP] for vza in range(0, 89, 8)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_monotone_in_aerosol_depth(self, continental):
-        values = [transmittance_up(550.0, 30.0, aod, continental) for aod in (0, 0.2, 0.5, 1.0)]
+        values = [fields_at(geometry(), aod, continental)[T_UP] for aod in (0, 0.2, 0.5, 1.0)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
 class TestDownwellingIrradiance:
-    def test_transparent_overhead_sun(self, continental, rayleigh_tau):
-        rayleigh_tau(0.0)
-        assert downwelling_irradiance(
-            550.0, 0.0, 0.0, continental, 1.36
-        ) == pytest.approx(1.36)
+    """E_s = E0 * mu_s * T_down, T_down the diffuse transmittance at mu_s."""
 
-    def test_cosine_factor(self, continental, rayleigh_tau):
-        rayleigh_tau(0.0)
-        assert downwelling_irradiance(
-            550.0, 60.0, 0.0, continental, 2.0
-        ) == pytest.approx(1.0)
+    def test_transparent_overhead_sun(self, continental):
+        mu_s = Geometry(sza=0.0, saa=0.0, vza=0.0, vaa=0.0).mu_s
+        assert 1.36 * mu_s * diffuse_transmittance(0.0, 0.0, mu_s, continental) == 1.36
 
-    def test_attenuated_closed_form(self, continental, rayleigh_tau):
-        rayleigh_tau(0.1)
-        got = downwelling_irradiance(550.0, 0.0, 0.0, continental, 1.0)
-        assert got == pytest.approx(math.exp(-0.05), rel=1e-9)
+    def test_cosine_factor(self, continental):
+        # the E_s column is E0 mu_s T_down at the solar zenith, not the view zenith
+        geom = geometry(sza=60.0)
+        tau_r = rayleigh_optical_depth(550.0)
+        tau_a = aerosol_optical_depth(550.0, 0.2, continental)
+        t_down = diffuse_transmittance(tau_r, tau_a, geom.mu_s, continental)
+        assert fields_at(geom, 0.2, continental)[E_S] == pytest.approx(geom.mu_s * t_down,
+                                                                       rel=1e-12)
+
+    def test_attenuated_closed_form(self, continental):
+        # the aerosol's forward-scattered fraction ssa (1 + g) / 2 still reaches the surface
+        ssa, g = continental.single_scatter_albedo, continental.asymmetry
+        got = diffuse_transmittance(0.0, 0.2, 0.5, continental)
+        assert got == pytest.approx(math.exp(-(1 - ssa * (1 + g) / 2) * 0.2 / 0.5), rel=1e-12)
 
 
 class TestSphericalAlbedo:
-    def test_empty_atmosphere(self, continental, rayleigh_tau):
-        rayleigh_tau(0.0)
-        assert spherical_albedo(550.0, 0.0, continental) == 0.0
+    def test_empty_atmosphere(self, continental):
+        assert spherical_albedo(0.0, 0.0, continental) == 0.0
 
-    def test_rayleigh_only_closed_form(self, continental, rayleigh_tau):
-        rayleigh_tau(0.1)
-        got = spherical_albedo(550.0, 0.0, continental)
+    def test_rayleigh_only_closed_form(self, continental):
+        got = spherical_albedo(0.1, 0.0, continental)
         assert got == pytest.approx(0.092, rel=1e-9)
 
     def test_clamped(self, continental):
         wl = np.arange(350.0, 2600.0, 2.5)
-        s = spherical_albedo(wl, 50.0, continental)
+        s = spherical_albedo(rayleigh_optical_depth(wl),
+                             aerosol_optical_depth(wl, 50.0, continental), continental)
         assert np.all(s >= 0) and np.all(s <= 0.99)
 
 
@@ -289,29 +307,28 @@ class TestComputeBandParams:
         p = provider.band_params(band, srf)
         g, s = default_geometry, default_state
         e0_550 = e0[i550]
+        tau_r = rayleigh_optical_depth(550.0)
+        tau_a = aerosol_optical_depth(550.0, s.aod550, continental)
+        t_o3, t_total = gas_transmittance(550.0, s.tcwv, s.tco3, g)
         assert p.l_path == pytest.approx(
-            path_radiance(550.0, g, s.aod550, continental, e0_550), rel=1e-12
+            path_radiance(tau_r, tau_a, g, continental, e0_550), rel=1e-12
         )
-        assert p.t_g_o3 == pytest.approx(
-            ozone_transmittance(550.0, s.tco3, g.sza, g.vza), rel=1e-12
-        )
-        assert p.t_g_total == pytest.approx(
-            gas_transmittance_total(550.0, s.tcwv, s.tco3, g.sza, g.vza), rel=1e-12
-        )
+        assert p.t_g_o3 == pytest.approx(t_o3, rel=1e-12)
+        assert p.t_g_total == pytest.approx(t_total, rel=1e-12)
         assert p.t_up == pytest.approx(
-            transmittance_up(550.0, g.vza, s.aod550, continental), rel=1e-12
+            diffuse_transmittance(tau_r, tau_a, g.mu_v, continental), rel=1e-12
         )
         assert p.s_atm == pytest.approx(
-            spherical_albedo(550.0, s.aod550, continental), rel=1e-12
+            spherical_albedo(tau_r, tau_a, continental), rel=1e-12
         )
         assert p.e_s == pytest.approx(
-            downwelling_irradiance(550.0, g.sza, s.aod550, continental, e0_550), rel=1e-12
+            e0_550 * g.mu_s * diffuse_transmittance(tau_r, tau_a, g.mu_s, continental),
+            rel=1e-12,
         )
 
-    def test_transparent_atmosphere_identity(
-        self, default_geometry, continental, rayleigh_tau
-    ):
-        rayleigh_tau(0.0)
+    def test_transparent_atmosphere_identity(self, default_geometry, continental):
+        # no aerosol and no absorbing gas: the gas terms are exactly 1 and every
+        # other term is the band mean of its closed form in tau_R alone
         grid = SpectralGrid(500, 600, 2.5)
         e0 = np.full(grid.n_points, 1.7)
         state = AtmosphericState(aod550=0.0, tcwv=0.0, tco3=0.0, source="override")
@@ -319,12 +336,22 @@ class TestComputeBandParams:
         srf, _ = srf_for_band(band, grid)
         provider = AnalyticProvider(grid, default_geometry, state, continental, e0)
         p = provider.band_params(band, srf)
-        assert p.l_path == 0.0
+        g = default_geometry
+        start, n = int(srf.start[0]), int(srf.length[0])
+        tau_r = rayleigh_optical_depth(grid.wavelengths[start:start + n])
+
+        def band_mean(values):
+            return np.average(values, weights=srf.responses[0, :n])
+
+        p_r = 0.75 * (1 + g.cos_scattering**2)
         assert p.t_g_o3 == 1.0
         assert p.t_g_total == 1.0
-        assert p.t_up == 1.0
-        assert p.s_atm == 0.0
-        assert p.e_s == pytest.approx(1.7 * default_geometry.mu_s, rel=1e-12)
+        assert p.l_path == pytest.approx(
+            band_mean(tau_r * p_r / (4 * g.mu_s * g.mu_v) * 1.7 * g.mu_s / math.pi), rel=1e-12)
+        assert p.t_up == pytest.approx(band_mean(np.exp(-tau_r / 2 / g.mu_v)), rel=1e-12)
+        assert p.s_atm == pytest.approx(band_mean(0.92 * tau_r), rel=1e-12)
+        assert p.e_s == pytest.approx(
+            band_mean(1.7 * g.mu_s * np.exp(-tau_r / 2 / g.mu_s)), rel=1e-12)
 
     def test_band_values_bounded_by_fine_grid(
         self, default_geometry, default_state, continental

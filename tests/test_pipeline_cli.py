@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import itertools
 import json
+import math
 import os
 import re
 import tracemalloc
@@ -457,6 +458,16 @@ class TestRunEndToEnd:
         assert message in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
 
+    @pytest.mark.parametrize("name", ["scene.xml", "radiance.hdr"])
+    def test_non_utf8_input_exits_3_naming_the_file(self, scene_dir, tmp_path, capsys, name):
+        path = scene_dir / name
+        text = path.read_bytes()
+        path.write_bytes(text[:20] + b"\xff" + text[20:])
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        assert f"{path}: not UTF-8 text: " in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+
     @pytest.mark.parametrize("edit,message", [
         (lambda xml: re.sub(r'\s*<band index="5".*</band>', "", xml),
          "5 <band> elements for 6 raster bands; band indices must be 0..5: missing [5]"),
@@ -583,12 +594,12 @@ class TestRunEndToEnd:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_state_refused(self, scene_dir, tmp_path, capsys, value):
         out = tmp_path / "catalogue"
+        catalogue = write_catalogue(tmp_path, aod550=float(value))
         assert cli.main([
             "run", "--input", str(scene_dir), "--output", str(out),
-            "--aux-catalogue", str(write_catalogue(tmp_path, aod550=float(value))),
-            "--state-policy", "catalogue_first",
+            "--aux-catalogue", str(catalogue), "--state-policy", "catalogue_first",
         ]) == 4
-        assert "aod550 must be finite" in capsys.readouterr().err
+        assert f"{catalogue}: catalogue entry 0: " in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "configure"
 
         out = tmp_path / "override"
@@ -604,7 +615,12 @@ class TestRunEndToEnd:
         lambda entry: {**entry, "value": "abc"},
         lambda entry: {**entry, "bbox": [-180, -90, 180]},
         lambda entry: entry["dataset"],
-    ], ids=["missing_date", "value_not_a_number", "bbox_of_three", "not_an_object"])
+        lambda entry: {**entry, "bbox": [math.nan, -90, 180, 90]},
+        lambda entry: {**entry, "bbox": [-180, -90, math.inf, 90]},
+        lambda entry: {**entry, "value": -math.inf},
+        lambda entry: {**entry, "value": 10**400},
+    ], ids=["missing_date", "value_not_a_number", "bbox_of_three", "not_an_object",
+            "nan_in_bbox", "infinity_in_bbox", "infinite_value", "value_beyond_float"])
     def test_malformed_catalogue_entry_exits_4(self, scene_dir, tmp_path, capsys, edit):
         catalogue = write_catalogue(tmp_path)
         entries = json.loads(catalogue.read_text())
@@ -822,6 +838,19 @@ class TestCompareCli:
                          "--pixel", "2,3"])
         assert code == 3
         assert "'wavelength'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["reference", "product_header"])
+    def test_non_utf8_input_exits_3_naming_the_file(self, scene_dir, tmp_path, capsys, which):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        path = ref if which == "reference" else out / "r_rs.hdr"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        capsys.readouterr()
+        code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
+                         "--pixel", "2,3"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert f"{path}: not UTF-8 text: " in captured.err
+        assert captured.out == ""
 
     def test_product_negative_size_exits_3(self, scene_dir, tmp_path, capsys):
         out, ref = self._run_and_reference(scene_dir, tmp_path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,14 @@ class TestRead:
         header = header.replace(f"{field} = ", f"{field} = x")
         with pytest.raises(HeaderPayloadMismatch, match=f"'{field}'"):
             read_cube(write_raw(tmp_path, header, b"\0" * 8))
+
+    @pytest.mark.parametrize("field", ["samples", "lines", "bands", "data type"])
+    def test_integer_field_with_a_fraction_is_not_an_integer(self, tmp_path, field):
+        header = re.sub(f"^{field} = .*$", f"{field} = 5.0", make_header(1, 1, 1),
+                        flags=re.MULTILINE)
+        with pytest.raises(HeaderPayloadMismatch,
+                           match=f"^header field '{field}' is not an integer: '5.0'$"):
+            read_cube(write_raw(tmp_path, header, b"\0" * 4))
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil"])
     def test_payload_is_read_only(self, tmp_path, interleave):
