@@ -3,10 +3,10 @@
 The expression order is fixed: products are byte-identical across runs and
 worker counts only as long as it does not change.
 
-`invert_plane` takes one plane or a block of band planes. For a block, the
-atmospheric terms are per-band columns of shape (bands, 1, 1), and a caller
-that passes `out` and `scratch` gets every intermediate written into its own
-buffers, so the kernel allocates nothing and can run in place on `l_toa`.
+`invert_plane` and `forward_plane` take one plane, or a block of band planes
+with the atmospheric terms as per-band (bands, 1, 1) columns. An
+`invert_plane` caller that passes `out` and `scratch` gets every intermediate
+in its own buffers, so the kernel allocates nothing and can run in place.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ def invert_plane(l_toa, d_squared, t_g_o3, l_path, coupling_c, s_atm, nodata, ep
 
 
 def forward_plane(rho_w, d_squared, t_g_o3, l_path, coupling_c, s_atm, nodata, eps):
+    """A new array of the TOA radiance of float64 `rho_w`, a plane or a block
+    with (bands, 1, 1) term columns, as for `invert_plane`; pixels equal to
+    `nodata`, and pixels where |1 - s_atm * rho_w| < eps, become `nodata`."""
     nodata_mask = rho_w == nodata
     scale = t_g_o3 / d_squared
     a = 1.0 - s_atm * rho_w

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__, inversion
+from . import __version__, inversion, kernels
 from .atmosphere import (
     T_G_O3,
     T_G_TOTAL,
@@ -29,11 +29,11 @@ from .atmosphere import (
     AnalyticProvider,
     AtmosphericState,
     AuxCatalogue,
-    BandAtmParams,
     Geometry,
     TableProvider,
     _load_table,
     aerosol_model,
+    kernel_terms,
     load_solar_irradiance,
     resolve_atmospheric_state,
     serialize_params_table,
@@ -42,15 +42,16 @@ from .errors import (
     HsacError,
     IoFailure,
     LengthMismatch,
+    MissingBand,
     MissingField,
     OutOfRange,
     UnsupportedDataType,
 )
 from .inversion import (
     BAND_VALID,
+    DENOMINATOR_EPS,
     MaskPolicy,
     ReflectanceProduct,
-    forward_model_toa,
     invert_cube,
 )
 from .metrics import (
@@ -212,6 +213,8 @@ def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
             f"band indices must be 0..{cube.n_bands - 1}: "
             + ", ".join(f"{k} {v}" for k, v in problems.items() if v)
         )
+    if not indices:
+        raise MissingBand(f"{xml_path}: no <band> elements")
     return metadata, cube
 
 
@@ -396,7 +399,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
         report.nyquist = {
             "step": nyquist.step,
             "overall": nyquist.overall,
-            "violations": [c.band_index for c in nyquist.bands if not c.satisfied],
+            "violations": list(nyquist.violations),
         }
         if not nyquist.overall:
             import warnings
@@ -491,9 +494,8 @@ def synthesize_scene(
     setup = configure_scene(metadata, analytic)
     table = setup.analytic_provider().band_table(setup.srfs)
     rho_true = self_test_reflectance(len(bands), size, seed)
-    l_toa = np.empty_like(rho_true)
-    for b, row in enumerate(table.tolist()):
-        l_toa[b] = forward_model_toa(rho_true[b], setup.d_squared, BandAtmParams(b, *row))
+    columns = kernel_terms(table).T[:, :, np.newaxis, np.newaxis]
+    l_toa = kernels.forward_plane(rho_true, setup.d_squared, *columns, NODATA, DENOMINATOR_EPS)
     return metadata, RadianceCube(data=l_toa, nodata_value=NODATA)
 
 

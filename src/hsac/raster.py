@@ -183,7 +183,8 @@ def format_envi_header(
 
 
 def _pwrite_all(fd: int, array: np.ndarray, offset: int) -> None:
-    view = memoryview(np.ascontiguousarray(array)).cast("B")
+    # bytes through a flat uint8 view: a memoryview cast refuses an empty array
+    view = memoryview(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
     while view:
         n = os.pwrite(fd, view, offset)
         view, offset = view[n:], offset + n
@@ -221,14 +222,17 @@ class CubeWriter:
             raise IoFailure(f"creating {self.path}: {exc}") from exc
 
     def write_rows(self, r0: int, rows: np.ndarray, k0: int = 0) -> None:
-        """Write rows[k, i] as row r0 + i of band k0 + k: one pwrite per
-        band for BSQ, one per row for BIL."""
+        """Write rows[k, i] as row r0 + i of band k0 + k: for BSQ one pwrite
+        per band, or one for a block of whole bands; one per row for BIL."""
         if rows.dtype != self.dtype:
             raise UnsupportedDataType(f"rows are {rows.dtype}, the raster is {self.dtype}")
         bands, n_rows, n_cols = self.shape
         row_bytes = n_cols * self.dtype.itemsize
         try:
-            if self.interleave == "bsq":
+            if self.interleave == "bsq" and rows.shape[1] == n_rows:
+                # whole bands are one contiguous run of the payload
+                _pwrite_all(self._fd, rows, k0 * n_rows * row_bytes)
+            elif self.interleave == "bsq":
                 for k in range(rows.shape[0]):
                     _pwrite_all(self._fd, rows[k], ((k0 + k) * n_rows + r0) * row_bytes)
             else:  # bil: one (bands, cols) run per row
@@ -250,10 +254,10 @@ class CubeWriter:
 
 
 def read_text(path: str) -> str:
-    """The text of the UTF-8 file at `path`; other bytes are a
-    SchemaViolation naming the file."""
+    """The text of the UTF-8 file at `path`, without a leading byte-order
+    mark; other bytes are a SchemaViolation naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaViolation(f"{path}: not UTF-8 text: {exc}") from exc

@@ -57,37 +57,24 @@ class SRFTable:
 
 
 @dataclass(frozen=True)
-class NyquistBandCheck:
-    band_index: int
-    fwhm: float
-    threshold: float  # fwhm / 2
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class NyquistReport:
+    """The Nyquist check of a grid step: `violations` holds the band index
+    of each band, in list order, whose FWHM is under twice the step."""
+
     step: float
-    bands: tuple[NyquistBandCheck, ...]
-    overall: bool
+    violations: tuple[int, ...]
+
+    @property
+    def overall(self) -> bool:
+        return not self.violations
 
 
 def check_nyquist(bands: list[BandDefinition], step: float) -> NyquistReport:
-    """Per-band check that the grid step is at most half the FWHM (inclusive)."""
-    checks = tuple(
-        NyquistBandCheck(
-            band_index=b.index,
-            fwhm=b.fwhm,
-            threshold=b.fwhm / 2.0,
-            satisfied=step <= b.fwhm / 2.0,
-        )
-        for b in bands
-    )
-    return NyquistReport(step=step, bands=checks, overall=all(c.satisfied for c in checks))
-
-
-def _gaussian_window(band: BandDefinition) -> tuple[float, float]:
-    half_window = GAUSSIAN_HALF_WINDOW * band.fwhm
-    return band.center_wavelength - half_window, band.center_wavelength + half_window
+    """The grid step must be at most half of each band's FWHM (inclusive):
+    a band with step > fwhm / 2 violates it."""
+    index = np.array([b.index for b in bands], dtype=np.intp)
+    fwhm = np.array([b.fwhm for b in bands])
+    return NyquistReport(step, tuple(index[step > fwhm / 2.0].tolist()))
 
 
 def _grid_span(grid: SpectralGrid, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -102,10 +89,13 @@ def _grid_span(grid: SpectralGrid, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 def simulation_grid(bands: list[BandDefinition], step: float) -> SpectralGrid:
     """Grid anchored at WAVELENGTH_MIN covering every band's Gaussian window
     and measured SRF support, clipped to [WAVELENGTH_MIN, WAVELENGTH_MAX]."""
-    lows, highs = zip(*map(_gaussian_window, bands),
-                      *((b.srf[0, 0], b.srf[-1, 0]) for b in bands if b.srf is not None))
-    first = max(0, math.floor((min(lows) - WAVELENGTH_MIN) / step))
-    last = min(math.ceil((max(highs) - WAVELENGTH_MIN) / step),
+    center = np.array([b.center_wavelength for b in bands])
+    half_window = GAUSSIAN_HALF_WINDOW * np.array([b.fwhm for b in bands])
+    srfs = [b.srf for b in bands if b.srf is not None]
+    lo = min([(center - half_window).min(), *(srf[0, 0] for srf in srfs)])
+    hi = max([(center + half_window).max(), *(srf[-1, 0] for srf in srfs)])
+    first = max(0, math.floor((lo - WAVELENGTH_MIN) / step))
+    last = min(math.ceil((hi - WAVELENGTH_MIN) / step),
                math.floor((WAVELENGTH_MAX - WAVELENGTH_MIN) / step))
     return SpectralGrid(WAVELENGTH_MIN + step * first, WAVELENGTH_MIN + step * last, step)
 
@@ -123,10 +113,12 @@ def srf_table(bands: list[BandDefinition], grid: SpectralGrid) -> SRFTable:
     """
     measured = np.array([b.srf is not None for b in bands], dtype=bool)
     center = np.array([b.center_wavelength for b in bands])
-    fwhm_squared = np.array([b.fwhm**2 for b in bands])
-    support = np.array([(b.srf[0, 0], b.srf[-1, 0]) if b.srf is not None
-                        else _gaussian_window(b) for b in bands]).reshape(-1, 2)
-    start, last = _grid_span(grid, support[:, 0], support[:, 1])
+    fwhm = np.array([b.fwhm for b in bands])
+    lo = center - GAUSSIAN_HALF_WINDOW * fwhm
+    hi = center + GAUSSIAN_HALF_WINDOW * fwhm
+    for b in np.flatnonzero(measured):
+        lo[b], hi[b] = bands[b].srf[0, 0], bands[b].srf[-1, 0]
+    start, last = _grid_span(grid, lo, hi)
     between = ~measured & (last < start)
     start[between] = last[between] = np.rint((center[between] - grid.start) / grid.step)
     length = last - start + 1
@@ -139,7 +131,10 @@ def srf_table(bands: list[BandDefinition], grid: SpectralGrid) -> SRFTable:
         inside = columns < length[gauss, None]
         points = np.minimum(start[gauss, None] + columns, len(wavelengths) - 1)
         offset = wavelengths[points] - center[gauss, None]
-        resp = np.exp(-4.0 * math.log(2.0) * offset**2 / fwhm_squared[gauss, None])
+        # squared by C pow, as Python's float ** squares: np.power's vector
+        # loop and fwhm * fwhm differ from it in the last bit of some values
+        fwhm_squared = np.float_power(fwhm[gauss, None], 2)
+        resp = np.exp(-4.0 * math.log(2.0) * offset**2 / fwhm_squared)
         resp = np.where(inside, resp, 0.0)
         # a lone point is the peak, also where its response underflows to 0
         resp[between[gauss], 0] = 1.0

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from hsac import cli, inversion, pipeline
-from hsac.atmosphere import load_params_table
-from hsac.inversion import ROW_TILE, MaskPolicy, invert_cube, to_rrs
+from hsac.atmosphere import BandAtmParams, load_params_table
+from hsac.inversion import ROW_TILE, MaskPolicy, forward_model_toa, invert_cube, to_rrs
 from hsac.pipeline import (
     ProcessingReport,
     RunConfig,
@@ -358,46 +358,66 @@ class TestRunEndToEnd:
         report = json.loads((analytic / "report.json").read_text())
         assert report["srf_sources"] == {"gaussian": 5, "measured": 1}
 
+    def test_table_with_a_byte_order_mark_replays(self, scene_dir, tmp_path):
+        analytic, replay = tmp_path / "analytic", tmp_path / "replay"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
+        table = tmp_path / "table.csv"
+        table.write_bytes(b"\xef\xbb\xbf" + (analytic / "band_params.csv").read_bytes())
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(replay),
+            "--provider", "table", "--params-table", str(table),
+        ]) == 0
+        for name in ("rho_w.img", "r_rs.img", "band_params.csv"):
+            assert (replay / name).read_bytes() == (analytic / name).read_bytes(), name
+
     def test_worker_counts_byte_identical_products(self, tmp_path, monkeypatch):
-        # row tiles [0, 64), [64, 128) and [128, 130), each with planted pixels;
-        # radiance 0.0 inverts to a negative rho_w. A degenerate pixel needs a
-        # float64 radiance: test_fused_pixel_account plants one.
-        planted = {(0, 3, 1): np.nan, (4, 10, 3): 0.0, (2, 70, 0): np.inf,
-                   (1, 100, 2): -9999.0, (5, 129, 4): -np.inf, (3, 128, 0): 0.0}
-        scene = make_scene_dir(tmp_path / "scene", pixels=planted, rows=130)
-        metadata, cube = ingest_scene(str(scene))
-        setup = pipeline.configure_scene(metadata, RunConfig())
-        # a band a block; two bands a block in the 64-row tiles; all bands a block
+        # 130 rows: row tiles [0, 64), [64, 128) and [128, 130), each with
+        # planted pixels; 40 rows: one row tile, so that every block spans
+        # every row and is written in one pwrite. Radiance 0.0 inverts to a
+        # negative rho_w. A degenerate pixel needs a float64 radiance:
+        # test_fused_pixel_account plants one.
+        scenes = {
+            130: {(0, 3, 1): np.nan, (4, 10, 3): 0.0, (2, 70, 0): np.inf,
+                  (1, 100, 2): -9999.0, (5, 129, 4): -np.inf, (3, 128, 0): 0.0},
+            40: {(0, 3, 1): np.nan, (4, 10, 3): 0.0, (2, 20, 0): np.inf,
+                 (1, 30, 2): -9999.0, (5, 39, 4): -np.inf, (3, 38, 0): 0.0},
+        }
+        # a band a block; two bands a block in a 64-row tile, three in a
+        # 40-row one; all bands a block
         block_sizes = (1, 2 * ROW_TILE * 5, inversion.BLOCK_PIXELS)
-        for opts in ([], ["--clip-negative"], ["--divide-total-gas"]):
-            tag = "-".join(opts) or "default"
-            expected = None
-            for w, block_pixels in itertools.product((1, 2, 8), block_sizes):
-                monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
-                out = tmp_path / f"{tag}-w{w}-b{block_pixels}"
-                assert cli.main([
-                    "run", "--input", str(scene), "--output", str(out), "--workers", str(w),
-                    *opts,
-                ]) == 0
-                if expected is None:
-                    # the same run held in memory, cast and formatted without a sink
-                    params = load_params_table((out / "band_params.csv").read_text())
-                    policy = MaskPolicy(clip_negative="--clip-negative" in opts)
-                    product = invert_cube(cube, setup.d_squared, params, policy)
-                    assert product.report.nonfinite_pixels == 3
-                    assert product.report.negativity_rate > 0
-                    wavelengths = tuple(setup.bands[i].center_wavelength
-                                        for i in product.valid_band_indices)
-                    header = format_envi_header(product.rho_w.shape, np.float32, NODATA,
-                                                wavelengths, "bsq").encode()
-                    expected = {
-                        "rho_w.hdr": header,
-                        "rho_w.img": product.rho_w.astype(np.float32).tobytes(),
-                        "r_rs.hdr": header,
-                        "r_rs.img": to_rrs(product.rho_w).tobytes(),
-                    }
-                for name, data in expected.items():
-                    assert (out / name).read_bytes() == data, (tag, w, block_pixels, name)
+        for rows, planted in scenes.items():
+            scene = make_scene_dir(tmp_path / f"scene{rows}", pixels=planted, rows=rows)
+            metadata, cube = ingest_scene(str(scene))
+            setup = pipeline.configure_scene(metadata, RunConfig())
+            for opts in ([], ["--clip-negative"], ["--divide-total-gas"]):
+                tag = "-".join(opts) or "default"
+                expected = None
+                for w, block_pixels in itertools.product((1, 2, 8), block_sizes):
+                    monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
+                    out = tmp_path / f"r{rows}-{tag}-w{w}-b{block_pixels}"
+                    assert cli.main([
+                        "run", "--input", str(scene), "--output", str(out), "--workers", str(w),
+                        *opts,
+                    ]) == 0
+                    if expected is None:
+                        # the same run held in memory, cast and formatted without a sink
+                        params = load_params_table((out / "band_params.csv").read_text())
+                        policy = MaskPolicy(clip_negative="--clip-negative" in opts)
+                        product = invert_cube(cube, setup.d_squared, params, policy)
+                        assert product.report.nonfinite_pixels == 3
+                        assert product.report.negativity_rate > 0
+                        wavelengths = tuple(setup.bands[i].center_wavelength
+                                            for i in product.valid_band_indices)
+                        header = format_envi_header(product.rho_w.shape, np.float32, NODATA,
+                                                    wavelengths, "bsq").encode()
+                        expected = {
+                            "rho_w.hdr": header,
+                            "rho_w.img": product.rho_w.astype(np.float32).tobytes(),
+                            "r_rs.hdr": header,
+                            "r_rs.img": to_rrs(product.rho_w).tobytes(),
+                        }
+                    for name, data in expected.items():
+                        assert (out / name).read_bytes() == data, (out.name, name)
 
     def test_streamed_run_never_holds_the_cube(self, tmp_path, monkeypatch):
         # four row tiles; one tile of all bands is 10x BLOCK_PIXELS
@@ -483,6 +503,14 @@ class TestRunEndToEnd:
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         assert message in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+
+    def test_scene_without_bands_exits_3_naming_the_xml(self, tmp_path, capsys):
+        # a raster of 0 bands agrees with a <bandCharacterisation> of none
+        scene = make_scene_dir(tmp_path / "scene", centers=())
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene), "--output", str(out)]) == 3
+        assert f"{scene / 'scene.xml'}: no <band> elements" in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
 
     @pytest.mark.parametrize("negative,field", [
@@ -852,6 +880,23 @@ class TestCompareCli:
         assert f"{path}: not UTF-8 text: " in captured.err
         assert captured.out == ""
 
+    def test_reference_with_a_byte_order_mark(self, scene_dir, tmp_path, capsys):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        argv = ["compare", "--product", str(out), "--pixel", "2,3", "--reference"]
+        capsys.readouterr()
+        assert cli.main([*argv, str(ref)]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        # the mark in front of the label line, and in front of the header line
+        labelled, unlabelled = tmp_path / "labelled.csv", tmp_path / "unlabelled.csv"
+        labelled.write_bytes(b"\xef\xbb\xbf" + ref.read_bytes())
+        unlabelled.write_bytes(b"\xef\xbb\xbf" + ref.read_bytes().split(b"\n", 1)[1])
+        assert cli.main([*argv, str(labelled)]) == 0
+        assert json.loads(capsys.readouterr().out) == plain
+        assert cli.main([*argv, str(unlabelled)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["references"] == {"unlabelled.csv": plain["references"]["match"]}
+        assert result["aggregate"] == plain["aggregate"]
+
     def test_product_negative_size_exits_3(self, scene_dir, tmp_path, capsys):
         out, ref = self._run_and_reference(scene_dir, tmp_path)
         header = out / "r_rs.hdr"
@@ -880,6 +925,22 @@ class TestSelfTest:
         assert max_rel <= 1e-10
         assert report.scene_id == "self-test"
         assert config == RunConfig()  # the caller's config is left as it was
+
+    def test_synthesized_scene_is_the_per_band_forward_model(self):
+        """The one forward-model call on the whole scene gives the bytes of
+        `forward_model_toa` run band by band on every bundled band."""
+        config = RunConfig()
+        metadata, cube = pipeline.synthesize_scene(config, size=16)
+        setup = pipeline.configure_scene(metadata, config)
+        table = setup.analytic_provider().band_table(setup.srfs)
+        rho = pipeline.self_test_reflectance(len(table), size=16)
+        expected = np.stack([
+            forward_model_toa(rho[b], setup.d_squared, BandAtmParams(b, *row))
+            for b, row in enumerate(table.tolist())
+        ])
+        assert len(table) == 228
+        assert cube.data.dtype == expected.dtype
+        assert cube.data.tobytes() == expected.tobytes()
 
     def test_cli_self_test_exit_zero(self, capsys):
         assert cli.main(["self-test"]) == 0

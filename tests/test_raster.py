@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from hsac.errors import (
     UnsupportedDataType,
     UnsupportedInterleave,
 )
-from hsac.raster import RadianceCube, read_cube, write_cube
+from hsac.raster import CubeWriter, RadianceCube, read_cube, write_cube
 
 
 def make_header(samples, lines, bands, dtype_code=4, interleave="bsq"):
@@ -135,6 +136,14 @@ class TestRoundTrip:
         assert back.nodata_value == cube.nodata_value
         assert back.wavelengths == cube.wavelengths
 
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (2, 3, 0)])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_empty_cube_round_trip(self, tmp_path, shape, interleave):
+        base = str(tmp_path / "cube")
+        write_cube(base, RadianceCube(data=np.zeros(shape, dtype=np.float32)), interleave)
+        assert read_cube(base).data.shape == shape
+        assert (tmp_path / "cube.img").stat().st_size == 0
+
     def test_encode_header_consistency(self, tmp_path):
         # the bytes on disk, not only a read back: header says bil, payload is BIL
         data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
@@ -142,3 +151,36 @@ class TestRoundTrip:
         assert "interleave = bil\n" in (tmp_path / "cube.hdr").read_text()
         expected = data.transpose(1, 0, 2).copy().tobytes()
         assert (tmp_path / "cube.img").read_bytes() == expected
+
+
+class TestCubeWriter:
+    @pytest.mark.parametrize("interleave", ["bsq", "bil"])
+    def test_block_of_whole_bands_in_one_call(self, tmp_path, monkeypatch, interleave):
+        """Bands 1..3 of a 5-band raster, every row in one call or one row a
+        call: the same payload. A BSQ block of whole bands is one pwrite."""
+        shape = (5, 4, 3)
+        block = np.arange(1, 3 * 4 * 3 + 1, dtype=np.float32).reshape(3, 4, 3)
+        offsets = []
+        pwrite = os.pwrite
+
+        def counted(fd, data, offset):
+            offsets.append(offset)
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", counted)
+        payloads, calls = [], []
+        for name, step in (("whole", 4), ("by_row", 1)):
+            base = str(tmp_path / name)
+            writer = CubeWriter(base, shape, np.float32, -9999.0, None, interleave)
+            offsets.clear()
+            for r0 in range(0, 4, step):
+                writer.write_rows(r0, block[:, r0:r0 + step], k0=1)
+            calls.append(len(offsets))
+            write_cube(base, writer)
+            payloads.append((tmp_path / f"{name}.img").read_bytes())
+        full = np.zeros(shape, dtype=np.float32)
+        full[1:4] = block
+        if interleave == "bil":
+            full = full.transpose(1, 0, 2)
+        assert payloads[0] == payloads[1] == np.ascontiguousarray(full).tobytes()
+        assert calls == ([1, 12] if interleave == "bsq" else [4, 4])
