@@ -339,8 +339,6 @@ class AnalyticProvider:
     array; `band_table` convolves them to every band.
     """
 
-    provenance = "analytic"
-
     def __init__(
         self,
         grid: SpectralGrid,
@@ -422,8 +420,6 @@ def serialize_params_table(table: np.ndarray) -> str:
 class TableProvider:
     """Serves a pre-computed band table, one row per band in band order."""
 
-    provenance = "table"
-
     def __init__(self, table: np.ndarray):
         self.table = table
 
@@ -434,10 +430,6 @@ class TableProvider:
         if len(table) != n_bands:
             raise LengthMismatch(f"parameter table has {len(table)} bands, the scene has {n_bands}")
         return cls(table)
-
-    def band_table(self, srfs: SRFTable) -> np.ndarray:
-        """A copy of the table, which the caller may change."""
-        return self.table.copy()
 
     def band_params(self, band: BandDefinition, srfs: SRFTable) -> BandAtmParams:
         return BandAtmParams(band.index, *self.table[band.index].tolist())

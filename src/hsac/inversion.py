@@ -24,6 +24,9 @@ from .errors import LengthMismatch, OutOfRange
 from .raster import NODATA, RadianceCube
 
 DENOMINATOR_EPS = 1e-12
+# rho_w at or below this is degenerate: no reflectance is this negative, and
+# float32 rho_w, or R_rs = rho_w / pi, could otherwise round onto NODATA
+NEAR_NODATA = -9998.5
 ROW_TILE = 64
 # pixels of one band block: the float64 block, its denominator and two bool
 # masks (18 B a pixel, ~1.2 MB) stay in one core's L2 cache
@@ -125,23 +128,30 @@ BlockWriter = Callable[[int, int, np.ndarray], None]
 
 
 def _finish_block(block: np.ndarray, masks: tuple[np.ndarray, np.ndarray],
-                  clip_negative: bool) -> tuple[int, int, int]:
-    """Non-finite rho_w to NODATA, then the opt-in clip, on one block in
-    place, with two bool arrays shaped like it as scratch.
+                  clip_negative: bool) -> tuple[int, int, int, int]:
+    """Non-finite rho_w to NODATA, then data at or below NEAR_NODATA to
+    NODATA, then the opt-in clip, on one block in place, with two bool
+    arrays shaped like it as scratch.
 
-    Returns the block's (non-finite, data, negative) pixel counts.
+    Returns the block's (near-nodata, non-finite, data, negative) pixel counts.
     """
     mask, negative = masks
     np.isfinite(block, out=mask)
     np.logical_not(mask, out=mask)
     n_nonfinite = int(np.count_nonzero(mask))
     np.copyto(block, NODATA, where=mask)
-    np.not_equal(block, NODATA, out=mask)  # data pixels
-    np.less(block, 0.0, out=negative)
-    np.logical_and(negative, mask, out=negative)
+    np.equal(block, NODATA, out=mask)  # nodata pixels
+    np.less_equal(block, NEAR_NODATA, out=negative)
+    np.logical_xor(negative, mask, out=negative)  # data pixels at or below NEAR_NODATA
+    n_near = int(np.count_nonzero(negative))
+    np.copyto(block, NODATA, where=negative)
+    n_nodata = int(np.count_nonzero(np.logical_or(mask, negative, out=mask)))
+    np.less(block, 0.0, out=negative)  # the negative data and every nodata pixel
+    n_negative = int(np.count_nonzero(negative)) - n_nodata
     if clip_negative:
+        np.logical_xor(negative, mask, out=negative)
         np.copyto(block, 0.0, where=negative)
-    return n_nonfinite, int(np.count_nonzero(mask)), int(np.count_nonzero(negative))
+    return n_near, n_nonfinite, block.size - n_nodata, n_negative
 
 
 def invert_cube(
@@ -160,8 +170,9 @@ def invert_cube(
     one workspace (a float64 block, a float64 denominator and two bool
     masks) and reuses it for every block: it copies the block's input rows
     into the float64 block, inverts them there in place with
-    `kernels.invert_plane`, sets non-finite rho_w to NODATA, counts the
-    non-finite, data and negative pixels, applies the opt-in clip, and hands
+    `kernels.invert_plane`, sets non-finite rho_w and rho_w at or below
+    NEAR_NODATA (counted as degenerate) to NODATA, counts the non-finite,
+    data and negative pixels, applies the opt-in clip, and hands
     the finished block (valid bands k0..k0+g-1 of rows r0..) to a sink as
     `write(r0, k0, block)`, from its worker thread. The block is overwritten
     after `write` returns, so a sink copies what it keeps.
@@ -210,7 +221,8 @@ def invert_cube(
                 block, d_squared, *(c[k0:k0 + n] for c in columns), nodata,
                 DENOMINATOR_EPS, out=block, scratch=(denom, *masks),
             )
-            totals += (degenerate, *_finish_block(block, masks, policy.clip_negative))
+            n_near, *counts = _finish_block(block, masks, policy.clip_negative)
+            totals += (degenerate + n_near, *counts)
             write(r0, k0, block)
         return totals.tolist()
 

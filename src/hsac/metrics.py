@@ -38,16 +38,6 @@ class ComparisonReport:
     n: int
     window: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "sam_deg": self.sam_deg,
-            "rmse": self.rmse,
-            "bias": self.bias,
-            "std": self.std,
-            "n": self.n,
-            "window": list(self.window),
-        }
-
 
 def spectral_angle(a: SpectrumSample, b: SpectrumSample) -> float:
     """Angle in degrees between two spectra sharing a wavelength grid."""

@@ -80,8 +80,6 @@ from .scene import (
 from .spectral import (
     GRID_STEP,
     NyquistReport,
-    SpectralGrid,
-    SRFTable,
     check_nyquist,
     resample_reference_spectrum,
     simulation_grid,
@@ -186,9 +184,18 @@ def _find_one(directory: str, pattern: str, what: str) -> str:
     return matches[0]
 
 
+def _parse_file(path: str, parse):
+    """parse(the text of the file at path); an error in the text names the file."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except HsacError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
     xml_path = _find_one(input_path, "*.xml", "metadata XML")
-    metadata = parse_scene_metadata(read_text(xml_path))
+    metadata = _parse_file(xml_path, parse_scene_metadata)
     hdr_path = _find_one(input_path, "*.hdr", "raster header")
     cube = read_cube(hdr_path[: -len(".hdr")])
     if cube.data.dtype != np.float32:
@@ -227,35 +234,27 @@ def load_bundled_bands() -> list[BandDefinition]:
 
 @dataclass(frozen=True)
 class SceneSetup:
-    """Everything stages 2 and 3 derive from scene metadata and a RunConfig."""
+    """Everything stage 2 derives from scene metadata and a RunConfig."""
 
     bands: list[BandDefinition]
     geometry: Geometry
     state: AtmosphericState | None  # None for a table replay
     model: AerosolModel
-    grid: SpectralGrid
     nyquist: NyquistReport
-    e0_grid: np.ndarray
-    srfs: SRFTable
     d_squared: float
 
-    def analytic_provider(self) -> AnalyticProvider:
-        return AnalyticProvider(
-            self.grid, self.geometry, self.state, self.model, self.e0_grid
-        )
-
-
-def _parse_file(path: str, parse):
-    """parse(the text of the file at path); an error in the text names the file."""
-    text = read_text(path)
-    try:
-        return parse(text)
-    except HsacError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    def analytic_table(self) -> np.ndarray:
+        """The analytic provider's (bands, 6) band table. Only it reads the
+        simulation grid, the solar spectrum on that grid and the SRF table."""
+        grid = simulation_grid(self.bands, GRID_STEP)
+        # pipeline globals, as perfbench traces AnalyticProvider and load_solar_irradiance
+        e0 = resample_reference_spectrum(load_solar_irradiance(), grid)
+        provider = AnalyticProvider(grid, self.geometry, self.state, self.model, e0)
+        return provider.band_table(srf_table(self.bands, grid))
 
 
 def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
-    """Stage 2: geometry, atmospheric state, simulation grid, SRFs and d^2.
+    """Stage 2: geometry, atmospheric state, the Nyquist check and d^2.
 
     The atmospheric state is the config's override state, if it has one,
     and is otherwise resolved for the analytic provider only: a table
@@ -270,16 +269,12 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
         state = resolve_atmospheric_state(
             metadata, policy=config.state_policy, catalogue=catalogue
         )
-    grid = simulation_grid(bands, GRID_STEP)
     return SceneSetup(
         bands=bands,
         geometry=Geometry.from_metadata(metadata),
         state=state,
         model=aerosol_model(config.aerosol),
-        grid=grid,
         nyquist=check_nyquist(bands, GRID_STEP),
-        e0_grid=resample_reference_spectrum(load_solar_irradiance(), grid),
-        srfs=srf_table(bands, grid),
         d_squared=earth_sun_distance(
             compute_julian_day(metadata.acquisition_date)
         ).d_squared,
@@ -408,21 +403,22 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
                 f"grid step {GRID_STEP} nm violates the Nyquist criterion "
                 f"for {len(report.nyquist['violations'])} bands"
             )
-        report.srf_sources = dict(Counter(setup.srfs.sources))
+        report.srf_sources = dict(Counter("gaussian" if b.srf is None else "measured"
+                                          for b in setup.bands))
         report.atmospheric_state = asdict(setup.state) if setup.state is not None else {}
 
     # stage 3: per-band RTM parameters
     with _stage(report, STAGE_RTM):
         if config.provider == "table":
-            provider = _parse_file(config.params_table_path,
-                                   lambda text: TableProvider.from_csv(text, len(setup.bands)))
+            # freshly parsed, so the gas division below may edit it in place
+            table = _parse_file(config.params_table_path,
+                                lambda text: TableProvider.from_csv(text, len(setup.bands))).table
         else:
-            provider = setup.analytic_provider()
-        table = provider.band_table(setup.srfs)
+            table = setup.analytic_table()
         if config.divide_total_gas:
             # unmasked bands are then corrected for water vapour and oxygen too
             table[:, T_G_O3] = table[:, T_G_TOTAL]
-        report.provider = provider.provenance
+        report.provider = config.provider
 
     # stage 4: pixel-wise inversion; an exported run streams its rasters
     # through a ProductSink, a run without an output path keeps float64 rho_w
@@ -492,7 +488,7 @@ def synthesize_scene(
     # forward-modelled with the analytic provider, whichever one the run inverts with
     analytic = dataclasses.replace(config, provider="analytic", params_table_path=None)
     setup = configure_scene(metadata, analytic)
-    table = setup.analytic_provider().band_table(setup.srfs)
+    table = setup.analytic_table()
     rho_true = self_test_reflectance(len(bands), size, seed)
     columns = kernel_terms(table).T[:, :, np.newaxis, np.newaxis]
     l_toa = kernels.forward_plane(rho_true, setup.d_squared, *columns, NODATA, DENOMINATOR_EPS)
@@ -532,8 +528,8 @@ def compare_against_reference(
         ref = load_reference_spectrum(path)
         rep = compare_spectra(derived, ref, window)
         reports.append(rep)
-        per_reference[ref.label or os.path.basename(path)] = rep.to_dict()
+        per_reference[ref.label or os.path.basename(path)] = asdict(rep)
     return {
         "references": per_reference,
-        "aggregate": aggregate_reports(reports).to_dict(),
+        "aggregate": asdict(aggregate_reports(reports)),
     }

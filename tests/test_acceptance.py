@@ -190,7 +190,7 @@ class TestAcceptance:
         config = RunConfig(self_test=True)
         metadata, cube = synthesize_scene(config, size=512)
         setup = configure_scene(metadata, config)
-        table = setup.analytic_provider().band_table(setup.srfs)
+        table = setup.analytic_table()
         t0 = time.perf_counter()
         invert_cube(cube, setup.d_squared, table, MaskPolicy(), workers=config.workers)
         elapsed = time.perf_counter() - t0

@@ -22,7 +22,7 @@ from hsac.inversion import (
     to_rrs,
 )
 from hsac.pipeline import ProductSink, write_product
-from hsac.raster import NODATA, RadianceCube
+from hsac.raster import NODATA, RadianceCube, read_cube
 from hsac.scene import BandDefinition
 
 PARAMS = BandAtmParams(
@@ -260,6 +260,30 @@ class TestInvertCube:
         assert product.rho_w[0, 0, 1] == NODATA
         assert product.rho_w[0, 0, 2] < 0
         assert product.report.negativity_rate == 1 / 2  # of the two data pixels
+
+    def test_rho_w_that_rounds_onto_nodata_is_degenerate(self, tmp_path):
+        # band 0 has rho_w = L: c = e_s * t_up / pi = 1 and s_atm = 0; band 1
+        # (s_atm = 0.5) is degenerate at L = -2, where c + s_atm * y = 0
+        terms = dict(l_path=0.0, t_g_o3=1.0, t_g_total=1.0, t_up=1.0, e_s=math.pi)
+        params = [BandAtmParams(0, s_atm=0.0, **terms), BandAtmParams(1, s_atm=0.5, **terms)]
+        near = (-9999.0001, -9999.0 * math.pi)  # float32 rho_w, then R_rs, is -9999.0
+        data = np.array([[[*near, -9998.0, NODATA, np.nan, 0.1, 0.1]],
+                         [[0.1, 0.1, 0.1, -2.0, 0.1, -np.inf, 0.1]]])
+        assert np.float32(near[0]) == np.float32(near[1] / math.pi) == NODATA
+        bands = [BandDefinition(0, 500.0, 6.5), BandDefinition(1, 550.0, 6.5)]
+        sink = ProductSink(str(tmp_path), bands)
+        product = invert_cube(RadianceCube(data=data), 1.0, table_of(params),
+                              open_sink=sink.open)
+        write_product(sink, product.band_mask, table_of(params))
+        # two near-nodata pixels and one degenerate; NODATA input is neither
+        assert product.report.degenerate_pixels == 3
+        assert product.report.nonfinite_pixels == 2
+        assert product.report.negativity_rate == 1 / 8  # -9998 of 8 data pixels
+        nodata = np.array([[[1, 1, 0, 1, 1, 0, 0]], [[0, 0, 0, 1, 0, 1, 0]]], dtype=bool)
+        for name in ("rho_w", "r_rs"):
+            raster = read_cube(str(tmp_path / name)).data
+            np.testing.assert_array_equal(raster == NODATA, nodata, err_msg=name)
+        assert read_cube(str(tmp_path / "rho_w")).data[0, 0, 2] == -9998.0
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):

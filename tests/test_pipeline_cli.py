@@ -158,11 +158,12 @@ class TestParseCli:
           "--state-policy", "catalogue_first"], "not read with --aod550, --tcwv and --tco3"),
         (["--state-policy", "catalogue_first"],
          "--state-policy catalogue_first is read only with --aux-catalogue"),
+        (["--workers", "-1"], "worker count must be positive or 0 (auto)"),
     ], ids=["params_table_without_table_provider", "aod550_without_override",
             "tcwv_tco3_without_override", "catalogue_with_table_provider",
             "state_policy_with_table_provider", "override_with_table_provider",
             "override_with_catalogue", "override_with_state_policy",
-            "state_policy_without_catalogue"])
+            "state_policy_without_catalogue", "negative_workers"])
     def test_unread_option_exits_2(self, scene_dir, tmp_path, capsys, extra, message):
         out = tmp_path / "o"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out), *extra]) == 2
@@ -358,6 +359,44 @@ class TestRunEndToEnd:
         report = json.loads((analytic / "report.json").read_text())
         assert report["srf_sources"] == {"gaussian": 5, "measured": 1}
 
+    def test_nyquist_violation_warns_and_runs(self, scene_dir, tmp_path):
+        xml = scene_dir / "scene.xml"
+        xml.write_text(xml.read_text().replace(
+            "<centerWavelength>560.0</centerWavelength><fwhm>6.5</fwhm>",
+            "<centerWavelength>560.0</centerWavelength><fwhm>4.0</fwhm>"))
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="violates the Nyquist criterion for 1 bands"):
+            assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["nyquist"] == {
+            "step": 2.5, "overall": False, "violations": [2]}
+
+    def test_srf_off_the_grid_fails_rtm_and_its_table_replays(self, scene_dir, tmp_path,
+                                                               capsys):
+        # only the analytic provider puts SRFs on the grid; a replay never reads them
+        analytic = tmp_path / "analytic"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
+        xml = scene_dir / "scene.xml"
+        xml.write_text(xml.read_text().replace(
+            "<centerWavelength>650.0</centerWavelength><fwhm>6.5</fwhm>",
+            "<centerWavelength>650.0</centerWavelength><fwhm>6.5</fwhm>"
+            "<srf>2601 0.5 2605 1.0 2610 0.5</srf>"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 4
+        assert "band 5: measured SRF support does not reach any grid point" \
+            in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure_stage"] == "rtm"
+        assert report["srf_sources"] == {"gaussian": 5, "measured": 1}
+        assert report["nyquist"]["overall"]
+        assert report["atmospheric_state"]["source"] == "metadata"
+        replay = tmp_path / "replay"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(replay),
+            "--provider", "table", "--params-table", str(analytic / "band_params.csv"),
+        ]) == 0
+        for name in ("rho_w.img", "r_rs.img", "band_params.csv"):
+            assert (replay / name).read_bytes() == (analytic / name).read_bytes(), name
+
     def test_table_with_a_byte_order_mark_replays(self, scene_dir, tmp_path):
         analytic, replay = tmp_path / "analytic", tmp_path / "replay"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
@@ -463,7 +502,8 @@ class TestRunEndToEnd:
         (np.float32, -9999.0, ("byte order = 0", "byte order = 1"), "byte order 1"),
         (np.float32, -9999.0, ("header offset = 0", "header offset = 64"),
          "header offset 64"),
-    ], ids=["uint16_dn", "nan_nodata", "big_endian", "header_offset"])
+        (np.float32, -9999.0, ("samples = 5\n", ""), "header missing field 'samples'"),
+    ], ids=["uint16_dn", "nan_nodata", "big_endian", "header_offset", "no_samples"])
     def test_unsupported_input_exits_3(self, scene_dir, tmp_path, capsys,
                                        dtype, nodata, header_edit, message):
         radiance = str(scene_dir / "radiance")
@@ -504,6 +544,26 @@ class TestRunEndToEnd:
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         assert message in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda xml: re.sub(r"\s*<sunZenith>.*</sunZenith>", "", xml), "sunZenith"),
+        (lambda xml: xml.replace("<sunAzimuth>145.0", "<sunAzimuth>south"),
+         "element <sunAzimuth> is not a number: 'south'"),
+        (lambda xml: xml.replace("<aod550>0.12", "<aod550>hazy"),
+         "element <aod550> is not a number: 'hazy'"),
+        (lambda xml: xml.replace('<band index="2">', "<band>"), "band/@index"),
+    ], ids=["no_sun_zenith_or_elevation", "sun_azimuth_not_a_number",
+            "aod550_not_a_number", "band_without_index"])
+    def test_malformed_scene_xml_exits_3_naming_the_file(self, scene_dir, tmp_path, capsys,
+                                                         edit, message):
+        xml = scene_dir / "scene.xml"
+        xml.write_text(edit(xml.read_text()))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        assert f"hsac run failed: stage ingest: {xml}: {message}\n" == capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure_stage"] == "ingest"
+        assert report["error"] == f"{xml}: {message}"
 
     def test_scene_without_bands_exits_3_naming_the_xml(self, tmp_path, capsys):
         # a raster of 0 bands agrees with a <bandCharacterisation> of none
@@ -667,7 +727,8 @@ class TestRunEndToEnd:
     @pytest.mark.parametrize("content,message", [
         (b"{'dataset': 1}", "catalogue is not JSON: "),
         (b'[{"dataset": "\xff"}]', "not UTF-8 text: "),
-    ], ids=["not_json", "not_utf8"])
+        (b'{"dataset": "TOMS/MERGED"}', "catalogue JSON must be an array of objects"),
+    ], ids=["not_json", "not_utf8", "object_not_array"])
     def test_unreadable_catalogue_exits_4_naming_the_file(self, scene_dir, tmp_path, capsys,
                                                           content, message):
         catalogue = tmp_path / "aux.json"
@@ -721,6 +782,25 @@ class TestRunEndToEnd:
         assert f"band 3: {field} = {value} outside [0, inf)" in capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "rtm"
         assert not (out / "rho_w.img").exists()
+
+    @pytest.mark.parametrize("body,message", [
+        ("", "empty parameter table"),
+        ("{header}\n0,0.1,0.9,0.9\n", "row has 4 fields, expected 7: "),
+        ("{header}\n0,0.1,0.9,0.9,0.9,0.1,abc\n", "non-numeric row: "),
+    ], ids=["empty", "short_row", "non_numeric_row"])
+    def test_malformed_params_table_exits_4_naming_the_file(self, scene_dir, tmp_path, capsys,
+                                                            body, message):
+        table = tmp_path / "table.csv"
+        table.write_text(body.format(header="band_index,l_path,t_g_o3,t_g_total,t_up,s_atm,e_s"))
+        out = tmp_path / "out"
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(out),
+            "--provider", "table", "--params-table", str(table),
+        ]) == 4
+        assert f"{table}: {message}" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure_stage"] == "rtm"
+        assert report["error"].startswith(f"{table}: {message}")
 
     def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path, capsys):
         table = tmp_path / "bad.csv"
@@ -932,7 +1012,7 @@ class TestSelfTest:
         config = RunConfig()
         metadata, cube = pipeline.synthesize_scene(config, size=16)
         setup = pipeline.configure_scene(metadata, config)
-        table = setup.analytic_provider().band_table(setup.srfs)
+        table = setup.analytic_table()
         rho = pipeline.self_test_reflectance(len(table), size=16)
         expected = np.stack([
             forward_model_toa(rho[b], setup.d_squared, BandAtmParams(b, *row))
