@@ -82,14 +82,17 @@ def invert_band_plane(
 ) -> tuple[np.ndarray, int]:
     """Invert one band plane; returns (rho_w plane, degenerate pixel count).
 
-    Pixels equal to the input's `nodata` and degenerate pixels become NODATA.
-    The per-plane reference for `invert_cube`, which runs the same kernel on
-    blocks of planes and must give the same values before its finish pass.
+    The rule of `invert_cube`, on one plane, without the clip: pixels equal
+    to the input's `nodata`, degenerate pixels and non-finite rho_w become
+    NODATA, so the plane equals `invert_cube`'s for every input.
     """
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
     plane = np.ascontiguousarray(l_toa_plane, dtype=np.float64)
-    return kernels.invert_plane(plane, d_squared, *params.kernel_terms, nodata, DENOMINATOR_EPS)
+    masks = (np.equal(plane, nodata), np.empty(plane.shape, dtype=bool))
+    rho_w, denom = kernels.invert_plane(plane, d_squared, *params.kernel_terms)
+    degenerate, *_ = _finish_block(rho_w, denom, masks, clip_negative=False)
+    return rho_w, degenerate
 
 
 def forward_model_toa(
@@ -127,31 +130,38 @@ def to_rrs(rho_w: np.ndarray) -> np.ndarray:
 BlockWriter = Callable[[int, int, np.ndarray], None]
 
 
-def _finish_block(block: np.ndarray, masks: tuple[np.ndarray, np.ndarray],
+def _finish_block(rho_w: np.ndarray, denom: np.ndarray,
+                  masks: tuple[np.ndarray, np.ndarray],
                   clip_negative: bool) -> tuple[int, int, int, int]:
-    """Non-finite rho_w to NODATA, then data at or below NEAR_NODATA to
-    NODATA, then the opt-in clip, on one block in place, with two bool
-    arrays shaped like it as scratch.
+    """The pixel rule of the inversion, on one block of `kernels.invert_plane`
+    output in place: `denom` is the kernel's denominator, overwritten here,
+    and `masks` two bool arrays shaped like the block, the first holding the
+    input's nodata pixels on entry and every NODATA pixel on return.
 
-    Returns the block's (near-nodata, non-finite, data, negative) pixel counts.
+    Each pixel is counted in the first class it meets: input nodata; then
+    degenerate, |denom| < DENOMINATOR_EPS; then non-finite rho_w; then rho_w
+    at or below NEAR_NODATA, also counted as degenerate. All of them become
+    NODATA, then the opt-in clip sets negative data to 0.
+
+    Returns the block's (degenerate, non-finite, data, negative) pixel counts.
     """
-    mask, negative = masks
-    np.isfinite(block, out=mask)
+    nodata, mask = masks
+    n_input = int(np.count_nonzero(nodata))
+    np.less(np.absolute(denom, out=denom), DENOMINATOR_EPS, out=mask)
+    # input nodata or degenerate
+    n_marked = int(np.count_nonzero(np.logical_or(nodata, mask, out=nodata)))
+    np.isfinite(rho_w, out=mask)
     np.logical_not(mask, out=mask)
-    n_nonfinite = int(np.count_nonzero(mask))
-    np.copyto(block, NODATA, where=mask)
-    np.equal(block, NODATA, out=mask)  # nodata pixels
-    np.less_equal(block, NEAR_NODATA, out=negative)
-    np.logical_xor(negative, mask, out=negative)  # data pixels at or below NEAR_NODATA
-    n_near = int(np.count_nonzero(negative))
-    np.copyto(block, NODATA, where=negative)
-    n_nodata = int(np.count_nonzero(np.logical_or(mask, negative, out=mask)))
-    np.less(block, 0.0, out=negative)  # the negative data and every nodata pixel
-    n_negative = int(np.count_nonzero(negative)) - n_nodata
+    n_nonfinite = int(np.count_nonzero(np.logical_or(nodata, mask, out=nodata))) - n_marked
+    np.less_equal(rho_w, NEAR_NODATA, out=mask)
+    n_nodata = int(np.count_nonzero(np.logical_or(nodata, mask, out=nodata)))
+    np.copyto(rho_w, NODATA, where=nodata)
+    np.less(rho_w, 0.0, out=mask)  # the negative data and every NODATA pixel
+    n_negative = int(np.count_nonzero(mask)) - n_nodata
     if clip_negative:
-        np.logical_xor(negative, mask, out=negative)
-        np.copyto(block, 0.0, where=negative)
-    return n_near, n_nonfinite, block.size - n_nodata, n_negative
+        np.logical_xor(mask, nodata, out=mask)
+        np.copyto(rho_w, 0.0, where=mask)
+    return n_nodata - n_input - n_nonfinite, n_nonfinite, rho_w.size - n_nodata, n_negative
 
 
 def invert_cube(
@@ -169,17 +179,17 @@ def invert_cube(
     of g = max(1, BLOCK_PIXELS // (tile rows * cols)) bands. It allocates
     one workspace (a float64 block, a float64 denominator and two bool
     masks) and reuses it for every block: it copies the block's input rows
-    into the float64 block, inverts them there in place with
-    `kernels.invert_plane`, sets non-finite rho_w and rho_w at or below
-    NEAR_NODATA (counted as degenerate) to NODATA, counts the non-finite,
-    data and negative pixels, applies the opt-in clip, and hands
+    into the float64 block, marks the pixels equal to the cube's nodata
+    value, inverts the block in place with `kernels.invert_plane`, lets
+    `_finish_block` apply the one pixel rule and the opt-in clip, and hands
     the finished block (valid bands k0..k0+g-1 of rows r0..) to a sink as
     `write(r0, k0, block)`, from its worker thread. The block is overwritten
     after `write` returns, so a sink copies what it keeps.
     `open_sink(valid band indices, rows, cols)` is called once before the
     pool and returns that `write`; the product's rho_w is then None.
     Without it, the blocks fill one in-memory float64 array, returned as
-    rho_w. Input pixels equal to the cube's nodata value become NODATA.
+    rho_w. Input nodata, degenerate, non-finite and near-nodata pixels are
+    NODATA in it, each counted once, in that order (see `_finish_block`).
     Per-pixel arithmetic order is fixed, so results are bit-identical for
     any worker count and block size.
     """
@@ -217,12 +227,10 @@ def invert_cube(
             block, denom, *masks = (a[:n] for a in (work, *scratch))
             for j, b in enumerate(block_bands):
                 block[j] = cube.data[b, r0:r0 + rows, :]
-            _, degenerate = kernels.invert_plane(
-                block, d_squared, *(c[k0:k0 + n] for c in columns), nodata,
-                DENOMINATOR_EPS, out=block, scratch=(denom, *masks),
-            )
-            n_near, *counts = _finish_block(block, masks, policy.clip_negative)
-            totals += (degenerate + n_near, *counts)
+            np.equal(block, nodata, out=masks[0])  # before the kernel overwrites the block
+            kernels.invert_plane(block, d_squared, *(c[k0:k0 + n] for c in columns),
+                                 out=block, denom=denom)
+            totals += _finish_block(block, denom, masks, policy.clip_negative)
             write(r0, k0, block)
         return totals.tolist()
 

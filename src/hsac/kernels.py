@@ -4,49 +4,39 @@ The expression order is fixed: products are byte-identical across runs and
 worker counts only as long as it does not change.
 
 `invert_plane` and `forward_plane` take one plane, or a block of band planes
-with the atmospheric terms as per-band (bands, 1, 1) columns. An
-`invert_plane` caller that passes `out` and `scratch` gets every intermediate
-in its own buffers, so the kernel allocates nothing and can run in place.
+with the atmospheric terms as per-band (bands, 1, 1) columns. `invert_plane`
+is the arithmetic alone: it decides no pixel's fate, and its NaN, inf and
+degenerate values are left for `inversion._finish_block`. A caller that
+passes `out` and `denom` gets every intermediate in its own buffers, so the
+kernel allocates nothing and can run in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .raster import NODATA
 
+def invert_plane(l_toa, d_squared, t_g_o3, l_path, coupling_c, s_atm, out=None, denom=None):
+    """rho_w of float64 `l_toa`, and the denominator it was divided by.
+    Returns (rho_w, denom).
 
-def invert_plane(l_toa, d_squared, t_g_o3, l_path, coupling_c, s_atm, nodata, eps,
-                 out=None, scratch=None):
-    """rho_w of float64 `l_toa`; input pixels equal to `nodata` and degenerate
-    pixels become NODATA. Returns (rho_w, degenerate pixel count).
-
-    `out` receives rho_w and may be `l_toa` itself; `scratch` is a float64
-    array and two bool arrays shaped like `l_toa`. Both are allocated when
-    not given.
+    `out` receives rho_w and may be `l_toa` itself; `denom` is a float64
+    array shaped like `l_toa`. Both are allocated when not given.
     """
     if out is None:
         out = np.empty_like(l_toa)
-    if scratch is None:
-        scratch = (np.empty_like(l_toa),
-                   np.empty(l_toa.shape, dtype=bool), np.empty(l_toa.shape, dtype=bool))
-    denom, nodata_mask, degenerate_mask = scratch
-    np.equal(l_toa, nodata, out=nodata_mask)  # before `out` may overwrite l_toa
-    # y = l_toa * d_squared / t_g_o3 - l_path, left to right
-    np.multiply(l_toa, d_squared, out=out)
-    np.divide(out, t_g_o3, out=out)
-    np.subtract(out, l_path, out=out)
-    # denom = coupling_c + s_atm * y
-    np.multiply(s_atm, out, out=denom)
-    np.add(coupling_c, denom, out=denom)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if denom is None:
+        denom = np.empty_like(l_toa)
+    with np.errstate(all="ignore"):
+        # y = l_toa * d_squared / t_g_o3 - l_path, left to right
+        np.multiply(l_toa, d_squared, out=out)
+        np.divide(out, t_g_o3, out=out)
+        np.subtract(out, l_path, out=out)
+        # denom = coupling_c + s_atm * y
+        np.multiply(s_atm, out, out=denom)
+        np.add(coupling_c, denom, out=denom)
         np.divide(out, denom, out=out)
-    # degenerate: |denom| < eps, on a pixel that is not nodata
-    np.less(np.absolute(denom, out=denom), eps, out=degenerate_mask)
-    degenerate_mask[nodata_mask] = False
-    np.copyto(out, NODATA, where=degenerate_mask)
-    np.copyto(out, NODATA, where=nodata_mask)
-    return out, int(np.count_nonzero(degenerate_mask))
+    return out, denom
 
 
 def forward_plane(rho_w, d_squared, t_g_o3, l_path, coupling_c, s_atm, nodata, eps):

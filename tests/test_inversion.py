@@ -75,6 +75,14 @@ class TestInvertBandPlane:
         assert count == 1
         assert out[0, 0] == -9999.0
 
+    def test_nonfinite_and_near_nodata_become_nodata(self):
+        # rho_w = L: c = e_s * t_up / pi = 1 and s_atm = 0
+        p = BandAtmParams(0, l_path=0.0, t_g_o3=1.0, t_g_total=1.0, t_up=1.0,
+                          s_atm=0.0, e_s=math.pi)
+        out, count = invert_band_plane(np.array([[np.nan, -9999.0001, 0.5]]), 1.0, p)
+        np.testing.assert_array_equal(out, [[NODATA, NODATA, 0.5]])
+        assert count == 1
+
     def test_invalid_d_squared(self):
         with pytest.raises(OutOfRange):
             invert_band_plane(plane(0.5), 0.0, PARAMS)
@@ -285,6 +293,31 @@ class TestInvertCube:
             np.testing.assert_array_equal(raster == NODATA, nodata, err_msg=name)
         assert read_cube(str(tmp_path / "rho_w")).data[0, 0, 2] == -9998.0
 
+    def test_rho_w_exactly_nodata_is_counted(self):
+        # rho_w = L; with input nodata 0.0, rho_w = -9999.0 is the output's
+        # sentinel but no input nodata, so it is counted as degenerate
+        p = BandAtmParams(0, l_path=0.0, t_g_o3=1.0, t_g_total=1.0, t_up=1.0,
+                          s_atm=0.0, e_s=math.pi)
+        cube = RadianceCube(data=np.array([[[-9999.0, 0.0, 0.5, np.nan]]]), nodata_value=0.0)
+        product = invert_cube(cube, 1.0, table_of([p]))
+        np.testing.assert_array_equal(product.rho_w, [[[NODATA, NODATA, 0.5, NODATA]]])
+        assert product.report.degenerate_pixels == 1
+        assert product.report.nonfinite_pixels == 1
+        n_data = np.count_nonzero(product.rho_w != NODATA)
+        n_input = np.count_nonzero(cube.data == 0.0)
+        assert (n_data, n_input) == (1, 1)
+        assert n_data + n_input + 1 + 1 == cube.data.size
+
+    def test_infinite_radiance_without_coupling_is_nonfinite(self):
+        # s_atm = 0: the denominator c + 0 * inf is NaN, and no warning is raised
+        p = replace(PARAMS, s_atm=0.0)
+        cube = RadianceCube(data=np.array([[[np.inf, 0.5, -np.inf]]]))
+        product = invert_cube(cube, 1.0, table_of([p]))
+        assert product.rho_w[0, 0, 0] == product.rho_w[0, 0, 2] == NODATA
+        assert product.rho_w[0, 0, 1] != NODATA
+        assert product.report.nonfinite_pixels == 2
+        assert product.report.degenerate_pixels == 0
+
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         """One entry per kernels.invert_plane call; the caller clears it."""
@@ -402,3 +435,83 @@ class TestInvertCube:
             assert files[-1]["r_rs.img"] == to_rrs(product.rho_w).tobytes()
         assert reports[0] == reports[1] == reports[2]
         assert files[0] == files[1] == files[2]
+
+
+PIXEL_KINDS = ("data", "nodata", "nan", "inf", "-inf", "degenerate", "near_nodata")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n_bands=st.integers(min_value=1, max_value=3),
+    n_rows=st.integers(min_value=1, max_value=130),
+    n_cols=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31),
+    input_nodata=st.sampled_from([NODATA, 0.0]),
+    clip=st.booleans(),
+)
+@example(n_bands=3, n_rows=130, n_cols=4, seed=0, input_nodata=0.0, clip=False)
+def test_one_pixel_rule_property(n_bands, n_rows, n_cols, seed, input_nodata, clip):
+    """Every pixel kind the rule knows, at every place of a cube that crosses
+    ROW_TILE: each output pixel is data or NODATA, never NaN, each NODATA
+    pixel is counted in exactly one class, and the cube's planes are the
+    per-plane inversion's for any worker count and block size."""
+    rng = np.random.default_rng(seed)
+    d2 = float(rng.uniform(0.966, 1.034))
+    # s_atm >= 0.05 keeps the planted degenerate radiance within DENOMINATOR_EPS
+    params = [replace(p, s_atm=max(p.s_atm, 0.05)) for p in
+              (random_params(rng, b) for b in range(n_bands))]
+    shape = (n_rows, n_cols)
+    kinds = rng.choice(len(PIXEL_KINDS), size=(n_bands, *shape),
+                       p=(0.58, 0.07, 0.07, 0.07, 0.07, 0.07, 0.07))
+    data = np.empty((n_bands, *shape))
+    for b, p in enumerate(params):
+        c = p.e_s * p.t_up / math.pi
+        rho = rng.uniform(-0.05, 0.5, size=shape)  # some negative
+        values = {
+            "data": forward_model_toa(rho, d2, p),
+            "nodata": input_nodata,
+            "nan": np.nan,
+            "inf": np.inf,
+            "-inf": -np.inf,
+            # c + s_atm * y is 0 to rounding
+            "degenerate": (p.l_path - c / p.s_atm) * p.t_g_o3 / d2,
+            # rho_w = -9999.0001 is -9999.0 in float32
+            "near_nodata": forward_model_toa(plane(-9999.0001), d2, p)[0, 0],
+        }
+        data[b] = np.choose(kinds[b], [np.broadcast_to(values[kind], shape)
+                                       for kind in PIXEL_KINDS])
+    cube = RadianceCube(data=data, nodata_value=input_nodata)
+    policy = MaskPolicy(clip_negative=clip)
+
+    products = []
+    with pytest.MonkeyPatch.context() as mp:
+        for block_pixels, workers in itertools.product((1, 10**6), (1, 2)):
+            mp.setattr(inversion, "BLOCK_PIXELS", block_pixels)
+            products.append(invert_cube(cube, d2, table_of(params), policy, workers))
+    first = products[0]
+    for product in products[1:]:
+        assert product.rho_w.tobytes() == first.rho_w.tobytes()
+        assert product.report == first.report
+
+    valid = first.valid_band_indices
+    rho_w = first.rho_w
+    assert not np.isnan(rho_w).any()
+    n_negative = 0
+    for k, b in enumerate(valid):
+        expected, _ = invert_band_plane(data[b], d2, params[b], nodata=input_nodata)
+        negative = (expected < 0) & (expected != NODATA)
+        n_negative += int(np.count_nonzero(negative))
+        if clip:
+            expected[negative] = 0.0
+        assert rho_w[k].tobytes() == expected.tobytes()
+
+    planted = kinds[valid]
+    count = {kind: int(np.count_nonzero(planted == k)) for k, kind in enumerate(PIXEL_KINDS)}
+    report = first.report
+    assert report.degenerate_pixels == count["degenerate"] + count["near_nodata"]
+    assert report.nonfinite_pixels == count["nan"] + count["inf"] + count["-inf"]
+    n_data = int(np.count_nonzero(rho_w != NODATA))
+    assert n_data == count["data"]
+    assert report.negativity_rate == (n_negative / n_data if n_data else 0.0)
+    assert (n_data + count["nodata"] + report.degenerate_pixels + report.nonfinite_pixels
+            == len(valid) * n_rows * n_cols)

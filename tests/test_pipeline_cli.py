@@ -301,6 +301,32 @@ class TestRunEndToEnd:
         assert report["nonfinite_pixels"] == len(planted)
         assert report["degenerate_pixels"] == 0
 
+    def test_infinite_radiance_in_a_band_without_coupling_replays(self, tmp_path):
+        # a table band with s_atm = 0 divides inf by c + 0 * inf = NaN
+        planted = {(2, 1, 1): np.inf, (2, 4, 3): -np.inf}
+        scene = make_scene_dir(tmp_path / "scene", pixels=planted)
+        analytic, replay = tmp_path / "analytic", tmp_path / "replay"
+        assert cli.main(["run", "--input", str(scene), "--output", str(analytic)]) == 0
+        header, *rows = (analytic / "band_params.csv").read_text().splitlines()
+        cells = rows[2].split(",")
+        cells[header.split(",").index("s_atm")] = "0.0"
+        rows[2] = ",".join(cells)
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join([header, *rows]) + "\n")
+        assert cli.main([
+            "run", "--input", str(scene), "--output", str(replay),
+            "--provider", "table", "--params-table", str(table),
+        ]) == 0
+        report = json.loads((replay / "report.json").read_text())
+        assert report["nonfinite_pixels"] == len(planted)
+        assert report["degenerate_pixels"] == 0
+        expected = np.zeros((len(BAND_CENTERS), 6, 5), dtype=bool)
+        for index in planted:
+            expected[index] = True
+        for name in ("rho_w", "r_rs"):
+            cube = read_cube(str(replay / name))
+            np.testing.assert_array_equal(cube.data == NODATA, expected, err_msg=name)
+
     def test_all_bands_masked_writes_empty_products(self, scene_dir, tmp_path):
         out = tmp_path / "out"
         assert cli.main([
