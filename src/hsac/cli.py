@@ -112,7 +112,7 @@ def _cmd_run(args) -> int:
         print(f"hsac run: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = run_pipeline(config).report
+        report = run_pipeline(config)
     except StageError as exc:
         print(f"hsac run failed: {exc}", file=sys.stderr)
         return EXIT_STAGE[exc.stage]
@@ -128,10 +128,10 @@ def _cmd_run(args) -> int:
 def _cmd_self_test(args) -> int:
     config = RunConfig(aerosol=args.aerosol, worker_count=args.workers)
     try:
-        passed, max_rel, _ = run_self_test(config)
-    except StageError as exc:
+        passed, max_rel = run_self_test(config)
+    except HsacError as exc:
         print(f"self-test failed: {exc}", file=sys.stderr)
-        return EXIT_STAGE[exc.stage]
+        return 5
     status = "PASS" if passed else "FAIL"
     print(f"self-test {status}: max relative error {max_rel:.3e} (tolerance 1e-10)")
     return EXIT_OK if passed else 5

@@ -6,7 +6,7 @@ Per pixel, with y = L_TOA * d^2 / T_g_O3 - L_path:
 
 Negative rho_w is preserved by default (it diagnoses overcorrection over
 dark water); clipping is opt-in. The forward model ships in the library
-because it doubles as the synthetic-scene generator for self-test mode.
+because it doubles as the synthetic-scene generator of the self-test.
 """
 
 from __future__ import annotations

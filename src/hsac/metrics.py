@@ -136,7 +136,8 @@ def pixel_spectrum(cube: RadianceCube, row: int, col: int) -> SpectrumSample:
 
 def load_reference_spectrum(path: str) -> SpectrumSample:
     """CSV `wavelength_nm,value`; an optional `# label:` comment names it.
-    A row that is not two finite numbers, or no data row, is a SchemaViolation."""
+    A row that is not two finite numbers, a wavelength not greater than the
+    previous row's, or no data row, is a SchemaViolation."""
     label = ""
     wl, values = [], []
     for line_no, line in enumerate(read_text(path).splitlines(), 1):
@@ -156,6 +157,9 @@ def load_reference_spectrum(path: str) -> SpectrumSample:
         except ValueError:
             raise SchemaViolation(
                 f"{path}:{line_no}: {line!r} is not two finite numbers") from None
+        if wl and w <= wl[-1]:
+            raise SchemaViolation(f"{path}:{line_no}: wavelength {w:g} nm is not greater "
+                                  f"than the previous row's {wl[-1]:g} nm")
         wl.append(w)
         values.append(v)
     if not wl:

@@ -3,13 +3,14 @@ pixel-wise inversion, export.
 
 Each stage wraps its errors in a StageError naming the stage, so the CLI
 can map them to stable exit codes; a partial report naming the failure
-stage is still written.
+stage is still written. The self-test does not go through the stages: it
+inverts its synthetic scene in memory with the band table it was
+forward-modelled from.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import datetime
 import glob
 import json
@@ -51,7 +52,6 @@ from .inversion import (
     BAND_VALID,
     DENOMINATOR_EPS,
     MaskPolicy,
-    ReflectanceProduct,
     invert_cube,
 )
 from .metrics import (
@@ -115,7 +115,6 @@ class RunConfig:
     state_policy: str = "metadata_first"  # metadata_first | catalogue_first
     override_state: AtmosphericState | None = None  # replaces the resolved state
     worker_count: int = 0  # 0 = auto
-    self_test: bool = False
     divide_total_gas: bool = False  # optional extra-gas correction mode, off by default
 
     def __post_init__(self):
@@ -159,18 +158,6 @@ class ProcessingReport:
     failure_stage: str | None = None
     error: str | None = None
     version: str = __version__
-
-
-@dataclass
-class PipelineResult:
-    """What a successful run produced, for callers that go on using it.
-
-    A run with an output path streams its rasters to disk, so its
-    product.rho_w is None.
-    """
-
-    report: ProcessingReport
-    product: ReflectanceProduct
 
 
 def _find_one(directory: str, pattern: str, what: str) -> str:
@@ -348,9 +335,11 @@ def write_report(report: ProcessingReport, output_path: str) -> None:
     )
 
 
-def run_pipeline(config: RunConfig) -> PipelineResult:
-    """Execute the five stages; raises StageError naming the failed stage
-    (after writing a partial report when the output directory is known)."""
+def run_pipeline(config: RunConfig) -> ProcessingReport:
+    """Execute the five stages on the scene directory `config.input_path`,
+    exporting the product and its report to `config.output_path`; raises
+    StageError naming the failed stage (after writing a partial report when
+    the output directory is known)."""
     report = ProcessingReport(worker_count=config.workers)
     try:
         return _run_pipeline(config, report)
@@ -378,13 +367,10 @@ def _stage(report: ProcessingReport, name: str):
         report.timings_ms[name] = (time.perf_counter() - t0) * 1000.0
 
 
-def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult:
+def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingReport:
     # stage 1: ingest
     with _stage(report, STAGE_INGEST):
-        if config.self_test:
-            metadata, cube = synthesize_scene(config)
-        else:
-            metadata, cube = ingest_scene(config.input_path)
+        metadata, cube = ingest_scene(config.input_path)
         report.scene_id = metadata.scene_id
 
     # stage 2: configure
@@ -420,17 +406,14 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
             table[:, T_G_O3] = table[:, T_G_TOTAL]
         report.provider = config.provider
 
-    # stage 4: pixel-wise inversion; an exported run streams its rasters
-    # through a ProductSink, a run without an output path keeps float64 rho_w
+    # stage 4: pixel-wise inversion, streaming the rasters through a ProductSink
     with _stage(report, STAGE_INVERSION):
-        sink = ProductSink(config.output_path, setup.bands) if config.output_path else None
+        sink = ProductSink(config.output_path, setup.bands)
         try:
             product = invert_cube(cube, setup.d_squared, table, config.mask,
-                                  workers=config.workers,
-                                  open_sink=sink.open if sink else None)
+                                  workers=config.workers, open_sink=sink.open)
         except BaseException:
-            if sink is not None:
-                sink.discard()
+            sink.discard()
             raise
         report.masked_bands = {
             str(i): reason for i, reason in enumerate(product.band_mask) if reason != BAND_VALID
@@ -441,16 +424,13 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> PipelineResult
 
     # stage 5: export
     with _stage(report, STAGE_EXPORT):
-        if sink is not None:
-            write_product(sink, product.band_mask, table)
-    if config.output_path:
-        # written after the export timing is recorded, so it includes it
-        try:
-            write_report(report, config.output_path)
-        except OSError as exc:
-            raise StageError(STAGE_EXPORT, exc) from exc
-
-    return PipelineResult(report=report, product=product)
+        write_product(sink, product.band_mask, table)
+    # written after the export timing is recorded, so it includes it
+    try:
+        write_report(report, config.output_path)
+    except OSError as exc:
+        raise StageError(STAGE_EXPORT, exc) from exc
+    return report
 
 
 # --- self-test ------------------------------------------------------------
@@ -468,9 +448,12 @@ def self_test_reflectance(
 
 def synthesize_scene(
     config: RunConfig, size: int = SELF_TEST_SIZE, seed: int = SELF_TEST_SEED
-) -> tuple[SceneMetadata, RadianceCube]:
-    """Hermetic synthetic scene: bundled 228-band sensor, TOA radiance
-    forward-modelled with the analytic provider from `self_test_reflectance`."""
+) -> tuple[SceneMetadata, RadianceCube, SceneSetup, np.ndarray]:
+    """Hermetic synthetic scene: the bundled 228-band sensor, set up for an
+    analytic `config`, and TOA radiance forward-modelled from
+    `self_test_reflectance` with the scene's analytic band table.
+
+    Returns (metadata, radiance cube, setup, band table)."""
     bands = load_bundled_bands()
     metadata = SceneMetadata(
         acquisition_date=datetime.date(2024, 7, 24),
@@ -485,31 +468,25 @@ def synthesize_scene(
         bands=tuple(bands),
         scene_id="self-test",
     )
-    # forward-modelled with the analytic provider, whichever one the run inverts with
-    analytic = dataclasses.replace(config, provider="analytic", params_table_path=None)
-    setup = configure_scene(metadata, analytic)
+    setup = configure_scene(metadata, config)
     table = setup.analytic_table()
     rho_true = self_test_reflectance(len(bands), size, seed)
     columns = kernel_terms(table).T[:, :, np.newaxis, np.newaxis]
     l_toa = kernels.forward_plane(rho_true, setup.d_squared, *columns, NODATA, DENOMINATOR_EPS)
-    return metadata, RadianceCube(data=l_toa, nodata_value=NODATA)
+    return metadata, RadianceCube(data=l_toa, nodata_value=NODATA), setup, table
 
 
-def run_self_test(
-    config: RunConfig, tolerance: float = 1e-10
-) -> tuple[bool, float, ProcessingReport]:
-    """Full-pipeline round trip on the synthetic scene, without an output
-    path, so the float64 rho_w stays in memory for the check.
+def run_self_test(config: RunConfig, tolerance: float = 1e-10) -> tuple[bool, float]:
+    """Round trip on the synthetic scene: forward-model it and invert it
+    with the same band table, in memory, so the float64 rho_w is checked.
 
-    Returns (passed, max relative error over valid bands, report)."""
-    result = run_pipeline(dataclasses.replace(config, self_test=True, output_path=""))
-    product = result.product
-    rho_true = self_test_reflectance(len(product.band_mask))[
-        product.valid_band_indices
-    ]
+    Returns (passed, max relative error over valid bands)."""
+    _, cube, setup, table = synthesize_scene(config)
+    product = invert_cube(cube, setup.d_squared, table, config.mask, workers=config.workers)
+    rho_true = self_test_reflectance(len(table))[product.valid_band_indices]
     rel = np.abs(product.rho_w - rho_true) / np.maximum(np.abs(rho_true), 1e-30)
     max_rel = float(rel.max())
-    return max_rel <= tolerance, max_rel, result.report
+    return max_rel <= tolerance, max_rel
 
 
 # --- comparison against reference spectra ---------------------------------

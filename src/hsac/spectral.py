@@ -53,7 +53,6 @@ class SRFTable:
     responses: np.ndarray  # (bands, width) float64
     start: np.ndarray  # (bands,) int
     length: np.ndarray  # (bands,) int
-    sources: tuple[str, ...] = ()  # "measured" | "gaussian" per band, from srf_table
 
 
 @dataclass(frozen=True)
@@ -150,15 +149,13 @@ def srf_table(bands: list[BandDefinition], grid: SpectralGrid) -> SRFTable:
         if resp.max() <= 0:
             raise GridMismatch(f"band {band.index}: resampled SRF is all zero")
         responses[b, :length[b]] = resp
-    sources = tuple("measured" if m else "gaussian" for m in measured)
-    return SRFTable(responses, start, length, sources)
+    return SRFTable(responses, start, length)
 
 
 def srf_for_band(band: BandDefinition, grid: SpectralGrid) -> tuple[SRFTable, str]:
     """One band's one-row `srf_table` plus its provenance; the row equals
     that band's row of any table it is in, to the bit."""
-    table = srf_table([band], grid)
-    return table, table.sources[0]
+    return srf_table([band], grid), "measured" if band.srf is not None else "gaussian"
 
 
 def convolve(fine_spectra: np.ndarray, srfs: SRFTable) -> np.ndarray:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_params
+from conftest import random_params, write_scene_dir
 from hsac.inversion import (
     BAND_MASKED_LOW_TG,
     BAND_VALID,
@@ -25,7 +25,6 @@ from hsac.inversion import (
 from hsac.metrics import SpectrumSample, error_stats, spectral_angle
 from hsac.pipeline import (
     RunConfig,
-    configure_scene,
     run_pipeline,
     run_self_test,
     synthesize_scene,
@@ -68,7 +67,7 @@ class TestAcceptance:
     def test_02_end_to_end_self_test(self):
         """Synthetic 228-band 128x128 scene recovered within 1e-10, < 30 s."""
         t0 = time.perf_counter()
-        passed, max_rel, _ = run_self_test(RunConfig(self_test=True), tolerance=1e-10)
+        passed, max_rel = run_self_test(RunConfig(), tolerance=1e-10)
         elapsed = time.perf_counter() - t0
         report(
             2,
@@ -154,13 +153,19 @@ class TestAcceptance:
         )
         report(8, f"tau_R(550) = {float(rayleigh_optical_depth(550.0)):.4f}", ok)
 
-    def test_09_parallel_determinism(self, tmp_path):
+    @pytest.fixture
+    def synthetic_scene_dir(self, tmp_path):
+        """The self-test's synthetic scene as a float32 scene directory."""
+        metadata, cube, _, _ = synthesize_scene(RunConfig())
+        return str(write_scene_dir(tmp_path / "scene", metadata, cube))
+
+    def test_09_parallel_determinism(self, tmp_path, synthetic_scene_dir):
         """Byte-identical exported rasters for worker counts 1, 2, 8."""
         blobs = []
         for w in (1, 2, 8):
             out = tmp_path / f"w{w}"
             config = RunConfig(
-                output_path=str(out), worker_count=w, self_test=True
+                input_path=synthetic_scene_dir, output_path=str(out), worker_count=w
             )
             run_pipeline(config)
             blobs.append(
@@ -169,15 +174,15 @@ class TestAcceptance:
         ok = blobs[0] == blobs[1] == blobs[2]
         report(9, "byte-identical outputs for workers {1, 2, 8}", ok)
 
-    def test_10_provider_interchangeability(self, tmp_path):
+    def test_10_provider_interchangeability(self, tmp_path, synthetic_scene_dir):
         """Analytic run -> parameter CSV -> table rerun agrees within 1e-9."""
         first = tmp_path / "analytic"
-        run_pipeline(RunConfig(output_path=str(first), self_test=True))
+        run_pipeline(RunConfig(input_path=synthetic_scene_dir, output_path=str(first)))
         rerun = RunConfig(
+            input_path=synthetic_scene_dir,
             output_path=str(tmp_path / "table"),
             provider="table",
             params_table_path=str(first / "band_params.csv"),
-            self_test=True,
         )
         run_pipeline(rerun)
         a = read_cube(str(first / "r_rs")).data.astype(np.float64)
@@ -187,10 +192,8 @@ class TestAcceptance:
 
     def test_11_inversion_performance(self):
         """Stage 4 on a 228-band 512x512 cube completes in < 10 s."""
-        config = RunConfig(self_test=True)
-        metadata, cube = synthesize_scene(config, size=512)
-        setup = configure_scene(metadata, config)
-        table = setup.analytic_table()
+        config = RunConfig()
+        _, cube, setup, table = synthesize_scene(config, size=512)
         t0 = time.perf_counter()
         invert_cube(cube, setup.d_squared, table, MaskPolicy(), workers=config.workers)
         elapsed = time.perf_counter() - t0

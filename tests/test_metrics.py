@@ -253,8 +253,10 @@ class TestReferenceFile:
         ("400,0.01\ninf,0.02\n", ":3:"),
         ("-inf,0.01\n500,0.02\n", ":2:"),
         ("400,0.01\n500,-inf\n", ":3:"),
+        ("500,0.01\n450,0.02\n", ":3: wavelength 450 nm is not greater"),
+        ("400,0.01\n500,0.02\n500,0.03\n", ":4: wavelength 500 nm is not greater"),
     ], ids=["non_numeric", "third_column", "header_only", "nan_value", "inf_wavelength",
-            "minus_inf_wavelength", "minus_inf_value"])
+            "minus_inf_wavelength", "minus_inf_value", "decreasing", "repeated"])
     def test_malformed_file_names_file_and_line(self, tmp_path, body, message):
         path = tmp_path / "ref.csv"
         path.write_text("wavelength_nm,value\n" + body)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hsac import cli, inversion, pipeline
-from hsac.atmosphere import BandAtmParams, load_params_table
+from hsac.atmosphere import BandAtmParams, aerosol_models, load_params_table
 from hsac.inversion import ROW_TILE, MaskPolicy, forward_model_toa, invert_cube, to_rrs
 from hsac.pipeline import (
     ProcessingReport,
@@ -111,7 +111,7 @@ class TestParseCli:
     def test_self_test_without_options_is_the_default_config(self, monkeypatch):
         configs = []
         monkeypatch.setattr(cli, "run_self_test",
-                            lambda config: configs.append(config) or (True, 0.0, None))
+                            lambda config: configs.append(config) or (True, 0.0))
         assert cli.main(["self-test"]) == 0
         assert configs == [RunConfig()]
 
@@ -934,8 +934,9 @@ class TestCompareCli:
         assert message in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("body", ["400,0.01\nabc,0.02\n", "400,0.01,7\n", ""],
-                             ids=["non_numeric", "third_column", "header_only"])
+    @pytest.mark.parametrize("body", ["400,0.01\nabc,0.02\n", "400,0.01,7\n", "",
+                                      "500,0.01\n450,0.02\n"],
+                             ids=["non_numeric", "third_column", "header_only", "decreasing"])
     def test_malformed_reference_exits_3(self, scene_dir, tmp_path, capsys, body):
         out, _ = self._run_and_reference(scene_dir, tmp_path)
         ref = tmp_path / "bad.csv"
@@ -1024,21 +1025,18 @@ class TestCompareCli:
 
 
 class TestSelfTest:
-    def test_pipeline_self_test_passes(self):
-        config = RunConfig()
-        passed, max_rel, report = run_self_test(config)
+    @pytest.mark.parametrize("aerosol", sorted(aerosol_models()))
+    def test_pipeline_self_test_passes(self, aerosol):
+        config = RunConfig(aerosol=aerosol)
+        passed, max_rel = run_self_test(config)
         assert passed, f"max relative error {max_rel}"
         assert max_rel <= 1e-10
-        assert report.scene_id == "self-test"
-        assert config == RunConfig()  # the caller's config is left as it was
+        assert config == RunConfig(aerosol=aerosol)  # the caller's config is left as it was
 
     def test_synthesized_scene_is_the_per_band_forward_model(self):
         """The one forward-model call on the whole scene gives the bytes of
         `forward_model_toa` run band by band on every bundled band."""
-        config = RunConfig()
-        metadata, cube = pipeline.synthesize_scene(config, size=16)
-        setup = pipeline.configure_scene(metadata, config)
-        table = setup.analytic_table()
+        _, cube, setup, table = pipeline.synthesize_scene(RunConfig(), size=16)
         rho = pipeline.self_test_reflectance(len(table), size=16)
         expected = np.stack([
             forward_model_toa(rho[b], setup.d_squared, BandAtmParams(b, *row))
