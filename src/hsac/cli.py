@@ -126,7 +126,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_self_test(args) -> int:
-    config = RunConfig(aerosol=args.aerosol, worker_count=args.workers)
+    try:
+        config = RunConfig(aerosol=args.aerosol, worker_count=args.workers)
+    except HsacError as exc:
+        print(f"hsac self-test: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         passed, max_rel = run_self_test(config)
     except HsacError as exc:

@@ -26,7 +26,7 @@ class InvalidDate(HsacError):
 # --- raster I/O ---
 
 class HeaderPayloadMismatch(HsacError):
-    """Header-declared dimensions disagree with the payload size."""
+    """A raster header disagrees with its payload, or with the scene metadata."""
 
 
 class UnsupportedDataType(HsacError):

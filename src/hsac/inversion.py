@@ -55,25 +55,6 @@ class InversionReport:
     nonfinite_pixels: int = 0
 
 
-@dataclass
-class ReflectanceProduct:
-    """rho_w planes of the valid bands, with band mask and report.
-
-    Plane k of rho_w is band valid_band_indices[k]; masked bands are not
-    stored. R_rs is not stored either: `to_rrs` derives it at export.
-    rho_w is None when the tiles went to a sink instead (see invert_cube);
-    otherwise its nodata pixels hold NODATA.
-    """
-
-    rho_w: np.ndarray | None  # (valid bands, rows, cols) float64
-    band_mask: list[str]  # BAND_VALID | BAND_MASKED_LOW_TG per band
-    report: InversionReport
-
-    @property
-    def valid_band_indices(self) -> list[int]:
-        return [i for i, m in enumerate(self.band_mask) if m == BAND_VALID]
-
-
 def invert_band_plane(
     l_toa_plane: np.ndarray,
     d_squared: float,
@@ -127,9 +108,6 @@ def to_rrs(rho_w: np.ndarray) -> np.ndarray:
     return out
 
 
-BlockWriter = Callable[[int, int, np.ndarray], None]
-
-
 def _finish_block(rho_w: np.ndarray, denom: np.ndarray,
                   masks: tuple[np.ndarray, np.ndarray],
                   clip_negative: bool) -> tuple[int, int, int, int]:
@@ -168,12 +146,14 @@ def invert_cube(
     cube: RadianceCube,
     d_squared: float,
     table: np.ndarray,
-    policy: MaskPolicy | None = None,
+    valid: list[int],
+    write: Callable[[int, int, np.ndarray], None],
+    clip_negative: bool = False,
     workers: int = 1,
-    open_sink: Callable[[list[int], int, int], BlockWriter] | None = None,
-) -> ReflectanceProduct:
-    """Invert the valid bands of a cube with the parameters of a (bands, 6)
-    band table, one row tile at a time.
+) -> InversionReport:
+    """Invert the bands `valid` of a cube with the parameters of a (bands, 6)
+    band table, one row tile at a time, and hand every finished block to
+    `write`; returns the pixel account.
 
     One task per row tile of ROW_TILE rows walks the valid bands in blocks
     of g = max(1, BLOCK_PIXELS // (tile rows * cols)) bands. It allocates
@@ -181,19 +161,15 @@ def invert_cube(
     masks) and reuses it for every block: it copies the block's input rows
     into the float64 block, marks the pixels equal to the cube's nodata
     value, inverts the block in place with `kernels.invert_plane`, lets
-    `_finish_block` apply the one pixel rule and the opt-in clip, and hands
-    the finished block (valid bands k0..k0+g-1 of rows r0..) to a sink as
-    `write(r0, k0, block)`, from its worker thread. The block is overwritten
-    after `write` returns, so a sink copies what it keeps.
-    `open_sink(valid band indices, rows, cols)` is called once before the
-    pool and returns that `write`; the product's rho_w is then None.
-    Without it, the blocks fill one in-memory float64 array, returned as
-    rho_w. Input nodata, degenerate, non-finite and near-nodata pixels are
-    NODATA in it, each counted once, in that order (see `_finish_block`).
-    Per-pixel arithmetic order is fixed, so results are bit-identical for
+    `_finish_block` apply the one pixel rule and the opt-in clip, and calls
+    `write(r0, k0, block)` from its worker thread with the finished float64
+    block, planes k0.. (bands valid[k0:k0+g]) of rows r0.. . The block is
+    overwritten after `write` returns, so a writer copies what it keeps.
+    Input nodata, degenerate, non-finite and near-nodata pixels are NODATA
+    in it, each counted once, in that order (see `_finish_block`).
+    Per-pixel arithmetic order is fixed, so the blocks are bit-identical for
     any worker count and block size.
     """
-    policy = policy or MaskPolicy()
     if len(table) != cube.n_bands:
         raise LengthMismatch(
             f"{len(table)} parameter sets for {cube.n_bands} bands"
@@ -201,18 +177,9 @@ def invert_cube(
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
     nodata = cube.nodata_value
-    band_mask = mask_bands(table, policy)
-    valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
     n_valid, n_rows, n_cols = len(valid), cube.n_rows, cube.n_cols
     # the kernel's atmospheric terms, one (valid bands, 1, 1) column each
     columns = kernel_terms(table[valid]).T[:, :, np.newaxis, np.newaxis]
-    if open_sink is None:
-        rho_w = np.empty((n_valid, n_rows, n_cols), dtype=np.float64)
-
-        def write(r0, k0, block):
-            rho_w[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
-    else:
-        rho_w, write = None, open_sink(valid, n_rows, n_cols)
 
     def run(r0):
         rows = min(ROW_TILE, n_rows - r0)
@@ -230,7 +197,7 @@ def invert_cube(
             np.equal(block, nodata, out=masks[0])  # before the kernel overwrites the block
             kernels.invert_plane(block, d_squared, *(c[k0:k0 + n] for c in columns),
                                  out=block, denom=denom)
-            totals += _finish_block(block, denom, masks, policy.clip_negative)
+            totals += _finish_block(block, denom, masks, clip_negative)
             write(r0, k0, block)
         return totals.tolist()
 
@@ -239,13 +206,8 @@ def invert_cube(
         # the zero row makes the sums 0 for a cube without rows
         degenerate, n_nonfinite, n_data, n_negative = map(sum, zip((0, 0, 0, 0), *tiles))
 
-    report = InversionReport(
+    return InversionReport(
         negativity_rate=(n_negative / n_data) if n_data else 0.0,
         degenerate_pixels=degenerate,
         nonfinite_pixels=n_nonfinite,
-    )
-    return ReflectanceProduct(
-        rho_w=rho_w,
-        band_mask=band_mask,
-        report=report,
     )

@@ -40,6 +40,7 @@ from .atmosphere import (
     serialize_params_table,
 )
 from .errors import (
+    HeaderPayloadMismatch,
     HsacError,
     IoFailure,
     LengthMismatch,
@@ -53,6 +54,7 @@ from .inversion import (
     DENOMINATOR_EPS,
     MaskPolicy,
     invert_cube,
+    mask_bands,
 )
 from .metrics import (
     aggregate_reports,
@@ -209,6 +211,13 @@ def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
         )
     if not indices:
         raise MissingBand(f"{xml_path}: no <band> elements")
+    for band, listed in zip(metadata.bands, cube.wavelengths or ()):
+        if not abs(listed - band.center_wavelength) <= band.fwhm / 2:  # NaN too
+            raise HeaderPayloadMismatch(
+                f"{hdr_path}: wavelength {listed} nm of band {band.index} is more than half "
+                f"its FWHM ({band.fwhm} nm) from its centre {band.center_wavelength} nm "
+                f"in {xml_path}"
+            )
     return metadata, cube
 
 
@@ -269,10 +278,12 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
 
 
 class ProductSink:
-    """The rasters of an exported product: each finished float64 rho_w
-    block is written as float32 rho_w into `rho_w.img.tmp` and as R_rs
-    into `r_rs.img.tmp`, at its BSQ offsets. `write_product` commits both;
-    `discard` deletes whatever was not committed."""
+    """The rasters of an exported product. `open` preallocates them for the
+    valid bands before stage 4 and returns the `write` that `invert_cube`
+    is given: each finished float64 rho_w block is written as float32 rho_w
+    into `rho_w.img.tmp` and as R_rs into `r_rs.img.tmp`, at its BSQ
+    offsets. `write_product` commits both; `discard` deletes whatever was
+    not committed."""
 
     def __init__(self, output_path: str, bands: list[BandDefinition]):
         self.output_path = output_path
@@ -406,25 +417,28 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingRepo
             table[:, T_G_O3] = table[:, T_G_TOTAL]
         report.provider = config.provider
 
-    # stage 4: pixel-wise inversion, streaming the rasters through a ProductSink
+    # stage 4: pixel-wise inversion of the valid bands, streamed through a ProductSink
     with _stage(report, STAGE_INVERSION):
+        band_mask = mask_bands(table, config.mask)
+        valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
         sink = ProductSink(config.output_path, setup.bands)
         try:
-            product = invert_cube(cube, setup.d_squared, table, config.mask,
-                                  workers=config.workers, open_sink=sink.open)
+            write = sink.open(valid, cube.n_rows, cube.n_cols)
+            pixels = invert_cube(cube, setup.d_squared, table, valid, write,
+                                 config.mask.clip_negative, config.workers)
         except BaseException:
             sink.discard()
             raise
         report.masked_bands = {
-            str(i): reason for i, reason in enumerate(product.band_mask) if reason != BAND_VALID
+            str(i): reason for i, reason in enumerate(band_mask) if reason != BAND_VALID
         }
-        report.negativity_rate = product.report.negativity_rate
-        report.degenerate_pixels = product.report.degenerate_pixels
-        report.nonfinite_pixels = product.report.nonfinite_pixels
+        report.negativity_rate = pixels.negativity_rate
+        report.degenerate_pixels = pixels.degenerate_pixels
+        report.nonfinite_pixels = pixels.nonfinite_pixels
 
     # stage 5: export
     with _stage(report, STAGE_EXPORT):
-        write_product(sink, product.band_mask, table)
+        write_product(sink, band_mask, table)
     # written after the export timing is recorded, so it includes it
     try:
         write_report(report, config.output_path)
@@ -477,14 +491,22 @@ def synthesize_scene(
 
 
 def run_self_test(config: RunConfig, tolerance: float = 1e-10) -> tuple[bool, float]:
-    """Round trip on the synthetic scene: forward-model it and invert it
-    with the same band table, in memory, so the float64 rho_w is checked.
+    """Round trip on the synthetic scene: forward-model it and invert its
+    valid bands with the same band table into a float64 array in memory, so
+    the float64 rho_w is checked.
 
     Returns (passed, max relative error over valid bands)."""
     _, cube, setup, table = synthesize_scene(config)
-    product = invert_cube(cube, setup.d_squared, table, config.mask, workers=config.workers)
-    rho_true = self_test_reflectance(len(table))[product.valid_band_indices]
-    rel = np.abs(product.rho_w - rho_true) / np.maximum(np.abs(rho_true), 1e-30)
+    valid = [i for i, m in enumerate(mask_bands(table, config.mask)) if m == BAND_VALID]
+    rho_w = np.empty((len(valid), cube.n_rows, cube.n_cols))
+
+    def write(r0, k0, block):
+        rho_w[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
+
+    invert_cube(cube, setup.d_squared, table, valid, write, config.mask.clip_negative,
+                config.workers)
+    rho_true = self_test_reflectance(len(table))[valid]
+    rel = np.abs(rho_w - rho_true) / np.maximum(np.abs(rho_true), 1e-30)
     max_rel = float(rel.max())
     return max_rel <= tolerance, max_rel
 

@@ -40,11 +40,14 @@ NODATA = -9999.0
 SIZE_FIELDS = ("samples", "lines", "bands")
 _DTYPE_CODES = {4: np.dtype("<f4"), 12: np.dtype("<u2")}
 _CODE_FOR_DTYPE = {np.dtype("float32"): 4, np.dtype("uint16"): 12}
+# nm per unit of a header's `wavelength units`, lowercased; absent means nm
+_NM_PER_UNIT = {"nanometers": 1.0, "micrometers": 1000.0}
 
 
 @dataclass
 class RadianceCube:
-    """Band-sequential raster: data has shape (n_bands, n_rows, n_cols)."""
+    """Band-sequential raster: data has shape (n_bands, n_rows, n_cols);
+    wavelengths are in nm."""
 
     data: np.ndarray
     nodata_value: float = NODATA
@@ -145,7 +148,14 @@ def read_cube(base_path: str) -> RadianceCube:
                 f"header field 'wavelength' must be a {{...}} list of {bands} values, "
                 f"got {listed!r}"
             )
-        wavelengths = _header_field(fields, "wavelength", lambda ws: tuple(map(float, ws)))
+        units = _header_field(fields, "wavelength units", str, "nanometers")
+        nm_per_unit = _NM_PER_UNIT.get(units.lower())
+        if nm_per_unit is None:
+            raise HeaderPayloadMismatch(
+                f"{base_path}.hdr: wavelength units {units!r}: only nanometers or micrometers"
+            )
+        wavelengths = _header_field(fields, "wavelength",
+                                    lambda ws: tuple(float(w) * nm_per_unit for w in ws))
     return RadianceCube(data=data, nodata_value=nodata, wavelengths=wavelengths)
 
 

@@ -172,21 +172,22 @@ def _text_of(root: ET.Element, tag: str) -> str:
 
 
 def _float_of(root: ET.Element, tag: str) -> float:
-    text = _text_of(root, tag)
+    value = _optional_float(root, tag)
+    if value is None:
+        raise MissingField(tag)
+    return value
+
+
+def _optional_float(root: ET.Element, tag: str) -> float | None:
+    """The number in element <tag>, None when it is absent or blank."""
+    node = root.find(tag)
+    text = node.text.strip() if node is not None and node.text else ""
+    if not text:
+        return None
     try:
         return float(text)
     except ValueError as exc:
         raise MalformedXml(f"element <{tag}> is not a number: {text!r}") from exc
-
-
-def _optional_float(root: ET.Element, tag: str) -> float | None:
-    node = root.find(tag)
-    if node is None or node.text is None or not node.text.strip():
-        return None
-    try:
-        return float(node.text.strip())
-    except ValueError as exc:
-        raise MalformedXml(f"element <{tag}> is not a number: {node.text!r}") from exc
 
 
 def _parse_srfs(indices: list[int], nodes: list[ET.Element | None]) -> list[np.ndarray | None]:

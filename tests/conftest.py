@@ -12,6 +12,7 @@ from hsac.atmosphere import (
     aerosol_model,
     load_solar_irradiance,
 )
+from hsac.inversion import BAND_VALID, MaskPolicy, invert_cube, mask_bands
 from hsac.pipeline import load_bundled_bands, simulation_grid
 from hsac.raster import RadianceCube, write_cube
 from hsac.scene import SceneMetadata
@@ -92,6 +93,20 @@ def random_params(rng: np.random.Generator, band_index: int = 0) -> BandAtmParam
 def table_of(params: list[BandAtmParams]) -> np.ndarray:
     """The (bands, 6) band table of one-band records, in the given order."""
     return np.array([p.row for p in params], dtype=np.float64).reshape(-1, 6)
+
+
+def invert_in_memory(cube: RadianceCube, d_squared: float, table: np.ndarray,
+                     policy: MaskPolicy = MaskPolicy(), workers: int = 1):
+    """`invert_cube` of the bands `policy` leaves valid, its blocks written
+    into one float64 array: returns (rho_w, pixel report, valid bands)."""
+    valid = [i for i, m in enumerate(mask_bands(table, policy)) if m == BAND_VALID]
+    rho_w = np.empty((len(valid), cube.n_rows, cube.n_cols))
+
+    def write(r0, k0, block):
+        rho_w[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
+
+    report = invert_cube(cube, d_squared, table, valid, write, policy.clip_negative, workers)
+    return rho_w, report, valid
 
 
 def write_scene_dir(path: Path, metadata: SceneMetadata, cube: RadianceCube) -> Path:

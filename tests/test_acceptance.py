@@ -12,14 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_params, write_scene_dir
+from conftest import invert_in_memory, random_params, write_scene_dir
 from hsac.inversion import (
     BAND_MASKED_LOW_TG,
     BAND_VALID,
     MaskPolicy,
     forward_model_toa,
     invert_band_plane,
-    invert_cube,
     mask_bands,
 )
 from hsac.metrics import SpectrumSample, error_stats, spectral_angle
@@ -195,7 +194,7 @@ class TestAcceptance:
         config = RunConfig()
         _, cube, setup, table = synthesize_scene(config, size=512)
         t0 = time.perf_counter()
-        invert_cube(cube, setup.d_squared, table, MaskPolicy(), workers=config.workers)
+        invert_in_memory(cube, setup.d_squared, table, MaskPolicy(), config.workers)
         elapsed = time.perf_counter() - t0
         report(11, f"stage-4 228x512x512 ({elapsed:.2f} s)", elapsed < 10.0)
 

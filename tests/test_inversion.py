@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_params, table_of
+from conftest import invert_in_memory, random_params, table_of
 from hsac import inversion, kernels
 from hsac.atmosphere import BandAtmParams
 from hsac.errors import LengthMismatch, OutOfRange
@@ -195,56 +195,58 @@ class TestInvertCube:
 
     def test_cube_round_trip(self):
         cube, d2, params, rho_true = self._cube_and_params()
-        product = invert_cube(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01))
-        np.testing.assert_allclose(product.rho_w, rho_true, rtol=1e-12)
+        rho_w, _, _ = invert_in_memory(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01))
+        np.testing.assert_allclose(rho_w, rho_true, rtol=1e-12)
         # rho_w within 1e-12 may still round to a neighbouring float32
         np.testing.assert_allclose(
-            to_rrs(product.rho_w), to_rrs(rho_true), rtol=np.finfo(np.float32).eps
+            to_rrs(rho_w), to_rrs(rho_true), rtol=np.finfo(np.float32).eps
         )
 
     def test_all_bands_masked(self):
         cube, d2, params, _ = self._cube_and_params()
-        product = invert_cube(cube, d2, table_of(params), MaskPolicy(tg_threshold=1.0))
-        assert product.band_mask == [BAND_MASKED_LOW_TG] * cube.n_bands
-        assert product.rho_w.shape == (0, 8, 8)
-        assert product.valid_band_indices == []
+        policy = MaskPolicy(tg_threshold=1.0)
+        rho_w, _, valid = invert_in_memory(cube, d2, table_of(params), policy)
+        assert mask_bands(table_of(params), policy) == [BAND_MASKED_LOW_TG] * cube.n_bands
+        assert rho_w.shape == (0, 8, 8)
+        assert valid == []
 
     def test_single_pixel_matches_band_plane(self):
         cube, d2, params, _ = self._cube_and_params(n_bands=1, size=1)
-        product = invert_cube(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01))
+        rho_w, _, _ = invert_in_memory(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01))
         expected, _ = invert_band_plane(cube.data[0], d2, params[0])
-        assert product.rho_w[0, 0, 0] == expected[0, 0]
+        assert rho_w[0, 0, 0] == expected[0, 0]
 
     def test_length_mismatch(self):
         cube, d2, params, _ = self._cube_and_params()
         with pytest.raises(LengthMismatch):
-            invert_cube(cube, d2, table_of(params[:-1]), MaskPolicy())
+            invert_in_memory(cube, d2, table_of(params[:-1]))
 
     def test_worker_counts_bit_identical(self):
         cube, d2, params, _ = self._cube_and_params(n_bands=6, size=130)
         products = [
-            invert_cube(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01), workers=w)
+            invert_in_memory(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01), w)
             for w in (1, 2, 8)
         ]
-        for p in products[1:]:
-            np.testing.assert_array_equal(p.rho_w, products[0].rho_w)
-            assert p.report.degenerate_pixels == products[0].report.degenerate_pixels
+        for rho_w, report, _ in products[1:]:
+            np.testing.assert_array_equal(rho_w, products[0][0])
+            assert report.degenerate_pixels == products[0][1].degenerate_pixels
 
     def test_negativity_reported_not_clipped(self):
         cube, d2, params, rho_true = self._cube_and_params()
         # force a negative reflectance at one pixel
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
-        product = invert_cube(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01))
-        assert product.rho_w[0, 0, 0] == pytest.approx(-0.02, rel=1e-12)
-        assert product.report.negativity_rate > 0
+        rho_w, report, _ = invert_in_memory(cube, d2, table_of(params),
+                                            MaskPolicy(tg_threshold=0.01))
+        assert rho_w[0, 0, 0] == pytest.approx(-0.02, rel=1e-12)
+        assert report.negativity_rate > 0
 
     def test_clip_negative_opt_in(self):
         cube, d2, params, _ = self._cube_and_params()
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
-        product = invert_cube(
+        rho_w, _, _ = invert_in_memory(
             cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01, clip_negative=True)
         )
-        assert product.rho_w[0, 0, 0] == 0.0
+        assert rho_w[0, 0, 0] == 0.0
 
     def test_clip_with_zero_nodata_keeps_sentinel(self):
         # the input's nodata 0.0 is not the product's: a clipped pixel stays data
@@ -253,21 +255,21 @@ class TestInvertCube:
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
         cube.data[0, 0, 1] = 0.0
         policy = MaskPolicy(tg_threshold=0.01, clip_negative=True)
-        product = invert_cube(cube, d2, table_of(params), policy)
-        assert product.rho_w[0, 0, 0] == 0.0 != NODATA
-        assert product.rho_w[0, 0, 1] == NODATA
-        assert product.report.negativity_rate == 1 / (4 * 8 * 8 - 1)
+        rho_w, report, _ = invert_in_memory(cube, d2, table_of(params), policy)
+        assert rho_w[0, 0, 0] == 0.0 != NODATA
+        assert rho_w[0, 0, 1] == NODATA
+        assert report.negativity_rate == 1 / (4 * 8 * 8 - 1)
 
     def test_zero_reflectance_is_data_when_input_nodata_is_zero(self):
         # y = L * d^2 / T_g_O3 - L_path is exactly 0 at L = 0.5
         p = BandAtmParams(0, l_path=1.0, t_g_o3=0.5, t_g_total=0.9, t_up=0.95,
                           s_atm=0.08, e_s=1.6)
         cube = RadianceCube(data=np.array([[[0.5, 0.0, 0.4]]]), nodata_value=0.0)
-        product = invert_cube(cube, 1.0, table_of([p]))
-        assert product.rho_w[0, 0, 0] == 0.0
-        assert product.rho_w[0, 0, 1] == NODATA
-        assert product.rho_w[0, 0, 2] < 0
-        assert product.report.negativity_rate == 1 / 2  # of the two data pixels
+        rho_w, report, _ = invert_in_memory(cube, 1.0, table_of([p]))
+        assert rho_w[0, 0, 0] == 0.0
+        assert rho_w[0, 0, 1] == NODATA
+        assert rho_w[0, 0, 2] < 0
+        assert report.negativity_rate == 1 / 2  # of the two data pixels
 
     def test_rho_w_that_rounds_onto_nodata_is_degenerate(self, tmp_path):
         # band 0 has rho_w = L: c = e_s * t_up / pi = 1 and s_atm = 0; band 1
@@ -279,14 +281,15 @@ class TestInvertCube:
                          [[0.1, 0.1, 0.1, -2.0, 0.1, -np.inf, 0.1]]])
         assert np.float32(near[0]) == np.float32(near[1] / math.pi) == NODATA
         bands = [BandDefinition(0, 500.0, 6.5), BandDefinition(1, 550.0, 6.5)]
+        table = table_of(params)
         sink = ProductSink(str(tmp_path), bands)
-        product = invert_cube(RadianceCube(data=data), 1.0, table_of(params),
-                              open_sink=sink.open)
-        write_product(sink, product.band_mask, table_of(params))
+        report = invert_cube(RadianceCube(data=data), 1.0, table, [0, 1],
+                             sink.open([0, 1], *data.shape[1:]))
+        write_product(sink, mask_bands(table, MaskPolicy()), table)
         # two near-nodata pixels and one degenerate; NODATA input is neither
-        assert product.report.degenerate_pixels == 3
-        assert product.report.nonfinite_pixels == 2
-        assert product.report.negativity_rate == 1 / 8  # -9998 of 8 data pixels
+        assert report.degenerate_pixels == 3
+        assert report.nonfinite_pixels == 2
+        assert report.negativity_rate == 1 / 8  # -9998 of 8 data pixels
         nodata = np.array([[[1, 1, 0, 1, 1, 0, 0]], [[0, 0, 0, 1, 0, 1, 0]]], dtype=bool)
         for name in ("rho_w", "r_rs"):
             raster = read_cube(str(tmp_path / name)).data
@@ -299,11 +302,11 @@ class TestInvertCube:
         p = BandAtmParams(0, l_path=0.0, t_g_o3=1.0, t_g_total=1.0, t_up=1.0,
                           s_atm=0.0, e_s=math.pi)
         cube = RadianceCube(data=np.array([[[-9999.0, 0.0, 0.5, np.nan]]]), nodata_value=0.0)
-        product = invert_cube(cube, 1.0, table_of([p]))
-        np.testing.assert_array_equal(product.rho_w, [[[NODATA, NODATA, 0.5, NODATA]]])
-        assert product.report.degenerate_pixels == 1
-        assert product.report.nonfinite_pixels == 1
-        n_data = np.count_nonzero(product.rho_w != NODATA)
+        rho_w, report, _ = invert_in_memory(cube, 1.0, table_of([p]))
+        np.testing.assert_array_equal(rho_w, [[[NODATA, NODATA, 0.5, NODATA]]])
+        assert report.degenerate_pixels == 1
+        assert report.nonfinite_pixels == 1
+        n_data = np.count_nonzero(rho_w != NODATA)
         n_input = np.count_nonzero(cube.data == 0.0)
         assert (n_data, n_input) == (1, 1)
         assert n_data + n_input + 1 + 1 == cube.data.size
@@ -312,11 +315,11 @@ class TestInvertCube:
         # s_atm = 0: the denominator c + 0 * inf is NaN, and no warning is raised
         p = replace(PARAMS, s_atm=0.0)
         cube = RadianceCube(data=np.array([[[np.inf, 0.5, -np.inf]]]))
-        product = invert_cube(cube, 1.0, table_of([p]))
-        assert product.rho_w[0, 0, 0] == product.rho_w[0, 0, 2] == NODATA
-        assert product.rho_w[0, 0, 1] != NODATA
-        assert product.report.nonfinite_pixels == 2
-        assert product.report.degenerate_pixels == 0
+        rho_w, report, _ = invert_in_memory(cube, 1.0, table_of([p]))
+        assert rho_w[0, 0, 0] == rho_w[0, 0, 2] == NODATA
+        assert rho_w[0, 0, 1] != NODATA
+        assert report.nonfinite_pixels == 2
+        assert report.degenerate_pixels == 0
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -365,26 +368,26 @@ class TestInvertCube:
                     block_pixels_calls.items(), (1, 2, 8)):
                 monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
                 kernel_calls.clear()
-                product = invert_cube(cube, 1.0, table_of(params), policy, workers)
+                rho, report, valid = invert_in_memory(cube, 1.0, table_of(params), policy,
+                                                      workers)
                 assert len(kernel_calls) == calls
-                np.testing.assert_array_equal(product.rho_w, expected)
-                assert product.report.degenerate_pixels == 1
-                assert product.report.nonfinite_pixels == 3
+                np.testing.assert_array_equal(rho, expected)
+                assert report.degenerate_pixels == 1
+                assert report.nonfinite_pixels == 3
                 # 2 negative of 1950 pixels less 3 non-finite, 1 nodata, 1 degenerate
-                assert product.report.negativity_rate == 2 / (1950 - 5)
-                reports.append(product.report)
-                # a sink gets the same finished blocks, and the same report
+                assert report.negativity_rate == 2 / (1950 - 5)
+                reports.append(report)
+                # a writer that keeps each block gets the same finished blocks,
+                # and the same report
+                assert valid == [0, 2, 3]
                 blocks = {}
 
-                def open_sink(valid, n_rows, n_cols):
-                    assert (valid, n_rows, n_cols) == ([0, 2, 3], 130, 5)
+                def write(r0, k0, block):
                     # the block is reused once write returns: keep a copy
-                    return lambda r0, k0, block: blocks.__setitem__((r0, k0), block.copy())
+                    blocks[r0, k0] = block.copy()
 
-                streamed = invert_cube(cube, 1.0, table_of(params), policy, workers,
-                                       open_sink=open_sink)
-                assert streamed.rho_w is None
-                assert streamed.report == product.report
+                streamed = invert_cube(cube, 1.0, table_of(params), valid, write, clip, workers)
+                assert streamed == report
                 assert len(blocks) == calls
                 assert sum(b.size for b in blocks.values()) == expected.size
                 joined = np.full_like(expected, np.nan)
@@ -392,7 +395,6 @@ class TestInvertCube:
                     joined[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
                 np.testing.assert_array_equal(joined, expected)
             assert all(r == reports[0] for r in reports)
-            rho = product.rho_w
             negatives = ((2, 10, 2), (0, 128, 0))
             assert all(rho[plane_of[b], r, c] == -9999.0
                        for b, r, c in planted if (b, r, c) not in negatives)
@@ -413,26 +415,27 @@ class TestInvertCube:
         for block_pixels, calls in ((1, 3), (2 * 64, 2), (10**6, 1)):
             monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
             kernel_calls.clear()
-            product = invert_cube(cube, d2, table_of(params), policy)
+            rho_w, report, valid = invert_in_memory(cube, d2, table_of(params), policy)
             assert len(kernel_calls) == calls
-            assert product.band_mask[1] == BAND_MASKED_LOW_TG
-            valid = product.valid_band_indices
+            band_mask = mask_bands(table_of(params), policy)
+            assert band_mask[1] == BAND_MASKED_LOW_TG
             assert valid == [0, 2, 3]
-            assert product.rho_w.shape == (len(valid),) + cube.data.shape[1:]
+            assert rho_w.shape == (len(valid),) + cube.data.shape[1:]
             for k, b in enumerate(valid):
                 expected, _ = invert_band_plane(cube.data[b], d2, params[b])
-                np.testing.assert_array_equal(product.rho_w[k], expected)
-                np.testing.assert_array_equal(to_rrs(product.rho_w[k]), to_rrs(expected))
-            reports.append(product.report)
+                np.testing.assert_array_equal(rho_w[k], expected)
+                np.testing.assert_array_equal(to_rrs(rho_w[k]), to_rrs(expected))
+            reports.append(report)
             out = tmp_path / str(block_pixels)
             sink = ProductSink(str(out), bands)
-            streamed = invert_cube(cube, d2, table_of(params), policy, open_sink=sink.open)
-            assert streamed.report == product.report
-            write_product(sink, streamed.band_mask, table_of(params))
+            streamed = invert_cube(cube, d2, table_of(params), valid,
+                                   sink.open(valid, *cube.data.shape[1:]))
+            assert streamed == report
+            write_product(sink, band_mask, table_of(params))
             files.append({name: (out / name).read_bytes()
                           for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img")})
-            assert files[-1]["rho_w.img"] == product.rho_w.astype(np.float32).tobytes()
-            assert files[-1]["r_rs.img"] == to_rrs(product.rho_w).tobytes()
+            assert files[-1]["rho_w.img"] == rho_w.astype(np.float32).tobytes()
+            assert files[-1]["r_rs.img"] == to_rrs(rho_w).tobytes()
         assert reports[0] == reports[1] == reports[2]
         assert files[0] == files[1] == files[2]
 
@@ -487,14 +490,12 @@ def test_one_pixel_rule_property(n_bands, n_rows, n_cols, seed, input_nodata, cl
     with pytest.MonkeyPatch.context() as mp:
         for block_pixels, workers in itertools.product((1, 10**6), (1, 2)):
             mp.setattr(inversion, "BLOCK_PIXELS", block_pixels)
-            products.append(invert_cube(cube, d2, table_of(params), policy, workers))
-    first = products[0]
-    for product in products[1:]:
-        assert product.rho_w.tobytes() == first.rho_w.tobytes()
-        assert product.report == first.report
+            products.append(invert_in_memory(cube, d2, table_of(params), policy, workers))
+    rho_w, report, valid = products[0]
+    for other_rho_w, other_report, _ in products[1:]:
+        assert other_rho_w.tobytes() == rho_w.tobytes()
+        assert other_report == report
 
-    valid = first.valid_band_indices
-    rho_w = first.rho_w
     assert not np.isnan(rho_w).any()
     n_negative = 0
     for k, b in enumerate(valid):
@@ -507,7 +508,6 @@ def test_one_pixel_rule_property(n_bands, n_rows, n_cols, seed, input_nodata, cl
 
     planted = kinds[valid]
     count = {kind: int(np.count_nonzero(planted == k)) for k, kind in enumerate(PIXEL_KINDS)}
-    report = first.report
     assert report.degenerate_pixels == count["degenerate"] + count["near_nodata"]
     assert report.nonfinite_pixels == count["nan"] + count["inf"] + count["-inf"]
     n_data = int(np.count_nonzero(rho_w != NODATA))

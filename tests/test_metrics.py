@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_params, table_of
+from conftest import invert_in_memory, random_params, table_of
 from hsac.atmosphere import BandAtmParams
 from hsac.errors import NodataPixel, NoOverlap, OutOfBounds, SchemaViolation, ZeroVector
-from hsac.inversion import MaskPolicy, forward_model_toa, invert_cube
+from hsac.inversion import MaskPolicy, forward_model_toa, invert_cube, mask_bands
 from hsac.metrics import (
     SpectrumSample,
     aggregate_reports,
@@ -181,9 +181,10 @@ class TestExtractPixelSpectrum:
         cube, policy = RadianceCube(data=l_toa), MaskPolicy(tg_threshold=0.85)
         sink = ProductSink(str(tmp_path), bands)
         table = table_of(params)
-        streamed = invert_cube(cube, 1.0, table, policy, open_sink=sink.open)
-        write_product(sink, streamed.band_mask, table)
-        return invert_cube(cube, 1.0, table, policy), tmp_path
+        rho_w, _, valid = invert_in_memory(cube, 1.0, table, policy)
+        invert_cube(cube, 1.0, table, valid, sink.open(valid, *l_toa.shape[1:]))
+        write_product(sink, mask_bands(table, policy), table)
+        return rho_w, tmp_path
 
     def test_mask_filtering(self, exported):
         _, out = exported
@@ -203,10 +204,10 @@ class TestExtractPixelSpectrum:
                 pixel_spectrum(cube, row, col)
 
     def test_values_match_planes(self, exported):
-        product, out = exported
+        rho_w, out = exported
         s = pixel_spectrum(read_cube(str(out / "rho_w")), 0, 1)
-        assert s.values[0] == np.float32(product.rho_w[0, 0, 1])
-        assert s.values[1] == np.float32(product.rho_w[1, 0, 1])
+        assert s.values[0] == np.float32(rho_w[0, 0, 1])
+        assert s.values[1] == np.float32(rho_w[1, 0, 1])
 
 
 class TestCompareAndAggregate:

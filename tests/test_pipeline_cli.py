@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import invert_in_memory
 from hsac import cli, inversion, pipeline
 from hsac.atmosphere import BandAtmParams, aerosol_models, load_params_table
 from hsac.inversion import ROW_TILE, MaskPolicy, forward_model_toa, invert_cube, to_rrs
@@ -169,6 +170,21 @@ class TestParseCli:
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out), *extra]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--input", "in", "--output", "out", "--workers", "-1"],
+        ["self-test", "--workers", "-1"],
+        ["compare", "--product", "p", "--reference", "r.csv", "--window", "400",
+         "--pixel", "0,0"],
+        ["compare", "--product", "p", "--reference", "r.csv", "--pixel", "1"],
+    ], ids=["run_workers", "self_test_workers", "compare_window", "compare_pixel"])
+    def test_option_error_exits_2_with_a_message(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hsac {argv[0]}: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_readme_lists_every_run_flag(self):
         # each subcommand's README section shows every flag in its code blocks
@@ -468,18 +484,18 @@ class TestRunEndToEnd:
                         # the same run held in memory, cast and formatted without a sink
                         params = load_params_table((out / "band_params.csv").read_text())
                         policy = MaskPolicy(clip_negative="--clip-negative" in opts)
-                        product = invert_cube(cube, setup.d_squared, params, policy)
-                        assert product.report.nonfinite_pixels == 3
-                        assert product.report.negativity_rate > 0
-                        wavelengths = tuple(setup.bands[i].center_wavelength
-                                            for i in product.valid_band_indices)
-                        header = format_envi_header(product.rho_w.shape, np.float32, NODATA,
+                        rho_w, pixels, valid = invert_in_memory(cube, setup.d_squared, params,
+                                                                policy)
+                        assert pixels.nonfinite_pixels == 3
+                        assert pixels.negativity_rate > 0
+                        wavelengths = tuple(setup.bands[i].center_wavelength for i in valid)
+                        header = format_envi_header(rho_w.shape, np.float32, NODATA,
                                                     wavelengths, "bsq").encode()
                         expected = {
                             "rho_w.hdr": header,
-                            "rho_w.img": product.rho_w.astype(np.float32).tobytes(),
+                            "rho_w.img": rho_w.astype(np.float32).tobytes(),
                             "r_rs.hdr": header,
-                            "r_rs.img": to_rrs(product.rho_w).tobytes(),
+                            "r_rs.img": to_rrs(rho_w).tobytes(),
                         }
                     for name, data in expected.items():
                         assert (out / name).read_bytes() == data, (out.name, name)
@@ -632,6 +648,46 @@ class TestRunEndToEnd:
         report = json.loads((out / "report.json").read_text())
         assert report["failure_stage"] == "ingest"
         assert "'wavelength'" in report["error"]
+
+    def test_micrometre_header_wavelengths_give_the_same_products(self, scene_dir, tmp_path):
+        plain = tmp_path / "plain"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(plain)]) == 0
+        header = scene_dir / "radiance.hdr"
+        listed = ", ".join(str(c / 1000) for c in BAND_CENTERS)
+        header.write_text(header.read_text()
+                          + f"wavelength units = Micrometers\nwavelength = {{{listed}}}\n")
+        assert ingest_scene(str(scene_dir))[1].wavelengths == pytest.approx(BAND_CENTERS)
+        out = tmp_path / "um"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 0
+        for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img",
+                     "band_mask.csv", "band_params.csv"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes(), name
+        reports = [json.loads((d / "report.json").read_text()) for d in (plain, out)]
+        for report in reports:
+            del report["timings_ms"]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("lines,message", [
+        ("wavelength units = Micrometers\nwavelength = {" + ", ".join(["0.5"] * 6) + "}",
+         "wavelength 500.0 nm of band 1 is more than half its FWHM (6.5 nm) from its "
+         "centre 530.0 nm in "),
+        ("wavelength = {" + ", ".join(map(str, BAND_CENTERS[::-1])) + "}",
+         "wavelength 650.0 nm of band 0 is more than half its FWHM (6.5 nm) from its "
+         "centre 500.0 nm in "),
+        ("wavelength units = Wavenumber\nwavelength = {" + ", ".join(map(str, BAND_CENTERS))
+         + "}", "wavelength units 'Wavenumber': only nanometers or micrometers"),
+    ], ids=["all_half_micrometre", "reversed", "unknown_unit"])
+    def test_header_wavelengths_not_the_scene_exit_3_naming_the_file(self, scene_dir, tmp_path,
+                                                                     capsys, lines, message):
+        header = scene_dir / "radiance.hdr"
+        header.write_text(header.read_text() + lines + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{header}: {message}" in err
+        if "band" in message:
+            assert f"in {scene_dir / 'scene.xml'}" in err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
 
     def test_second_raster_in_scene_directory_exits_3(self, scene_dir, tmp_path, capsys):
         # a run written into its own input directory adds r_rs.hdr and rho_w.hdr
@@ -869,6 +925,24 @@ class TestRunEndToEnd:
             "run", "--input", str(scene), "--output", str(out), "--workers", "1",
         ]) == 6
         assert "stage export" in capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["failure_stage"] == "export"
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+    def test_payload_creation_failure_exits_6(self, scene_dir, tmp_path, monkeypatch, capsys):
+        # rho_w.img.tmp is created; preallocating r_rs.img.tmp then fails
+        ftruncate, calls = os.ftruncate, []
+
+        def full_disk(fd, length):
+            calls.append(length)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", full_disk)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 6
+        assert "r_rs.img.tmp" in capsys.readouterr().err
+        assert len(calls) == 2
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "export"
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 

@@ -82,6 +82,22 @@ class TestRead:
         cube = read_cube(write_raw(tmp_path, header, payload))
         assert cube.wavelengths == (550.0, 650.0)
 
+    @pytest.mark.parametrize("units,listed", [
+        ("Nanometers", "550.0, 650.0"), ("nanometers", "550.0, 650.0"),
+        ("Micrometers", "0.55, 0.65"), ("MICROMETERS", "0.55, 0.65"),
+    ])
+    def test_wavelength_units_converted_to_nm(self, tmp_path, units, listed):
+        header = make_header(1, 1, 2) + f"wavelength units = {units}\nwavelength = {{{listed}}}\n"
+        cube = read_cube(write_raw(tmp_path, header, b"\0" * 8))
+        assert cube.wavelengths == pytest.approx((550.0, 650.0), rel=1e-15)
+
+    def test_unknown_wavelength_unit_names_the_header(self, tmp_path):
+        header = make_header(1, 1, 2) + "wavelength units = GHz\nwavelength = {550.0, 650.0}\n"
+        base = write_raw(tmp_path, header, b"\0" * 8)
+        with pytest.raises(HeaderPayloadMismatch,
+                           match=f"^{re.escape(base)}.hdr: wavelength units 'GHz'"):
+            read_cube(base)
+
     def test_unterminated_list_names_field(self, tmp_path):
         header = make_header(1, 1, 2) + "wavelength = {550.0,\n 650.0\n"
         with pytest.raises(HeaderPayloadMismatch, match="'wavelength'"):

@@ -76,6 +76,18 @@ class TestParseSceneMetadata:
         with pytest.raises(MissingField, match="viewZenith"):
             parse_scene_metadata(doc)
 
+    @pytest.mark.parametrize("old,new,error,message", [
+        ("<viewZenith>5.0", "<viewZenith> ", MissingField, "viewZenith"),
+        ("<viewZenith>5.0", "<viewZenith> steep\n", MalformedXml,
+         "element <viewZenith> is not a number: 'steep'"),
+        ("<tcwv>1.8", "<tcwv>\n damp ", MalformedXml, "element <tcwv> is not a number: 'damp'"),
+    ], ids=["blank_mandatory", "mandatory_word", "optional_word"])
+    def test_number_elements_read_alike(self, old, new, error, message):
+        # mandatory and optional numbers are one reader: a blank mandatory one
+        # is missing, a word in either is named without its white space
+        with pytest.raises(error, match=f"^{message}$"):
+            parse_scene_metadata(FIXTURE_XML.replace(old, new))
+
     def test_malformed_document(self):
         with pytest.raises(MalformedXml):
             parse_scene_metadata("<scene><unclosed>")
