@@ -12,7 +12,12 @@ because it doubles as the synthetic-scene generator of the self-test.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .atmosphere import T_G_TOTAL, BandAtmParams, kernel_terms
-from .errors import LengthMismatch, OutOfRange
+from .errors import HsacError, LengthMismatch, OutOfRange
 from .raster import NODATA, RadianceCube
 
 DENOMINATOR_EPS = 1e-12
@@ -31,6 +36,9 @@ ROW_TILE = 64
 # pixels of one band block: the float64 block, its denominator and two bool
 # masks (18 B a pixel, ~1.2 MB) stay in one core's L2 cache
 BLOCK_PIXELS = 1 << 16
+
+# CPython >= 3.12 warns on os.fork() in a process with more than one thread
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead"
 
 BAND_VALID = "valid"
 BAND_MASKED_LOW_TG = "masked_low_tg"
@@ -162,11 +170,17 @@ def invert_cube(
     into the float64 block, marks the pixels equal to the cube's nodata
     value, inverts the block in place with `kernels.invert_plane`, lets
     `_finish_block` apply the one pixel rule and the opt-in clip, and calls
-    `write(r0, k0, block)` from its worker thread with the finished float64
-    block, planes k0.. (bands valid[k0:k0+g]) of rows r0.. . The block is
-    overwritten after `write` returns, so a writer copies what it keeps.
+    `write(r0, k0, block)` with the finished float64 block, planes k0..
+    (bands valid[k0:k0+g]) of rows r0.. . The block is overwritten after
+    `write` returns, so a writer copies what it keeps.
     Input nodata, degenerate, non-finite and near-nodata pixels are NODATA
     in it, each counted once, in that order (see `_finish_block`).
+
+    With n = min(workers, row tiles) > 1 the tasks run in n forked worker
+    processes (see `_in_workers`), so `write` then runs in a child and must
+    write to a file descriptor or to shared memory (`shared_array`). With
+    one tile or one worker, without `os.fork`, or while another Python
+    thread is alive, they run in the calling process.
     Per-pixel arithmetic order is fixed, so the blocks are bit-identical for
     any worker count and block size.
     """
@@ -201,13 +215,89 @@ def invert_cube(
             write(r0, k0, block)
         return totals.tolist()
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tiles = pool.map(run, range(0, n_rows, ROW_TILE))
-        # the zero row makes the sums 0 for a cube without rows
-        degenerate, n_nonfinite, n_data, n_negative = map(sum, zip((0, 0, 0, 0), *tiles))
+    tiles = range(0, n_rows, ROW_TILE)
+    n = min(workers, len(tiles))
+    if n > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        counts = _in_workers(run, tiles, n)
+    else:
+        counts = [run(r0) for r0 in tiles]
+    # the zero row makes the sums 0 for a cube without rows
+    degenerate, n_nonfinite, n_data, n_negative = map(sum, zip((0, 0, 0, 0), *counts))
 
     return InversionReport(
         negativity_rate=(n_negative / n_data) if n_data else 0.0,
         degenerate_pixels=degenerate,
         nonfinite_pixels=n_nonfinite,
     )
+
+
+def shared_array(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array in anonymous shared memory, so that what forked
+    workers write into it is seen by the process that made it."""
+    size = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, size * 8))  # an empty mapping is refused
+    return np.frombuffer(buffer, dtype=np.float64, count=size).reshape(shape)
+
+
+def _in_workers(run: Callable[[int], list], tiles: range, n: int) -> list[list]:
+    """[run(r0) for r0 in tiles], from n forked worker processes: worker k
+    runs tiles k, k+n, ... and sends their results back over its own pipe.
+
+    A worker's exception is raised here as its own type; a worker that ends
+    without a result (killed by a signal, say) is an HsacError. Every worker
+    is reaped before this returns or raises, and when one fails, or this
+    process is interrupted, the others are killed first."""
+    pids: list[int] = []  # 0 once reaped
+    pipes = []
+    counts: list[list] = [[] for _ in tiles]
+    try:
+        for k in range(n):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                with warnings.catch_warnings():
+                    # no Python thread is alive (the caller checks), and the
+                    # workers call no BLAS, whose idle threads trigger it
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _worker(run, tiles[k::n], w)
+            finally:
+                os.close(w)  # in this process; a worker never leaves _worker
+            pids.append(pid)
+        for k, pid in enumerate(pids):
+            payload = pipes[k].read()
+            status = os.waitpid(pid, 0)[1]
+            pids[k] = 0
+            if not payload:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
+                raise HsacError(f"inversion worker {pid} {how} before it sent its counts")
+            result = pickle.loads(payload)
+            if isinstance(result, BaseException):
+                raise result
+            counts[k::n] = result
+    finally:
+        for pid in pids:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+    return counts
+
+
+def _worker(run: Callable[[int], list], tiles: range, fd: int) -> None:
+    """The body of a forked worker: sends [run(r0) for r0 in tiles], or the
+    exception it raised, pickled to `fd`, and leaves by os._exit only, so
+    that nothing of the parent's runs on exit; with 1 if it could not send."""
+    try:
+        try:
+            result = [run(r0) for r0 in tiles]
+        except BaseException as exc:  # raised again in the parent
+            result = exc
+        with open(fd, "wb") as pipe:
+            pickle.dump(result, pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)

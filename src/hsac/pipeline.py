@@ -47,6 +47,7 @@ from .errors import (
     MissingBand,
     MissingField,
     OutOfRange,
+    SchemaViolation,
     UnsupportedDataType,
 )
 from .inversion import (
@@ -55,6 +56,7 @@ from .inversion import (
     MaskPolicy,
     invert_cube,
     mask_bands,
+    shared_array,
 )
 from .metrics import (
     aggregate_reports,
@@ -186,7 +188,12 @@ def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
     xml_path = _find_one(input_path, "*.xml", "metadata XML")
     metadata = _parse_file(xml_path, parse_scene_metadata)
     hdr_path = _find_one(input_path, "*.hdr", "raster header")
-    cube = read_cube(hdr_path[: -len(".hdr")])
+    try:
+        cube = read_cube(hdr_path[: -len(".hdr")])
+    except SchemaViolation:
+        raise  # read_text names the file
+    except HsacError as exc:
+        raise type(exc)(f"{hdr_path}: {exc}") from exc
     if cube.data.dtype != np.float32:
         raise UnsupportedDataType(
             f"{hdr_path}: data type {cube.data.dtype} is not float32 radiance; "
@@ -492,13 +499,13 @@ def synthesize_scene(
 
 def run_self_test(config: RunConfig, tolerance: float = 1e-10) -> tuple[bool, float]:
     """Round trip on the synthetic scene: forward-model it and invert its
-    valid bands with the same band table into a float64 array in memory, so
-    the float64 rho_w is checked.
+    valid bands with the same band table into a float64 array in shared
+    memory, so the float64 rho_w is checked.
 
     Returns (passed, max relative error over valid bands)."""
     _, cube, setup, table = synthesize_scene(config)
     valid = [i for i, m in enumerate(mask_bands(table, config.mask)) if m == BAND_VALID]
-    rho_w = np.empty((len(valid), cube.n_rows, cube.n_cols))
+    rho_w = shared_array((len(valid), cube.n_rows, cube.n_cols))  # forked workers write it
 
     def write(r0, k0, block):
         rho_w[k0:k0 + len(block), r0:r0 + block.shape[1]] = block

@@ -9,11 +9,11 @@ Payloads are never copied. `read_cube` maps the payload file read-only
 (a BIL payload is returned as a transposed view of the mapping), so only
 the pages a caller touches are read. A `CubeWriter` preallocates the payload
 as `<base>.img.tmp` and writes rows at their offsets with `os.pwrite`, from
-the caller's buffers and from any thread; the written pages sit in the page
-cache and do not count in the writer's resident memory. `write_cube`
-commits a writer: it writes the header, then renames header and payload
-into place, so a reader never sees a partial raster. An in-memory cube is
-written through a new writer first.
+the caller's buffers, also from forked processes that inherit its file
+descriptor; the written pages sit in the page cache and do not count in the
+writer's resident memory. `write_cube` commits a writer: it writes the
+header, then renames header and payload into place, so a reader never sees
+a partial raster. An in-memory cube is written through a new writer first.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def read_cube(base_path: str) -> RadianceCube:
         nm_per_unit = _NM_PER_UNIT.get(units.lower())
         if nm_per_unit is None:
             raise HeaderPayloadMismatch(
-                f"{base_path}.hdr: wavelength units {units!r}: only nanometers or micrometers"
+                f"wavelength units {units!r}: only nanometers or micrometers"
             )
         wavelengths = _header_field(fields, "wavelength",
                                     lambda ws: tuple(float(w) * nm_per_unit for w in ws))
@@ -205,7 +205,8 @@ class CubeWriter:
 
     `<base_path>.img.tmp` is created at its full size; `write_rows` writes
     a block of rows of a run of bands at its offsets and may be called from
-    several threads for disjoint blocks. `write_cube(base_path, writer)`
+    several forked processes, which inherit the file descriptor, for
+    disjoint blocks. `write_cube(base_path, writer)`
     commits it; `discard` deletes an uncommitted payload.
     """
 

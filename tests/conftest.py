@@ -1,4 +1,5 @@
 import datetime
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hsac.atmosphere import (
     aerosol_model,
     load_solar_irradiance,
 )
-from hsac.inversion import BAND_VALID, MaskPolicy, invert_cube, mask_bands
+from hsac.inversion import BAND_VALID, MaskPolicy, invert_cube, mask_bands, shared_array
 from hsac.pipeline import load_bundled_bands, simulation_grid
 from hsac.raster import RadianceCube, write_cube
 from hsac.scene import SceneMetadata
@@ -98,15 +99,22 @@ def table_of(params: list[BandAtmParams]) -> np.ndarray:
 def invert_in_memory(cube: RadianceCube, d_squared: float, table: np.ndarray,
                      policy: MaskPolicy = MaskPolicy(), workers: int = 1):
     """`invert_cube` of the bands `policy` leaves valid, its blocks written
-    into one float64 array: returns (rho_w, pixel report, valid bands)."""
+    into one float64 array in shared memory, which forked workers can write:
+    returns (rho_w, pixel report, valid bands)."""
     valid = [i for i, m in enumerate(mask_bands(table, policy)) if m == BAND_VALID]
-    rho_w = np.empty((len(valid), cube.n_rows, cube.n_cols))
+    rho_w = shared_array((len(valid), cube.n_rows, cube.n_cols))
 
     def write(r0, k0, block):
         rho_w[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
 
     report = invert_cube(cube, d_squared, table, valid, write, policy.clip_negative, workers)
     return rho_w, report, valid
+
+
+def assert_no_child_process() -> None:
+    """This process has no child left, not even a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_scene_dir(path: Path, metadata: SceneMetadata, cube: RadianceCube) -> Path:

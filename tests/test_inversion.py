@@ -1,5 +1,10 @@
+import contextlib
 import itertools
 import math
+import os
+import struct
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import invert_in_memory, random_params, table_of
+from conftest import assert_no_child_process, invert_in_memory, random_params, table_of
 from hsac import inversion, kernels
 from hsac.atmosphere import BandAtmParams
 from hsac.errors import LengthMismatch, OutOfRange
@@ -19,6 +24,7 @@ from hsac.inversion import (
     invert_band_plane,
     invert_cube,
     mask_bands,
+    shared_array,
     to_rrs,
 )
 from hsac.pipeline import ProductSink, write_product
@@ -33,6 +39,36 @@ PARAMS = BandAtmParams(
 
 def plane(value):
     return np.full((1, 1), value, dtype=np.float64)
+
+
+class PipeLog:
+    """Integers sent from this process or from forked workers through one
+    pipe (a write of 8 bytes is atomic), read once the workers are reaped."""
+
+    def __init__(self):
+        self.r, self.w = os.pipe()
+        os.set_blocking(self.r, False)
+
+    def send(self, value: int) -> None:
+        os.write(self.w, struct.pack("q", value))
+
+    def take(self) -> list[int]:
+        """Everything sent since the last take."""
+        data = b""
+        with contextlib.suppress(BlockingIOError):
+            while chunk := os.read(self.r, 1 << 16):
+                data += chunk
+        return [v for (v,) in struct.iter_unpack("q", data)]
+
+    def close(self) -> None:
+        os.close(self.r)
+        os.close(self.w)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 class TestInvertBandPlane:
@@ -323,16 +359,18 @@ class TestInvertCube:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """One entry per kernels.invert_plane call; the caller clears it."""
-        calls = []
+        """A PipeLog of one entry per kernels.invert_plane call, in this
+        process or in a forked worker."""
+        calls = PipeLog()
         kernel = kernels.invert_plane
 
         def counted(*args, **kwargs):
-            calls.append(None)
+            calls.send(1)
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(kernels, "invert_plane", counted)
-        return calls
+        yield calls
+        calls.close()
 
     def test_fused_pixel_account(self, monkeypatch, kernel_calls):
         # bands 0, 2 and 3 valid, band 1 masked; 130 rows of 5 columns make
@@ -367,32 +405,33 @@ class TestInvertCube:
             for (block_pixels, calls), workers in itertools.product(
                     block_pixels_calls.items(), (1, 2, 8)):
                 monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
-                kernel_calls.clear()
+                kernel_calls.take()  # drop earlier calls: the expected planes' at first
                 rho, report, valid = invert_in_memory(cube, 1.0, table_of(params), policy,
                                                       workers)
-                assert len(kernel_calls) == calls
+                assert len(kernel_calls.take()) == calls
                 np.testing.assert_array_equal(rho, expected)
                 assert report.degenerate_pixels == 1
                 assert report.nonfinite_pixels == 3
                 # 2 negative of 1950 pixels less 3 non-finite, 1 nodata, 1 degenerate
                 assert report.negativity_rate == 2 / (1950 - 5)
                 reports.append(report)
-                # a writer that keeps each block gets the same finished blocks,
-                # and the same report
+                # a writer that places each block itself gets the same finished
+                # blocks, one per kernel call, and the same report
                 assert valid == [0, 2, 3]
-                blocks = {}
+                joined = shared_array(expected.shape)
+                joined[:] = np.nan
+                with PipeLog() as sizes:
 
-                def write(r0, k0, block):
-                    # the block is reused once write returns: keep a copy
-                    blocks[r0, k0] = block.copy()
+                    def write(r0, k0, block):
+                        sizes.send(block.size)
+                        joined[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
 
-                streamed = invert_cube(cube, 1.0, table_of(params), valid, write, clip, workers)
+                    streamed = invert_cube(cube, 1.0, table_of(params), valid, write, clip,
+                                           workers)
+                    block_sizes = sizes.take()
                 assert streamed == report
-                assert len(blocks) == calls
-                assert sum(b.size for b in blocks.values()) == expected.size
-                joined = np.full_like(expected, np.nan)
-                for (r0, k0), block in blocks.items():
-                    joined[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
+                assert len(block_sizes) == len(kernel_calls.take()) == calls
+                assert sum(block_sizes) == expected.size
                 np.testing.assert_array_equal(joined, expected)
             assert all(r == reports[0] for r in reports)
             negatives = ((2, 10, 2), (0, 128, 0))
@@ -414,9 +453,9 @@ class TestInvertCube:
         # one 8 x 8 tile: a band a block; blocks of bands [0, 2] and [3]; one block
         for block_pixels, calls in ((1, 3), (2 * 64, 2), (10**6, 1)):
             monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
-            kernel_calls.clear()
+            kernel_calls.take()  # those of the streamed run before
             rho_w, report, valid = invert_in_memory(cube, d2, table_of(params), policy)
-            assert len(kernel_calls) == calls
+            assert len(kernel_calls.take()) == calls
             band_mask = mask_bands(table_of(params), policy)
             assert band_mask[1] == BAND_MASKED_LOW_TG
             assert valid == [0, 2, 3]
@@ -438,6 +477,92 @@ class TestInvertCube:
             assert files[-1]["r_rs.img"] == to_rrs(rho_w).tobytes()
         assert reports[0] == reports[1] == reports[2]
         assert files[0] == files[1] == files[2]
+
+
+class TestWorkerProcesses:
+    """invert_cube forks min(workers, row tiles) worker processes, or runs
+    the row tiles in the calling process."""
+
+    @staticmethod
+    def _cube(rows):
+        rng = np.random.default_rng(3)
+        params = [random_params(rng, b) for b in range(3)]
+        rho = rng.uniform(0.001, 0.5, size=(3, rows, 5))
+        data = np.stack([forward_model_toa(rho[b], 1.0, p) for b, p in enumerate(params)])
+        return RadianceCube(data=data), table_of(params)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """One entry per os.fork call of this process."""
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        yield calls
+        assert_no_child_process()
+
+    def test_one_fork_per_worker_up_to_the_row_tiles(self, forks):
+        # 130 rows are 3 row tiles, 64 rows 1
+        policy = MaskPolicy(tg_threshold=0.01)
+        for rows, expected in ((130, {1: 0, 2: 2, 3: 3, 8: 3}), (64, {1: 0, 2: 0, 8: 0})):
+            cube, table = self._cube(rows)
+            products = []
+            for workers, n_forks in expected.items():
+                forks.clear()
+                products.append(invert_in_memory(cube, 1.0, table, policy, workers))
+                assert len(forks) == n_forks, (rows, workers)
+            rho_w, report, _ = products[0]
+            for other_rho_w, other_report, _ in products[1:]:
+                assert other_rho_w.tobytes() == rho_w.tobytes()
+                assert other_report == report
+
+    def test_no_fork_while_another_thread_is_alive(self, forks):
+        cube, table = self._cube(130)
+        policy = MaskPolicy(tg_threshold=0.01)
+        alone = invert_in_memory(cube, 1.0, table, policy, 8)
+        assert len(forks) == 3
+        forks.clear()
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            threaded = invert_in_memory(cube, 1.0, table, policy, 8)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert threaded[0].tobytes() == alone[0].tobytes()
+        assert threaded[1] == alone[1]
+
+    def test_fork_warning_of_newer_pythons_is_not_an_error(self, monkeypatch):
+        # CPython >= 3.12 warns in the parent, once the child exists, when a
+        # process with threads forks, and numpy's OpenBLAS starts one at
+        # import; the tests, like CI on those versions, make warnings errors
+        fork, forks = os.fork, []
+        text = ("This process (pid={}) is multi-threaded, use of fork() may lead to "
+                "deadlocks in the child.")
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+                warnings.warn(text.format(os.getpid()), DeprecationWarning, stacklevel=2)
+            return pid
+
+        cube, table = self._cube(100)  # 2 row tiles
+        policy = MaskPolicy(tg_threshold=0.01)
+        inline = invert_in_memory(cube, 1.0, table, policy, 1)
+        monkeypatch.setattr(os, "fork", warning_fork)
+        forked = invert_in_memory(cube, 1.0, table, policy, 2)
+        assert len(forks) == 2
+        assert forked[0].tobytes() == inline[0].tobytes()
+        assert forked[1] == inline[1]
+        assert_no_child_process()
 
 
 PIXEL_KINDS = ("data", "nodata", "nan", "inf", "-inf", "degenerate", "near_nodata")

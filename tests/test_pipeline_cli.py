@@ -8,13 +8,15 @@ import json
 import math
 import os
 import re
+import signal
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import invert_in_memory
+from conftest import assert_no_child_process, invert_in_memory
 from hsac import cli, inversion, pipeline
 from hsac.atmosphere import BandAtmParams, aerosol_models, load_params_table
 from hsac.inversion import ROW_TILE, MaskPolicy, forward_model_toa, invert_cube, to_rrs
@@ -27,7 +29,15 @@ from hsac.pipeline import (
     run_self_test,
     simulation_grid,
 )
-from hsac.raster import NODATA, RadianceCube, format_envi_header, read_cube, write_cube
+from hsac.errors import IoFailure
+from hsac.raster import (
+    NODATA,
+    CubeWriter,
+    RadianceCube,
+    format_envi_header,
+    read_cube,
+    write_cube,
+)
 from hsac.scene import BandDefinition
 
 BAND_CENTERS = (500.0, 530.0, 560.0, 590.0, 620.0, 650.0)
@@ -689,6 +699,26 @@ class TestRunEndToEnd:
             assert f"in {scene_dir / 'scene.xml'}" in err
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
 
+    @pytest.mark.parametrize("edit,message", [
+        (("samples = 5", "samples = x"), "header field 'samples' is not an integer: 'x'"),
+        (("interleave = bsq", "interleave = bip"), "interleave 'bip' not in {bsq, bil}"),
+        (("lines = 6", "lines = 7"), "payload is 720 bytes, header implies 840"),
+        (("ENVI\n", "ENVI\nwavelength units = GHz\nwavelength = {1, 2, 3, 4, 5, 6}\n"),
+         "wavelength units 'GHz': only nanometers or micrometers"),
+    ], ids=["samples_not_integer", "interleave", "payload_size", "wavelength_units"])
+    def test_header_error_exits_3_naming_the_header_once(self, scene_dir, tmp_path, capsys,
+                                                         edit, message):
+        header = scene_dir / "radiance.hdr"
+        header.write_text(header.read_text().replace(*edit))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{header}: {message}" in err
+        assert err.count(str(header)) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure_stage"] == "ingest"
+        assert report["error"] == f"{header}: {message}"
+
     def test_second_raster_in_scene_directory_exits_3(self, scene_dir, tmp_path, capsys):
         # a run written into its own input directory adds r_rs.hdr and rho_w.hdr
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(scene_dir)]) == 0
@@ -945,6 +975,49 @@ class TestRunEndToEnd:
         assert len(calls) == 2
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "export"
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+    @pytest.mark.parametrize("fault,code,stage,message", [
+        ("raise", 5, "inversion", "planted fault in a worker"),
+        ("io_failure", 6, "export", "planted write failure in a worker"),
+        ("sigkill", 5, "inversion", f"was killed by signal {int(signal.SIGKILL)}"),
+        ("raise_while_another_sleeps", 5, "inversion", "planted fault in a worker"),
+    ])
+    def test_worker_failure_exits_with_a_partial_report(self, tmp_path, monkeypatch, capsys,
+                                                        fault, code, stage, message):
+        # 130 rows are 3 row tiles: worker 0 writes tiles 0 and 2, worker 1 tile 1
+        scene = make_scene_dir(tmp_path / "scene", rows=130)
+        parent = os.getpid()
+        write, write_rows = pipeline.ProductSink.write, CubeWriter.write_rows
+
+        def faulty_write(sink, r0, k0, block):
+            if os.getpid() != parent:  # only a forked worker fails
+                if fault == "raise" or (fault == "raise_while_another_sleeps" and r0 == 0):
+                    raise ValueError("planted fault in a worker")
+                if fault == "raise_while_another_sleeps":
+                    time.sleep(60)  # until the parent kills it
+                if fault == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return write(sink, r0, k0, block)
+
+        def faulty_write_rows(writer, r0, rows, k0=0):
+            if os.getpid() != parent and fault == "io_failure":
+                raise IoFailure("planted write failure in a worker")
+            return write_rows(writer, r0, rows, k0)
+
+        monkeypatch.setattr(pipeline.ProductSink, "write", faulty_write)
+        monkeypatch.setattr(CubeWriter, "write_rows", faulty_write_rows)
+        out = tmp_path / "out"
+        t0 = time.monotonic()
+        assert cli.main([
+            "run", "--input", str(scene), "--output", str(out), "--workers", "2",
+        ]) == code
+        assert time.monotonic() - t0 < 30
+        assert message in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure_stage"] == stage
+        assert message in report["error"]
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]  # no *.img.tmp
+        assert_no_child_process()
 
     def test_output_path_not_a_directory_exits_6(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "out"
