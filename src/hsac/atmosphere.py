@@ -85,11 +85,15 @@ def check_band_table(table: np.ndarray, first_band: int = 0) -> None:
         )
 
 
-def kernel_terms(table: np.ndarray) -> np.ndarray:
-    """(bands, 4) kernel terms of a band table: T_g_O3, L_path,
-    c = E_s * T_up / pi and S_atm."""
-    return np.stack([table[:, T_G_O3], table[:, L_PATH],
-                     table[:, E_S] * table[:, T_UP] / math.pi, table[:, S_ATM]], axis=1)
+def kernel_terms(table: np.ndarray, d_squared: float) -> np.ndarray:
+    """(bands, 3) kernel terms of a band table at squared Earth-Sun distance
+    `d_squared`, the 6S coefficients (Vermote et al., 1997) xa = d^2 /
+    (T_g_O3 * c), xb = L_path / c and xc = S_atm, with c = E_s * T_up / pi.
+    A band with E_s = 0 gets infinite or NaN xa and xb."""
+    c = table[:, E_S] * table[:, T_UP] / math.pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([d_squared / (table[:, T_G_O3] * c), table[:, L_PATH] / c,
+                         table[:, S_ATM]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -111,10 +115,9 @@ class BandAtmParams:
     def row(self) -> tuple[float, ...]:
         return operator.attrgetter(*FINE_FIELD_NAMES)(self)
 
-    @property
-    def kernel_terms(self) -> tuple[float, float, float, float]:
-        """(T_g_O3, L_path, c = E_s * T_up / pi, S_atm), the kernel's terms."""
-        return tuple(kernel_terms(np.array([self.row]))[0].tolist())
+    def kernel_terms(self, d_squared: float) -> tuple[float, float, float]:
+        """(xa, xb, xc), the kernel's terms at `d_squared` (see `kernel_terms`)."""
+        return tuple(kernel_terms(np.array([self.row]), d_squared)[0].tolist())
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ Per pixel, with y = L_TOA * d^2 / T_g_O3 - L_path:
 
     rho_w = y / (E_s * T_up / pi + S_atm * y)
 
+computed in the 6S coefficient form of `kernels` (one divide per pixel).
+
 Negative rho_w is preserved by default (it diagnoses overcorrection over
 dark water); clipping is opt-in. The forward model ships in the library
 because it doubles as the synthetic-scene generator of the self-test.
@@ -28,10 +30,18 @@ from .atmosphere import T_G_TOTAL, BandAtmParams, kernel_terms
 from .errors import HsacError, LengthMismatch, OutOfRange
 from .raster import NODATA, RadianceCube
 
-DENOMINATOR_EPS = 1e-12
+# A pixel is degenerate when the kernel's unit-free denominator 1 + xc * y'
+# is under k * u, u = 2**-53 the float64 unit roundoff, k = 16. At an exact
+# zero, the roundings of xa * L, - xb and xc * y' leave it at most
+# (2 + |1 - xc * xb|) * u from 0, and a radiance computed from the
+# coefficients at the zero, L = (xb - 1 / xc) / xa, adds (1 + 2 |1 - xc * xb|)
+# * u (first order, Higham 2002, ch. 3): 16 * u bounds both up to xc * xb = 5.
+DENOMINATOR_EPS = 16 * 2.0**-53
 # rho_w at or below this is degenerate: no reflectance is this negative, and
 # float32 rho_w, or R_rs = rho_w / pi, could otherwise round onto NODATA
 NEAR_NODATA = -9998.5
+# rho_w above this is degenerate too: its float32 cast would be +inf
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 ROW_TILE = 64
 # pixels of one band block: the float64 block, its denominator and two bool
 # masks (18 B a pixel, ~1.2 MB) stay in one core's L2 cache
@@ -77,9 +87,10 @@ def invert_band_plane(
     """
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
-    plane = np.ascontiguousarray(l_toa_plane, dtype=np.float64)
-    masks = (np.equal(plane, nodata), np.empty(plane.shape, dtype=bool))
-    rho_w, denom = kernels.invert_plane(plane, d_squared, *params.kernel_terms)
+    plane = np.array(l_toa_plane, dtype=np.float64, order="C")  # a copy: nodata becomes 0.0
+    masks = (np.empty(plane.shape, dtype=bool), np.empty(plane.shape, dtype=bool))
+    _mark_input_nodata(plane, nodata, masks[0])
+    rho_w, denom = kernels.invert_plane(plane, *params.kernel_terms(d_squared), out=plane)
     degenerate, *_ = _finish_block(rho_w, denom, masks, clip_negative=False)
     return rho_w, degenerate
 
@@ -92,13 +103,13 @@ def forward_model_toa(
 ) -> np.ndarray:
     """TOA radiance plane from a rho_w plane (inverse of invert_band_plane).
 
-    Pixels equal to `nodata`, and pixels where S_atm * rho_w == 1, become
-    `nodata` in the radiance.
+    Pixels equal to `nodata`, and pixels where |1 - S_atm * rho_w| <
+    DENOMINATOR_EPS, become `nodata` in the radiance.
     """
     if d_squared <= 0:
         raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
     plane = np.ascontiguousarray(rho_w, dtype=np.float64)
-    return kernels.forward_plane(plane, d_squared, *params.kernel_terms, nodata, DENOMINATOR_EPS)
+    return kernels.forward_plane(plane, *params.kernel_terms(d_squared), nodata, DENOMINATOR_EPS)
 
 
 def mask_bands(table: np.ndarray, policy: MaskPolicy) -> list[str]:
@@ -109,11 +120,20 @@ def mask_bands(table: np.ndarray, policy: MaskPolicy) -> list[str]:
 
 
 def to_rrs(rho_w: np.ndarray) -> np.ndarray:
-    """The float32 R_rs raster: float64 rho_w / pi cast once, NODATA kept."""
+    """The float32 R_rs raster: float64 rho_w * (1 / pi) cast once, NODATA kept."""
     out = np.empty(rho_w.shape, dtype=np.float32)
-    np.divide(rho_w, math.pi, out=out, casting="same_kind")
-    out[rho_w == NODATA] = NODATA
+    np.multiply(rho_w, 1.0 / math.pi, out=out, casting="same_kind")
+    np.copyto(out, NODATA, where=rho_w == NODATA)
     return out
+
+
+def _mark_input_nodata(block: np.ndarray, nodata: float, mask: np.ndarray) -> None:
+    """Mark the pixels of a radiance block equal to the input's `nodata` in
+    `mask`, and set them to 0.0, so that the kernel sees no sentinel and a
+    block without anomalies keeps the fast path of `_finish_block`."""
+    np.equal(block, nodata, out=mask)
+    if mask.any():
+        np.copyto(block, 0.0, where=mask)
 
 
 def _finish_block(rho_w: np.ndarray, denom: np.ndarray,
@@ -122,26 +142,43 @@ def _finish_block(rho_w: np.ndarray, denom: np.ndarray,
     """The pixel rule of the inversion, on one block of `kernels.invert_plane`
     output in place: `denom` is the kernel's denominator, overwritten here,
     and `masks` two bool arrays shaped like the block, the first holding the
-    input's nodata pixels on entry and every NODATA pixel on return.
+    input's nodata pixels (from `_mark_input_nodata`) on entry and every
+    NODATA pixel on return.
 
-    Each pixel is counted in the first class it meets: input nodata; then
-    degenerate, |denom| < DENOMINATOR_EPS; then non-finite rho_w; then rho_w
-    at or below NEAR_NODATA, also counted as degenerate. All of them become
-    NODATA, then the opt-in clip sets negative data to 0.
+    Each pixel is counted in the first class it meets: input nodata,
+    whatever the kernel gave it; then degenerate, |denom| < DENOMINATOR_EPS;
+    then non-finite rho_w; then rho_w at or below NEAR_NODATA or above
+    FLOAT32_MAX, also counted as degenerate. All of them become NODATA, then
+    the opt-in clip sets negative data to 0.
+
+    Three reductions decide first whether any pixel can be of the last
+    three classes: when denom >= DENOMINATOR_EPS and NEAR_NODATA < rho_w <=
+    FLOAT32_MAX hold for every pixel (a NaN fails all three), none is, and
+    only the input nodata is set.
 
     Returns the block's (degenerate, non-finite, data, negative) pixel counts.
     """
     nodata, mask = masks
     n_input = int(np.count_nonzero(nodata))
-    np.less(np.absolute(denom, out=denom), DENOMINATOR_EPS, out=mask)
-    # input nodata or degenerate
-    n_marked = int(np.count_nonzero(np.logical_or(nodata, mask, out=nodata)))
-    np.isfinite(rho_w, out=mask)
-    np.logical_not(mask, out=mask)
-    n_nonfinite = int(np.count_nonzero(np.logical_or(nodata, mask, out=nodata))) - n_marked
-    np.less_equal(rho_w, NEAR_NODATA, out=mask)
-    n_nodata = int(np.count_nonzero(np.logical_or(nodata, mask, out=nodata)))
-    np.copyto(rho_w, NODATA, where=nodata)
+    if (np.min(denom, initial=np.inf) >= DENOMINATOR_EPS
+            and np.min(rho_w, initial=np.inf) > NEAR_NODATA
+            and np.max(rho_w, initial=-np.inf) <= FLOAT32_MAX):
+        n_nonfinite = 0
+        n_nodata = n_input
+        if n_input:
+            np.copyto(rho_w, NODATA, where=nodata)
+    else:
+        np.less(np.absolute(denom, out=denom), DENOMINATOR_EPS, out=mask)
+        # input nodata or degenerate
+        n_marked = int(np.count_nonzero(np.logical_or(nodata, mask, out=nodata)))
+        np.isfinite(rho_w, out=mask)
+        np.logical_not(mask, out=mask)
+        n_nonfinite = int(np.count_nonzero(np.logical_or(nodata, mask, out=nodata))) - n_marked
+        np.less_equal(rho_w, NEAR_NODATA, out=mask)
+        np.logical_or(nodata, mask, out=nodata)
+        np.greater(rho_w, FLOAT32_MAX, out=mask)
+        n_nodata = int(np.count_nonzero(np.logical_or(nodata, mask, out=nodata)))
+        np.copyto(rho_w, NODATA, where=nodata)
     np.less(rho_w, 0.0, out=mask)  # the negative data and every NODATA pixel
     n_negative = int(np.count_nonzero(mask)) - n_nodata
     if clip_negative:
@@ -168,13 +205,15 @@ def invert_cube(
     one workspace (a float64 block, a float64 denominator and two bool
     masks) and reuses it for every block: it copies the block's input rows
     into the float64 block, marks the pixels equal to the cube's nodata
-    value, inverts the block in place with `kernels.invert_plane`, lets
+    value and sets them to 0.0 (`_mark_input_nodata`), inverts the block in
+    place with `kernels.invert_plane` on the bands' coefficient columns, lets
     `_finish_block` apply the one pixel rule and the opt-in clip, and calls
     `write(r0, k0, block)` with the finished float64 block, planes k0..
     (bands valid[k0:k0+g]) of rows r0.. . The block is overwritten after
     `write` returns, so a writer copies what it keeps.
-    Input nodata, degenerate, non-finite and near-nodata pixels are NODATA
-    in it, each counted once, in that order (see `_finish_block`).
+    Input nodata, degenerate, non-finite, near-nodata and float32-overflow
+    pixels are NODATA in it, each counted once, in that order (see
+    `_finish_block`).
 
     With n = min(workers, row tiles) > 1 the tasks run in n forked worker
     processes (see `_in_workers`), so `write` then runs in a child and must
@@ -193,7 +232,7 @@ def invert_cube(
     nodata = cube.nodata_value
     n_valid, n_rows, n_cols = len(valid), cube.n_rows, cube.n_cols
     # the kernel's atmospheric terms, one (valid bands, 1, 1) column each
-    columns = kernel_terms(table[valid]).T[:, :, np.newaxis, np.newaxis]
+    columns = kernel_terms(table[valid], d_squared).T[:, :, np.newaxis, np.newaxis]
 
     def run(r0):
         rows = min(ROW_TILE, n_rows - r0)
@@ -208,8 +247,8 @@ def invert_cube(
             block, denom, *masks = (a[:n] for a in (work, *scratch))
             for j, b in enumerate(block_bands):
                 block[j] = cube.data[b, r0:r0 + rows, :]
-            np.equal(block, nodata, out=masks[0])  # before the kernel overwrites the block
-            kernels.invert_plane(block, d_squared, *(c[k0:k0 + n] for c in columns),
+            _mark_input_nodata(block, nodata, masks[0])
+            kernels.invert_plane(block, *(c[k0:k0 + n] for c in columns),
                                  out=block, denom=denom)
             totals += _finish_block(block, denom, masks, clip_negative)
             write(r0, k0, block)

@@ -184,16 +184,22 @@ def _parse_file(path: str, parse):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
-    xml_path = _find_one(input_path, "*.xml", "metadata XML")
-    metadata = _parse_file(xml_path, parse_scene_metadata)
-    hdr_path = _find_one(input_path, "*.hdr", "raster header")
+def _read_raster(hdr_path: str) -> RadianceCube:
+    """read_cube of the raster whose header is `hdr_path`; its errors name
+    the header."""
     try:
-        cube = read_cube(hdr_path[: -len(".hdr")])
+        return read_cube(hdr_path[: -len(".hdr")])
     except SchemaViolation:
         raise  # read_text names the file
     except HsacError as exc:
         raise type(exc)(f"{hdr_path}: {exc}") from exc
+
+
+def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
+    xml_path = _find_one(input_path, "*.xml", "metadata XML")
+    metadata = _parse_file(xml_path, parse_scene_metadata)
+    hdr_path = _find_one(input_path, "*.hdr", "raster header")
+    cube = _read_raster(hdr_path)
     if cube.data.dtype != np.float32:
         raise UnsupportedDataType(
             f"{hdr_path}: data type {cube.data.dtype} is not float32 radiance; "
@@ -492,8 +498,8 @@ def synthesize_scene(
     setup = configure_scene(metadata, config)
     table = setup.analytic_table()
     rho_true = self_test_reflectance(len(bands), size, seed)
-    columns = kernel_terms(table).T[:, :, np.newaxis, np.newaxis]
-    l_toa = kernels.forward_plane(rho_true, setup.d_squared, *columns, NODATA, DENOMINATOR_EPS)
+    columns = kernel_terms(table, setup.d_squared).T[:, :, np.newaxis, np.newaxis]
+    l_toa = kernels.forward_plane(rho_true, *columns, NODATA, DENOMINATOR_EPS)
     return metadata, RadianceCube(data=l_toa, nodata_value=NODATA), setup, table
 
 
@@ -527,7 +533,7 @@ def compare_against_reference(
     pixel: tuple[int, int],
 ) -> dict:
     """Compare the exported R_rs product at one pixel against reference CSVs."""
-    derived = pixel_spectrum(read_cube(os.path.join(product_dir, "r_rs")), *pixel)
+    derived = pixel_spectrum(_read_raster(os.path.join(product_dir, "r_rs.hdr")), *pixel)
     reports = []
     per_reference = {}
     for path in reference_files:

@@ -103,13 +103,29 @@ class TestInvertBandPlane:
         assert count == 0
 
     def test_degenerate_denominator_counted(self):
-        # choose L_TOA so that c + s*y == 0 exactly: y = -c/s
-        c = PARAMS.e_s * PARAMS.t_up / math.pi
-        y = -c / PARAMS.s_atm
-        l_toa = (y + PARAMS.l_path) * PARAMS.t_g_o3
+        # choose L_TOA so that 1 + xc * y' == 0 to rounding: y' = -1 / xc
+        xa, xb, xc = PARAMS.kernel_terms(1.0)
+        l_toa = (xb - 1 / xc) / xa
         out, count = invert_band_plane(plane(l_toa), 1.0, PARAMS, nodata=-9999.0)
         assert count == 1
         assert out[0, 0] == -9999.0
+
+    def test_float32_overflow_is_degenerate(self):
+        # a finite rho_w = 4.19e39 has no float32 value: degenerate, not +inf
+        p = BandAtmParams(0, l_path=0.1, t_g_o3=0.9, t_g_total=0.9, t_up=0.5,
+                          s_atm=0.0, e_s=0.5)
+        out, count = invert_band_plane(np.array([[3.0e38, 0.5]]), 1.0, p)
+        assert out[0, 0] == NODATA and 0 < out[0, 1] < 10
+        assert count == 1
+
+    def test_band_without_surface_signal_is_nonfinite(self):
+        # e_s = 0: c = 0, xa and xb are infinite or NaN, rho_w is NaN
+        for l_path in (0.0, 0.12):
+            p = replace(PARAMS, e_s=0.0, l_path=l_path)
+            cube = RadianceCube(data=np.array([[[0.5, 0.0, -0.5, -9999.0]]]))
+            rho_w, report, _ = invert_in_memory(cube, 1.0, table_of([p]))
+            assert (rho_w == NODATA).all()
+            assert (report.nonfinite_pixels, report.degenerate_pixels) == (3, 0)
 
     def test_nonfinite_and_near_nodata_become_nodata(self):
         # rho_w = L: c = e_s * t_up / pi = 1 and s_atm = 0
@@ -159,13 +175,14 @@ class TestForwardModel:
         """Absolute floor from the conditioning of rho_w in L_TOA.
 
         To first order (Higham, Accuracy and Stability of Numerical
-        Algorithms, ch. 1-3), five roundings each add at most u*|L| < ulp(L)
-        to the error in L_TOA as the inversion sees it: T/d^2, the sum and
-        the product in forward_plane, L*d^2 and /T in invert_plane. rho_w
-        moves by d^2 * (1 - s*rho)^2 / (T_g_O3 * c) per unit of L, and
-        (1 - s*rho)^2 <= 1.03 on the sampled range: 5.2 such ulp-equivalents
-        at most. The other roundings scale with rho and sit far inside
-        rel=1e-12, so k = 6 is the first integer that bounds both.
+        Algorithms, ch. 1-3), three roundings each add at most u*|L| < ulp(L)
+        to the error in L_TOA as the inversion sees it: the sum xb + y' and
+        the division by xa in forward_plane, and xa*L in invert_plane; both
+        kernels use the same rounded xa, xb and xc, so those roundings
+        cancel. rho_w moves by xa * (1 - s*rho)^2 = d^2 * (1 - s*rho)^2 /
+        (T_g_O3 * c) per unit of L, and (1 - s*rho)^2 <= 1.03 on the sampled
+        range: 3.1 such ulp-equivalents at most. The other roundings scale
+        with rho and sit far inside rel=1e-12, so k = 6 bounds both.
         """
         p = random_params(np.random.default_rng(seed))
         if p.s_atm * rho >= 0.99:
@@ -347,6 +364,70 @@ class TestInvertCube:
         assert (n_data, n_input) == (1, 1)
         assert n_data + n_input + 1 + 1 == cube.data.size
 
+    def test_exact_zero_denominator_is_degenerate(self):
+        # c = e_s * t_up / pi = 1, xa = d^2 / t_g_o3 = 2 and xb = l_path = 0.25
+        # exactly, so 1 + xc * (2 * L - 0.25) is exactly 0 at L = (0.25 - 1 / xc) / 2
+        terms = dict(l_path=0.25, t_g_o3=0.5, t_g_total=1.0, t_up=1.0, e_s=math.pi)
+        params = [BandAtmParams(b, s_atm=s, **terms) for b, s in enumerate((0.5, 0.25, 0.125))]
+        zeros = [(0.25 - 1 / p.s_atm) / 2 for p in params]
+        for p, l_zero in zip(params, zeros):
+            assert p.kernel_terms(1.0) == (2.0, 0.25, p.s_atm)
+            _, denom = kernels.invert_plane(plane(l_zero), *p.kernel_terms(1.0))
+            assert denom[0, 0] == 0.0
+            out, count = invert_band_plane(np.array([[l_zero, 0.5]]), 1.0, p)
+            assert out[0, 0] == NODATA != out[0, 1]
+            assert count == 1
+        data = np.full((3, 70, 2), 0.5)
+        for b, l_zero in enumerate(zeros):
+            data[b, 3 * b, 1] = data[b, 65, b % 2] = l_zero
+        for workers in (1, 2):
+            rho_w, report, _ = invert_in_memory(RadianceCube(data=data), 1.0,
+                                                table_of(params), workers=workers)
+            np.testing.assert_array_equal(rho_w == NODATA, data != 0.5)
+            assert report.degenerate_pixels == 6
+            assert report.nonfinite_pixels == 0
+
+    def test_degenerate_threshold_is_16_unit_roundoffs(self):
+        # xa = 2, xb = 0.25, xc = 0.5 as above; at y' = -2 - m * 2**-51 every
+        # step is exact and 1 + xc * y' = -2m * 2**-53. Below zero rho_w is
+        # y' / denom > 0, so only the threshold decides: |denom| = 14u is
+        # degenerate, 16u is data (rho_w = 2**50 + 2)
+        p = BandAtmParams(0, l_path=0.25, t_g_o3=0.5, t_g_total=1.0, t_up=1.0,
+                          s_atm=0.5, e_s=math.pi)
+        l_toa = np.array([[(-2 - m * 2.0**-51 + 0.25) / 2 for m in (7, 8)]])
+        _, denom = kernels.invert_plane(l_toa, *p.kernel_terms(1.0))
+        np.testing.assert_array_equal(denom, [[-14 * 2.0**-53, -16 * 2.0**-53]])
+        out, count = invert_band_plane(l_toa, 1.0, p)
+        assert count == 1
+        assert out[0, 0] == NODATA
+        assert out[0, 1] == 2.0**50 + 2
+
+    def test_float32_overflow_is_degenerate_in_the_product(self, tmp_path):
+        # band 0 has rho_w = L (c = 1, s_atm = 0): FLOAT32_MAX itself is data,
+        # the next float64 up is degenerate; band 1 has rho_w = 4.19e39 at
+        # L = 3e38. No cast overflows, so no RuntimeWarning is raised.
+        f32max = float(np.finfo(np.float32).max)
+        params = [BandAtmParams(0, l_path=0.0, t_g_o3=1.0, t_g_total=1.0, t_up=1.0,
+                                s_atm=0.0, e_s=math.pi),
+                  BandAtmParams(1, l_path=0.1, t_g_o3=0.9, t_g_total=0.9, t_up=0.5,
+                                s_atm=0.0, e_s=0.5)]
+        data = np.array([[[f32max, np.nextafter(f32max, np.inf), 0.5]],
+                         [[0.5, 3.0e38, 0.5]]])
+        bands = [BandDefinition(0, 500.0, 6.5), BandDefinition(1, 550.0, 6.5)]
+        table = table_of(params)
+        sink = ProductSink(str(tmp_path), bands)
+        report = invert_cube(RadianceCube(data=data), 1.0, table, [0, 1],
+                             sink.open([0, 1], *data.shape[1:]))
+        write_product(sink, mask_bands(table, MaskPolicy()), table)
+        assert report.degenerate_pixels == 2
+        assert report.nonfinite_pixels == 0
+        nodata = np.array([[[0, 1, 0]], [[0, 1, 0]]], dtype=bool)
+        for name in ("rho_w", "r_rs"):
+            raster = read_cube(str(tmp_path / name)).data
+            np.testing.assert_array_equal(raster == NODATA, nodata, err_msg=name)
+            assert np.isfinite(raster).all()
+        assert read_cube(str(tmp_path / "rho_w")).data[0, 0, 0] == np.float32(f32max)
+
     def test_infinite_radiance_without_coupling_is_nonfinite(self):
         # s_atm = 0: the denominator c + 0 * inf is NaN, and no warning is raised
         p = replace(PARAMS, s_atm=0.0)
@@ -375,7 +456,7 @@ class TestInvertCube:
     def test_fused_pixel_account(self, monkeypatch, kernel_calls):
         # bands 0, 2 and 3 valid, band 1 masked; 130 rows of 5 columns make
         # the row tiles [0, 64), [64, 128) and [128, 130)
-        c = PARAMS.e_s * PARAMS.t_up / math.pi
+        xa, xb, xc = PARAMS.kernel_terms(1.0)
         params = [PARAMS, replace(PARAMS, t_g_total=0.5), PARAMS, PARAMS]
         data = np.full((4, 130, 5), forward_model_toa(plane(0.05), 1.0, PARAMS)[0, 0])
         planted = {
@@ -383,7 +464,7 @@ class TestInvertCube:
             (2, 10, 2): forward_model_toa(plane(-0.02), 1.0, PARAMS)[0, 0],
             (0, 70, 0): np.inf,
             (2, 100, 4): -9999.0,
-            (0, 80, 3): (PARAMS.l_path - c / PARAMS.s_atm) * PARAMS.t_g_o3,  # degenerate
+            (0, 80, 3): (xb - 1 / xc) / xa,  # degenerate
             (3, 129, 4): -np.inf,
             (0, 128, 0): forward_model_toa(plane(-0.03), 1.0, PARAMS)[0, 0],
         }
@@ -477,6 +558,116 @@ class TestInvertCube:
             assert files[-1]["r_rs.img"] == to_rrs(rho_w).tobytes()
         assert reports[0] == reports[1] == reports[2]
         assert files[0] == files[1] == files[2]
+
+
+class NumpySpy:
+    """numpy as `inversion` sees it: each np.isfinite call, which only the
+    full pixel rule of `_finish_block` makes, is logged in `events`; with
+    `full_only`, np.min returns NaN, so that no block passes the fast path's
+    reductions."""
+
+    def __init__(self, events: list, full_only: bool):
+        self.events = events
+        self.full_only = full_only
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isfinite(self, *args, **kwargs):
+        self.events.append("full")
+        return np.isfinite(*args, **kwargs)
+
+    def min(self, *args, **kwargs):
+        return np.nan if self.full_only else np.min(*args, **kwargs)
+
+
+class TestFastPath:
+    """A block in which no pixel can be degenerate, non-finite or near
+    nodata is finished by the fast path, any other by the full rule, and
+    both give the same bytes and counts."""
+
+    KINDS = ("clean", "negative", "nodata", "nan", "inf", "-inf", "degenerate",
+             "near_nodata", "overflow")
+    FULL_RULE = {"nan", "inf", "-inf", "degenerate", "near_nodata", "overflow"}
+    # rho_w = 4.19e39 at L = 3e38, which float32 cannot hold
+    OVERFLOW = BandAtmParams(0, l_path=0.1, t_g_o3=0.9, t_g_total=0.9, t_up=0.5,
+                             s_atm=0.0, e_s=0.5)
+
+    def _scene(self, input_nodata):
+        """One band of 64 x 4 pixels per kind, each with one planted pixel
+        of its kind, PARAMS for all bands but the overflow one."""
+        xa, xb, xc = PARAMS.kernel_terms(1.0)
+        planted = {
+            "clean": forward_model_toa(plane(0.1), 1.0, PARAMS)[0, 0],
+            "negative": forward_model_toa(plane(-0.02), 1.0, PARAMS)[0, 0],
+            "nodata": input_nodata,
+            "nan": np.nan,
+            "inf": np.inf,
+            "-inf": -np.inf,
+            "degenerate": (xb - 1 / xc) / xa,
+            "near_nodata": forward_model_toa(plane(-9999.0001), 1.0, PARAMS)[0, 0],
+            "overflow": 3.0e38,
+        }
+        rho = np.random.default_rng(5).uniform(0.001, 0.5, size=(64, 4))
+        params, data = [], []
+        for b, kind in enumerate(self.KINDS):
+            p = replace(self.OVERFLOW if kind == "overflow" else PARAMS, band_index=b)
+            band = forward_model_toa(rho, 1.0, p)
+            band[17, 2] = planted[kind]
+            params.append(p)
+            data.append(band)
+        return RadianceCube(data=np.stack(data), nodata_value=input_nodata), params
+
+    @staticmethod
+    def _invert_cube(monkeypatch, cube, params, clip, full_only):
+        """(rho_w, report, bands whose block took the full rule) of one
+        in-process invert_cube run with one band a block."""
+        events = []
+        rho_w = np.empty(cube.data.shape)
+
+        def write(r0, k0, block):
+            events.append(k0)
+            rho_w[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
+
+        monkeypatch.setattr(inversion, "BLOCK_PIXELS", 64 * 4)
+        monkeypatch.setattr(inversion, "np", NumpySpy(events, full_only))
+        report = invert_cube(cube, 1.0, table_of(params), list(range(len(params))),
+                             write, clip)
+        monkeypatch.setattr(inversion, "np", np)
+        # np.isfinite is called at most once a block, just before its write
+        full = {k0 for previous, k0 in zip(events, events[1:]) if previous == "full"}
+        assert len(events) == len(params) + len(full)
+        return rho_w, report, full
+
+    @pytest.mark.parametrize("input_nodata", [NODATA, 0.0])
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_cube_blocks(self, monkeypatch, input_nodata, clip):
+        cube, params = self._scene(input_nodata)
+        rho_w, report, full = self._invert_cube(monkeypatch, cube, params, clip, False)
+        assert {self.KINDS[b] for b in full} == self.FULL_RULE
+        full_rho_w, full_report, every = self._invert_cube(monkeypatch, cube, params, clip,
+                                                           True)
+        assert every == set(range(len(params)))
+        assert rho_w.tobytes() == full_rho_w.tobytes()
+        assert report == full_report
+        assert report.degenerate_pixels == 3  # degenerate, near nodata, overflow
+        assert report.nonfinite_pixels == 3
+        assert np.count_nonzero(rho_w == NODATA) == 7
+        assert (rho_w[1, 17, 2] == 0.0) if clip else (rho_w[1, 17, 2] < 0.0)
+
+    def test_band_planes(self, monkeypatch):
+        cube, params = self._scene(NODATA)
+        for b, kind in enumerate(self.KINDS):
+            results = []
+            for full_only in (False, True):
+                events = []
+                monkeypatch.setattr(inversion, "np", NumpySpy(events, full_only))
+                out, count = invert_band_plane(cube.data[b], 1.0, params[b])
+                monkeypatch.setattr(inversion, "np", np)
+                results.append((out.tobytes(), count))
+                assert events == (["full"] if full_only or kind in self.FULL_RULE else [])
+            assert results[0] == results[1]
+            assert results[0][1] == (kind in {"degenerate", "near_nodata", "overflow"})
 
 
 class TestWorkerProcesses:
@@ -585,7 +776,7 @@ def test_one_pixel_rule_property(n_bands, n_rows, n_cols, seed, input_nodata, cl
     per-plane inversion's for any worker count and block size."""
     rng = np.random.default_rng(seed)
     d2 = float(rng.uniform(0.966, 1.034))
-    # s_atm >= 0.05 keeps the planted degenerate radiance within DENOMINATOR_EPS
+    # s_atm >= 0.05 gives every band a zero of 1 + xc * y' at a finite radiance
     params = [replace(p, s_atm=max(p.s_atm, 0.05)) for p in
               (random_params(rng, b) for b in range(n_bands))]
     shape = (n_rows, n_cols)
@@ -593,7 +784,7 @@ def test_one_pixel_rule_property(n_bands, n_rows, n_cols, seed, input_nodata, cl
                        p=(0.58, 0.07, 0.07, 0.07, 0.07, 0.07, 0.07))
     data = np.empty((n_bands, *shape))
     for b, p in enumerate(params):
-        c = p.e_s * p.t_up / math.pi
+        xa, xb, xc = p.kernel_terms(d2)
         rho = rng.uniform(-0.05, 0.5, size=shape)  # some negative
         values = {
             "data": forward_model_toa(rho, d2, p),
@@ -601,8 +792,8 @@ def test_one_pixel_rule_property(n_bands, n_rows, n_cols, seed, input_nodata, cl
             "nan": np.nan,
             "inf": np.inf,
             "-inf": -np.inf,
-            # c + s_atm * y is 0 to rounding
-            "degenerate": (p.l_path - c / p.s_atm) * p.t_g_o3 / d2,
+            # 1 + xc * y' is 0 to rounding
+            "degenerate": (xb - 1 / xc) / xa,
             # rho_w = -9999.0001 is -9999.0 in float32
             "near_nodata": forward_model_toa(plane(-9999.0001), d2, p)[0, 0],
         }

@@ -1121,6 +1121,19 @@ class TestCompareCli:
         assert code == 3
         assert "'wavelength'" in capsys.readouterr().err
 
+    def test_product_header_error_names_the_header_once(self, scene_dir, tmp_path, capsys):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        header = out / "r_rs.hdr"
+        header.write_text(re.sub(r"samples = \d+", "samples = x", header.read_text()))
+        capsys.readouterr()
+        code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
+                         "--pixel", "2,3"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert f"{header}: header field 'samples' is not an integer: 'x'" in captured.err
+        assert captured.err.count(str(header)) == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("which", ["reference", "product_header"])
     def test_non_utf8_input_exits_3_naming_the_file(self, scene_dir, tmp_path, capsys, which):
         out, ref = self._run_and_reference(scene_dir, tmp_path)
