@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tcwv", type=float, help="override TCWV (g cm^-2)")
     run.add_argument("--tco3", type=float, help="override ozone (DU)")
     run.add_argument("--workers", type=int, default=RunConfig.worker_count,
-                     help="worker count, 0 = all cores")
+                     help="worker count, 0 = the CPUs this process may run on")
     run.add_argument("--clip-negative", action="store_true",
                      help="clip negative reflectance to zero (off by default)")
     run.add_argument("--divide-total-gas", action="store_true",

@@ -66,13 +66,6 @@ class MaskPolicy:
             raise OutOfRange(f"tg_threshold {self.tg_threshold} outside (0, 1]")
 
 
-@dataclass
-class InversionReport:
-    negativity_rate: float = 0.0
-    degenerate_pixels: int = 0
-    nonfinite_pixels: int = 0
-
-
 def invert_band_plane(
     l_toa_plane: np.ndarray,
     d_squared: float,
@@ -195,10 +188,11 @@ def invert_cube(
     write: Callable[[int, int, np.ndarray], None],
     clip_negative: bool = False,
     workers: int = 1,
-) -> InversionReport:
+) -> tuple[int, int, int, int]:
     """Invert the bands `valid` of a cube with the parameters of a (bands, 6)
     band table, one row tile at a time, and hand every finished block to
-    `write`; returns the pixel account.
+    `write`; returns the pixel account, `_finish_block`'s (degenerate,
+    non-finite, data, negative) counts summed over every block.
 
     One task per row tile of ROW_TILE rows walks the valid bands in blocks
     of g = max(1, BLOCK_PIXELS // (tile rows * cols)) bands. It allocates
@@ -234,40 +228,34 @@ def invert_cube(
     # the kernel's atmospheric terms, one (valid bands, 1, 1) column each
     columns = kernel_terms(table[valid], d_squared).T[:, :, np.newaxis, np.newaxis]
 
-    def run(r0):
-        rows = min(ROW_TILE, n_rows - r0)
-        g = max(1, min(n_valid, BLOCK_PIXELS // max(1, rows * n_cols)))
-        shape = (g, rows, n_cols)
-        work = np.empty(shape)
-        scratch = (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+    def run(tiles: range) -> np.ndarray:
         totals = np.zeros(4, dtype=np.int64)  # degenerate, non-finite, data, negative
-        for k0 in range(0, n_valid, g):
-            block_bands = valid[k0:k0 + g]
-            n = len(block_bands)
-            block, denom, *masks = (a[:n] for a in (work, *scratch))
-            for j, b in enumerate(block_bands):
-                block[j] = cube.data[b, r0:r0 + rows, :]
-            _mark_input_nodata(block, nodata, masks[0])
-            kernels.invert_plane(block, *(c[k0:k0 + n] for c in columns),
-                                 out=block, denom=denom)
-            totals += _finish_block(block, denom, masks, clip_negative)
-            write(r0, k0, block)
-        return totals.tolist()
+        for r0 in tiles:
+            rows = min(ROW_TILE, n_rows - r0)
+            g = max(1, min(n_valid, BLOCK_PIXELS // max(1, rows * n_cols)))
+            shape = (g, rows, n_cols)
+            work = np.empty(shape)
+            scratch = (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+            for k0 in range(0, n_valid, g):
+                block_bands = valid[k0:k0 + g]
+                n = len(block_bands)
+                block, denom, *masks = (a[:n] for a in (work, *scratch))
+                for j, b in enumerate(block_bands):
+                    block[j] = cube.data[b, r0:r0 + rows, :]
+                _mark_input_nodata(block, nodata, masks[0])
+                kernels.invert_plane(block, *(c[k0:k0 + n] for c in columns),
+                                     out=block, denom=denom)
+                totals += _finish_block(block, denom, masks, clip_negative)
+                write(r0, k0, block)
+        return totals
 
     tiles = range(0, n_rows, ROW_TILE)
     n = min(workers, len(tiles))
     if n > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        counts = _in_workers(run, tiles, n)
+        totals = sum(_in_workers(run, tiles, n))
     else:
-        counts = [run(r0) for r0 in tiles]
-    # the zero row makes the sums 0 for a cube without rows
-    degenerate, n_nonfinite, n_data, n_negative = map(sum, zip((0, 0, 0, 0), *counts))
-
-    return InversionReport(
-        negativity_rate=(n_negative / n_data) if n_data else 0.0,
-        degenerate_pixels=degenerate,
-        nonfinite_pixels=n_nonfinite,
-    )
+        totals = run(tiles)
+    return tuple(totals.tolist())
 
 
 def shared_array(shape: tuple[int, ...]) -> np.ndarray:
@@ -278,9 +266,10 @@ def shared_array(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(buffer, dtype=np.float64, count=size).reshape(shape)
 
 
-def _in_workers(run: Callable[[int], list], tiles: range, n: int) -> list[list]:
-    """[run(r0) for r0 in tiles], from n forked worker processes: worker k
-    runs tiles k, k+n, ... and sends their results back over its own pipe.
+def _in_workers(run: Callable[[range], np.ndarray], tiles: range, n: int) -> list[np.ndarray]:
+    """The n worker processes' accounts, in worker order: worker k is forked,
+    runs tiles k, k+n, ... as run(tiles[k::n]) and sends that one account
+    back over its own pipe.
 
     A worker's exception is raised here as its own type; a worker that ends
     without a result (killed by a signal, say) is an HsacError. Every worker
@@ -288,7 +277,7 @@ def _in_workers(run: Callable[[int], list], tiles: range, n: int) -> list[list]:
     process is interrupted, the others are killed first."""
     pids: list[int] = []  # 0 once reaped
     pipes = []
-    counts: list[list] = [[] for _ in tiles]
+    accounts = []
     try:
         for k in range(n):
             r, w = os.pipe()
@@ -315,7 +304,7 @@ def _in_workers(run: Callable[[int], list], tiles: range, n: int) -> list[list]:
             result = pickle.loads(payload)
             if isinstance(result, BaseException):
                 raise result
-            counts[k::n] = result
+            accounts.append(result)
     finally:
         for pid in pids:
             if pid:
@@ -323,16 +312,17 @@ def _in_workers(run: Callable[[int], list], tiles: range, n: int) -> list[list]:
                 os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
-    return counts
+    return accounts
 
 
-def _worker(run: Callable[[int], list], tiles: range, fd: int) -> None:
-    """The body of a forked worker: sends [run(r0) for r0 in tiles], or the
-    exception it raised, pickled to `fd`, and leaves by os._exit only, so
-    that nothing of the parent's runs on exit; with 1 if it could not send."""
+def _worker(run: Callable[[range], np.ndarray], tiles: range, fd: int) -> None:
+    """The body of a forked worker: sends run(tiles), the one account of its
+    tiles, or the exception it raised, pickled to `fd`, and leaves by
+    os._exit only, so that nothing of the parent's runs on exit; with 1 if
+    it could not send."""
     try:
         try:
-            result = [run(r0) for r0 in tiles]
+            result = run(tiles)
         except BaseException as exc:  # raised again in the parent
             result = exc
         with open(fd, "wb") as pipe:

@@ -143,7 +143,9 @@ class RunConfig:
 
     @property
     def workers(self) -> int:
-        return self.worker_count or (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+            return self.worker_count or len(os.sched_getaffinity(0))
+        return self.worker_count or os.cpu_count() or 1
 
 
 @dataclass
@@ -445,9 +447,8 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingRepo
         report.masked_bands = {
             str(i): reason for i, reason in enumerate(band_mask) if reason != BAND_VALID
         }
-        report.negativity_rate = pixels.negativity_rate
-        report.degenerate_pixels = pixels.degenerate_pixels
-        report.nonfinite_pixels = pixels.nonfinite_pixels
+        report.degenerate_pixels, report.nonfinite_pixels, n_data, n_negative = pixels
+        report.negativity_rate = n_negative / n_data if n_data else 0.0
 
     # stage 5: export
     with _stage(report, STAGE_EXPORT):
@@ -536,11 +537,17 @@ def compare_against_reference(
     derived = pixel_spectrum(_read_raster(os.path.join(product_dir, "r_rs.hdr")), *pixel)
     reports = []
     per_reference = {}
+    paths = {}
     for path in reference_files:
         ref = load_reference_spectrum(path)
+        name = ref.label or os.path.basename(path)
+        if name in paths:
+            raise HsacError(f"references {paths[name]} and {path} are both named {name!r}; "
+                            "give one a distinct '# label:' line")
+        paths[name] = path
         rep = compare_spectra(derived, ref, window)
         reports.append(rep)
-        per_reference[ref.label or os.path.basename(path)] = asdict(rep)
+        per_reference[name] = asdict(rep)
     return {
         "references": per_reference,
         "aggregate": asdict(aggregate_reports(reports)),

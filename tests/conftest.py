@@ -100,15 +100,16 @@ def invert_in_memory(cube: RadianceCube, d_squared: float, table: np.ndarray,
                      policy: MaskPolicy = MaskPolicy(), workers: int = 1):
     """`invert_cube` of the bands `policy` leaves valid, its blocks written
     into one float64 array in shared memory, which forked workers can write:
-    returns (rho_w, pixel report, valid bands)."""
+    returns (rho_w, pixel account, valid bands), the account being
+    `invert_cube`'s (degenerate, non-finite, data, negative) counts."""
     valid = [i for i, m in enumerate(mask_bands(table, policy)) if m == BAND_VALID]
     rho_w = shared_array((len(valid), cube.n_rows, cube.n_cols))
 
     def write(r0, k0, block):
         rho_w[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
 
-    report = invert_cube(cube, d_squared, table, valid, write, policy.clip_negative, workers)
-    return rho_w, report, valid
+    account = invert_cube(cube, d_squared, table, valid, write, policy.clip_negative, workers)
+    return rho_w, account, valid
 
 
 def assert_no_child_process() -> None:

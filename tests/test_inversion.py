@@ -123,9 +123,9 @@ class TestInvertBandPlane:
         for l_path in (0.0, 0.12):
             p = replace(PARAMS, e_s=0.0, l_path=l_path)
             cube = RadianceCube(data=np.array([[[0.5, 0.0, -0.5, -9999.0]]]))
-            rho_w, report, _ = invert_in_memory(cube, 1.0, table_of([p]))
+            rho_w, account, _ = invert_in_memory(cube, 1.0, table_of([p]))
             assert (rho_w == NODATA).all()
-            assert (report.nonfinite_pixels, report.degenerate_pixels) == (3, 0)
+            assert account == (0, 3, 0, 0)  # and one input nodata
 
     def test_nonfinite_and_near_nodata_become_nodata(self):
         # rho_w = L: c = e_s * t_up / pi = 1 and s_atm = 0
@@ -276,22 +276,33 @@ class TestInvertCube:
 
     def test_worker_counts_bit_identical(self):
         cube, d2, params, _ = self._cube_and_params(n_bands=6, size=130)
+        planted = {(0, 3, 1): np.nan, (2, 70, 0): -9999.0, (5, 129, 4): -np.inf,
+                   (1, 128, 2): forward_model_toa(plane(-0.02), d2, params[1])[0, 0]}
+        for index, value in planted.items():
+            cube.data[index] = value
         products = [
             invert_in_memory(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01), w)
-            for w in (1, 2, 8)
+            for w in (1, 2, 3, 8)  # 130 rows are 3 row tiles: 2 workers run 2 + 1
         ]
-        for rho_w, report, _ in products[1:]:
+        with pytest.MonkeyPatch.context() as mp:
+            for block_pixels in (1, 2 * 64 * 130):
+                mp.setattr(inversion, "BLOCK_PIXELS", block_pixels)
+                products.append(invert_in_memory(cube, d2, table_of(params),
+                                                 MaskPolicy(tg_threshold=0.01), 2))
+        assert products[0][1] == (0, 2, 6 * 130 * 130 - 3, 1)
+        assert all(type(n) is int for n in products[0][1])
+        for rho_w, account, _ in products[1:]:
             np.testing.assert_array_equal(rho_w, products[0][0])
-            assert report.degenerate_pixels == products[0][1].degenerate_pixels
+            assert account == products[0][1]
 
     def test_negativity_reported_not_clipped(self):
         cube, d2, params, rho_true = self._cube_and_params()
         # force a negative reflectance at one pixel
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
-        rho_w, report, _ = invert_in_memory(cube, d2, table_of(params),
-                                            MaskPolicy(tg_threshold=0.01))
+        rho_w, account, _ = invert_in_memory(cube, d2, table_of(params),
+                                             MaskPolicy(tg_threshold=0.01))
         assert rho_w[0, 0, 0] == pytest.approx(-0.02, rel=1e-12)
-        assert report.negativity_rate > 0
+        assert account == (0, 0, 4 * 8 * 8, 1)
 
     def test_clip_negative_opt_in(self):
         cube, d2, params, _ = self._cube_and_params()
@@ -308,21 +319,21 @@ class TestInvertCube:
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
         cube.data[0, 0, 1] = 0.0
         policy = MaskPolicy(tg_threshold=0.01, clip_negative=True)
-        rho_w, report, _ = invert_in_memory(cube, d2, table_of(params), policy)
+        rho_w, account, _ = invert_in_memory(cube, d2, table_of(params), policy)
         assert rho_w[0, 0, 0] == 0.0 != NODATA
         assert rho_w[0, 0, 1] == NODATA
-        assert report.negativity_rate == 1 / (4 * 8 * 8 - 1)
+        assert account == (0, 0, 4 * 8 * 8 - 1, 1)  # counted before the clip
 
     def test_zero_reflectance_is_data_when_input_nodata_is_zero(self):
         # y = L * d^2 / T_g_O3 - L_path is exactly 0 at L = 0.5
         p = BandAtmParams(0, l_path=1.0, t_g_o3=0.5, t_g_total=0.9, t_up=0.95,
                           s_atm=0.08, e_s=1.6)
         cube = RadianceCube(data=np.array([[[0.5, 0.0, 0.4]]]), nodata_value=0.0)
-        rho_w, report, _ = invert_in_memory(cube, 1.0, table_of([p]))
+        rho_w, account, _ = invert_in_memory(cube, 1.0, table_of([p]))
         assert rho_w[0, 0, 0] == 0.0
         assert rho_w[0, 0, 1] == NODATA
         assert rho_w[0, 0, 2] < 0
-        assert report.negativity_rate == 1 / 2  # of the two data pixels
+        assert account == (0, 0, 2, 1)  # one negative of the two data pixels
 
     def test_rho_w_that_rounds_onto_nodata_is_degenerate(self, tmp_path):
         # band 0 has rho_w = L: c = e_s * t_up / pi = 1 and s_atm = 0; band 1
@@ -336,13 +347,12 @@ class TestInvertCube:
         bands = [BandDefinition(0, 500.0, 6.5), BandDefinition(1, 550.0, 6.5)]
         table = table_of(params)
         sink = ProductSink(str(tmp_path), bands)
-        report = invert_cube(RadianceCube(data=data), 1.0, table, [0, 1],
-                             sink.open([0, 1], *data.shape[1:]))
+        account = invert_cube(RadianceCube(data=data), 1.0, table, [0, 1],
+                              sink.open([0, 1], *data.shape[1:]))
         write_product(sink, mask_bands(table, MaskPolicy()), table)
-        # two near-nodata pixels and one degenerate; NODATA input is neither
-        assert report.degenerate_pixels == 3
-        assert report.nonfinite_pixels == 2
-        assert report.negativity_rate == 1 / 8  # -9998 of 8 data pixels
+        # two near-nodata pixels and one degenerate; NODATA input is neither;
+        # -9998 is the one negative of 8 data pixels
+        assert account == (3, 2, 8, 1)
         nodata = np.array([[[1, 1, 0, 1, 1, 0, 0]], [[0, 0, 0, 1, 0, 1, 0]]], dtype=bool)
         for name in ("rho_w", "r_rs"):
             raster = read_cube(str(tmp_path / name)).data
@@ -355,14 +365,12 @@ class TestInvertCube:
         p = BandAtmParams(0, l_path=0.0, t_g_o3=1.0, t_g_total=1.0, t_up=1.0,
                           s_atm=0.0, e_s=math.pi)
         cube = RadianceCube(data=np.array([[[-9999.0, 0.0, 0.5, np.nan]]]), nodata_value=0.0)
-        rho_w, report, _ = invert_in_memory(cube, 1.0, table_of([p]))
+        rho_w, account, _ = invert_in_memory(cube, 1.0, table_of([p]))
         np.testing.assert_array_equal(rho_w, [[[NODATA, NODATA, 0.5, NODATA]]])
-        assert report.degenerate_pixels == 1
-        assert report.nonfinite_pixels == 1
-        n_data = np.count_nonzero(rho_w != NODATA)
+        assert account == (1, 1, 1, 0)
         n_input = np.count_nonzero(cube.data == 0.0)
-        assert (n_data, n_input) == (1, 1)
-        assert n_data + n_input + 1 + 1 == cube.data.size
+        assert n_input == 1
+        assert sum(account[:3]) + n_input == cube.data.size
 
     def test_exact_zero_denominator_is_degenerate(self):
         # c = e_s * t_up / pi = 1, xa = d^2 / t_g_o3 = 2 and xb = l_path = 0.25
@@ -381,11 +389,10 @@ class TestInvertCube:
         for b, l_zero in enumerate(zeros):
             data[b, 3 * b, 1] = data[b, 65, b % 2] = l_zero
         for workers in (1, 2):
-            rho_w, report, _ = invert_in_memory(RadianceCube(data=data), 1.0,
-                                                table_of(params), workers=workers)
+            rho_w, account, _ = invert_in_memory(RadianceCube(data=data), 1.0,
+                                                 table_of(params), workers=workers)
             np.testing.assert_array_equal(rho_w == NODATA, data != 0.5)
-            assert report.degenerate_pixels == 6
-            assert report.nonfinite_pixels == 0
+            assert account == (6, 0, 3 * 70 * 2 - 6, 0)
 
     def test_degenerate_threshold_is_16_unit_roundoffs(self):
         # xa = 2, xb = 0.25, xc = 0.5 as above; at y' = -2 - m * 2**-51 every
@@ -416,11 +423,10 @@ class TestInvertCube:
         bands = [BandDefinition(0, 500.0, 6.5), BandDefinition(1, 550.0, 6.5)]
         table = table_of(params)
         sink = ProductSink(str(tmp_path), bands)
-        report = invert_cube(RadianceCube(data=data), 1.0, table, [0, 1],
-                             sink.open([0, 1], *data.shape[1:]))
+        account = invert_cube(RadianceCube(data=data), 1.0, table, [0, 1],
+                              sink.open([0, 1], *data.shape[1:]))
         write_product(sink, mask_bands(table, MaskPolicy()), table)
-        assert report.degenerate_pixels == 2
-        assert report.nonfinite_pixels == 0
+        assert account == (2, 0, 4, 0)
         nodata = np.array([[[0, 1, 0]], [[0, 1, 0]]], dtype=bool)
         for name in ("rho_w", "r_rs"):
             raster = read_cube(str(tmp_path / name)).data
@@ -432,11 +438,10 @@ class TestInvertCube:
         # s_atm = 0: the denominator c + 0 * inf is NaN, and no warning is raised
         p = replace(PARAMS, s_atm=0.0)
         cube = RadianceCube(data=np.array([[[np.inf, 0.5, -np.inf]]]))
-        rho_w, report, _ = invert_in_memory(cube, 1.0, table_of([p]))
+        rho_w, account, _ = invert_in_memory(cube, 1.0, table_of([p]))
         assert rho_w[0, 0, 0] == rho_w[0, 0, 2] == NODATA
-        assert rho_w[0, 0, 1] != NODATA
-        assert report.nonfinite_pixels == 2
-        assert report.degenerate_pixels == 0
+        assert 0 < rho_w[0, 0, 1] != NODATA
+        assert account == (0, 2, 1, 0)
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -482,22 +487,20 @@ class TestInvertCube:
             expected[~np.isfinite(expected)] = -9999.0
             if clip:
                 expected[(expected < 0) & (expected != -9999.0)] = 0.0
-            reports = []
+            accounts = []
             for (block_pixels, calls), workers in itertools.product(
                     block_pixels_calls.items(), (1, 2, 8)):
                 monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
                 kernel_calls.take()  # drop earlier calls: the expected planes' at first
-                rho, report, valid = invert_in_memory(cube, 1.0, table_of(params), policy,
-                                                      workers)
+                rho, account, valid = invert_in_memory(cube, 1.0, table_of(params), policy,
+                                                       workers)
                 assert len(kernel_calls.take()) == calls
                 np.testing.assert_array_equal(rho, expected)
-                assert report.degenerate_pixels == 1
-                assert report.nonfinite_pixels == 3
                 # 2 negative of 1950 pixels less 3 non-finite, 1 nodata, 1 degenerate
-                assert report.negativity_rate == 2 / (1950 - 5)
-                reports.append(report)
+                assert account == (1, 3, 1950 - 5, 2)
+                accounts.append(account)
                 # a writer that places each block itself gets the same finished
-                # blocks, one per kernel call, and the same report
+                # blocks, one per kernel call, and the same account
                 assert valid == [0, 2, 3]
                 joined = shared_array(expected.shape)
                 joined[:] = np.nan
@@ -510,11 +513,11 @@ class TestInvertCube:
                     streamed = invert_cube(cube, 1.0, table_of(params), valid, write, clip,
                                            workers)
                     block_sizes = sizes.take()
-                assert streamed == report
+                assert streamed == account
                 assert len(block_sizes) == len(kernel_calls.take()) == calls
                 assert sum(block_sizes) == expected.size
                 np.testing.assert_array_equal(joined, expected)
-            assert all(r == reports[0] for r in reports)
+            assert all(a == accounts[0] for a in accounts)
             negatives = ((2, 10, 2), (0, 128, 0))
             assert all(rho[plane_of[b], r, c] == -9999.0
                        for b, r, c in planted if (b, r, c) not in negatives)
@@ -530,12 +533,12 @@ class TestInvertCube:
         params[1] = replace(params[1], t_g_total=0.01)
         policy = MaskPolicy(tg_threshold=0.85)
         bands = [BandDefinition(i, 500.0 + 50.0 * i, 6.5) for i in range(4)]
-        reports, files = [], []
+        accounts, files = [], []
         # one 8 x 8 tile: a band a block; blocks of bands [0, 2] and [3]; one block
         for block_pixels, calls in ((1, 3), (2 * 64, 2), (10**6, 1)):
             monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
             kernel_calls.take()  # those of the streamed run before
-            rho_w, report, valid = invert_in_memory(cube, d2, table_of(params), policy)
+            rho_w, account, valid = invert_in_memory(cube, d2, table_of(params), policy)
             assert len(kernel_calls.take()) == calls
             band_mask = mask_bands(table_of(params), policy)
             assert band_mask[1] == BAND_MASKED_LOW_TG
@@ -545,18 +548,18 @@ class TestInvertCube:
                 expected, _ = invert_band_plane(cube.data[b], d2, params[b])
                 np.testing.assert_array_equal(rho_w[k], expected)
                 np.testing.assert_array_equal(to_rrs(rho_w[k]), to_rrs(expected))
-            reports.append(report)
+            accounts.append(account)
             out = tmp_path / str(block_pixels)
             sink = ProductSink(str(out), bands)
             streamed = invert_cube(cube, d2, table_of(params), valid,
                                    sink.open(valid, *cube.data.shape[1:]))
-            assert streamed == report
+            assert streamed == account
             write_product(sink, band_mask, table_of(params))
             files.append({name: (out / name).read_bytes()
                           for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img")})
             assert files[-1]["rho_w.img"] == rho_w.astype(np.float32).tobytes()
             assert files[-1]["r_rs.img"] == to_rrs(rho_w).tobytes()
-        assert reports[0] == reports[1] == reports[2]
+        assert accounts[0] == accounts[1] == accounts[2]
         assert files[0] == files[1] == files[2]
 
 
@@ -620,7 +623,7 @@ class TestFastPath:
 
     @staticmethod
     def _invert_cube(monkeypatch, cube, params, clip, full_only):
-        """(rho_w, report, bands whose block took the full rule) of one
+        """(rho_w, pixel account, bands whose block took the full rule) of one
         in-process invert_cube run with one band a block."""
         events = []
         rho_w = np.empty(cube.data.shape)
@@ -631,27 +634,28 @@ class TestFastPath:
 
         monkeypatch.setattr(inversion, "BLOCK_PIXELS", 64 * 4)
         monkeypatch.setattr(inversion, "np", NumpySpy(events, full_only))
-        report = invert_cube(cube, 1.0, table_of(params), list(range(len(params))),
-                             write, clip)
+        account = invert_cube(cube, 1.0, table_of(params), list(range(len(params))),
+                              write, clip)
         monkeypatch.setattr(inversion, "np", np)
         # np.isfinite is called at most once a block, just before its write
         full = {k0 for previous, k0 in zip(events, events[1:]) if previous == "full"}
         assert len(events) == len(params) + len(full)
-        return rho_w, report, full
+        return rho_w, account, full
 
     @pytest.mark.parametrize("input_nodata", [NODATA, 0.0])
     @pytest.mark.parametrize("clip", [False, True])
     def test_cube_blocks(self, monkeypatch, input_nodata, clip):
         cube, params = self._scene(input_nodata)
-        rho_w, report, full = self._invert_cube(monkeypatch, cube, params, clip, False)
+        rho_w, account, full = self._invert_cube(monkeypatch, cube, params, clip, False)
         assert {self.KINDS[b] for b in full} == self.FULL_RULE
-        full_rho_w, full_report, every = self._invert_cube(monkeypatch, cube, params, clip,
-                                                           True)
+        full_rho_w, full_account, every = self._invert_cube(monkeypatch, cube, params, clip,
+                                                            True)
         assert every == set(range(len(params)))
         assert rho_w.tobytes() == full_rho_w.tobytes()
-        assert report == full_report
-        assert report.degenerate_pixels == 3  # degenerate, near nodata, overflow
-        assert report.nonfinite_pixels == 3
+        assert account == full_account
+        # degenerate, near nodata and overflow; nan, inf and -inf; the one
+        # negative, counted before the clip
+        assert account == (3, 3, rho_w.size - 7, 1)
         assert np.count_nonzero(rho_w == NODATA) == 7
         assert (rho_w[1, 17, 2] == 0.0) if clip else (rho_w[1, 17, 2] < 0.0)
 
@@ -696,20 +700,35 @@ class TestWorkerProcesses:
         yield calls
         assert_no_child_process()
 
-    def test_one_fork_per_worker_up_to_the_row_tiles(self, forks):
+    def test_one_fork_per_worker_up_to_the_row_tiles(self, forks, monkeypatch):
         # 130 rows are 3 row tiles, 64 rows 1
         policy = MaskPolicy(tg_threshold=0.01)
+        received = []  # the accounts the parent receives from its workers
+        in_workers = inversion._in_workers
+
+        def recorded(*args):
+            accounts = in_workers(*args)
+            received.append(accounts)
+            return accounts
+
+        monkeypatch.setattr(inversion, "_in_workers", recorded)
         for rows, expected in ((130, {1: 0, 2: 2, 3: 3, 8: 3}), (64, {1: 0, 2: 0, 8: 0})):
             cube, table = self._cube(rows)
             products = []
             for workers, n_forks in expected.items():
                 forks.clear()
+                received.clear()
                 products.append(invert_in_memory(cube, 1.0, table, policy, workers))
                 assert len(forks) == n_forks, (rows, workers)
-            rho_w, report, _ = products[0]
-            for other_rho_w, other_report, _ in products[1:]:
+                # one account a worker, whose sum is the run's
+                assert [len(accounts) for accounts in received] == [n_forks] * bool(n_forks)
+                for accounts in received:
+                    assert all(a.shape == (4,) for a in accounts)
+                    assert tuple(sum(accounts).tolist()) == products[-1][1]
+            rho_w, account, _ = products[0]
+            for other_rho_w, other_account, _ in products[1:]:
                 assert other_rho_w.tobytes() == rho_w.tobytes()
-                assert other_report == report
+                assert other_account == account
 
     def test_no_fork_while_another_thread_is_alive(self, forks):
         cube, table = self._cube(130)
@@ -807,10 +826,10 @@ def test_one_pixel_rule_property(n_bands, n_rows, n_cols, seed, input_nodata, cl
         for block_pixels, workers in itertools.product((1, 10**6), (1, 2)):
             mp.setattr(inversion, "BLOCK_PIXELS", block_pixels)
             products.append(invert_in_memory(cube, d2, table_of(params), policy, workers))
-    rho_w, report, valid = products[0]
-    for other_rho_w, other_report, _ in products[1:]:
+    rho_w, account, valid = products[0]
+    for other_rho_w, other_account, _ in products[1:]:
         assert other_rho_w.tobytes() == rho_w.tobytes()
-        assert other_report == report
+        assert other_account == account
 
     assert not np.isnan(rho_w).any()
     n_negative = 0
@@ -824,10 +843,8 @@ def test_one_pixel_rule_property(n_bands, n_rows, n_cols, seed, input_nodata, cl
 
     planted = kinds[valid]
     count = {kind: int(np.count_nonzero(planted == k)) for k, kind in enumerate(PIXEL_KINDS)}
-    assert report.degenerate_pixels == count["degenerate"] + count["near_nodata"]
-    assert report.nonfinite_pixels == count["nan"] + count["inf"] + count["-inf"]
     n_data = int(np.count_nonzero(rho_w != NODATA))
     assert n_data == count["data"]
-    assert report.negativity_rate == (n_negative / n_data if n_data else 0.0)
-    assert (n_data + count["nodata"] + report.degenerate_pixels + report.nonfinite_pixels
-            == len(valid) * n_rows * n_cols)
+    assert account == (count["degenerate"] + count["near_nodata"],
+                       count["nan"] + count["inf"] + count["-inf"], n_data, n_negative)
+    assert sum(account[:3]) + count["nodata"] == len(valid) * n_rows * n_cols

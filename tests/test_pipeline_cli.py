@@ -126,6 +126,13 @@ class TestParseCli:
         assert cli.main(["self-test"]) == 0
         assert configs == [RunConfig()]
 
+    def test_auto_worker_count_is_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # pinned to one CPU of eight (by taskset or a cpuset, say)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert RunConfig().workers == 1
+        assert RunConfig(worker_count=3).workers == 3
+
     def test_unknown_aerosol_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(
@@ -494,10 +501,11 @@ class TestRunEndToEnd:
                         # the same run held in memory, cast and formatted without a sink
                         params = load_params_table((out / "band_params.csv").read_text())
                         policy = MaskPolicy(clip_negative="--clip-negative" in opts)
-                        rho_w, pixels, valid = invert_in_memory(cube, setup.d_squared, params,
-                                                                policy)
-                        assert pixels.nonfinite_pixels == 3
-                        assert pixels.negativity_rate > 0
+                        rho_w, account, valid = invert_in_memory(cube, setup.d_squared,
+                                                                 params, policy)
+                        # nan, inf and -inf; the two 0.0 radiances are negative
+                        assert valid == list(range(6))
+                        assert account == (0, 3, 6 * rows * 5 - 4, 2)
                         wavelengths = tuple(setup.bands[i].center_wavelength for i in valid)
                         header = format_envi_header(rho_w.shape, np.float32, NODATA,
                                                     wavelengths, "bsq").encode()
@@ -1163,6 +1171,42 @@ class TestCompareCli:
         result = json.loads(capsys.readouterr().out)
         assert result["references"] == {"unlabelled.csv": plain["references"]["match"]}
         assert result["aggregate"] == plain["aggregate"]
+
+    @staticmethod
+    def _station_copies(ref, tmp_path, labels):
+        """Copies of `ref` at x/station.csv and y/station.csv under tmp_path,
+        with the given `# label:` lines, or none where the label is empty."""
+        body = ref.read_text().split("\n", 1)[1]
+        paths = [tmp_path / d / "station.csv" for d in ("x", "y")]
+        for path, label in zip(paths, labels):
+            path.parent.mkdir()
+            path.write_text((f"# label: {label}\n" if label else "") + body)
+        return [str(path) for path in paths]
+
+    def test_references_of_one_name_exit_3_naming_both(self, scene_dir, tmp_path, capsys):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        paths = self._station_copies(ref, tmp_path, ("", ""))
+        capsys.readouterr()
+        code = cli.main(["compare", "--product", str(out), "--pixel", "2,3",
+                         "--reference", *paths])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert all(path in captured.err for path in paths)
+        assert "# label:" in captured.err
+        assert captured.out == ""
+
+    def test_references_of_distinct_labels_are_each_reported(self, scene_dir, tmp_path,
+                                                             capsys):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        paths = self._station_copies(ref, tmp_path, ("x", "y"))
+        capsys.readouterr()
+        code = cli.main(["compare", "--product", str(out), "--pixel", "2,3",
+                         "--reference", *paths])
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)
+        assert set(result["references"]) == {"x", "y"}
+        assert result["aggregate"]["n"] == 2 * len(BAND_CENTERS) == sum(
+            rep["n"] for rep in result["references"].values())
 
     def test_product_negative_size_exits_3(self, scene_dir, tmp_path, capsys):
         out, ref = self._run_and_reference(scene_dir, tmp_path)
