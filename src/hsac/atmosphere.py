@@ -10,14 +10,15 @@ Three sources feed the inversion:
 Both providers yield a band table: a (bands, 6) float64 array, one row per
 band and one column per FINE_FIELD_NAMES entry, which the inversion and
 the export read as it is; BandAtmParams is one row of it. All provider
-outputs are normalized to 1 AU; the d^2 factor is applied only inside the
-inversion.
+outputs are normalized to 1 AU; the d^2 factor is applied only by
+`kernel_terms`, for the inversion and the forward model.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import datetime
 import io
 import json
 import math
@@ -89,7 +90,10 @@ def kernel_terms(table: np.ndarray, d_squared: float) -> np.ndarray:
     """(bands, 3) kernel terms of a band table at squared Earth-Sun distance
     `d_squared`, the 6S coefficients (Vermote et al., 1997) xa = d^2 /
     (T_g_O3 * c), xb = L_path / c and xc = S_atm, with c = E_s * T_up / pi.
-    A band with E_s = 0 gets infinite or NaN xa and xb."""
+    A band with E_s = 0 gets infinite or NaN xa and xb. d^2 enters the
+    inversion and the forward model here only: OutOfRange unless 0 < d^2 < inf."""
+    if not 0.0 < d_squared < math.inf:  # NaN too
+        raise OutOfRange(f"d_squared must be finite and > 0, got {d_squared}")
     c = table[:, E_S] * table[:, T_UP] / math.pi
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.stack([d_squared / (table[:, T_G_O3] * c), table[:, L_PATH] / c,
@@ -453,23 +457,25 @@ def _is_finite_number(value) -> bool:
 
 
 def _is_catalogue_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("dataset"), str)
-        and isinstance(entry.get("date"), str)
-        and isinstance(entry.get("bbox"), list)
-        and len(entry["bbox"]) == 4
-        and all(map(_is_finite_number, entry["bbox"]))
-        and _is_finite_number(entry.get("value"))
-    )
+    """An object that `lookup` can match, holding a value that an atmospheric
+    state may take: a string dataset, a YYYY-MM-DD date, a bbox [w, s, e, n]
+    of finite numbers with w <= e and s <= n, and a finite value >= 0."""
+    try:
+        w, s, e, n = entry["bbox"]
+        return (isinstance(entry["dataset"], str) and isinstance(entry["bbox"], list)
+                and datetime.date.fromisoformat(entry["date"]).isoformat() == entry["date"]
+                and all(map(_is_finite_number, entry["bbox"])) and w <= e and s <= n
+                and _is_finite_number(entry["value"]) and entry["value"] >= 0)
+    except (KeyError, TypeError, ValueError):  # not an object, a field missing or malformed
+        return False
 
 
 class AuxCatalogue:
     """Local JSON catalogue of atmospheric state scalars.
 
     Entries: {"dataset": ..., "date": "YYYY-MM-DD", "bbox": [w, s, e, n],
-    "value": float}, every number finite; `from_json` refuses an entry of
-    any other shape.
+    "value": float}, every number finite, w <= e, s <= n and value >= 0;
+    `from_json` refuses an entry of any other shape.
     Lookup matches the date exactly and requires the query bbox to be
     contained in the entry bbox; no interpolation.
     """
@@ -489,7 +495,8 @@ class AuxCatalogue:
             if not _is_catalogue_entry(entry):
                 raise SchemaViolation(
                     f"catalogue entry {i}: {entry!r} is not an object with a string "
-                    "dataset and date, a bbox of four finite numbers and a finite value"
+                    "dataset, a YYYY-MM-DD date, a bbox [w, s, e, n] of four finite "
+                    "numbers with w <= e and s <= n and a finite value >= 0"
                 )
         return cls(entries)
 

@@ -13,13 +13,13 @@ import sys
 
 from .atmosphere import STATE_POLICIES, AtmosphericState, aerosol_models
 from .errors import HsacError, MissingField
-from .inversion import MaskPolicy
 from .pipeline import (
     STAGE_CONFIGURE,
     STAGE_EXPORT,
     STAGE_INGEST,
     STAGE_INVERSION,
     STAGE_RTM,
+    SELF_TEST_TOLERANCE,
     RunConfig,
     StageError,
     compare_against_reference,
@@ -48,14 +48,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # every default is read from RunConfig or MaskPolicy, the one place it is set
+    # every default is read from RunConfig, the one place it is set
     run = sub.add_parser("run", help="process a scene directory")
     run.add_argument("--input", required=True, help="input folder with scene XML and raster")
     run.add_argument("--output", required=True, help="output directory")
     run.add_argument("--aerosol", default=RunConfig.aerosol, choices=sorted(aerosol_models()),
                      help="aerosol model")
-    run.add_argument("--tg-threshold", type=float, default=MaskPolicy.tg_threshold,
-                     help="mask bands with total gas transmittance below this")
+    run.add_argument("--tg-threshold", type=float, default=RunConfig.tg_threshold,
+                     help="mask bands with total gas transmittance below this, in (0, 1]")
     run.add_argument("--provider", choices=["analytic", "table"], default=RunConfig.provider)
     run.add_argument("--params-table", help="parameter CSV for --provider table")
     run.add_argument("--aux-catalogue", help="local auxiliary catalogue JSON")
@@ -94,7 +94,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         input_path=args.input,
         output_path=args.output,
         aerosol=args.aerosol,
-        mask=MaskPolicy(tg_threshold=args.tg_threshold, clip_negative=args.clip_negative),
+        tg_threshold=args.tg_threshold,
+        clip_negative=args.clip_negative,
         provider=args.provider,
         params_table_path=args.params_table,
         aux_catalogue_path=args.aux_catalogue,
@@ -137,7 +138,8 @@ def _cmd_self_test(args) -> int:
         print(f"self-test failed: {exc}", file=sys.stderr)
         return 5
     status = "PASS" if passed else "FAIL"
-    print(f"self-test {status}: max relative error {max_rel:.3e} (tolerance 1e-10)")
+    print(f"self-test {status}: max relative error {max_rel:.3e} "
+          f"(tolerance {SELF_TEST_TOLERANCE:g})")
     return EXIT_OK if passed else 5
 
 

@@ -20,14 +20,13 @@ import pickle
 import signal
 import threading
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .atmosphere import T_G_TOTAL, BandAtmParams, kernel_terms
-from .errors import HsacError, LengthMismatch, OutOfRange
+from .errors import HsacError, LengthMismatch
 from .raster import NODATA, RadianceCube
 
 # A pixel is degenerate when the kernel's unit-free denominator 1 + xc * y'
@@ -54,18 +53,6 @@ BAND_VALID = "valid"
 BAND_MASKED_LOW_TG = "masked_low_tg"
 
 
-@dataclass(frozen=True)
-class MaskPolicy:
-    """Band exclusion policy: mask when t_g_total < tg_threshold (strict)."""
-
-    tg_threshold: float = 0.85
-    clip_negative: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.tg_threshold <= 1.0:
-            raise OutOfRange(f"tg_threshold {self.tg_threshold} outside (0, 1]")
-
-
 def invert_band_plane(
     l_toa_plane: np.ndarray,
     d_squared: float,
@@ -78,8 +65,6 @@ def invert_band_plane(
     to the input's `nodata`, degenerate pixels and non-finite rho_w become
     NODATA, so the plane equals `invert_cube`'s for every input.
     """
-    if d_squared <= 0:
-        raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
     plane = np.array(l_toa_plane, dtype=np.float64, order="C")  # a copy: nodata becomes 0.0
     masks = (np.empty(plane.shape, dtype=bool), np.empty(plane.shape, dtype=bool))
     _mark_input_nodata(plane, nodata, masks[0])
@@ -99,16 +84,14 @@ def forward_model_toa(
     Pixels equal to `nodata`, and pixels where |1 - S_atm * rho_w| <
     DENOMINATOR_EPS, become `nodata` in the radiance.
     """
-    if d_squared <= 0:
-        raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
     plane = np.ascontiguousarray(rho_w, dtype=np.float64)
     return kernels.forward_plane(plane, *params.kernel_terms(d_squared), nodata, DENOMINATOR_EPS)
 
 
-def mask_bands(table: np.ndarray, policy: MaskPolicy) -> list[str]:
-    """Per-band mask reason of a band table: strict-less comparison of
-    t_g_total against the threshold."""
-    masked = table[:, T_G_TOTAL] < policy.tg_threshold
+def mask_bands(table: np.ndarray, tg_threshold: float) -> list[str]:
+    """Per-band mask reason of a band table: a band whose t_g_total is
+    strictly below `tg_threshold` is masked, every other band is valid."""
+    masked = table[:, T_G_TOTAL] < tg_threshold
     return [BAND_MASKED_LOW_TG if m else BAND_VALID for m in masked.tolist()]
 
 
@@ -221,8 +204,6 @@ def invert_cube(
         raise LengthMismatch(
             f"{len(table)} parameter sets for {cube.n_bands} bands"
         )
-    if d_squared <= 0:
-        raise OutOfRange(f"d_squared must be > 0, got {d_squared}")
     nodata = cube.nodata_value
     n_valid, n_rows, n_cols = len(valid), cube.n_rows, cube.n_cols
     # the kernel's atmospheric terms, one (valid bands, 1, 1) column each

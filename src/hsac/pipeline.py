@@ -53,7 +53,6 @@ from .errors import (
 from .inversion import (
     BAND_VALID,
     DENOMINATOR_EPS,
-    MaskPolicy,
     invert_cube,
     mask_bands,
     shared_array,
@@ -109,10 +108,14 @@ class StageError(HsacError):
 
 @dataclass
 class RunConfig:
+    """The settings of a run; `__post_init__` refuses a value out of range
+    and a combination that leaves a setting unread."""
+
     input_path: str = ""
     output_path: str = ""
     aerosol: str = "Continental"
-    mask: MaskPolicy = MaskPolicy()
+    tg_threshold: float = 0.85  # mask bands whose t_g_total is below it, in (0, 1]
+    clip_negative: bool = False  # set negative rho_w data to 0
     provider: str = "analytic"  # analytic | table
     params_table_path: str | None = None
     aux_catalogue_path: str | None = None
@@ -140,6 +143,8 @@ class RunConfig:
                             "--aux-catalogue")
         if self.worker_count < 0:
             raise OutOfRange("worker count must be positive or 0 (auto)")
+        if not 0.0 < self.tg_threshold <= 1.0:  # NaN too
+            raise OutOfRange(f"tg_threshold {self.tg_threshold} outside (0, 1]")
 
     @property
     def workers(self) -> int:
@@ -434,13 +439,13 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingRepo
 
     # stage 4: pixel-wise inversion of the valid bands, streamed through a ProductSink
     with _stage(report, STAGE_INVERSION):
-        band_mask = mask_bands(table, config.mask)
+        band_mask = mask_bands(table, config.tg_threshold)
         valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
         sink = ProductSink(config.output_path, setup.bands)
         try:
             write = sink.open(valid, cube.n_rows, cube.n_cols)
             pixels = invert_cube(cube, setup.d_squared, table, valid, write,
-                                 config.mask.clip_negative, config.workers)
+                                 config.clip_negative, config.workers)
         except BaseException:
             sink.discard()
             raise
@@ -465,6 +470,8 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingRepo
 
 SELF_TEST_SIZE = 128
 SELF_TEST_SEED = 42
+# the self-test's bound on the max relative error of rho_w over the valid bands
+SELF_TEST_TOLERANCE = 1e-10
 
 
 def self_test_reflectance(
@@ -504,25 +511,26 @@ def synthesize_scene(
     return metadata, RadianceCube(data=l_toa, nodata_value=NODATA), setup, table
 
 
-def run_self_test(config: RunConfig, tolerance: float = 1e-10) -> tuple[bool, float]:
+def run_self_test(config: RunConfig) -> tuple[bool, float]:
     """Round trip on the synthetic scene: forward-model it and invert its
     valid bands with the same band table into a float64 array in shared
     memory, so the float64 rho_w is checked.
 
-    Returns (passed, max relative error over valid bands)."""
+    Returns (max_rel <= SELF_TEST_TOLERANCE, max_rel), max_rel the max
+    relative error over the valid bands."""
     _, cube, setup, table = synthesize_scene(config)
-    valid = [i for i, m in enumerate(mask_bands(table, config.mask)) if m == BAND_VALID]
+    valid = [i for i, m in enumerate(mask_bands(table, config.tg_threshold)) if m == BAND_VALID]
     rho_w = shared_array((len(valid), cube.n_rows, cube.n_cols))  # forked workers write it
 
     def write(r0, k0, block):
         rho_w[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
 
-    invert_cube(cube, setup.d_squared, table, valid, write, config.mask.clip_negative,
+    invert_cube(cube, setup.d_squared, table, valid, write, config.clip_negative,
                 config.workers)
     rho_true = self_test_reflectance(len(table))[valid]
     rel = np.abs(rho_w - rho_true) / np.maximum(np.abs(rho_true), 1e-30)
     max_rel = float(rel.max())
-    return max_rel <= tolerance, max_rel
+    return max_rel <= SELF_TEST_TOLERANCE, max_rel
 
 
 # --- comparison against reference spectra ---------------------------------

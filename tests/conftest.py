@@ -13,8 +13,8 @@ from hsac.atmosphere import (
     aerosol_model,
     load_solar_irradiance,
 )
-from hsac.inversion import BAND_VALID, MaskPolicy, invert_cube, mask_bands, shared_array
-from hsac.pipeline import load_bundled_bands, simulation_grid
+from hsac.inversion import BAND_VALID, invert_cube, mask_bands, shared_array
+from hsac.pipeline import RunConfig, load_bundled_bands, simulation_grid
 from hsac.raster import RadianceCube, write_cube
 from hsac.scene import SceneMetadata
 from hsac.spectral import resample_reference_spectrum, srf_table
@@ -97,18 +97,19 @@ def table_of(params: list[BandAtmParams]) -> np.ndarray:
 
 
 def invert_in_memory(cube: RadianceCube, d_squared: float, table: np.ndarray,
-                     policy: MaskPolicy = MaskPolicy(), workers: int = 1):
-    """`invert_cube` of the bands `policy` leaves valid, its blocks written
+                     tg_threshold: float = RunConfig.tg_threshold,
+                     clip_negative: bool = False, workers: int = 1):
+    """`invert_cube` of the bands `tg_threshold` leaves valid, its blocks written
     into one float64 array in shared memory, which forked workers can write:
     returns (rho_w, pixel account, valid bands), the account being
     `invert_cube`'s (degenerate, non-finite, data, negative) counts."""
-    valid = [i for i, m in enumerate(mask_bands(table, policy)) if m == BAND_VALID]
+    valid = [i for i, m in enumerate(mask_bands(table, tg_threshold)) if m == BAND_VALID]
     rho_w = shared_array((len(valid), cube.n_rows, cube.n_cols))
 
     def write(r0, k0, block):
         rho_w[k0:k0 + len(block), r0:r0 + block.shape[1]] = block
 
-    account = invert_cube(cube, d_squared, table, valid, write, policy.clip_negative, workers)
+    account = invert_cube(cube, d_squared, table, valid, write, clip_negative, workers)
     return rho_w, account, valid
 
 

@@ -19,7 +19,6 @@ from hsac.errors import LengthMismatch, OutOfRange
 from hsac.inversion import (
     BAND_MASKED_LOW_TG,
     BAND_VALID,
-    MaskPolicy,
     forward_model_toa,
     invert_band_plane,
     invert_cube,
@@ -27,7 +26,7 @@ from hsac.inversion import (
     shared_array,
     to_rrs,
 )
-from hsac.pipeline import ProductSink, write_product
+from hsac.pipeline import ProductSink, RunConfig, write_product
 from hsac.raster import NODATA, RadianceCube, read_cube
 from hsac.scene import BandDefinition
 
@@ -135,9 +134,17 @@ class TestInvertBandPlane:
         np.testing.assert_array_equal(out, [[NODATA, NODATA, 0.5]])
         assert count == 1
 
-    def test_invalid_d_squared(self):
-        with pytest.raises(OutOfRange):
-            invert_band_plane(plane(0.5), 0.0, PARAMS)
+    # kernel_terms is the one owner of the rule, and every entry point reaches it
+    @pytest.mark.parametrize("d_squared", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [
+        lambda d2: invert_band_plane(plane(0.5), d2, PARAMS),
+        lambda d2: forward_model_toa(plane(0.1), d2, PARAMS),
+        lambda d2: invert_cube(RadianceCube(data=plane(0.5)[np.newaxis]), d2,
+                               table_of([PARAMS]), [0], lambda *block: pytest.fail("written")),
+    ], ids=["invert_band_plane", "forward_model_toa", "invert_cube"])
+    def test_invalid_d_squared(self, entry, d_squared):
+        with pytest.raises(OutOfRange, match="d_squared must be finite and > 0"):
+            entry(d_squared)
 
     def test_monotone_in_radiance(self):
         l_values = np.linspace(0.01, 2.0, 50)
@@ -199,18 +206,20 @@ class TestMaskBands:
         return BandAtmParams(0, 0.1, 0.9, tg, 0.9, 0.05, 1.5)
 
     def test_below_threshold_masked(self):
-        assert mask_bands(table_of([self._params(0.84)]), MaskPolicy(0.85)) == [BAND_MASKED_LOW_TG]
+        assert mask_bands(table_of([self._params(0.84)]), 0.85) == [BAND_MASKED_LOW_TG]
 
     def test_boundary_is_strict_less(self):
-        assert mask_bands(table_of([self._params(0.85)]), MaskPolicy(0.85)) == [BAND_VALID]
+        assert mask_bands(table_of([self._params(0.85)]), 0.85) == [BAND_VALID]
 
     def test_degenerate_threshold_masks_any_absorption(self):
         params = [self._params(tg) for tg in (0.5, 0.9, 0.999)]
-        assert mask_bands(table_of(params), MaskPolicy(1.0)) == [BAND_MASKED_LOW_TG] * 3
+        assert mask_bands(table_of(params), 1.0) == [BAND_MASKED_LOW_TG] * 3
 
     def test_threshold_validation(self):
-        with pytest.raises(OutOfRange):
-            MaskPolicy(tg_threshold=0.0)
+        for tg_threshold in (0.0, 1.5, math.nan):
+            with pytest.raises(OutOfRange, match=r"tg_threshold .* outside \(0, 1\]"):
+                RunConfig(tg_threshold=tg_threshold)
+        assert RunConfig(tg_threshold=1.0).tg_threshold == 1.0
 
 
 class TestToRrs:
@@ -248,7 +257,7 @@ class TestInvertCube:
 
     def test_cube_round_trip(self):
         cube, d2, params, rho_true = self._cube_and_params()
-        rho_w, _, _ = invert_in_memory(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01))
+        rho_w, _, _ = invert_in_memory(cube, d2, table_of(params), 0.01)
         np.testing.assert_allclose(rho_w, rho_true, rtol=1e-12)
         # rho_w within 1e-12 may still round to a neighbouring float32
         np.testing.assert_allclose(
@@ -257,15 +266,14 @@ class TestInvertCube:
 
     def test_all_bands_masked(self):
         cube, d2, params, _ = self._cube_and_params()
-        policy = MaskPolicy(tg_threshold=1.0)
-        rho_w, _, valid = invert_in_memory(cube, d2, table_of(params), policy)
-        assert mask_bands(table_of(params), policy) == [BAND_MASKED_LOW_TG] * cube.n_bands
+        rho_w, _, valid = invert_in_memory(cube, d2, table_of(params), 1.0)
+        assert mask_bands(table_of(params), 1.0) == [BAND_MASKED_LOW_TG] * cube.n_bands
         assert rho_w.shape == (0, 8, 8)
         assert valid == []
 
     def test_single_pixel_matches_band_plane(self):
         cube, d2, params, _ = self._cube_and_params(n_bands=1, size=1)
-        rho_w, _, _ = invert_in_memory(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01))
+        rho_w, _, _ = invert_in_memory(cube, d2, table_of(params), 0.01)
         expected, _ = invert_band_plane(cube.data[0], d2, params[0])
         assert rho_w[0, 0, 0] == expected[0, 0]
 
@@ -281,14 +289,13 @@ class TestInvertCube:
         for index, value in planted.items():
             cube.data[index] = value
         products = [
-            invert_in_memory(cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01), w)
+            invert_in_memory(cube, d2, table_of(params), 0.01, workers=w)
             for w in (1, 2, 3, 8)  # 130 rows are 3 row tiles: 2 workers run 2 + 1
         ]
         with pytest.MonkeyPatch.context() as mp:
             for block_pixels in (1, 2 * 64 * 130):
                 mp.setattr(inversion, "BLOCK_PIXELS", block_pixels)
-                products.append(invert_in_memory(cube, d2, table_of(params),
-                                                 MaskPolicy(tg_threshold=0.01), 2))
+                products.append(invert_in_memory(cube, d2, table_of(params), 0.01, workers=2))
         assert products[0][1] == (0, 2, 6 * 130 * 130 - 3, 1)
         assert all(type(n) is int for n in products[0][1])
         for rho_w, account, _ in products[1:]:
@@ -299,17 +306,14 @@ class TestInvertCube:
         cube, d2, params, rho_true = self._cube_and_params()
         # force a negative reflectance at one pixel
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
-        rho_w, account, _ = invert_in_memory(cube, d2, table_of(params),
-                                             MaskPolicy(tg_threshold=0.01))
+        rho_w, account, _ = invert_in_memory(cube, d2, table_of(params), 0.01)
         assert rho_w[0, 0, 0] == pytest.approx(-0.02, rel=1e-12)
         assert account == (0, 0, 4 * 8 * 8, 1)
 
     def test_clip_negative_opt_in(self):
         cube, d2, params, _ = self._cube_and_params()
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
-        rho_w, _, _ = invert_in_memory(
-            cube, d2, table_of(params), MaskPolicy(tg_threshold=0.01, clip_negative=True)
-        )
+        rho_w, _, _ = invert_in_memory(cube, d2, table_of(params), 0.01, clip_negative=True)
         assert rho_w[0, 0, 0] == 0.0
 
     def test_clip_with_zero_nodata_keeps_sentinel(self):
@@ -318,8 +322,8 @@ class TestInvertCube:
         cube.nodata_value = 0.0
         cube.data[0, 0, 0] = forward_model_toa(plane(-0.02), d2, params[0])[0, 0]
         cube.data[0, 0, 1] = 0.0
-        policy = MaskPolicy(tg_threshold=0.01, clip_negative=True)
-        rho_w, account, _ = invert_in_memory(cube, d2, table_of(params), policy)
+        rho_w, account, _ = invert_in_memory(cube, d2, table_of(params), 0.01,
+                                             clip_negative=True)
         assert rho_w[0, 0, 0] == 0.0 != NODATA
         assert rho_w[0, 0, 1] == NODATA
         assert account == (0, 0, 4 * 8 * 8 - 1, 1)  # counted before the clip
@@ -349,7 +353,7 @@ class TestInvertCube:
         sink = ProductSink(str(tmp_path), bands)
         account = invert_cube(RadianceCube(data=data), 1.0, table, [0, 1],
                               sink.open([0, 1], *data.shape[1:]))
-        write_product(sink, mask_bands(table, MaskPolicy()), table)
+        write_product(sink, mask_bands(table, 0.85), table)
         # two near-nodata pixels and one degenerate; NODATA input is neither;
         # -9998 is the one negative of 8 data pixels
         assert account == (3, 2, 8, 1)
@@ -425,7 +429,7 @@ class TestInvertCube:
         sink = ProductSink(str(tmp_path), bands)
         account = invert_cube(RadianceCube(data=data), 1.0, table, [0, 1],
                               sink.open([0, 1], *data.shape[1:]))
-        write_product(sink, mask_bands(table, MaskPolicy()), table)
+        write_product(sink, mask_bands(table, 0.85), table)
         assert account == (2, 0, 4, 0)
         nodata = np.array([[[0, 1, 0]], [[0, 1, 0]]], dtype=bool)
         for name in ("rho_w", "r_rs"):
@@ -482,7 +486,6 @@ class TestInvertCube:
         # 3 in the 2-row one; g = 3 everywhere
         block_pixels_calls = {1: 3 + 3 + 3, 2 * 64 * 5: 2 + 2 + 1, 10**6: 1 + 1 + 1}
         for clip in (False, True):
-            policy = MaskPolicy(clip_negative=clip)
             expected = np.stack([invert_band_plane(data[b], 1.0, PARAMS)[0] for b in plane_of])
             expected[~np.isfinite(expected)] = -9999.0
             if clip:
@@ -492,8 +495,8 @@ class TestInvertCube:
                     block_pixels_calls.items(), (1, 2, 8)):
                 monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
                 kernel_calls.take()  # drop earlier calls: the expected planes' at first
-                rho, account, valid = invert_in_memory(cube, 1.0, table_of(params), policy,
-                                                       workers)
+                rho, account, valid = invert_in_memory(cube, 1.0, table_of(params),
+                                                       clip_negative=clip, workers=workers)
                 assert len(kernel_calls.take()) == calls
                 np.testing.assert_array_equal(rho, expected)
                 # 2 negative of 1950 pixels less 3 non-finite, 1 nodata, 1 degenerate
@@ -531,16 +534,15 @@ class TestInvertCube:
         cube, d2, params, _ = self._cube_and_params()
         params = [replace(p, t_g_total=1.0) for p in params]
         params[1] = replace(params[1], t_g_total=0.01)
-        policy = MaskPolicy(tg_threshold=0.85)
         bands = [BandDefinition(i, 500.0 + 50.0 * i, 6.5) for i in range(4)]
         accounts, files = [], []
         # one 8 x 8 tile: a band a block; blocks of bands [0, 2] and [3]; one block
         for block_pixels, calls in ((1, 3), (2 * 64, 2), (10**6, 1)):
             monkeypatch.setattr(inversion, "BLOCK_PIXELS", block_pixels)
             kernel_calls.take()  # those of the streamed run before
-            rho_w, account, valid = invert_in_memory(cube, d2, table_of(params), policy)
+            rho_w, account, valid = invert_in_memory(cube, d2, table_of(params), 0.85)
             assert len(kernel_calls.take()) == calls
-            band_mask = mask_bands(table_of(params), policy)
+            band_mask = mask_bands(table_of(params), 0.85)
             assert band_mask[1] == BAND_MASKED_LOW_TG
             assert valid == [0, 2, 3]
             assert rho_w.shape == (len(valid),) + cube.data.shape[1:]
@@ -702,7 +704,6 @@ class TestWorkerProcesses:
 
     def test_one_fork_per_worker_up_to_the_row_tiles(self, forks, monkeypatch):
         # 130 rows are 3 row tiles, 64 rows 1
-        policy = MaskPolicy(tg_threshold=0.01)
         received = []  # the accounts the parent receives from its workers
         in_workers = inversion._in_workers
 
@@ -718,7 +719,7 @@ class TestWorkerProcesses:
             for workers, n_forks in expected.items():
                 forks.clear()
                 received.clear()
-                products.append(invert_in_memory(cube, 1.0, table, policy, workers))
+                products.append(invert_in_memory(cube, 1.0, table, 0.01, workers=workers))
                 assert len(forks) == n_forks, (rows, workers)
                 # one account a worker, whose sum is the run's
                 assert [len(accounts) for accounts in received] == [n_forks] * bool(n_forks)
@@ -732,15 +733,14 @@ class TestWorkerProcesses:
 
     def test_no_fork_while_another_thread_is_alive(self, forks):
         cube, table = self._cube(130)
-        policy = MaskPolicy(tg_threshold=0.01)
-        alone = invert_in_memory(cube, 1.0, table, policy, 8)
+        alone = invert_in_memory(cube, 1.0, table, 0.01, workers=8)
         assert len(forks) == 3
         forks.clear()
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            threaded = invert_in_memory(cube, 1.0, table, policy, 8)
+            threaded = invert_in_memory(cube, 1.0, table, 0.01, workers=8)
         finally:
             release.set()
             thread.join(timeout=10)
@@ -765,10 +765,9 @@ class TestWorkerProcesses:
             return pid
 
         cube, table = self._cube(100)  # 2 row tiles
-        policy = MaskPolicy(tg_threshold=0.01)
-        inline = invert_in_memory(cube, 1.0, table, policy, 1)
+        inline = invert_in_memory(cube, 1.0, table, 0.01, workers=1)
         monkeypatch.setattr(os, "fork", warning_fork)
-        forked = invert_in_memory(cube, 1.0, table, policy, 2)
+        forked = invert_in_memory(cube, 1.0, table, 0.01, workers=2)
         assert len(forks) == 2
         assert forked[0].tobytes() == inline[0].tobytes()
         assert forked[1] == inline[1]
@@ -819,13 +818,13 @@ def test_one_pixel_rule_property(n_bands, n_rows, n_cols, seed, input_nodata, cl
         data[b] = np.choose(kinds[b], [np.broadcast_to(values[kind], shape)
                                        for kind in PIXEL_KINDS])
     cube = RadianceCube(data=data, nodata_value=input_nodata)
-    policy = MaskPolicy(clip_negative=clip)
 
     products = []
     with pytest.MonkeyPatch.context() as mp:
         for block_pixels, workers in itertools.product((1, 10**6), (1, 2)):
             mp.setattr(inversion, "BLOCK_PIXELS", block_pixels)
-            products.append(invert_in_memory(cube, d2, table_of(params), policy, workers))
+            products.append(invert_in_memory(cube, d2, table_of(params),
+                                             clip_negative=clip, workers=workers))
     rho_w, account, valid = products[0]
     for other_rho_w, other_account, _ in products[1:]:
         assert other_rho_w.tobytes() == rho_w.tobytes()

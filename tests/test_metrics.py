@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import invert_in_memory, random_params, table_of
 from hsac.atmosphere import BandAtmParams
 from hsac.errors import NodataPixel, NoOverlap, OutOfBounds, SchemaViolation, ZeroVector
-from hsac.inversion import MaskPolicy, forward_model_toa, invert_cube, mask_bands
+from hsac.inversion import forward_model_toa, invert_cube, mask_bands
 from hsac.metrics import (
     SpectrumSample,
     aggregate_reports,
@@ -178,12 +178,12 @@ class TestExtractPixelSpectrum:
         rho = rng.uniform(0.01, 0.3, size=(3, 2, 2))
         l_toa = np.stack([forward_model_toa(rho[b], 1.0, params[b]) for b in range(3)])
         l_toa[2, 1, 1] = -9999.0  # nodata pixel in band 2
-        cube, policy = RadianceCube(data=l_toa), MaskPolicy(tg_threshold=0.85)
+        cube = RadianceCube(data=l_toa)
         sink = ProductSink(str(tmp_path), bands)
         table = table_of(params)
-        rho_w, _, valid = invert_in_memory(cube, 1.0, table, policy)
+        rho_w, _, valid = invert_in_memory(cube, 1.0, table, 0.85)
         invert_cube(cube, 1.0, table, valid, sink.open(valid, *l_toa.shape[1:]))
-        write_product(sink, mask_bands(table, policy), table)
+        write_product(sink, mask_bands(table, 0.85), table)
         return rho_w, tmp_path
 
     def test_mask_filtering(self, exported):

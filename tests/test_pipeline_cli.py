@@ -19,7 +19,7 @@ import pytest
 from conftest import assert_no_child_process, invert_in_memory
 from hsac import cli, inversion, pipeline
 from hsac.atmosphere import BandAtmParams, aerosol_models, load_params_table
-from hsac.inversion import ROW_TILE, MaskPolicy, forward_model_toa, invert_cube, to_rrs
+from hsac.inversion import ROW_TILE, forward_model_toa, invert_cube, to_rrs
 from hsac.pipeline import (
     ProcessingReport,
     RunConfig,
@@ -186,6 +186,16 @@ class TestParseCli:
         out = tmp_path / "o"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out), *extra]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "1.5", "nan"])
+    def test_tg_threshold_outside_unit_interval_exits_2(self, scene_dir, tmp_path, capsys,
+                                                       value):
+        out = tmp_path / "o"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out),
+                         "--tg-threshold", value]) == 2
+        assert re.match(r"hsac run: tg_threshold \S+ outside \(0, 1\]\n$",
+                        capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -500,9 +510,9 @@ class TestRunEndToEnd:
                     if expected is None:
                         # the same run held in memory, cast and formatted without a sink
                         params = load_params_table((out / "band_params.csv").read_text())
-                        policy = MaskPolicy(clip_negative="--clip-negative" in opts)
-                        rho_w, account, valid = invert_in_memory(cube, setup.d_squared,
-                                                                 params, policy)
+                        rho_w, account, valid = invert_in_memory(
+                            cube, setup.d_squared, params,
+                            clip_negative="--clip-negative" in opts)
                         # nan, inf and -inf; the two 0.0 radiances are negative
                         assert valid == list(range(6))
                         assert account == (0, 3, 6 * rows * 5 - 4, 2)
@@ -827,8 +837,13 @@ class TestRunEndToEnd:
         lambda entry: {**entry, "bbox": [-180, -90, math.inf, 90]},
         lambda entry: {**entry, "value": -math.inf},
         lambda entry: {**entry, "value": 10**400},
+        # an entry that no lookup can match, or whose value no state may hold
+        lambda entry: {**entry, "value": -0.1},
+        lambda entry: {**entry, "date": "2024-7-24"},
+        lambda entry: {**entry, "bbox": [180, -90, -180, 90]},
     ], ids=["missing_date", "value_not_a_number", "bbox_of_three", "not_an_object",
-            "nan_in_bbox", "infinity_in_bbox", "infinite_value", "value_beyond_float"])
+            "nan_in_bbox", "infinity_in_bbox", "infinite_value", "value_beyond_float",
+            "negative_value", "date_not_iso", "bbox_inverted"])
     def test_malformed_catalogue_entry_exits_4(self, scene_dir, tmp_path, capsys, edit):
         catalogue = write_catalogue(tmp_path)
         entries = json.loads(catalogue.read_text())
