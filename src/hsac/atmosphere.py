@@ -16,7 +16,6 @@ outputs are normalized to 1 AU; the d^2 factor is applied only by
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import datetime
 import io
@@ -476,8 +475,8 @@ class AuxCatalogue:
     Entries: {"dataset": ..., "date": "YYYY-MM-DD", "bbox": [w, s, e, n],
     "value": float}, every number finite, w <= e, s <= n and value >= 0;
     `from_json` refuses an entry of any other shape.
-    Lookup matches the date exactly and requires the query bbox to be
-    contained in the entry bbox; no interpolation.
+    `lookup` matches the date exactly and requires the query bbox to be
+    contained in the entry bbox, with no interpolation; a miss is None.
     """
 
     def __init__(self, entries: list[dict]):
@@ -500,7 +499,9 @@ class AuxCatalogue:
                 )
         return cls(entries)
 
-    def lookup(self, dataset: str, date: str, bbox) -> float:
+    def lookup(self, dataset: str, date: str, bbox) -> float | None:
+        """The value of the first entry of `dataset` on `date` whose bbox
+        contains `bbox`, or None if there is none."""
         w, s, e, n = bbox
         for entry in self.entries:
             if entry["dataset"] != dataset or entry["date"] != date:
@@ -508,7 +509,7 @@ class AuxCatalogue:
             ew, es_, ee, en = entry["bbox"]
             if ew <= w and es_ <= s and ee >= e and en >= n:
                 return float(entry["value"])
-        raise MissingEntry(f"{dataset} has no entry for date={date}, bbox={list(bbox)}")
+        return None
 
 
 STATE_POLICIES = ("metadata_first", "catalogue_first")
@@ -534,14 +535,11 @@ def resolve_atmospheric_state(
     date = metadata.acquisition_date.isoformat()
     box = bbox if bbox is not None else [-180.0, -90.0, 180.0, 90.0]
 
-    def from_catalogue(key):
-        if catalogue is None:
-            return None
-        with contextlib.suppress(MissingEntry):
-            return catalogue.lookup(CATALOGUE_DATASETS[key], date, box)
-        return None
-
-    sources = {"metadata": lambda key: getattr(metadata, key), "catalogue": from_catalogue}
+    sources = {
+        "metadata": lambda key: getattr(metadata, key),
+        "catalogue": lambda key: (None if catalogue is None
+                                  else catalogue.lookup(CATALOGUE_DATASETS[key], date, box)),
+    }
     values, used = {}, set()
     for key in STATE_KEYS:
         for source in order:

@@ -78,7 +78,7 @@ class InvariantViolation(HsacError):
 
 
 class MissingEntry(HsacError):
-    """Auxiliary catalogue has no entry for the requested key."""
+    """Neither the metadata nor the catalogue holds a value for a state key."""
 
 
 # --- metrics ---

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import time
+import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -82,7 +83,6 @@ from .scene import (
 # srf_for_band is imported for perfbench, which traces hsac.pipeline.srf_for_band
 from .spectral import (
     GRID_STEP,
-    NyquistReport,
     check_nyquist,
     resample_reference_spectrum,
     simulation_grid,
@@ -172,8 +172,9 @@ class ProcessingReport:
 
 
 def _find_one(directory: str, pattern: str, what: str) -> str:
-    """The one file in `directory` matching `pattern`; none or several is an error."""
-    matches = sorted(glob.glob(os.path.join(directory, pattern)))
+    """The one file in `directory` matching `pattern`; none or several is an
+    error. Glob metacharacters in `directory` match only themselves."""
+    matches = sorted(glob.glob(os.path.join(glob.escape(directory), pattern)))
     if not matches:
         raise MissingField(f"no {what} matching {pattern} in {directory}")
     if len(matches) > 1:
@@ -256,7 +257,6 @@ class SceneSetup:
     geometry: Geometry
     state: AtmosphericState | None  # None for a table replay
     model: AerosolModel
-    nyquist: NyquistReport
     d_squared: float
 
     def analytic_table(self) -> np.ndarray:
@@ -270,13 +270,13 @@ class SceneSetup:
 
 
 def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
-    """Stage 2: geometry, atmospheric state, the Nyquist check and d^2.
+    """Stage 2: geometry, atmospheric state, aerosol model and d^2; the
+    configure stage itself checks the bands with `check_nyquist`.
 
     The atmospheric state is the config's override state, if it has one,
     and is otherwise resolved for the analytic provider only: a table
     replay reads its parameters from the table, and its state is None.
     """
-    bands = list(metadata.bands)
     state = config.override_state
     if state is None and config.provider == "analytic":
         catalogue = None
@@ -286,11 +286,10 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
             metadata, policy=config.state_policy, catalogue=catalogue
         )
     return SceneSetup(
-        bands=bands,
+        bands=list(metadata.bands),
         geometry=Geometry.from_metadata(metadata),
         state=state,
         model=aerosol_model(config.aerosol),
-        nyquist=check_nyquist(bands, GRID_STEP),
         d_squared=earth_sun_distance(
             compute_julian_day(metadata.acquisition_date)
         ).d_squared,
@@ -407,18 +406,13 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingRepo
     # stage 2: configure
     with _stage(report, STAGE_CONFIGURE):
         setup = configure_scene(metadata, config)
-        nyquist = setup.nyquist
-        report.nyquist = {
-            "step": nyquist.step,
-            "overall": nyquist.overall,
-            "violations": list(nyquist.violations),
-        }
-        if not nyquist.overall:
-            import warnings
-
+        violations = check_nyquist(setup.bands)
+        report.nyquist = {"step": GRID_STEP, "overall": not violations,
+                          "violations": list(violations)}
+        if violations:
             warnings.warn(
                 f"grid step {GRID_STEP} nm violates the Nyquist criterion "
-                f"for {len(report.nyquist['violations'])} bands"
+                f"for {len(violations)} bands"
             )
         report.srf_sources = dict(Counter("gaussian" if b.srf is None else "measured"
                                           for b in setup.bands))

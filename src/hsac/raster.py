@@ -41,7 +41,7 @@ SIZE_FIELDS = ("samples", "lines", "bands")
 _DTYPE_CODES = {4: np.dtype("<f4"), 12: np.dtype("<u2")}
 _CODE_FOR_DTYPE = {np.dtype("float32"): 4, np.dtype("uint16"): 12}
 # nm per unit of a header's `wavelength units`, lowercased; absent means nm
-_NM_PER_UNIT = {"nanometers": 1.0, "micrometers": 1000.0}
+_NM_PER_UNIT = {"nanometers": 1.0, "nm": 1.0, "micrometers": 1000.0, "um": 1000.0}
 
 
 @dataclass

@@ -55,25 +55,13 @@ class SRFTable:
     length: np.ndarray  # (bands,) int
 
 
-@dataclass(frozen=True)
-class NyquistReport:
-    """The Nyquist check of a grid step: `violations` holds the band index
-    of each band, in list order, whose FWHM is under twice the step."""
-
-    step: float
-    violations: tuple[int, ...]
-
-    @property
-    def overall(self) -> bool:
-        return not self.violations
-
-
-def check_nyquist(bands: list[BandDefinition], step: float) -> NyquistReport:
-    """The grid step must be at most half of each band's FWHM (inclusive):
-    a band with step > fwhm / 2 violates it."""
+def check_nyquist(bands: list[BandDefinition]) -> tuple[int, ...]:
+    """The index of each band, in list order, that the simulation grid
+    undersamples: GRID_STEP must be at most half of a band's FWHM
+    (inclusive), so a band with GRID_STEP > fwhm / 2 violates it."""
     index = np.array([b.index for b in bands], dtype=np.intp)
     fwhm = np.array([b.fwhm for b in bands])
-    return NyquistReport(step, tuple(index[step > fwhm / 2.0].tolist()))
+    return tuple(index[GRID_STEP > fwhm / 2.0].tolist())
 
 
 def _grid_span(grid: SpectralGrid, lo, hi) -> tuple[np.ndarray, np.ndarray]:

@@ -566,6 +566,14 @@ class TestRunEndToEnd:
         )
         assert code == 3
 
+    def test_input_directory_name_with_glob_metacharacters(self, tmp_path):
+        # unescaped, the glob "scene[1]/*.xml" matches the decoy's "scene1/scene.xml"
+        make_scene_dir(tmp_path / "scene1", centers=BAND_CENTERS[:3])
+        scene = make_scene_dir(tmp_path / "scene[1]")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene), "--output", str(out)]) == 0
+        assert "bands = 6\n" in (out / "rho_w.hdr").read_text()
+
     @pytest.mark.parametrize("dtype,nodata,header_edit,message", [
         (np.uint16, 0.0, None, "calibrate the DN to radiance"),  # uncalibrated DN
         (np.float32, np.nan, None, "not finite"),  # a NaN sentinel cannot mark nodata
@@ -677,15 +685,19 @@ class TestRunEndToEnd:
         assert report["failure_stage"] == "ingest"
         assert "'wavelength'" in report["error"]
 
-    def test_micrometre_header_wavelengths_give_the_same_products(self, scene_dir, tmp_path):
+    @pytest.mark.parametrize("units,nm_per_unit", [
+        ("Micrometers", 1000), ("um", 1000), ("nm", 1),
+    ], ids=["Micrometers", "um", "nm"])
+    def test_header_wavelength_units_give_the_same_products(self, scene_dir, tmp_path,
+                                                            units, nm_per_unit):
         plain = tmp_path / "plain"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(plain)]) == 0
         header = scene_dir / "radiance.hdr"
-        listed = ", ".join(str(c / 1000) for c in BAND_CENTERS)
+        listed = ", ".join(str(c / nm_per_unit) for c in BAND_CENTERS)
         header.write_text(header.read_text()
-                          + f"wavelength units = Micrometers\nwavelength = {{{listed}}}\n")
+                          + f"wavelength units = {units}\nwavelength = {{{listed}}}\n")
         assert ingest_scene(str(scene_dir))[1].wavelengths == pytest.approx(BAND_CENTERS)
-        out = tmp_path / "um"
+        out = tmp_path / "listed"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 0
         for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img",
                      "band_mask.csv", "band_params.csv"):

@@ -51,36 +51,28 @@ class TestBuildGrid:
 
 
 class TestNyquist:
-    """The rule is step <= fwhm / 2, inclusive; `violations` names the
-    bands that break it by their band index."""
+    """The rule is GRID_STEP (2.5 nm) <= fwhm / 2, inclusive; `check_nyquist`
+    names the bands that break it by their band index."""
 
     def test_typical_vnir_band_satisfied(self):
-        report = check_nyquist([BandDefinition(0, 550.0, 6.5)], step=2.5)
-        assert report.violations == ()
-        assert report.overall
+        assert check_nyquist([BandDefinition(0, 550.0, 6.5)]) == ()
 
     def test_equality_boundary_inclusive(self):
-        report = check_nyquist([BandDefinition(0, 550.0, 5.0)], step=2.5)
-        assert report.violations == ()
-        assert report.overall
+        assert check_nyquist([BandDefinition(0, 550.0, 5.0)]) == ()
 
     def test_narrow_band_fails(self):
-        report = check_nyquist([BandDefinition(0, 550.0, 4.0)], step=2.5)
-        assert report.violations == (0,)
-        assert not report.overall
+        assert check_nyquist([BandDefinition(0, 550.0, 4.0)]) == (0,)
 
     def test_mixed_list_returns_the_violating_band_indices(self):
         # 5.0 sits on the boundary and passes; the float just below it fails
         fwhms = (6.5, 4.0, 5.0, float(np.nextafter(5.0, 0)), 12.0, 0.5)
         bands = [BandDefinition(i + 3, 500.0 + 20.0 * i, f) for i, f in enumerate(fwhms)]
-        report = check_nyquist(bands, step=2.5)
-        assert report.step == 2.5
-        assert report.violations == (4, 6, 8)
-        assert all(type(i) is int for i in report.violations)  # as report.json writes them
-        assert not report.overall
+        violations = check_nyquist(bands)
+        assert violations == (4, 6, 8)
+        assert all(type(i) is int for i in violations)  # as report.json writes them
 
     def test_bundled_bands_all_pass(self, bands228):
-        assert check_nyquist(bands228, step=2.5).overall
+        assert not check_nyquist(bands228)
 
 
 class TestGaussianSrf:
