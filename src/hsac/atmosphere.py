@@ -17,7 +17,6 @@ outputs are normalized to 1 AU; the d^2 factor is applied only by
 from __future__ import annotations
 
 import csv
-import datetime
 import io
 import json
 import math
@@ -29,15 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DuplicateBand,
-    InvariantViolation,
-    LengthMismatch,
-    MissingBand,
-    MissingEntry,
-    OutOfRange,
-    SchemaViolation,
-)
+from .errors import HsacError
 from .scene import (
     STATE_KEYS,
     WAVELENGTH_MAX,
@@ -46,6 +37,7 @@ from .scene import (
     SceneMetadata,
     check_angles,
     check_state_value,
+    iso_date,
 )
 from .spectral import SpectralGrid, SRFTable, convolve
 
@@ -72,14 +64,14 @@ IN_INTERVAL = {
 
 
 def check_band_table(table: np.ndarray, first_band: int = 0) -> None:
-    """The one range rule of band parameters. Raises InvariantViolation
-    naming the first band (row k is band first_band + k) that breaks it,
-    and that band's first field in rule order."""
+    """The one range rule of band parameters. The error names the first
+    band (row k is band first_band + k) that breaks it, and that band's
+    first field in rule order."""
     fails = np.array([~IN_INTERVAL[interval](table[:, col]) for col, interval in RANGE_RULE])
     if fails.any():
         band = int(np.flatnonzero(fails.any(axis=0))[0])
         col, interval = RANGE_RULE[int(np.argmax(fails[:, band]))]
-        raise InvariantViolation(
+        raise HsacError(
             f"band {first_band + band}: {FINE_FIELD_NAMES[col]} = "
             f"{float(table[band, col])} outside {interval}"
         )
@@ -90,9 +82,10 @@ def kernel_terms(table: np.ndarray, d_squared: float) -> np.ndarray:
     `d_squared`, the 6S coefficients (Vermote et al., 1997) xa = d^2 /
     (T_g_O3 * c), xb = L_path / c and xc = S_atm, with c = E_s * T_up / pi.
     A band with E_s = 0 gets infinite or NaN xa and xb. d^2 enters the
-    inversion and the forward model here only: OutOfRange unless 0 < d^2 < inf."""
+    inversion and the forward model here only, and here a d^2 that is not
+    finite and > 0 is refused."""
     if not 0.0 < d_squared < math.inf:  # NaN too
-        raise OutOfRange(f"d_squared must be finite and > 0, got {d_squared}")
+        raise HsacError(f"d_squared must be finite and > 0, got {d_squared}")
     c = table[:, E_S] * table[:, T_UP] / math.pi
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.stack([d_squared / (table[:, T_G_O3] * c), table[:, L_PATH] / c,
@@ -185,7 +178,7 @@ class Geometry:
 @lru_cache(maxsize=None)
 def _load_table(filename: str) -> np.ndarray:
     path = os.path.join(DATA_DIR, filename)
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
     table.flags.writeable = False  # shared by every caller of the cache
     return table
 
@@ -208,7 +201,7 @@ def aerosol_models() -> dict[str, AerosolModel]:
 def aerosol_model(name: str) -> AerosolModel:
     models = aerosol_models()
     if name not in models:
-        raise OutOfRange(f"unknown aerosol model {name!r}; choose from {sorted(models)}")
+        raise HsacError(f"unknown aerosol model {name!r}; choose from {sorted(models)}")
     return models[name]
 
 
@@ -248,7 +241,7 @@ def rayleigh_optical_depth(wavelength):
     """Rayleigh optical depth at standard pressure (Hansen-Travis closed form)."""
     wl = np.asarray(wavelength, dtype=np.float64)
     if np.any(wl < WAVELENGTH_MIN) or np.any(wl > WAVELENGTH_MAX):
-        raise OutOfRange(f"wavelength outside [{WAVELENGTH_MIN}, {WAVELENGTH_MAX}] nm")
+        raise HsacError(f"wavelength outside [{WAVELENGTH_MIN}, {WAVELENGTH_MAX}] nm")
     um = wl / 1000.0
     return 0.008569 * um**-4 * (1.0 + 0.0113 * um**-2 + 0.00013 * um**-4)
 
@@ -385,31 +378,29 @@ def load_params_table(text: str) -> np.ndarray:
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaViolation("empty parameter table") from None
+        raise HsacError("empty parameter table") from None
     if [h.strip() for h in header] != PARAMS_TABLE_HEADER:
-        raise SchemaViolation(
-            f"header {header} != expected {PARAMS_TABLE_HEADER}"
-        )
+        raise HsacError(f"header {header} != expected {PARAMS_TABLE_HEADER}")
     rows: dict[int, list[float]] = {}
     for row in reader:
         if not row:
             continue
         if len(row) != len(PARAMS_TABLE_HEADER):
-            raise SchemaViolation(
+            raise HsacError(
                 f"row has {len(row)} fields, expected {len(PARAMS_TABLE_HEADER)}: {row}"
             )
         try:
             idx = int(row[0])
             values = [float(v) for v in row[1:]]
         except ValueError as exc:
-            raise SchemaViolation(f"non-numeric row: {row}") from exc
+            raise HsacError(f"non-numeric row: {row}") from exc
         if idx in rows:
-            raise DuplicateBand(f"band {idx} appears more than once")
+            raise HsacError(f"band {idx} appears more than once")
         rows[idx] = values
     # the n indices are unique, so none missing from 0..n-1 means exactly 0..n-1
     missing = sorted(set(range(len(rows))) - set(rows))
     if missing:
-        raise MissingBand(f"band indices not contiguous from 0; problem: {missing}")
+        raise HsacError(f"band indices not contiguous from 0; problem: {missing}")
     table = np.array([rows[i] for i in range(len(rows))], dtype=np.float64)
     table = table.reshape(len(rows), len(FINE_FIELD_NAMES))
     check_band_table(table)
@@ -434,7 +425,7 @@ class TableProvider:
         """The table of an n_bands scene; a table of another size is refused."""
         table = load_params_table(text)
         if len(table) != n_bands:
-            raise LengthMismatch(f"parameter table has {len(table)} bands, the scene has {n_bands}")
+            raise HsacError(f"parameter table has {len(table)} bands, the scene has {n_bands}")
         return cls(table)
 
     def band_params(self, band: BandDefinition, srfs: SRFTable) -> BandAtmParams:
@@ -462,7 +453,7 @@ def _is_catalogue_entry(entry) -> bool:
     try:
         w, s, e, n = entry["bbox"]
         return (isinstance(entry["dataset"], str) and isinstance(entry["bbox"], list)
-                and datetime.date.fromisoformat(entry["date"]).isoformat() == entry["date"]
+                and iso_date(entry["date"]) is not None
                 and all(map(_is_finite_number, entry["bbox"])) and w <= e and s <= n
                 and _is_finite_number(entry["value"]) and entry["value"] >= 0)
     except (KeyError, TypeError, ValueError):  # not an object, a field missing or malformed
@@ -487,12 +478,12 @@ class AuxCatalogue:
         try:
             entries = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"catalogue is not JSON: {exc}") from None
+            raise HsacError(f"catalogue is not JSON: {exc}") from None
         if not isinstance(entries, list):
-            raise SchemaViolation("catalogue JSON must be an array of objects")
+            raise HsacError("catalogue JSON must be an array of objects")
         for i, entry in enumerate(entries):
             if not _is_catalogue_entry(entry):
-                raise SchemaViolation(
+                raise HsacError(
                     f"catalogue entry {i}: {entry!r} is not an object with a string "
                     "dataset, a YYYY-MM-DD date, a bbox [w, s, e, n] of four finite "
                     "numbers with w <= e and s <= n and a finite value >= 0"
@@ -526,10 +517,11 @@ def resolve_atmospheric_state(
     Each value comes from the first of metadata and catalogue, in policy
     order, that has it. A source is asked for a value only when the sources
     before it lack it, so under metadata_first complete metadata costs no
-    catalogue lookup. The source is the one used, or "mixed" for both.
+    catalogue lookup. The source is the one used, or "mixed" for both. A
+    value that neither source holds is an error naming its key.
     """
     if policy not in STATE_POLICIES:
-        raise OutOfRange(f"unknown state policy {policy!r}")
+        raise HsacError(f"unknown state policy {policy!r}")
     order = ("metadata", "catalogue") if policy == "metadata_first" else ("catalogue", "metadata")
 
     date = metadata.acquisition_date.isoformat()
@@ -548,5 +540,5 @@ def resolve_atmospheric_state(
                 used.add(source)
                 break
         else:
-            raise MissingEntry(f"no value for {key} from metadata or catalogue")
+            raise HsacError(f"no value for {key} from metadata or catalogue")
     return AtmosphericState(source=used.pop() if len(used) == 1 else "mixed", **values)

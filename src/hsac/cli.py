@@ -12,7 +12,7 @@ import json
 import sys
 
 from .atmosphere import STATE_POLICIES, AtmosphericState, aerosol_models
-from .errors import HsacError, MissingField
+from .errors import HsacError
 from .pipeline import (
     STAGE_CONFIGURE,
     STAGE_EXPORT,
@@ -88,7 +88,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     combinations that leave an option unread."""
     values = [getattr(args, name) for name in STATE_KEYS]
     if values.count(None) not in (0, len(values)):
-        raise MissingField("--aod550, --tcwv and --tco3 are given together or not at all")
+        raise HsacError("--aod550, --tcwv and --tco3 are given together or not at all")
     override = None if None in values else AtmosphericState(*values, source="override")
     return RunConfig(
         input_path=args.input,

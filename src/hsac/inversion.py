@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .atmosphere import T_G_TOTAL, BandAtmParams, kernel_terms
-from .errors import HsacError, LengthMismatch
+from .errors import HsacError
 from .raster import NODATA, RadianceCube
 
 # A pixel is degenerate when the kernel's unit-free denominator 1 + xc * y'
@@ -201,9 +201,7 @@ def invert_cube(
     any worker count and block size.
     """
     if len(table) != cube.n_bands:
-        raise LengthMismatch(
-            f"{len(table)} parameter sets for {cube.n_bands} bands"
-        )
+        raise HsacError(f"{len(table)} parameter sets for {cube.n_bands} bands")
     nodata = cube.nodata_value
     n_valid, n_rows, n_cols = len(valid), cube.n_rows, cube.n_cols
     # the kernel's atmospheric terms, one (valid bands, 1, 1) column each

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingField, NodataPixel, NoOverlap, OutOfBounds, SchemaViolation, ZeroVector
+from .errors import HsacError
 from .raster import RadianceCube, read_text
 
 
@@ -24,9 +24,9 @@ class SpectrumSample:
 
     def __post_init__(self):
         if len(self.wavelengths) != len(self.values):
-            raise NoOverlap("wavelength/value lengths differ")
+            raise HsacError("wavelength/value lengths differ")
         if np.any(np.diff(self.wavelengths) <= 0):
-            raise NoOverlap("wavelengths must be strictly increasing")
+            raise HsacError("wavelengths must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,11 @@ def spectral_angle(a: SpectrumSample, b: SpectrumSample) -> float:
     if len(a.values) != len(b.values) or not np.allclose(
         a.wavelengths, b.wavelengths
     ):
-        raise NoOverlap("spectra are not on a common wavelength grid; align first")
+        raise HsacError("spectra are not on a common wavelength grid; align first")
     va, vb = np.asarray(a.values, float), np.asarray(b.values, float)
     na, nb = np.linalg.norm(va), np.linalg.norm(vb)
     if na == 0 or nb == 0:
-        raise ZeroVector("spectral angle undefined for a zero spectrum")
+        raise HsacError("spectral angle undefined for a zero spectrum")
     if np.array_equal(va, vb):
         # exact identity must not pick up acos rounding noise
         return 0.0
@@ -61,10 +61,10 @@ def error_stats(
 ) -> ComparisonReport:
     """RMSE / Bias / Std of derived minus reference on a shared grid."""
     if len(derived.values) != len(reference.values):
-        raise NoOverlap("spectra must be aligned before computing statistics")
+        raise HsacError("spectra must be aligned before computing statistics")
     n = len(derived.values)
     if n < 2:
-        raise NoOverlap(f"need at least 2 shared samples, have {n}")
+        raise HsacError(f"need at least 2 shared samples, have {n}")
     e = np.asarray(derived.values, float) - np.asarray(reference.values, float)
     bias = float(np.mean(e))
     rmse = float(np.sqrt(np.mean(e * e)))
@@ -88,14 +88,12 @@ def align_spectra(
     """
     lo, hi = window
     if lo >= hi:
-        raise NoOverlap(f"window start {lo} must be < stop {hi}")
+        raise HsacError(f"window start {lo} must be < stop {hi}")
     wl = np.asarray(derived.wavelengths, float)
     ref_wl = np.asarray(reference.wavelengths, float)
     keep = (wl >= lo) & (wl <= hi) & (wl >= ref_wl[0]) & (wl <= ref_wl[-1])
     if not np.any(keep):
-        raise NoOverlap(
-            f"no shared wavelengths in window [{lo}, {hi}]"
-        )
+        raise HsacError(f"no shared wavelengths in window [{lo}, {hi}]")
     wl_out = wl[keep]
     ref_values = np.interp(wl_out, ref_wl, np.asarray(reference.values, float))
     return (
@@ -114,21 +112,17 @@ def compare_spectra(
 def pixel_spectrum(cube: RadianceCube, row: int, col: int) -> SpectrumSample:
     """Spectrum of an exported product raster at one pixel, by header wavelength.
 
-    Raises OutOfBounds outside the raster and NodataPixel when any band
-    holds the header's nodata value there.
+    A pixel outside the raster, or one where any band holds the header's
+    nodata value, is an error.
     """
     if cube.wavelengths is None:
-        raise MissingField("product header lacks a wavelength list")
+        raise HsacError("product header lacks a wavelength list")
     if not (0 <= row < cube.n_rows and 0 <= col < cube.n_cols):
-        raise OutOfBounds(
-            f"pixel ({row}, {col}) outside the {cube.n_rows}x{cube.n_cols} raster"
-        )
+        raise HsacError(f"pixel ({row}, {col}) outside the {cube.n_rows}x{cube.n_cols} raster")
     values = cube.data[:, row, col].astype(np.float64)
     nodata = np.flatnonzero(values == cube.nodata_value)
     if nodata.size:
-        raise NodataPixel(
-            f"pixel ({row}, {col}) is nodata at {cube.wavelengths[nodata[0]]} nm"
-        )
+        raise HsacError(f"pixel ({row}, {col}) is nodata at {cube.wavelengths[nodata[0]]} nm")
     return SpectrumSample(
         np.asarray(cube.wavelengths), values, label=f"pixel({row},{col})"
     )
@@ -137,7 +131,7 @@ def pixel_spectrum(cube: RadianceCube, row: int, col: int) -> SpectrumSample:
 def load_reference_spectrum(path: str) -> SpectrumSample:
     """CSV `wavelength_nm,value`; an optional `# label:` comment names it.
     A row that is not two finite numbers, a wavelength not greater than the
-    previous row's, or no data row, is a SchemaViolation."""
+    previous row's, or no data row, is an error naming the file and line."""
     label = ""
     wl, values = [], []
     for line_no, line in enumerate(read_text(path).splitlines(), 1):
@@ -155,22 +149,22 @@ def load_reference_spectrum(path: str) -> SpectrumSample:
             if not (math.isfinite(w) and math.isfinite(v)):
                 raise ValueError
         except ValueError:
-            raise SchemaViolation(
+            raise HsacError(
                 f"{path}:{line_no}: {line!r} is not two finite numbers") from None
         if wl and w <= wl[-1]:
-            raise SchemaViolation(f"{path}:{line_no}: wavelength {w:g} nm is not greater "
-                                  f"than the previous row's {wl[-1]:g} nm")
+            raise HsacError(f"{path}:{line_no}: wavelength {w:g} nm is not greater "
+                            f"than the previous row's {wl[-1]:g} nm")
         wl.append(w)
         values.append(v)
     if not wl:
-        raise SchemaViolation(f"{path}: no data rows")
+        raise HsacError(f"{path}: no data rows")
     return SpectrumSample(np.asarray(wl), np.asarray(values), label=label)
 
 
 def aggregate_reports(reports: list[ComparisonReport]) -> ComparisonReport:
     """Unweighted mean of each statistic across references."""
     if not reports:
-        raise NoOverlap("nothing to aggregate")
+        raise HsacError("nothing to aggregate")
     return ComparisonReport(
         sam_deg=float(np.mean([r.sam_deg for r in reports])),
         rmse=float(np.mean([r.rmse for r in reports])),

@@ -40,17 +40,7 @@ from .atmosphere import (
     resolve_atmospheric_state,
     serialize_params_table,
 )
-from .errors import (
-    HeaderPayloadMismatch,
-    HsacError,
-    IoFailure,
-    LengthMismatch,
-    MissingBand,
-    MissingField,
-    OutOfRange,
-    SchemaViolation,
-    UnsupportedDataType,
-)
+from .errors import HsacError, IoFailure
 from .inversion import (
     BAND_VALID,
     DENOMINATOR_EPS,
@@ -126,7 +116,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.provider == "table" and not self.params_table_path:
-            raise MissingField("--params-table is required with --provider table")
+            raise HsacError("--params-table is required with --provider table")
         if self.params_table_path is not None and self.provider != "table":
             raise HsacError("--params-table is read only with --provider table")
         # RunConfig.state_policy is the field's default
@@ -142,9 +132,9 @@ class RunConfig:
             raise HsacError(f"--state-policy {self.state_policy} is read only with "
                             "--aux-catalogue")
         if self.worker_count < 0:
-            raise OutOfRange("worker count must be positive or 0 (auto)")
+            raise HsacError("worker count must be positive or 0 (auto)")
         if not 0.0 < self.tg_threshold <= 1.0:  # NaN too
-            raise OutOfRange(f"tg_threshold {self.tg_threshold} outside (0, 1]")
+            raise HsacError(f"tg_threshold {self.tg_threshold} outside (0, 1]")
 
     @property
     def workers(self) -> int:
@@ -176,7 +166,7 @@ def _find_one(directory: str, pattern: str, what: str) -> str:
     error. Glob metacharacters in `directory` match only themselves."""
     matches = sorted(glob.glob(os.path.join(glob.escape(directory), pattern)))
     if not matches:
-        raise MissingField(f"no {what} matching {pattern} in {directory}")
+        raise HsacError(f"no {what} matching {pattern} in {directory}")
     if len(matches) > 1:
         raise HsacError(f"{len(matches)} files match {pattern} in {directory}, one {what} "
                         f"expected: {', '.join(map(os.path.basename, matches))}")
@@ -189,34 +179,22 @@ def _parse_file(path: str, parse):
     try:
         return parse(text)
     except HsacError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
-def _read_raster(hdr_path: str) -> RadianceCube:
-    """read_cube of the raster whose header is `hdr_path`; its errors name
-    the header."""
-    try:
-        return read_cube(hdr_path[: -len(".hdr")])
-    except SchemaViolation:
-        raise  # read_text names the file
-    except HsacError as exc:
-        raise type(exc)(f"{hdr_path}: {exc}") from exc
+        raise HsacError(f"{path}: {exc}") from exc
 
 
 def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
     xml_path = _find_one(input_path, "*.xml", "metadata XML")
     metadata = _parse_file(xml_path, parse_scene_metadata)
     hdr_path = _find_one(input_path, "*.hdr", "raster header")
-    cube = _read_raster(hdr_path)
+    # the pipeline global, as perfbench traces hsac.pipeline.read_cube
+    cube = read_cube(hdr_path[: -len(".hdr")])
     if cube.data.dtype != np.float32:
-        raise UnsupportedDataType(
+        raise HsacError(
             f"{hdr_path}: data type {cube.data.dtype} is not float32 radiance; "
             "calibrate the DN to radiance before running hsac"
         )
     if not math.isfinite(cube.nodata_value):
-        raise OutOfRange(
-            f"{hdr_path}: data ignore value {cube.nodata_value} is not finite"
-        )
+        raise HsacError(f"{hdr_path}: data ignore value {cube.nodata_value} is not finite")
     indices = [b.index for b in metadata.bands]
     expected = range(cube.n_bands)
     if indices != list(expected):
@@ -225,16 +203,16 @@ def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
             "unexpected": sorted(set(indices) - set(expected)),
             "duplicated": sorted(i for i, n in Counter(indices).items() if n > 1),
         }
-        raise LengthMismatch(
+        raise HsacError(
             f"{xml_path}: {len(indices)} <band> elements for {cube.n_bands} raster bands; "
             f"band indices must be 0..{cube.n_bands - 1}: "
             + ", ".join(f"{k} {v}" for k, v in problems.items() if v)
         )
     if not indices:
-        raise MissingBand(f"{xml_path}: no <band> elements")
+        raise HsacError(f"{xml_path}: no <band> elements")
     for band, listed in zip(metadata.bands, cube.wavelengths or ()):
         if not abs(listed - band.center_wavelength) <= band.fwhm / 2:  # NaN too
-            raise HeaderPayloadMismatch(
+            raise HsacError(
                 f"{hdr_path}: wavelength {listed} nm of band {band.index} is more than half "
                 f"its FWHM ({band.fwhm} nm) from its centre {band.center_wavelength} nm "
                 f"in {xml_path}"
@@ -536,7 +514,12 @@ def compare_against_reference(
     pixel: tuple[int, int],
 ) -> dict:
     """Compare the exported R_rs product at one pixel against reference CSVs."""
-    derived = pixel_spectrum(_read_raster(os.path.join(product_dir, "r_rs.hdr")), *pixel)
+    r_rs = os.path.join(product_dir, "r_rs")
+    cube = read_cube(r_rs)
+    try:
+        derived = pixel_spectrum(cube, *pixel)
+    except HsacError as exc:
+        raise HsacError(f"{r_rs}.hdr: {exc}") from exc
     reports = []
     per_reference = {}
     paths = {}

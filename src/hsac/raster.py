@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    HeaderPayloadMismatch,
-    IoFailure,
-    SchemaViolation,
-    UnsupportedDataType,
-    UnsupportedInterleave,
-)
+from .errors import HsacError, IoFailure
 
 # nodata of every product raster, whatever the input's, and far from any
 # rho_w; also a cube's when its header names none
@@ -81,7 +75,7 @@ def parse_envi_header(text: str) -> dict:
             while "}" not in value:
                 more = next(lines, None)
                 if more is None:
-                    raise HeaderPayloadMismatch(f"header field {key!r}: '{{' is never closed")
+                    raise HsacError(f"header field {key!r}: '{{' is never closed")
                 value += " " + more.strip()
             inner = value[value.index("{") + 1 : value.index("}")]
             fields[key] = [v.strip() for v in inner.split(",") if v.strip()]
@@ -91,43 +85,52 @@ def parse_envi_header(text: str) -> dict:
 
 
 def _header_field(fields: dict, key: str, cast=int, default=None):
-    """`cast` of a header field, or `default` when it is absent;
-    HeaderPayloadMismatch names a field that is missing or of the wrong type."""
+    """`cast` of a header field, or `default` when it is absent; the error
+    names a field that is missing or of the wrong type."""
     value = fields.get(key, default)
     if value is None:
-        raise HeaderPayloadMismatch(f"header missing field {key!r}")
+        raise HsacError(f"header missing field {key!r}")
     try:
         return cast(value)
     except (TypeError, ValueError):
         kind = "an integer" if cast is int else "a number"
-        raise HeaderPayloadMismatch(f"header field {key!r} is not {kind}: {value!r}") from None
+        raise HsacError(f"header field {key!r} is not {kind}: {value!r}") from None
 
 
 def read_cube(base_path: str) -> RadianceCube:
-    """Map `base_path`.hdr + `base_path`.img (or `base_path` raw) read-only."""
+    """Map `base_path`.hdr + `base_path`.img (or `base_path` raw) read-only.
+    Every error it raises names the header."""
+    header = base_path + ".hdr"
+    text = read_text(header)  # names the file itself
+    try:
+        return _map_cube(parse_envi_header(text), base_path)
+    except HsacError as exc:
+        raise HsacError(f"{header}: {exc}") from exc
+
+
+def _map_cube(fields: dict, base_path: str) -> RadianceCube:
     img = base_path + ".img" if os.path.exists(base_path + ".img") else base_path
-    fields = parse_envi_header(read_text(base_path + ".hdr"))
     samples, lines, bands = sizes = [_header_field(fields, key) for key in SIZE_FIELDS]
     for key, n in zip(SIZE_FIELDS, sizes):
         if n < 0:
-            raise HeaderPayloadMismatch(f"header field {key!r} must be an integer >= 0, got {n}")
+            raise HsacError(f"header field {key!r} must be an integer >= 0, got {n}")
     dtype_code = _header_field(fields, "data type")
     interleave = _header_field(fields, "interleave", str).lower()
 
     if dtype_code not in _DTYPE_CODES:
-        raise UnsupportedDataType(f"data type {dtype_code} not in {sorted(_DTYPE_CODES)}")
+        raise HsacError(f"data type {dtype_code} not in {sorted(_DTYPE_CODES)}")
     if interleave not in ("bsq", "bil"):
-        raise UnsupportedInterleave(f"interleave {interleave!r} not in {{bsq, bil}}")
+        raise HsacError(f"interleave {interleave!r} not in {{bsq, bil}}")
     if (byte_order := _header_field(fields, "byte order", default=0)) != 0:
-        raise UnsupportedDataType(f"byte order {byte_order}: only 0 (little-endian)")
+        raise HsacError(f"byte order {byte_order}: only 0 (little-endian)")
     if (header_offset := _header_field(fields, "header offset", default=0)) != 0:
-        raise HeaderPayloadMismatch(f"header offset {header_offset}: only 0")
+        raise HsacError(f"header offset {header_offset}: only 0")
 
     dtype = _DTYPE_CODES[dtype_code]
     expected = samples * lines * bands * dtype.itemsize
     size = os.path.getsize(img)
     if size != expected:
-        raise HeaderPayloadMismatch(f"payload is {size} bytes, header implies {expected}")
+        raise HsacError(f"payload is {size} bytes, header implies {expected}")
 
     if expected:
         # a plain ndarray view: slicing it skips the memmap subclass's overhead
@@ -144,16 +147,14 @@ def read_cube(base_path: str) -> RadianceCube:
     if "wavelength" in fields:
         listed = fields["wavelength"]
         if not isinstance(listed, list) or len(listed) != bands:
-            raise HeaderPayloadMismatch(
+            raise HsacError(
                 f"header field 'wavelength' must be a {{...}} list of {bands} values, "
                 f"got {listed!r}"
             )
         units = _header_field(fields, "wavelength units", str, "nanometers")
         nm_per_unit = _NM_PER_UNIT.get(units.lower())
         if nm_per_unit is None:
-            raise HeaderPayloadMismatch(
-                f"wavelength units {units!r}: only nanometers or micrometers"
-            )
+            raise HsacError(f"wavelength units {units!r}: only nanometers or micrometers")
         wavelengths = _header_field(fields, "wavelength",
                                     lambda ws: tuple(float(w) * nm_per_unit for w in ws))
     return RadianceCube(data=data, nodata_value=nodata, wavelengths=wavelengths)
@@ -169,9 +170,9 @@ def format_envi_header(
     """Header of a (bands, rows, cols) raster."""
     dtype_code = _CODE_FOR_DTYPE.get(np.dtype(dtype))
     if dtype_code is None:
-        raise UnsupportedDataType(f"cannot write dtype {dtype}")
+        raise HsacError(f"cannot write dtype {dtype}")
     if interleave not in ("bsq", "bil"):
-        raise UnsupportedInterleave(interleave)
+        raise HsacError(f"interleave {interleave!r} not in {{bsq, bil}}")
     bands, rows, cols = shape
     lines = [
         "ENVI",
@@ -236,7 +237,7 @@ class CubeWriter:
         """Write rows[k, i] as row r0 + i of band k0 + k: for BSQ one pwrite
         per band, or one for a block of whole bands; one per row for BIL."""
         if rows.dtype != self.dtype:
-            raise UnsupportedDataType(f"rows are {rows.dtype}, the raster is {self.dtype}")
+            raise HsacError(f"rows are {rows.dtype}, the raster is {self.dtype}")
         bands, n_rows, n_cols = self.shape
         row_bytes = n_cols * self.dtype.itemsize
         try:
@@ -266,12 +267,12 @@ class CubeWriter:
 
 def read_text(path: str) -> str:
     """The text of the UTF-8 file at `path`, without a leading byte-order
-    mark; other bytes are a SchemaViolation naming the file."""
+    mark; other bytes are an error naming the file."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise SchemaViolation(f"{path}: not UTF-8 text: {exc}") from exc
+        raise HsacError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def replace_with_text(path: str, text: str) -> None:

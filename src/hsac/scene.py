@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDate, MalformedXml, MissingField, OutOfRange
+from .errors import HsacError
 
 STATE_KEYS = ("aod550", "tcwv", "tco3")
 # the spectral support, in nm, of every band centre and of the bundled tables
@@ -27,7 +27,7 @@ WAVELENGTH_MAX = 2600.0
 def check_state_value(name: str, value: float) -> None:
     """The one range rule for an atmospheric-state value: finite and >= 0."""
     if not 0.0 <= value < math.inf:
-        raise OutOfRange(f"{name} must be finite and non-negative, got {value}")
+        raise HsacError(f"{name} must be finite and non-negative, got {value}")
 
 
 def check_angles(sza: float, saa: float, vza: float, vaa: float) -> None:
@@ -36,7 +36,7 @@ def check_angles(sza: float, saa: float, vza: float, vaa: float) -> None:
     for name, value, top in (("sza", sza, 90), ("vza", vza, 90),
                              ("saa", saa, 360), ("vaa", vaa, 360)):
         if not 0.0 <= value < top:
-            raise OutOfRange(f"{name} {value} outside [0, {top})")
+            raise HsacError(f"{name} {value} outside [0, {top})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +55,9 @@ class BandDefinition:
 
     def __post_init__(self):
         if not 0.0 < self.fwhm < math.inf:
-            raise OutOfRange(f"band {self.index}: fwhm must be finite and > 0, got {self.fwhm}")
+            raise HsacError(f"band {self.index}: fwhm must be finite and > 0, got {self.fwhm}")
         if not WAVELENGTH_MIN <= self.center_wavelength <= WAVELENGTH_MAX:
-            raise OutOfRange(
+            raise HsacError(
                 f"band {self.index}: center wavelength {self.center_wavelength} nm "
                 f"outside [{WAVELENGTH_MIN:g}, {WAVELENGTH_MAX:g}]"
             )
@@ -74,8 +74,8 @@ SRF_RULE_MESSAGES = (
 def check_measured_srfs(bands) -> None:
     """The one rule for measured SRF samples, run over all bands at once:
     finite, wavelengths strictly increasing (np.interp needs them so), no
-    negative response and a positive maximum. Raises OutOfRange for the
-    first band, in the given order, that breaks it."""
+    negative response and a positive maximum. The error names the first
+    band, in the given order, that breaks it."""
     measured = [b for b in bands if b.srf is not None]
     if not measured:
         return
@@ -96,7 +96,7 @@ def check_measured_srfs(bands) -> None:
     if fails.any():
         first = int(np.flatnonzero(fails.any(axis=0))[0])
         message = SRF_RULE_MESSAGES[int(np.argmax(fails[:, first]))]
-        raise OutOfRange(f"band {measured[first].index}: {message}")
+        raise HsacError(f"band {measured[first].index}: {message}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class SceneMetadata:
             )
         centers = [b.center_wavelength for b in self.bands]
         if any(b <= a for a, b in zip(centers, centers[1:])):
-            raise OutOfRange("band center wavelengths must be strictly increasing")
+            raise HsacError("band center wavelengths must be strictly increasing")
         check_measured_srfs(self.bands)
 
 
@@ -148,7 +148,7 @@ class SolarDistanceFactor:
 def compute_julian_day(date: _dt.date) -> int:
     """Day of year in [1, 366], leap years included."""
     if not isinstance(date, _dt.date):
-        raise InvalidDate(f"not a calendar date: {date!r}")
+        raise HsacError(f"not a calendar date: {date!r}")
     return date.timetuple().tm_yday
 
 
@@ -159,27 +159,39 @@ def earth_sun_distance(julian_day: int) -> SolarDistanceFactor:
     ephemeris tables, minimum near perihelion (J=4).
     """
     if not 1 <= julian_day <= 366:
-        raise OutOfRange(f"julian day {julian_day} outside [1, 366]")
+        raise HsacError(f"julian day {julian_day} outside [1, 366]")
     d_au = 1.0 - 0.01672 * math.cos(math.radians(0.9856 * (julian_day - 4)))
     return SolarDistanceFactor(julian_day=julian_day, d_au=d_au, d_squared=d_au * d_au)
+
+
+def iso_date(text) -> _dt.date | None:
+    """The date that `text` writes as YYYY-MM-DD, else None: the one date
+    rule of the scene metadata and the catalogue. date.fromisoformat alone
+    also takes 20240724 and 2024-W30-3, but only on Python 3.11 and later."""
+    try:
+        date = _dt.date.fromisoformat(text)
+    except (TypeError, ValueError):
+        return None
+    return date if date.isoformat() == text else None
 
 
 def _text_of(root: ET.Element, tag: str) -> str:
     node = root.find(tag)
     if node is None or node.text is None or not node.text.strip():
-        raise MissingField(tag)
+        raise HsacError(f"missing element <{tag}>")
     return node.text.strip()
 
 
-def _float_of(root: ET.Element, tag: str) -> float:
-    value = _optional_float(root, tag)
+def _float_of(root: ET.Element, tag: str, where: str = "") -> float:
+    value = _optional_float(root, tag, where)
     if value is None:
-        raise MissingField(tag)
+        raise HsacError(f"{where}missing element <{tag}>")
     return value
 
 
-def _optional_float(root: ET.Element, tag: str) -> float | None:
-    """The number in element <tag>, None when it is absent or blank."""
+def _optional_float(root: ET.Element, tag: str, where: str = "") -> float | None:
+    """The number in element <tag>, None when it is absent or blank; `where`
+    prefixes an error's message, as "band 3: " does for a band's elements."""
     node = root.find(tag)
     text = node.text.strip() if node is not None and node.text else ""
     if not text:
@@ -187,7 +199,7 @@ def _optional_float(root: ET.Element, tag: str) -> float | None:
     try:
         return float(text)
     except ValueError as exc:
-        raise MalformedXml(f"element <{tag}> is not a number: {text!r}") from exc
+        raise HsacError(f"{where}element <{tag}> is not a number: {text!r}") from exc
 
 
 def _parse_srfs(indices: list[int], nodes: list[ET.Element | None]) -> list[np.ndarray | None]:
@@ -196,7 +208,7 @@ def _parse_srfs(indices: list[int], nodes: list[ET.Element | None]) -> list[np.n
     tokens = [None if node is None else (node.text or "").split() for node in nodes]
     for index, band_tokens in zip(indices, tokens):
         if band_tokens is not None and len(band_tokens) % 2 != 0:
-            raise MalformedXml(f"band {index}: srf needs wavelength/response pairs")
+            raise HsacError(f"band {index}: srf needs wavelength/response pairs")
     try:
         values = np.array(list(itertools.chain.from_iterable(filter(None, tokens))),
                           dtype=np.float64)
@@ -205,7 +217,7 @@ def _parse_srfs(indices: list[int], nodes: list[ET.Element | None]) -> list[np.n
             try:
                 np.array(band_tokens or [], dtype=np.float64)
             except ValueError as exc:
-                raise MalformedXml(f"band {index}: <srf> token is not a number ({exc})") from exc
+                raise HsacError(f"band {index}: <srf> token is not a number ({exc})") from exc
         raise
     values.flags.writeable = False
     pairs = values.reshape(-1, 2)
@@ -218,13 +230,11 @@ def _solar_zenith(root: ET.Element) -> float:
     zen = _optional_float(root, "sunZenith")
     elev = _optional_float(root, "sunElevation")
     if zen is None and elev is None:
-        raise MissingField("sunZenith")
+        raise HsacError("missing element <sunZenith> (or <sunElevation>)")
     if elev is not None:
         from_elev = 90.0 - elev
         if zen is not None and abs(zen - from_elev) > 0.01:
-            raise OutOfRange(
-                f"sunZenith {zen} inconsistent with sunElevation {elev}"
-            )
+            raise HsacError(f"sunZenith {zen} inconsistent with sunElevation {elev}")
         if zen is None:
             return from_elev
     return zen  # type: ignore[return-value]
@@ -233,25 +243,26 @@ def _solar_zenith(root: ET.Element) -> float:
 def parse_scene_metadata(xml_document: str) -> SceneMetadata:
     """Parse a scene XML document into a SceneMetadata.
 
-    Raises MalformedXml for unparseable documents, MissingField naming any
-    absent mandatory element, OutOfRange for invariant violations.
+    The error says what is wrong: a document that is not well-formed XML,
+    a mandatory element that is missing, or a value that is malformed or
+    out of its range.
     """
     try:
         root = ET.fromstring(xml_document)
     except ET.ParseError as exc:
-        raise MalformedXml(str(exc)) from exc
+        raise HsacError(f"not well-formed XML: {exc}") from exc
 
     date_text = _text_of(root, "acquisitionDate")
-    try:
-        acq_date = _dt.date.fromisoformat(date_text)
-    except ValueError as exc:
-        raise InvalidDate(f"acquisitionDate {date_text!r}") from exc
+    acq_date = iso_date(date_text)
+    if acq_date is None:
+        raise HsacError(f"<acquisitionDate> {date_text!r} is not a YYYY-MM-DD date")
 
     time_text = _text_of(root, "acquisitionTime")
     try:
         t = _dt.time.fromisoformat(time_text)
     except ValueError as exc:
-        raise MalformedXml(f"acquisitionTime {time_text!r}") from exc
+        raise HsacError(f"<acquisitionTime> {time_text!r} is not a time of day "
+                        "(HH:MM:SS)") from exc
     seconds = t.hour * 3600 + t.minute * 60 + t.second + t.microsecond / 1e6
 
     sza = _solar_zenith(root)
@@ -265,18 +276,18 @@ def parse_scene_metadata(xml_document: str) -> SceneMetadata:
     for node in band_nodes:
         idx_text = node.get("index")
         if idx_text is None:
-            raise MissingField("band/@index")
+            raise HsacError("a <band> element has no index attribute")
         try:
             indices.append(int(idx_text))
         except ValueError as exc:
-            raise MalformedXml(f"band/@index is not an integer: {idx_text!r}") from exc
+            raise HsacError(f"band/@index is not an integer: {idx_text!r}") from exc
     srfs = _parse_srfs(indices, [node.find("srf") for node in band_nodes])
     bands = sorted(
         (
             BandDefinition(
                 index=index,
-                center_wavelength=_float_of(node, "centerWavelength"),
-                fwhm=_float_of(node, "fwhm"),
+                center_wavelength=_float_of(node, "centerWavelength", f"band {index}: "),
+                fwhm=_float_of(node, "fwhm", f"band {index}: "),
                 srf=srf,
             )
             for index, node, srf in zip(indices, band_nodes, srfs)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageGap, GridMismatch, InvalidRange
+from .errors import HsacError
 from .scene import WAVELENGTH_MAX, WAVELENGTH_MIN, BandDefinition
 
 # The bundled tables are tabulated at 340 + 2.5 k nm, so a grid anchored at
@@ -26,14 +26,12 @@ class SpectralGrid:
 
     def __post_init__(self):
         if self.start >= self.stop:
-            raise InvalidRange(f"start {self.start} must be < stop {self.stop}")
+            raise HsacError(f"start {self.start} must be < stop {self.stop}")
         if self.step <= 0:
-            raise InvalidRange(f"step must be > 0, got {self.step}")
+            raise HsacError(f"step must be > 0, got {self.step}")
         n = (self.stop - self.start) / self.step
         if abs(n - round(n)) > 1e-9:
-            raise InvalidRange(
-                f"(stop - start)/step = {n} is not an integer point count"
-            )
+            raise HsacError(f"(stop - start)/step = {n} is not an integer point count")
 
     @property
     def n_points(self) -> int:
@@ -130,12 +128,12 @@ def srf_table(bands: list[BandDefinition], grid: SpectralGrid) -> SRFTable:
     for b in np.flatnonzero(measured):
         band = bands[b]
         if last[b] < start[b]:
-            raise GridMismatch(
+            raise HsacError(
                 f"band {band.index}: measured SRF support does not reach any grid point"
             )
         resp = np.interp(wavelengths[start[b]:last[b] + 1], band.srf[:, 0], band.srf[:, 1])
         if resp.max() <= 0:
-            raise GridMismatch(f"band {band.index}: resampled SRF is all zero")
+            raise HsacError(f"band {band.index}: resampled SRF is all zero")
         responses[b, :length[b]] = resp
     return SRFTable(responses, start, length)
 
@@ -175,9 +173,9 @@ def resample_reference_spectrum(reference, grid: SpectralGrid) -> np.ndarray:
     """
     wl, values = np.asarray(reference, dtype=np.float64).T
     if np.any(np.diff(wl) <= 0):
-        raise InvalidRange("reference wavelengths must be strictly increasing")
+        raise HsacError("reference wavelengths must be strictly increasing")
     if grid.start < wl[0] - 1e-9 or grid.stop > wl[-1] + 1e-9:
-        raise CoverageGap(
+        raise HsacError(
             f"grid [{grid.start}, {grid.stop}] exceeds reference support "
             f"[{wl[0]}, {wl[-1]}]"
         )

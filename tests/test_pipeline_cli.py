@@ -466,6 +466,34 @@ class TestRunEndToEnd:
         for name in ("rho_w.img", "r_rs.img", "band_params.csv"):
             assert (replay / name).read_bytes() == (analytic / name).read_bytes(), name
 
+    def test_srf_all_zero_on_the_grid_fails_rtm(self, scene_dir, tmp_path, capsys):
+        # the one grid point inside the support, 650 nm, interpolates to 0
+        xml = scene_dir / "scene.xml"
+        xml.write_text(xml.read_text().replace(
+            "<centerWavelength>650.0</centerWavelength><fwhm>6.5</fwhm>",
+            "<centerWavelength>650.0</centerWavelength><fwhm>6.5</fwhm>"
+            "<srf>650.0 0.0 651.0 1.0 652.0 0.0</srf>"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 4
+        message = "band 5: resampled SRF is all zero"
+        assert capsys.readouterr().err == f"hsac run failed: stage rtm: {message}\n"
+        report = json.loads((out / "report.json").read_text())
+        assert report["failure_stage"] == "rtm"
+        assert report["error"] == message
+
+    def test_table_with_blank_lines_replays(self, scene_dir, tmp_path):
+        analytic, replay = tmp_path / "analytic", tmp_path / "replay"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
+        table = tmp_path / "table.csv"
+        lines = (analytic / "band_params.csv").read_text().splitlines()
+        table.write_text("\n\n".join(lines) + "\n\n")
+        assert cli.main([
+            "run", "--input", str(scene_dir), "--output", str(replay),
+            "--provider", "table", "--params-table", str(table),
+        ]) == 0
+        for name in ("rho_w.img", "r_rs.img", "band_params.csv"):
+            assert (replay / name).read_bytes() == (analytic / name).read_bytes(), name
+
     def test_table_with_a_byte_order_mark_replays(self, scene_dir, tmp_path):
         analytic, replay = tmp_path / "analytic", tmp_path / "replay"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
@@ -603,7 +631,9 @@ class TestRunEndToEnd:
         path.write_bytes(text[:20] + b"\xff" + text[20:])
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
-        assert f"{path}: not UTF-8 text: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text: " in err
+        assert err.count(str(path)) == 1
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
 
     @pytest.mark.parametrize("edit,message", [
@@ -624,14 +654,37 @@ class TestRunEndToEnd:
         assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda xml: re.sub(r"\s*<sunZenith>.*</sunZenith>", "", xml), "sunZenith"),
+        (lambda xml: re.sub(r"\s*<sunZenith>.*</sunZenith>", "", xml),
+         "missing element <sunZenith> (or <sunElevation>)"),
         (lambda xml: xml.replace("<sunAzimuth>145.0", "<sunAzimuth>south"),
          "element <sunAzimuth> is not a number: 'south'"),
         (lambda xml: xml.replace("<aod550>0.12", "<aod550>hazy"),
          "element <aod550> is not a number: 'hazy'"),
-        (lambda xml: xml.replace('<band index="2">', "<band>"), "band/@index"),
+        (lambda xml: xml.replace('<band index="2">', "<band>"),
+         "a <band> element has no index attribute"),
+        (lambda xml: re.sub(r"\s*<sunAzimuth>.*</sunAzimuth>", "", xml),
+         "missing element <sunAzimuth>"),
+        (lambda xml: re.sub(r"\s*<acquisitionDate>.*</acquisitionDate>", "", xml),
+         "missing element <acquisitionDate>"),
+        (lambda xml: re.sub(r"\s*<acquisitionTime>.*</acquisitionTime>", "", xml),
+         "missing element <acquisitionTime>"),
+        (lambda xml: xml.replace("2024-07-24", "2024-13-01"),
+         "<acquisitionDate> '2024-13-01' is not a YYYY-MM-DD date"),
+        # ISO 8601 forms that date.fromisoformat takes on Python 3.11 and later only
+        (lambda xml: xml.replace("2024-07-24", "20240724"),
+         "<acquisitionDate> '20240724' is not a YYYY-MM-DD date"),
+        (lambda xml: xml.replace("2024-07-24", "2024-W30-3"),
+         "<acquisitionDate> '2024-W30-3' is not a YYYY-MM-DD date"),
+        (lambda xml: xml.replace("11:01:54", "25:00:00"),
+         "<acquisitionTime> '25:00:00' is not a time of day (HH:MM:SS)"),
+        (lambda xml: re.sub(r'(<band index="2">.*?)<fwhm>6.5</fwhm>', r"\1", xml),
+         "band 2: missing element <fwhm>"),
+        (lambda xml: xml.replace("<scene>", "<scene>&bogus;"),
+         "not well-formed XML: undefined entity: line 1, column 7"),
     ], ids=["no_sun_zenith_or_elevation", "sun_azimuth_not_a_number",
-            "aod550_not_a_number", "band_without_index"])
+            "aod550_not_a_number", "band_without_index", "no_sun_azimuth",
+            "no_acquisition_date", "no_acquisition_time", "month_13", "date_basic_format",
+            "date_week_format", "hour_25", "band_without_fwhm", "not_well_formed"])
     def test_malformed_scene_xml_exits_3_naming_the_file(self, scene_dir, tmp_path, capsys,
                                                          edit, message):
         xml = scene_dir / "scene.xml"
@@ -853,9 +906,10 @@ class TestRunEndToEnd:
         lambda entry: {**entry, "value": -0.1},
         lambda entry: {**entry, "date": "2024-7-24"},
         lambda entry: {**entry, "bbox": [180, -90, -180, 90]},
+        lambda entry: {**entry, "date": "20240724"},
     ], ids=["missing_date", "value_not_a_number", "bbox_of_three", "not_an_object",
             "nan_in_bbox", "infinity_in_bbox", "infinite_value", "value_beyond_float",
-            "negative_value", "date_not_iso", "bbox_inverted"])
+            "negative_value", "date_not_iso", "bbox_inverted", "date_basic_format"])
     def test_malformed_catalogue_entry_exits_4(self, scene_dir, tmp_path, capsys, edit):
         catalogue = write_catalogue(tmp_path)
         entries = json.loads(catalogue.read_text())
@@ -1156,6 +1210,32 @@ class TestCompareCli:
         assert code == 3
         assert "'wavelength'" in capsys.readouterr().err
 
+    def test_product_without_wavelengths_exits_3_naming_the_header(self, scene_dir, tmp_path,
+                                                                    capsys):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        header = out / "r_rs.hdr"
+        header.write_text(re.sub(r"wavelength = \{.*\}\n", "", header.read_text(),
+                                 flags=re.DOTALL))
+        capsys.readouterr()
+        code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
+                         "--pixel", "2,3"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"hsac compare failed: {header}: product header lacks a "
+                                "wavelength list\n")
+        assert captured.out == ""
+
+    def test_reference_with_blank_lines(self, scene_dir, tmp_path, capsys):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        argv = ["compare", "--product", str(out), "--pixel", "2,3", "--reference"]
+        capsys.readouterr()
+        assert cli.main([*argv, str(ref)]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n" + "\n\n  \n".join(ref.read_text().splitlines()) + "\n\n")
+        assert cli.main([*argv, str(spaced)]) == 0
+        assert json.loads(capsys.readouterr().out) == plain
+
     def test_product_header_error_names_the_header_once(self, scene_dir, tmp_path, capsys):
         out, ref = self._run_and_reference(scene_dir, tmp_path)
         header = out / "r_rs.hdr"
@@ -1280,6 +1360,15 @@ class TestSelfTest:
     def test_cli_self_test_exit_zero(self, capsys):
         assert cli.main(["self-test"]) == 0
         assert "self-test PASS" in capsys.readouterr().out
+
+    def test_cli_self_test_set_up_error_exits_5(self, monkeypatch, capsys):
+        # a solar spectrum that does not cover the simulation grid
+        monkeypatch.setattr(pipeline, "load_solar_irradiance",
+                            lambda: np.array([[400.0, 1.0], [500.0, 1.0]]))
+        assert cli.main(["self-test"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("self-test failed: grid [")
+        assert err.endswith("] exceeds reference support [400.0, 500.0]\n")
 
     def test_cli_self_test_has_no_output(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hsac.errors import CoverageGap, InvalidRange
+from hsac.errors import HsacError
 from hsac.scene import BandDefinition
 from hsac.spectral import (
     SpectralGrid,
@@ -42,11 +42,12 @@ class TestBuildGrid:
         assert SpectralGrid(420, 2450, 2.5).n_points == 813
 
     def test_invalid_range(self):
-        with pytest.raises(InvalidRange):
+        with pytest.raises(HsacError, match="^start 500 must be < stop 400$"):
             SpectralGrid(500, 400, 2.5)
 
     def test_non_integer_count(self):
-        with pytest.raises(InvalidRange):
+        with pytest.raises(HsacError, match=r"^\(stop - start\)/step = 3\.33+\d* is not an integer "
+                                               "point count$"):
             SpectralGrid(400, 401, 0.3)
 
 
@@ -321,5 +322,6 @@ class TestResampleReference:
 
     def test_coverage_gap(self):
         grid = SpectralGrid(400, 600, 2.5)
-        with pytest.raises(CoverageGap):
+        with pytest.raises(HsacError, match=r"^grid \[400, 600\] exceeds reference support "
+                                               r"\[450\.0, 550\.0\]$"):
             resample_reference_spectrum([(450.0, 1.0), (550.0, 2.0)], grid)
