@@ -192,11 +192,10 @@ def invert_cube(
     pixels are NODATA in it, each counted once, in that order (see
     `_finish_block`).
 
-    With n = min(workers, row tiles) > 1 the tasks run in n forked worker
-    processes (see `_in_workers`), so `write` then runs in a child and must
-    write to a file descriptor or to shared memory (`shared_array`). With
-    one tile or one worker, without `os.fork`, or while another Python
-    thread is alive, they run in the calling process.
+    The calling process runs tiles 0, n, 2n, ... and n - 1 forked workers
+    the rest (`_in_workers`), n = min(workers, row tiles), or 1 without
+    `os.fork` or while another Python thread is alive. With n > 1 `write`
+    must write to a file descriptor or to shared memory (`shared_array`).
     Per-pixel arithmetic order is fixed, so the blocks are bit-identical for
     any worker count and block size.
     """
@@ -229,12 +228,9 @@ def invert_cube(
         return totals
 
     tiles = range(0, n_rows, ROW_TILE)
-    n = min(workers, len(tiles))
-    if n > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        totals = sum(_in_workers(run, tiles, n))
-    else:
-        totals = run(tiles)
-    return tuple(totals.tolist())
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    n = max(1, min(workers, len(tiles))) if forkable else 1
+    return tuple(sum(_in_workers(run, tiles, n)).tolist())
 
 
 def shared_array(shape: tuple[int, ...]) -> np.ndarray:
@@ -246,19 +242,17 @@ def shared_array(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _in_workers(run: Callable[[range], np.ndarray], tiles: range, n: int) -> list[np.ndarray]:
-    """The n worker processes' accounts, in worker order: worker k is forked,
-    runs tiles k, k+n, ... as run(tiles[k::n]) and sends that one account
-    back over its own pipe.
-
-    A worker's exception is raised here as its own type; a worker that ends
-    without a result (killed by a signal, say) is an HsacError. Every worker
-    is reaped before this returns or raises, and when one fails, or this
-    process is interrupted, the others are killed first."""
+    """The accounts run(tiles[k::n]) for k = 0 .. n-1, in that order: this
+    process forks workers 1 .. n-1, which send their account over their own
+    pipe, and then runs share 0 itself. A worker's exception is raised here
+    as its own type once share 0 has run; a worker that ends without a
+    result (killed by a signal, say) is an HsacError. Every worker is reaped
+    before this returns or raises, and when anything fails, or this process
+    is interrupted, the workers left are killed first."""
     pids: list[int] = []  # 0 once reaped
     pipes = []
-    accounts = []
     try:
-        for k in range(n):
+        for k in range(1, n):
             r, w = os.pipe()
             pipes.append(open(r, "rb"))
             try:
@@ -272,6 +266,7 @@ def _in_workers(run: Callable[[range], np.ndarray], tiles: range, n: int) -> lis
             finally:
                 os.close(w)  # in this process; a worker never leaves _worker
             pids.append(pid)
+        accounts = [run(tiles[0::n])]
         for k, pid in enumerate(pids):
             payload = pipes[k].read()
             status = os.waitpid(pid, 0)[1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as _dt
 import itertools
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -22,6 +23,9 @@ STATE_KEYS = ("aod550", "tcwv", "tco3")
 # the spectral support, in nm, of every band centre and of the bundled tables
 WAVELENGTH_MIN = 350.0
 WAVELENGTH_MAX = 2600.0
+# <acquisitionTime> is HH:MM:SS and an optional fraction of 1 to 6 digits on every
+# Python, unlike time.fromisoformat; [0-9], as \d takes any Unicode digit
+_TIME_OF_DAY = re.compile(r"([01][0-9]|2[0-3]):([0-5][0-9]):([0-5][0-9])(?:\.([0-9]{1,6}))?")
 
 
 def check_state_value(name: str, value: float) -> None:
@@ -258,12 +262,11 @@ def parse_scene_metadata(xml_document: str) -> SceneMetadata:
         raise HsacError(f"<acquisitionDate> {date_text!r} is not a YYYY-MM-DD date")
 
     time_text = _text_of(root, "acquisitionTime")
-    try:
-        t = _dt.time.fromisoformat(time_text)
-    except ValueError as exc:
-        raise HsacError(f"<acquisitionTime> {time_text!r} is not a time of day "
-                        "(HH:MM:SS)") from exc
-    seconds = t.hour * 3600 + t.minute * 60 + t.second + t.microsecond / 1e6
+    hms = _TIME_OF_DAY.fullmatch(time_text)
+    if not hms:
+        raise HsacError(f"<acquisitionTime> {time_text!r} is not a time of day (HH:MM:SS)")
+    seconds = (int(hms[1]) * 3600 + int(hms[2]) * 60 + int(hms[3])
+               + int((hms[4] or "").ljust(6, "0")) / 1e6)
 
     sza = _solar_zenith(root)
     saa = _float_of(root, "sunAzimuth")

@@ -143,7 +143,8 @@ def write_scene_dir(path: Path, metadata: SceneMetadata, cube: RadianceCube) -> 
     path.mkdir()
     (path / "scene.xml").write_text(
         "<scene>" + "".join(f"<{k}>{v}</{k}>" for k, v in fields.items())
-        + f"<bandCharacterisation>{bands}</bandCharacterisation></scene>"
+        + f"<bandCharacterisation>{bands}</bandCharacterisation></scene>",
+        encoding="utf-8",
     )
     write_cube(str(path / "radiance"),
                RadianceCube(data=cube.data.astype(np.float32), nodata_value=cube.nodata_value))

@@ -131,7 +131,7 @@ class TestGasTransmittance:
         from hsac.atmosphere import DATA_DIR
 
         table = np.loadtxt(
-            os.path.join(DATA_DIR, "gas_o3.csv"), delimiter=",", skiprows=1
+            os.path.join(DATA_DIR, "gas_o3.csv"), delimiter=",", skiprows=1, encoding="utf-8"
         )
         k600 = np.interp(600.0, table[:, 0], table[:, 1])
         expected = math.exp(-k600 * 0.3 * 2.0)
@@ -152,9 +152,8 @@ class TestGasTransmittance:
         from hsac.atmosphere import DATA_DIR
 
         m = 1.0 / math.cos(math.radians(30.0)) + 1.0
-        o3 = np.loadtxt(os.path.join(DATA_DIR, "gas_o3.csv"), delimiter=",", skiprows=1)
-        h2o = np.loadtxt(os.path.join(DATA_DIR, "gas_h2o.csv"), delimiter=",", skiprows=1)
-        o2 = np.loadtxt(os.path.join(DATA_DIR, "gas_o2.csv"), delimiter=",", skiprows=1)
+        o3, h2o, o2 = (np.loadtxt(os.path.join(DATA_DIR, f"gas_{gas}.csv"), delimiter=",",
+                                  skiprows=1, encoding="utf-8") for gas in ("o3", "h2o", "o2"))
         t_o3 = math.exp(-np.interp(550.0, o3[:, 0], o3[:, 1]) * 0.3 * m)
         a = np.interp(550.0, h2o[:, 0], h2o[:, 1])
         b = np.interp(550.0, h2o[:, 0], h2o[:, 2])

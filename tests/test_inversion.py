@@ -678,8 +678,9 @@ class TestFastPath:
 
 
 class TestWorkerProcesses:
-    """invert_cube forks min(workers, row tiles) worker processes, or runs
-    the row tiles in the calling process."""
+    """invert_cube shares the row tiles among n = min(workers, row tiles)
+    processes: it runs tiles 0, n, 2n, ... itself and forks n - 1 workers
+    for the rest."""
 
     @staticmethod
     def _cube(rows):
@@ -704,8 +705,8 @@ class TestWorkerProcesses:
         assert_no_child_process()
 
     def test_one_fork_per_worker_up_to_the_row_tiles(self, forks, monkeypatch):
-        # 130 rows are 3 row tiles, 64 rows 1
-        received = []  # the accounts the parent receives from its workers
+        # 130 rows are 3 row tiles, 64 rows 1, 0 rows none
+        received = []  # the accounts of the caller's share and of its workers
         in_workers = inversion._in_workers
 
         def recorded(*args):
@@ -714,7 +715,8 @@ class TestWorkerProcesses:
             return accounts
 
         monkeypatch.setattr(inversion, "_in_workers", recorded)
-        for rows, expected in ((130, {1: 0, 2: 2, 3: 3, 8: 3}), (64, {1: 0, 2: 0, 8: 0})):
+        for rows, expected in ((130, {1: 0, 2: 1, 3: 2, 8: 2}), (64, {1: 0, 2: 0, 8: 0}),
+                               (0, {1: 0, 8: 0})):
             cube, table = self._cube(rows)
             products = []
             for workers, n_forks in expected.items():
@@ -722,8 +724,8 @@ class TestWorkerProcesses:
                 received.clear()
                 products.append(invert_in_memory(cube, 1.0, table, 0.01, workers=workers))
                 assert len(forks) == n_forks, (rows, workers)
-                # one account a worker, whose sum is the run's
-                assert [len(accounts) for accounts in received] == [n_forks] * bool(n_forks)
+                # one account a process, whose sum is the run's
+                assert [len(accounts) for accounts in received] == [n_forks + 1]
                 for accounts in received:
                     assert all(a.shape == (4,) for a in accounts)
                     assert tuple(sum(accounts).tolist()) == products[-1][1]
@@ -732,10 +734,29 @@ class TestWorkerProcesses:
                 assert other_rho_w.tobytes() == rho_w.tobytes()
                 assert other_account == account
 
+    def test_the_caller_runs_share_0_and_the_workers_the_rest(self, forks):
+        # 130 rows are the row tiles 0, 64 and 128
+        cube, table = self._cube(130)
+        parent = os.getpid()
+        expected = {1: ([0, 64, 128], []), 2: ([0, 128], [64]), 3: ([0], [64, 128]),
+                    8: ([0], [64, 128])}
+        with PipeLog() as tiles:
+            def write(r0, k0, block):
+                tiles.send(r0 if os.getpid() == parent else ~r0)
+
+            for workers, (caller, forked) in expected.items():
+                forks.clear()
+                account = invert_cube(cube, 1.0, table, [0, 1, 2], write, workers=workers)
+                sent = tiles.take()
+                assert sorted(r for r in sent if r >= 0) == caller, workers
+                assert sorted(~r for r in sent if r < 0) == forked, workers
+                assert len(forks) == len(forked)
+                assert account[2] == 3 * 130 * 5  # every pixel is data
+
     def test_no_fork_while_another_thread_is_alive(self, forks):
         cube, table = self._cube(130)
         alone = invert_in_memory(cube, 1.0, table, 0.01, workers=8)
-        assert len(forks) == 3
+        assert len(forks) == 2
         forks.clear()
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
@@ -749,6 +770,16 @@ class TestWorkerProcesses:
         assert forks == []
         assert threaded[0].tobytes() == alone[0].tobytes()
         assert threaded[1] == alone[1]
+
+    def test_no_fork_without_os_fork(self, monkeypatch):
+        # a platform without os.fork runs every tile in the calling process
+        cube, table = self._cube(130)
+        forked = invert_in_memory(cube, 1.0, table, 0.01, workers=8)
+        assert_no_child_process()
+        monkeypatch.delattr(os, "fork")
+        alone = invert_in_memory(cube, 1.0, table, 0.01, workers=8)
+        assert alone[0].tobytes() == forked[0].tobytes()
+        assert alone[1] == forked[1]
 
     def test_fork_warning_of_newer_pythons_is_not_an_error(self, monkeypatch):
         # CPython >= 3.12 warns in the parent, once the child exists, when a
@@ -769,7 +800,7 @@ class TestWorkerProcesses:
         inline = invert_in_memory(cube, 1.0, table, 0.01, workers=1)
         monkeypatch.setattr(os, "fork", warning_fork)
         forked = invert_in_memory(cube, 1.0, table, 0.01, workers=2)
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert forked[0].tobytes() == inline[0].tobytes()
         assert forked[1] == inline[1]
         assert_no_child_process()

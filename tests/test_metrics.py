@@ -239,7 +239,7 @@ class TestReferenceFile:
     def test_load_with_label(self, tmp_path):
         path = tmp_path / "ref.csv"
         path.write_text(
-            "# label: site-A\nwavelength_nm,value\n400,0.01\n500,0.02\n"
+            "# label: site-A\nwavelength_nm,value\n400,0.01\n500,0.02\n", encoding="utf-8"
         )
         s = load_reference_spectrum(str(path))
         assert s.label == "site-A"
@@ -260,7 +260,7 @@ class TestReferenceFile:
             "minus_inf_wavelength", "minus_inf_value", "decreasing", "repeated"])
     def test_malformed_file_names_file_and_line(self, tmp_path, body, message):
         path = tmp_path / "ref.csv"
-        path.write_text("wavelength_nm,value\n" + body)
+        path.write_text("wavelength_nm,value\n" + body, encoding="utf-8")
         with pytest.raises(HsacError, match=message) as exc:
             load_reference_spectrum(str(path))
         assert str(path) in str(exc.value)

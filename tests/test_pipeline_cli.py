@@ -70,7 +70,7 @@ def scene_xml(centers=BAND_CENTERS) -> str:
 def make_scene_dir(path, centers=BAND_CENTERS, pixels=None, rows=6, cols=5):
     """A rows x cols scene; `pixels` maps (band, row, col) to a radiance to plant."""
     path.mkdir()
-    (path / "scene.xml").write_text(scene_xml(centers))
+    (path / "scene.xml").write_text(scene_xml(centers), encoding="utf-8")
     rng = np.random.default_rng(7)
     data = rng.uniform(0.05, 0.4, size=(len(centers), rows, cols)).astype(np.float32)
     for index, value in (pixels or {}).items():
@@ -92,12 +92,17 @@ def write_catalogue(tmp_path, aod550=0.21):
                                ("NCEP_RE/surface_wv", 1.4), ("TOMS/MERGED", 295.0))
     ]
     path = tmp_path / "aux.json"
-    path.write_text(json.dumps(entries))
+    path.write_text(json.dumps(entries), encoding="utf-8")
     return path
 
 
+def report_of(out: Path) -> dict:
+    """The report.json of the output directory `out`."""
+    return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+
 def read_params_table(path) -> dict[int, dict[str, float]]:
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
     return {int(row["band_index"]): row for row in rows}
@@ -275,14 +280,14 @@ class TestRunEndToEnd:
         # all six visible bands survive masking at the default threshold
         assert cube.n_bands == len(BAND_CENTERS)
         assert cube.wavelengths == BAND_CENTERS
-        mask_lines = (out / "band_mask.csv").read_text().splitlines()
+        mask_lines = (out / "band_mask.csv").read_text(encoding="utf-8").splitlines()
         assert len(mask_lines) == 1 + len(BAND_CENTERS)
         assert all(line.endswith(",valid") for line in mask_lines[1:])
 
     def test_report_contents(self, scene_dir, tmp_path):
         out = tmp_path / "out"
         cli.main(["run", "--input", str(scene_dir), "--output", str(out)])
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["scene_id"] == "FIXTURE-42"
         assert report["nyquist"]["overall"] is True
         assert report["provider"] == "analytic"
@@ -296,14 +301,14 @@ class TestRunEndToEnd:
         fields = {f.name for f in dataclasses.fields(ProcessingReport)}
         ok, failed = tmp_path / "ok", tmp_path / "failed"
         table = tmp_path / "bad.csv"
-        table.write_text("garbage\n")
+        table.write_text("garbage\n", encoding="utf-8")
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(ok)]) == 0
         assert cli.main([
             "run", "--input", str(scene_dir), "--output", str(failed),
             "--provider", "table", "--params-table", str(table),
         ]) == 4
         for out in (ok, failed):
-            assert set(json.loads((out / "report.json").read_text())) == fields
+            assert set(report_of(out)) == fields
 
     def test_divide_total_gas(self, tmp_path):
         # 500/560 nm: no absorber but ozone; 700/720/820 nm: water vapour and
@@ -340,7 +345,7 @@ class TestRunEndToEnd:
             cube = read_cube(str(out / name))
             assert np.all(np.isfinite(cube.data)), name
             np.testing.assert_array_equal(cube.data == cube.nodata_value, expected)
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["nonfinite_pixels"] == len(planted)
         assert report["degenerate_pixels"] == 0
 
@@ -350,17 +355,17 @@ class TestRunEndToEnd:
         scene = make_scene_dir(tmp_path / "scene", pixels=planted)
         analytic, replay = tmp_path / "analytic", tmp_path / "replay"
         assert cli.main(["run", "--input", str(scene), "--output", str(analytic)]) == 0
-        header, *rows = (analytic / "band_params.csv").read_text().splitlines()
+        header, *rows = (analytic / "band_params.csv").read_text(encoding="utf-8").splitlines()
         cells = rows[2].split(",")
         cells[header.split(",").index("s_atm")] = "0.0"
         rows[2] = ",".join(cells)
         table = tmp_path / "table.csv"
-        table.write_text("\n".join([header, *rows]) + "\n")
+        table.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
         assert cli.main([
             "run", "--input", str(scene), "--output", str(replay),
             "--provider", "table", "--params-table", str(table),
         ]) == 0
-        report = json.loads((replay / "report.json").read_text())
+        report = report_of(replay)
         assert report["nonfinite_pixels"] == len(planted)
         assert report["degenerate_pixels"] == 0
         expected = np.zeros((len(BAND_CENTERS), 6, 5), dtype=bool)
@@ -380,7 +385,7 @@ class TestRunEndToEnd:
             cube = read_cube(str(out / name))
             assert cube.data.shape == (0, 6, 5), name
             assert (out / f"{name}.img").stat().st_size == 0
-        mask_lines = (out / "band_mask.csv").read_text().splitlines()[1:]
+        mask_lines = (out / "band_mask.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert len(mask_lines) == len(BAND_CENTERS)
         assert all(line.endswith(",masked_low_tg") for line in mask_lines)
 
@@ -400,7 +405,8 @@ class TestRunEndToEnd:
         analytic, replay = tmp_path / "analytic", tmp_path / "replay"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
         xml = scene_dir / "scene.xml"
-        xml.write_text(xml.read_text().replace("<aod550>0.12</aod550>", ""))
+        xml.write_text(xml.read_text(encoding="utf-8").replace("<aod550>0.12</aod550>", ""),
+                       encoding="utf-8")
         assert cli.main([
             "run", "--input", str(scene_dir), "--output", str(replay),
             "--provider", "table", "--params-table", str(analytic / "band_params.csv"),
@@ -408,14 +414,14 @@ class TestRunEndToEnd:
         for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img",
                      "band_mask.csv", "band_params.csv"):
             assert (replay / name).read_bytes() == (analytic / name).read_bytes(), name
-        assert json.loads((replay / "report.json").read_text())["atmospheric_state"] == {}
+        assert report_of(replay)["atmospheric_state"] == {}
 
     def test_table_replay_of_measured_srfs_is_byte_identical(self, scene_dir, tmp_path):
         xml = scene_dir / "scene.xml"
-        xml.write_text(xml.read_text().replace(
+        xml.write_text(xml.read_text(encoding="utf-8").replace(
             "<centerWavelength>530.0</centerWavelength><fwhm>6.5</fwhm>",
             "<centerWavelength>530.0</centerWavelength><fwhm>6.5</fwhm>"
-            "<srf>521 0.05 524.5 0.4 529 1.0 533.5 0.5 539 0.02</srf>", 1))
+            "<srf>521 0.05 524.5 0.4 529 1.0 533.5 0.5 539 0.02</srf>", 1), encoding="utf-8")
         analytic, replay = tmp_path / "analytic", tmp_path / "replay"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
         assert cli.main([
@@ -425,18 +431,18 @@ class TestRunEndToEnd:
         for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img",
                      "band_mask.csv", "band_params.csv"):
             assert (replay / name).read_bytes() == (analytic / name).read_bytes(), name
-        report = json.loads((analytic / "report.json").read_text())
+        report = report_of(analytic)
         assert report["srf_sources"] == {"gaussian": 5, "measured": 1}
 
     def test_nyquist_violation_warns_and_runs(self, scene_dir, tmp_path):
         xml = scene_dir / "scene.xml"
-        xml.write_text(xml.read_text().replace(
+        xml.write_text(xml.read_text(encoding="utf-8").replace(
             "<centerWavelength>560.0</centerWavelength><fwhm>6.5</fwhm>",
-            "<centerWavelength>560.0</centerWavelength><fwhm>4.0</fwhm>"))
+            "<centerWavelength>560.0</centerWavelength><fwhm>4.0</fwhm>"), encoding="utf-8")
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="violates the Nyquist criterion for 1 bands"):
             assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 0
-        assert json.loads((out / "report.json").read_text())["nyquist"] == {
+        assert report_of(out)["nyquist"] == {
             "step": 2.5, "overall": False, "violations": [2]}
 
     def test_srf_off_the_grid_fails_rtm_and_its_table_replays(self, scene_dir, tmp_path,
@@ -445,15 +451,15 @@ class TestRunEndToEnd:
         analytic = tmp_path / "analytic"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
         xml = scene_dir / "scene.xml"
-        xml.write_text(xml.read_text().replace(
+        xml.write_text(xml.read_text(encoding="utf-8").replace(
             "<centerWavelength>650.0</centerWavelength><fwhm>6.5</fwhm>",
             "<centerWavelength>650.0</centerWavelength><fwhm>6.5</fwhm>"
-            "<srf>2601 0.5 2605 1.0 2610 0.5</srf>"))
+            "<srf>2601 0.5 2605 1.0 2610 0.5</srf>"), encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 4
         assert "band 5: measured SRF support does not reach any grid point" \
             in capsys.readouterr().err
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == "rtm"
         assert report["srf_sources"] == {"gaussian": 5, "measured": 1}
         assert report["nyquist"]["overall"]
@@ -469,15 +475,15 @@ class TestRunEndToEnd:
     def test_srf_all_zero_on_the_grid_fails_rtm(self, scene_dir, tmp_path, capsys):
         # the one grid point inside the support, 650 nm, interpolates to 0
         xml = scene_dir / "scene.xml"
-        xml.write_text(xml.read_text().replace(
+        xml.write_text(xml.read_text(encoding="utf-8").replace(
             "<centerWavelength>650.0</centerWavelength><fwhm>6.5</fwhm>",
             "<centerWavelength>650.0</centerWavelength><fwhm>6.5</fwhm>"
-            "<srf>650.0 0.0 651.0 1.0 652.0 0.0</srf>"))
+            "<srf>650.0 0.0 651.0 1.0 652.0 0.0</srf>"), encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 4
         message = "band 5: resampled SRF is all zero"
         assert capsys.readouterr().err == f"hsac run failed: stage rtm: {message}\n"
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == "rtm"
         assert report["error"] == message
 
@@ -485,8 +491,8 @@ class TestRunEndToEnd:
         analytic, replay = tmp_path / "analytic", tmp_path / "replay"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
         table = tmp_path / "table.csv"
-        lines = (analytic / "band_params.csv").read_text().splitlines()
-        table.write_text("\n\n".join(lines) + "\n\n")
+        lines = (analytic / "band_params.csv").read_text(encoding="utf-8").splitlines()
+        table.write_text("\n\n".join(lines) + "\n\n", encoding="utf-8")
         assert cli.main([
             "run", "--input", str(scene_dir), "--output", str(replay),
             "--provider", "table", "--params-table", str(table),
@@ -537,7 +543,8 @@ class TestRunEndToEnd:
                     ]) == 0
                     if expected is None:
                         # the same run held in memory, cast and formatted without a sink
-                        params = load_params_table((out / "band_params.csv").read_text())
+                        params = load_params_table(
+                            (out / "band_params.csv").read_text(encoding="utf-8"))
                         rho_w, account, valid = invert_in_memory(
                             cube, setup.d_squared, params,
                             clip_negative="--clip-negative" in opts)
@@ -600,7 +607,7 @@ class TestRunEndToEnd:
         scene = make_scene_dir(tmp_path / "scene[1]")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene), "--output", str(out)]) == 0
-        assert "bands = 6\n" in (out / "rho_w.hdr").read_text()
+        assert "bands = 6\n" in (out / "rho_w.hdr").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("dtype,nodata,header_edit,message", [
         (np.uint16, 0.0, None, "calibrate the DN to radiance"),  # uncalibrated DN
@@ -618,11 +625,12 @@ class TestRunEndToEnd:
         write_cube(radiance, RadianceCube(data=data, nodata_value=nodata))
         if header_edit:
             header = scene_dir / "radiance.hdr"
-            header.write_text(header.read_text().replace(*header_edit))
+            header.write_text(header.read_text(encoding="utf-8").replace(*header_edit),
+                              encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         assert message in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+        assert report_of(out)["failure_stage"] == "ingest"
 
     @pytest.mark.parametrize("name", ["scene.xml", "radiance.hdr"])
     def test_non_utf8_input_exits_3_naming_the_file(self, scene_dir, tmp_path, capsys, name):
@@ -634,7 +642,7 @@ class TestRunEndToEnd:
         err = capsys.readouterr().err
         assert f"{path}: not UTF-8 text: " in err
         assert err.count(str(path)) == 1
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+        assert report_of(out)["failure_stage"] == "ingest"
 
     @pytest.mark.parametrize("edit,message", [
         (lambda xml: re.sub(r'\s*<band index="5".*</band>', "", xml),
@@ -647,11 +655,11 @@ class TestRunEndToEnd:
     ], ids=["five_bands_for_six", "duplicated_index", "one_based", "no_band_element"])
     def test_band_set_not_the_raster_exits_3(self, scene_dir, tmp_path, capsys, edit, message):
         xml = scene_dir / "scene.xml"
-        xml.write_text(edit(xml.read_text()))
+        xml.write_text(edit(xml.read_text(encoding="utf-8")), encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         assert message in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+        assert report_of(out)["failure_stage"] == "ingest"
 
     @pytest.mark.parametrize("edit,message", [
         (lambda xml: re.sub(r"\s*<sunZenith>.*</sunZenith>", "", xml),
@@ -677,6 +685,14 @@ class TestRunEndToEnd:
          "<acquisitionDate> '2024-W30-3' is not a YYYY-MM-DD date"),
         (lambda xml: xml.replace("11:01:54", "25:00:00"),
          "<acquisitionTime> '25:00:00' is not a time of day (HH:MM:SS)"),
+        # time.fromisoformat takes the first two on Python 3.11 and later only,
+        # and the offset everywhere, though the seconds of day would drop it
+        (lambda xml: xml.replace("11:01:54", "110154"),
+         "<acquisitionTime> '110154' is not a time of day (HH:MM:SS)"),
+        (lambda xml: xml.replace("11:01:54", "T11:01"),
+         "<acquisitionTime> 'T11:01' is not a time of day (HH:MM:SS)"),
+        (lambda xml: xml.replace("11:01:54", "11:01:54+02:00"),
+         "<acquisitionTime> '11:01:54+02:00' is not a time of day (HH:MM:SS)"),
         (lambda xml: re.sub(r'(<band index="2">.*?)<fwhm>6.5</fwhm>', r"\1", xml),
          "band 2: missing element <fwhm>"),
         (lambda xml: xml.replace("<scene>", "<scene>&bogus;"),
@@ -684,15 +700,16 @@ class TestRunEndToEnd:
     ], ids=["no_sun_zenith_or_elevation", "sun_azimuth_not_a_number",
             "aod550_not_a_number", "band_without_index", "no_sun_azimuth",
             "no_acquisition_date", "no_acquisition_time", "month_13", "date_basic_format",
-            "date_week_format", "hour_25", "band_without_fwhm", "not_well_formed"])
+            "date_week_format", "hour_25", "time_basic_format", "time_t_prefix",
+            "time_utc_offset", "band_without_fwhm", "not_well_formed"])
     def test_malformed_scene_xml_exits_3_naming_the_file(self, scene_dir, tmp_path, capsys,
                                                          edit, message):
         xml = scene_dir / "scene.xml"
-        xml.write_text(edit(xml.read_text()))
+        xml.write_text(edit(xml.read_text(encoding="utf-8")), encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         assert f"hsac run failed: stage ingest: {xml}: {message}\n" == capsys.readouterr().err
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == "ingest"
         assert report["error"] == f"{xml}: {message}"
 
@@ -702,7 +719,7 @@ class TestRunEndToEnd:
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene), "--output", str(out)]) == 3
         assert f"{scene / 'scene.xml'}: no <band> elements" in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+        assert report_of(out)["failure_stage"] == "ingest"
 
     @pytest.mark.parametrize("negative,field", [
         (("samples", "lines"), "samples"), (("lines", "bands"), "lines"),
@@ -713,28 +730,31 @@ class TestRunEndToEnd:
         # two negative sizes keep the product, and so the payload size, right
         header = scene_dir / "radiance.hdr"
         header.write_text(re.sub(rf"^({'|'.join(negative)}) = ", r"\1 = -",
-                                 header.read_text(), flags=re.MULTILINE))
+                                 header.read_text(encoding="utf-8"), flags=re.MULTILINE),
+                          encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         assert f"header field '{field}' must be an integer >= 0" in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+        assert report_of(out)["failure_stage"] == "ingest"
 
     def test_unterminated_header_list_exits_3_naming_the_field(self, scene_dir, tmp_path):
         header = scene_dir / "radiance.hdr"
-        header.write_text(header.read_text() + "wavelength = {500.0,\n 530.0\n")
+        header.write_text(header.read_text(encoding="utf-8") + "wavelength = {500.0,\n 530.0\n",
+                          encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == "ingest"
         assert "'wavelength'" in report["error"]
 
     @pytest.mark.parametrize("value", ["500", "{500, 530}"], ids=["unbraced", "two_for_six"])
     def test_header_wavelength_not_one_per_band_exits_3(self, scene_dir, tmp_path, value):
         header = scene_dir / "radiance.hdr"
-        header.write_text(header.read_text() + f"wavelength = {value}\n")
+        header.write_text(header.read_text(encoding="utf-8") + f"wavelength = {value}\n",
+                          encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == "ingest"
         assert "'wavelength'" in report["error"]
 
@@ -747,15 +767,16 @@ class TestRunEndToEnd:
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(plain)]) == 0
         header = scene_dir / "radiance.hdr"
         listed = ", ".join(str(c / nm_per_unit) for c in BAND_CENTERS)
-        header.write_text(header.read_text()
-                          + f"wavelength units = {units}\nwavelength = {{{listed}}}\n")
+        header.write_text(header.read_text(encoding="utf-8")
+                          + f"wavelength units = {units}\nwavelength = {{{listed}}}\n",
+                          encoding="utf-8")
         assert ingest_scene(str(scene_dir))[1].wavelengths == pytest.approx(BAND_CENTERS)
         out = tmp_path / "listed"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 0
         for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img",
                      "band_mask.csv", "band_params.csv"):
             assert (out / name).read_bytes() == (plain / name).read_bytes(), name
-        reports = [json.loads((d / "report.json").read_text()) for d in (plain, out)]
+        reports = [report_of(d) for d in (plain, out)]
         for report in reports:
             del report["timings_ms"]
         assert reports[0] == reports[1]
@@ -773,14 +794,14 @@ class TestRunEndToEnd:
     def test_header_wavelengths_not_the_scene_exit_3_naming_the_file(self, scene_dir, tmp_path,
                                                                      capsys, lines, message):
         header = scene_dir / "radiance.hdr"
-        header.write_text(header.read_text() + lines + "\n")
+        header.write_text(header.read_text(encoding="utf-8") + lines + "\n", encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"{header}: {message}" in err
         if "band" in message:
             assert f"in {scene_dir / 'scene.xml'}" in err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+        assert report_of(out)["failure_stage"] == "ingest"
 
     @pytest.mark.parametrize("edit,message", [
         (("samples = 5", "samples = x"), "header field 'samples' is not an integer: 'x'"),
@@ -792,13 +813,13 @@ class TestRunEndToEnd:
     def test_header_error_exits_3_naming_the_header_once(self, scene_dir, tmp_path, capsys,
                                                          edit, message):
         header = scene_dir / "radiance.hdr"
-        header.write_text(header.read_text().replace(*edit))
+        header.write_text(header.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"{header}: {message}" in err
         assert err.count(str(header)) == 1
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == "ingest"
         assert report["error"] == f"{header}: {message}"
 
@@ -808,17 +829,17 @@ class TestRunEndToEnd:
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         assert "r_rs.hdr, radiance.hdr, rho_w.hdr" in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+        assert report_of(out)["failure_stage"] == "ingest"
 
     def test_srf_wavelengths_not_increasing_exits_3(self, scene_dir, tmp_path, capsys):
         xml = scene_dir / "scene.xml"
-        xml.write_text(xml.read_text().replace(
+        xml.write_text(xml.read_text(encoding="utf-8").replace(
             "<fwhm>6.5</fwhm></band>",
-            "<fwhm>6.5</fwhm><srf>495 0.2 505 0.2 500 1.0</srf></band>", 1))
+            "<fwhm>6.5</fwhm><srf>495 0.2 505 0.2 500 1.0</srf></band>", 1), encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 3
         assert "SRF wavelengths not strictly increasing" in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "ingest"
+        assert report_of(out)["failure_stage"] == "ingest"
 
     def test_clip_with_zero_nodata_writes_fixed_sentinel(self, tmp_path):
         # radiance 1e-6 inverts to a negative rho_w, clipped to 0.0; 0.0 is nodata
@@ -831,7 +852,8 @@ class TestRunEndToEnd:
             "run", "--input", str(scene), "--output", str(out), "--clip-negative",
         ]) == 0
         for name in ("rho_w", "r_rs"):
-            assert "data ignore value = -9999.0" in (out / f"{name}.hdr").read_text()
+            header = (out / f"{name}.hdr").read_text(encoding="utf-8")
+            assert "data ignore value = -9999.0" in header
             cube = read_cube(str(out / name))
             assert cube.data[0, 0, 0] == 0.0 != cube.nodata_value, name
             assert cube.data[0, 1, 1] == cube.nodata_value == NODATA, name
@@ -844,13 +866,13 @@ class TestRunEndToEnd:
     ], ids=["catalogue_first", "metadata_first_without_aod550"])
     def test_state_from_catalogue(self, scene_dir, tmp_path, policy, xml_edit, state):
         xml = scene_dir / "scene.xml"
-        xml.write_text(xml.read_text().replace(*xml_edit))
+        xml.write_text(xml.read_text(encoding="utf-8").replace(*xml_edit), encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main([
             "run", "--input", str(scene_dir), "--output", str(out),
             "--aux-catalogue", str(write_catalogue(tmp_path)), "--state-policy", policy,
         ]) == 0
-        assert json.loads((out / "report.json").read_text())["atmospheric_state"] == state
+        assert report_of(out)["atmospheric_state"] == state
 
     def test_override_values_give_override_state(self, scene_dir, tmp_path):
         out = tmp_path / "out"
@@ -858,13 +880,13 @@ class TestRunEndToEnd:
             "run", "--input", str(scene_dir), "--output", str(out),
             "--aod550", "0.3", "--tcwv", "1.1", "--tco3", "280",
         ]) == 0
-        assert json.loads((out / "report.json").read_text())["atmospheric_state"] == {
+        assert report_of(out)["atmospheric_state"] == {
             "aod550": 0.3, "tcwv": 1.1, "tco3": 280.0, "source": "override"}
 
     def test_override_with_unparseable_catalogue_exits_2_unread(self, scene_dir, tmp_path,
                                                                 capsys):
         catalogue = tmp_path / "aux.json"
-        catalogue.write_text("{not json")
+        catalogue.write_text("{not json", encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main([
             "run", "--input", str(scene_dir), "--output", str(out),
@@ -883,7 +905,7 @@ class TestRunEndToEnd:
             "--aux-catalogue", str(catalogue), "--state-policy", "catalogue_first",
         ]) == 4
         assert f"{catalogue}: catalogue entry 0: " in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "configure"
+        assert report_of(out)["failure_stage"] == "configure"
 
         out = tmp_path / "override"
         assert cli.main([
@@ -912,16 +934,16 @@ class TestRunEndToEnd:
             "negative_value", "date_not_iso", "bbox_inverted", "date_basic_format"])
     def test_malformed_catalogue_entry_exits_4(self, scene_dir, tmp_path, capsys, edit):
         catalogue = write_catalogue(tmp_path)
-        entries = json.loads(catalogue.read_text())
+        entries = json.loads(catalogue.read_text(encoding="utf-8"))
         entries[1] = edit(entries[1])
-        catalogue.write_text(json.dumps(entries))
+        catalogue.write_text(json.dumps(entries), encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main([
             "run", "--input", str(scene_dir), "--output", str(out),
             "--aux-catalogue", str(catalogue),
         ]) == 4
         assert f"{catalogue}: catalogue entry 1: " in capsys.readouterr().err
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == "configure"
         assert report["error"].startswith(f"{catalogue}: catalogue entry 1: ")
 
@@ -940,7 +962,7 @@ class TestRunEndToEnd:
             "--aux-catalogue", str(catalogue),
         ]) == 4
         assert f"{catalogue}: {message}" in capsys.readouterr().err
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == "configure"
         assert report["error"].startswith(f"{catalogue}: {message}")
 
@@ -949,18 +971,18 @@ class TestRunEndToEnd:
                                                         n_rows):
         first = tmp_path / "first"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(first)]) == 0
-        header, *rows = (first / "band_params.csv").read_text().splitlines()
+        header, *rows = (first / "band_params.csv").read_text(encoding="utf-8").splitlines()
         # rows 0..n_rows-1, reusing the six bands' values
         rows = [f"{i}," + rows[i % len(rows)].split(",", 1)[1] for i in range(n_rows)]
         table = tmp_path / "table.csv"
-        table.write_text("\n".join([header, *rows]) + "\n")
+        table.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main([
             "run", "--input", str(scene_dir), "--output", str(out),
             "--provider", "table", "--params-table", str(table),
         ]) == 4
         assert f"parameter table has {n_rows} bands, the scene has 6" in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "rtm"
+        assert report_of(out)["failure_stage"] == "rtm"
 
     @pytest.mark.parametrize("field", ["l_path", "e_s"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -968,20 +990,20 @@ class TestRunEndToEnd:
                                                    field, value):
         first = tmp_path / "first"
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(first)]) == 0
-        header, *rows = (first / "band_params.csv").read_text().splitlines()
+        header, *rows = (first / "band_params.csv").read_text(encoding="utf-8").splitlines()
         column = header.split(",").index(field)
         cells = rows[3].split(",")
         cells[column] = value
         rows[3] = ",".join(cells)
         table = tmp_path / "table.csv"
-        table.write_text("\n".join([header, *rows]) + "\n")
+        table.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main([
             "run", "--input", str(scene_dir), "--output", str(out),
             "--provider", "table", "--params-table", str(table),
         ]) == 4
         assert f"band 3: {field} = {value} outside [0, inf)" in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "rtm"
+        assert report_of(out)["failure_stage"] == "rtm"
         assert not (out / "rho_w.img").exists()
 
     @pytest.mark.parametrize("body,message", [
@@ -992,27 +1014,28 @@ class TestRunEndToEnd:
     def test_malformed_params_table_exits_4_naming_the_file(self, scene_dir, tmp_path, capsys,
                                                             body, message):
         table = tmp_path / "table.csv"
-        table.write_text(body.format(header="band_index,l_path,t_g_o3,t_g_total,t_up,s_atm,e_s"))
+        table.write_text(body.format(header="band_index,l_path,t_g_o3,t_g_total,t_up,s_atm,e_s"),
+                         encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main([
             "run", "--input", str(scene_dir), "--output", str(out),
             "--provider", "table", "--params-table", str(table),
         ]) == 4
         assert f"{table}: {message}" in capsys.readouterr().err
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == "rtm"
         assert report["error"].startswith(f"{table}: {message}")
 
     def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path, capsys):
         table = tmp_path / "bad.csv"
-        table.write_text("not,a,params,table\n1,2,3,4\n")
+        table.write_text("not,a,params,table\n1,2,3,4\n", encoding="utf-8")
         code = cli.main([
             "run", "--input", str(scene_dir), "--output", str(tmp_path / "o"),
             "--provider", "table", "--params-table", str(table),
         ])
         assert code == 4
         assert f"{table}: header ['not', 'a', 'params', 'table'] != " in capsys.readouterr().err
-        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        report = report_of(tmp_path / "o")
         assert report["failure_stage"] == "rtm"
         assert report["error"].startswith(f"{table}: header ")
 
@@ -1044,7 +1067,7 @@ class TestRunEndToEnd:
             "run", "--input", str(scene), "--output", str(out), "--workers", "1",
         ]) == 6
         assert "stage export" in capsys.readouterr().err
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "export"
+        assert report_of(out)["failure_stage"] == "export"
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
     def test_payload_creation_failure_exits_6(self, scene_dir, tmp_path, monkeypatch, capsys):
@@ -1062,30 +1085,42 @@ class TestRunEndToEnd:
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 6
         assert "r_rs.img.tmp" in capsys.readouterr().err
         assert len(calls) == 2
-        assert json.loads((out / "report.json").read_text())["failure_stage"] == "export"
+        assert report_of(out)["failure_stage"] == "export"
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
-    @pytest.mark.parametrize("fault,code,stage,message", [
-        ("raise", 5, "inversion", "planted fault in a worker"),
-        ("io_failure", 6, "export", "planted write failure in a worker"),
-        ("sigkill", 5, "inversion", f"was killed by signal {int(signal.SIGKILL)}"),
-        ("raise_while_another_sleeps", 5, "inversion", "planted fault in a worker"),
+    @pytest.mark.parametrize("fault,code,stage,message,workers", [
+        ("raise", 5, "inversion", "planted fault in a worker", 2),
+        ("io_failure", 6, "export", "planted write failure in a worker", 2),
+        ("sigkill", 5, "inversion", f"was killed by signal {int(signal.SIGKILL)}", 2),
+        ("raise_while_another_sleeps", 5, "inversion", "planted fault in a worker", 3),
+        ("caller_raises_while_a_worker_sleeps", 5, "inversion", "planted fault in the caller",
+         2),
     ])
     def test_worker_failure_exits_with_a_partial_report(self, tmp_path, monkeypatch, capsys,
-                                                        fault, code, stage, message):
-        # 130 rows are 3 row tiles: worker 0 writes tiles 0 and 2, worker 1 tile 1
+                                                        fault, code, stage, message, workers):
+        # 130 rows are the row tiles 0, 64 and 128. At 2 workers the caller
+        # runs tiles 0 and 128 and one forked worker tile 64; at 3 workers
+        # the caller runs tile 0, and worker 1, whose pipe is read first,
+        # tile 64 and worker 2 tile 128.
         scene = make_scene_dir(tmp_path / "scene", rows=130)
         parent = os.getpid()
         write, write_rows = pipeline.ProductSink.write, CubeWriter.write_rows
 
         def faulty_write(sink, r0, k0, block):
-            if os.getpid() != parent:  # only a forked worker fails
-                if fault == "raise" or (fault == "raise_while_another_sleeps" and r0 == 0):
+            forked = os.getpid() != parent
+            if fault == "raise_while_another_sleeps":
+                if r0 == 64:
                     raise ValueError("planted fault in a worker")
-                if fault == "raise_while_another_sleeps":
+                if r0 == 128:
                     time.sleep(60)  # until the parent kills it
-                if fault == "sigkill":
-                    os.kill(os.getpid(), signal.SIGKILL)
+            if fault == "caller_raises_while_a_worker_sleeps":
+                if not forked:
+                    raise ValueError("planted fault in the caller")
+                time.sleep(60)  # until the parent kills it
+            if forked and fault == "raise":
+                raise ValueError("planted fault in a worker")
+            if forked and fault == "sigkill":
+                os.kill(os.getpid(), signal.SIGKILL)
             return write(sink, r0, k0, block)
 
         def faulty_write_rows(writer, r0, rows, k0=0):
@@ -1098,11 +1133,11 @@ class TestRunEndToEnd:
         out = tmp_path / "out"
         t0 = time.monotonic()
         assert cli.main([
-            "run", "--input", str(scene), "--output", str(out), "--workers", "2",
+            "run", "--input", str(scene), "--output", str(out), "--workers", str(workers),
         ]) == code
         assert time.monotonic() - t0 < 30
         assert message in capsys.readouterr().err
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == stage
         assert message in report["error"]
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]  # no *.img.tmp
@@ -1110,19 +1145,19 @@ class TestRunEndToEnd:
 
     def test_output_path_not_a_directory_exits_6(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "out"
-        out.write_text("a file")
+        out.write_text("a file", encoding="utf-8")
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 6
         assert "stage export" in capsys.readouterr().err
 
     def test_partial_report_names_failed_stage(self, scene_dir, tmp_path):
         table = tmp_path / "bad.csv"
-        table.write_text("garbage\n")
+        table.write_text("garbage\n", encoding="utf-8")
         out = tmp_path / "o"
         cli.main([
             "run", "--input", str(scene_dir), "--output", str(out),
             "--provider", "table", "--params-table", str(table),
         ])
-        report = json.loads((out / "report.json").read_text())
+        report = report_of(out)
         assert report["failure_stage"] == "rtm"
         assert report["error"]
 
@@ -1136,7 +1171,7 @@ class TestCompareCli:
         ref = tmp_path / "ref.csv"
         lines = ["# label: match", "wavelength_nm,value"]
         lines += [f"{w!r},{float(v)!r}" for w, v in zip(cube.wavelengths, spectrum)]
-        ref.write_text("\n".join(lines) + "\n")
+        ref.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return out, ref
 
     def test_reference_equal_to_extraction(self, scene_dir, tmp_path, capsys):
@@ -1176,7 +1211,7 @@ class TestCompareCli:
     def test_malformed_reference_exits_3(self, scene_dir, tmp_path, capsys, body):
         out, _ = self._run_and_reference(scene_dir, tmp_path)
         ref = tmp_path / "bad.csv"
-        ref.write_text("wavelength_nm,value\n" + body)
+        ref.write_text("wavelength_nm,value\n" + body, encoding="utf-8")
         capsys.readouterr()
         code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
                          "--pixel", "2,3"])
@@ -1187,10 +1222,10 @@ class TestCompareCli:
                              ids=["nan_value", "inf_value", "minus_inf_wavelength"])
     def test_non_finite_reference_row_exits_3(self, scene_dir, tmp_path, capsys, row):
         out, ref = self._run_and_reference(scene_dir, tmp_path)
-        lines = ref.read_text().splitlines()
+        lines = ref.read_text(encoding="utf-8").splitlines()
         wavelength, value = lines[3].split(",")  # band 1, 530 nm, inside the window
         lines[3] = row.format(wavelength=wavelength, value=value)
-        ref.write_text("\n".join(lines) + "\n")
+        ref.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
                          "--pixel", "2,3"])
@@ -1203,7 +1238,8 @@ class TestCompareCli:
         out, ref = self._run_and_reference(scene_dir, tmp_path)
         header = out / "r_rs.hdr"
         header.write_text(re.sub(r"wavelength = \{.*\}", "wavelength = 500",
-                                 header.read_text(), flags=re.DOTALL))
+                                 header.read_text(encoding="utf-8"), flags=re.DOTALL),
+                          encoding="utf-8")
         capsys.readouterr()
         code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
                          "--pixel", "2,3"])
@@ -1214,8 +1250,8 @@ class TestCompareCli:
                                                                     capsys):
         out, ref = self._run_and_reference(scene_dir, tmp_path)
         header = out / "r_rs.hdr"
-        header.write_text(re.sub(r"wavelength = \{.*\}\n", "", header.read_text(),
-                                 flags=re.DOTALL))
+        header.write_text(re.sub(r"wavelength = \{.*\}\n", "", header.read_text(encoding="utf-8"),
+                                 flags=re.DOTALL), encoding="utf-8")
         capsys.readouterr()
         code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
                          "--pixel", "2,3"])
@@ -1232,14 +1268,16 @@ class TestCompareCli:
         assert cli.main([*argv, str(ref)]) == 0
         plain = json.loads(capsys.readouterr().out)
         spaced = tmp_path / "spaced.csv"
-        spaced.write_text("\n" + "\n\n  \n".join(ref.read_text().splitlines()) + "\n\n")
+        lines = ref.read_text(encoding="utf-8").splitlines()
+        spaced.write_text("\n" + "\n\n  \n".join(lines) + "\n\n", encoding="utf-8")
         assert cli.main([*argv, str(spaced)]) == 0
         assert json.loads(capsys.readouterr().out) == plain
 
     def test_product_header_error_names_the_header_once(self, scene_dir, tmp_path, capsys):
         out, ref = self._run_and_reference(scene_dir, tmp_path)
         header = out / "r_rs.hdr"
-        header.write_text(re.sub(r"samples = \d+", "samples = x", header.read_text()))
+        text = header.read_text(encoding="utf-8")
+        header.write_text(re.sub(r"samples = \d+", "samples = x", text), encoding="utf-8")
         capsys.readouterr()
         code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
                          "--pixel", "2,3"])
@@ -1283,11 +1321,11 @@ class TestCompareCli:
     def _station_copies(ref, tmp_path, labels):
         """Copies of `ref` at x/station.csv and y/station.csv under tmp_path,
         with the given `# label:` lines, or none where the label is empty."""
-        body = ref.read_text().split("\n", 1)[1]
+        body = ref.read_text(encoding="utf-8").split("\n", 1)[1]
         paths = [tmp_path / d / "station.csv" for d in ("x", "y")]
         for path, label in zip(paths, labels):
             path.parent.mkdir()
-            path.write_text((f"# label: {label}\n" if label else "") + body)
+            path.write_text((f"# label: {label}\n" if label else "") + body, encoding="utf-8")
         return [str(path) for path in paths]
 
     def test_references_of_one_name_exit_3_naming_both(self, scene_dir, tmp_path, capsys):
@@ -1318,8 +1356,9 @@ class TestCompareCli:
     def test_product_negative_size_exits_3(self, scene_dir, tmp_path, capsys):
         out, ref = self._run_and_reference(scene_dir, tmp_path)
         header = out / "r_rs.hdr"
-        header.write_text(re.sub(r"^(samples|lines) = ", r"\1 = -", header.read_text(),
-                                 flags=re.MULTILINE))
+        header.write_text(re.sub(r"^(samples|lines) = ", r"\1 = -",
+                                 header.read_text(encoding="utf-8"), flags=re.MULTILINE),
+                          encoding="utf-8")
         capsys.readouterr()
         code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
                          "--pixel", "2,3"])

@@ -19,7 +19,7 @@ def make_header(samples, lines, bands, dtype_code=4, interleave="bsq"):
 def write_raw(tmp_path, header, payload, name="cube"):
     """Write a header and a raw payload as `name`.hdr/.img; return the base path."""
     base = tmp_path / name
-    (tmp_path / f"{name}.hdr").write_text(header)
+    (tmp_path / f"{name}.hdr").write_text(header, encoding="utf-8")
     (tmp_path / f"{name}.img").write_bytes(payload)
     return str(base)
 
@@ -163,7 +163,7 @@ class TestRoundTrip:
         # the bytes on disk, not only a read back: header says bil, payload is BIL
         data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
         write_cube(str(tmp_path / "cube"), RadianceCube(data=data), interleave="bil")
-        assert "interleave = bil\n" in (tmp_path / "cube.hdr").read_text()
+        assert "interleave = bil\n" in (tmp_path / "cube.hdr").read_text(encoding="utf-8")
         expected = data.transpose(1, 0, 2).copy().tobytes()
         assert (tmp_path / "cube.img").read_bytes() == expected
 

@@ -50,6 +50,23 @@ class TestParseSceneMetadata:
         assert meta.bands[0].center_wavelength == 550.0
         assert meta.bands[1].srf.tolist() == [[645.0, 0.1], [650.0, 1.0], [655.0, 0.1]]
 
+    @pytest.mark.parametrize("text,seconds", [
+        ("00:00:00", 0.0), ("23:59:59", 86399.0), ("11:01:54.5", 39714.5),
+        ("11:01:54.000250", 39714.00025), ("11:01:54.123456", 39714.123456),
+    ])
+    def test_time_of_day_with_fraction(self, text, seconds):
+        doc = FIXTURE_XML.replace("11:01:54", text)
+        assert parse_scene_metadata(doc).acquisition_time == seconds
+
+    @pytest.mark.parametrize("text", [
+        "11:01", "11", "11:01:54.", "11:01:54.1234567", "11:01:54Z", "11:1:54",
+        "23:59:60", "24:00:00", "١١:01:54",
+    ])
+    def test_other_time_forms_refused(self, text):
+        doc = FIXTURE_XML.replace("11:01:54", text)
+        with pytest.raises(HsacError, match=r"^<acquisitionTime> .* is not a time of day"):
+            parse_scene_metadata(doc)
+
     def test_sun_elevation_converted_to_zenith(self):
         doc = FIXTURE_XML.replace(
             "<sunZenith>35.2</sunZenith>", "<sunElevation>60.0</sunElevation>"
