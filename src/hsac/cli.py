@@ -48,32 +48,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # every default is read from RunConfig, the one place it is set
-    run = sub.add_parser("run", help="process a scene directory")
-    run.add_argument("--input", required=True, help="input folder with scene XML and raster")
-    run.add_argument("--output", required=True, help="output directory")
-    run.add_argument("--aerosol", default=RunConfig.aerosol, choices=sorted(aerosol_models()),
-                     help="aerosol model")
-    run.add_argument("--tg-threshold", type=float, default=RunConfig.tg_threshold,
+    # Each option of run and self-test has a RunConfig field as its dest (the
+    # metavar keeps the flag's name in --help), and one left out is absent
+    # from the namespace, so RunConfig's default applies
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--aerosol", choices=sorted(aerosol_models()), help="aerosol model")
+    shared.add_argument("--workers", dest="worker_count", metavar="WORKERS", type=int,
+                        help="worker count, 0 = the CPUs this process may run on")
+
+    run = sub.add_parser("run", parents=[shared], argument_default=argparse.SUPPRESS,
+                         help="process a scene directory")
+    run.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
+                     help="input folder with scene XML and raster")
+    run.add_argument("--output", dest="output_path", metavar="OUTPUT", required=True,
+                     help="output directory")
+    run.add_argument("--tg-threshold", type=float,
                      help="mask bands with total gas transmittance below this, in (0, 1]")
-    run.add_argument("--provider", choices=["analytic", "table"], default=RunConfig.provider)
-    run.add_argument("--params-table", help="parameter CSV for --provider table")
-    run.add_argument("--aux-catalogue", help="local auxiliary catalogue JSON")
-    run.add_argument("--state-policy", choices=STATE_POLICIES, default=RunConfig.state_policy)
+    run.add_argument("--provider", choices=["analytic", "table"])
+    run.add_argument("--params-table", dest="params_table_path", metavar="PARAMS_TABLE",
+                     help="parameter CSV for --provider table")
+    run.add_argument("--aux-catalogue", dest="aux_catalogue_path", metavar="AUX_CATALOGUE",
+                     help="local auxiliary catalogue JSON")
+    run.add_argument("--state-policy", choices=STATE_POLICIES)
     # the three together replace the atmospheric state of the metadata and catalogue
     run.add_argument("--aod550", type=float, help="override AOD at 550 nm")
     run.add_argument("--tcwv", type=float, help="override TCWV (g cm^-2)")
     run.add_argument("--tco3", type=float, help="override ozone (DU)")
-    run.add_argument("--workers", type=int, default=RunConfig.worker_count,
-                     help="worker count, 0 = the CPUs this process may run on")
     run.add_argument("--clip-negative", action="store_true",
                      help="clip negative reflectance to zero (off by default)")
     run.add_argument("--divide-total-gas", action="store_true",
                      help="divide the TOA term by total gas transmittance instead of ozone only")
 
-    st = sub.add_parser("self-test", help="hermetic synthetic round-trip test")
-    st.add_argument("--workers", type=int, default=RunConfig.worker_count)
-    st.add_argument("--aerosol", default=RunConfig.aerosol, choices=sorted(aerosol_models()))
+    sub.add_parser("self-test", parents=[shared], help="hermetic synthetic round-trip test")
 
     cmp_ = sub.add_parser("compare", help="compare a product against reference spectra")
     cmp_.add_argument("--product", required=True, help="product directory from `hsac run`")
@@ -84,34 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The RunConfig of `hsac run`'s options; RunConfig refuses the
-    combinations that leave an option unread."""
-    values = [getattr(args, name) for name in STATE_KEYS]
-    if values.count(None) not in (0, len(values)):
+    """The RunConfig of `hsac run`'s or `hsac self-test`'s options, whose
+    dests are its fields; RunConfig refuses the combinations that leave an
+    option unread."""
+    fields = {name: value for name, value in vars(args).items() if name != "command"}
+    state = {name: fields.pop(name) for name in STATE_KEYS if name in fields}
+    if state and len(state) < len(STATE_KEYS):
         raise HsacError("--aod550, --tcwv and --tco3 are given together or not at all")
-    override = None if None in values else AtmosphericState(*values, source="override")
-    return RunConfig(
-        input_path=args.input,
-        output_path=args.output,
-        aerosol=args.aerosol,
-        tg_threshold=args.tg_threshold,
-        clip_negative=args.clip_negative,
-        provider=args.provider,
-        params_table_path=args.params_table,
-        aux_catalogue_path=args.aux_catalogue,
-        state_policy=args.state_policy,
-        override_state=override,
-        worker_count=args.workers,
-        divide_total_gas=args.divide_total_gas,
-    )
+    override = AtmosphericState(**state, source="override") if state else None
+    return RunConfig(**fields, override_state=override)
 
 
-def _cmd_run(args) -> int:
-    try:
-        config = config_from_args(args)
-    except HsacError as exc:
-        print(f"hsac run: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_run(config: RunConfig) -> int:
     try:
         report = run_pipeline(config)
     except StageError as exc:
@@ -126,12 +116,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_self_test(args) -> int:
-    try:
-        config = RunConfig(aerosol=args.aerosol, worker_count=args.workers)
-    except HsacError as exc:
-        print(f"hsac self-test: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_self_test(config: RunConfig) -> int:
     try:
         passed, max_rel = run_self_test(config)
     except HsacError as exc:
@@ -151,6 +136,9 @@ def _cmd_compare(args) -> int:
         print("hsac compare: --window needs START:STOP, --pixel needs ROW,COL",
               file=sys.stderr)
         return EXIT_USAGE
+    if not lo < hi:  # NaN too
+        print(f"hsac compare: --window start {lo} must be < stop {hi}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         result = compare_against_reference(args.product, args.reference, (lo, hi), (row, col))
     except (HsacError, OSError) as exc:
@@ -169,11 +157,14 @@ def _cmd_compare(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "self-test":
-        return _cmd_self_test(args)
-    return _cmd_compare(args)
+    if args.command == "compare":
+        return _cmd_compare(args)
+    try:
+        config = config_from_args(args)
+    except HsacError as exc:
+        print(f"hsac {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return _cmd_run(config) if args.command == "run" else _cmd_self_test(config)
 
 
 if __name__ == "__main__":

@@ -194,7 +194,8 @@ def invert_cube(
 
     The calling process runs tiles 0, n, 2n, ... and n - 1 forked workers
     the rest (`_in_workers`), n = min(workers, row tiles), or 1 without
-    `os.fork` or while another Python thread is alive. With n > 1 `write`
+    `os.fork` or while another Python thread is alive. With no valid band
+    there is no tile, and nothing is forked. With n > 1 `write`
     must write to a file descriptor or to shared memory (`shared_array`).
     Per-pixel arithmetic order is fixed, so the blocks are bit-identical for
     any worker count and block size.
@@ -227,7 +228,7 @@ def invert_cube(
                 write(r0, k0, block)
         return totals
 
-    tiles = range(0, n_rows, ROW_TILE)
+    tiles = range(0, n_rows if valid else 0, ROW_TILE)
     forkable = hasattr(os, "fork") and threading.active_count() == 1
     n = max(1, min(workers, len(tiles))) if forkable else 1
     return tuple(sum(_in_workers(run, tiles, n)).tolist())

@@ -87,7 +87,7 @@ def align_spectra(
     Pairs outside either spectrum's support or the window are dropped.
     """
     lo, hi = window
-    if lo >= hi:
+    if not lo < hi:  # NaN too
         raise HsacError(f"window start {lo} must be < stop {hi}")
     wl = np.asarray(derived.wavelengths, float)
     ref_wl = np.asarray(reference.wavelengths, float)

@@ -331,8 +331,6 @@ def write_product(sink: ProductSink, band_mask: list[str], table: np.ndarray) ->
         replace_with_text(os.path.join(out, "band_params.csv"), serialize_params_table(table))
     except OSError as exc:
         raise IoFailure(f"writing product to {out}: {exc}") from exc
-    finally:
-        sink.discard()  # a no-op for committed rasters
 
 
 def write_report(report: ProcessingReport, output_path: str) -> None:
@@ -409,27 +407,28 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingRepo
             table[:, T_G_O3] = table[:, T_G_TOTAL]
         report.provider = config.provider
 
-    # stage 4: pixel-wise inversion of the valid bands, streamed through a ProductSink
-    with _stage(report, STAGE_INVERSION):
-        band_mask = mask_bands(table, config.tg_threshold)
-        valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
-        sink = ProductSink(config.output_path, setup.bands)
-        try:
+    # stage 4 streams the product through a ProductSink and stage 5 commits it;
+    # whatever fails before the commit, the sink's payloads are deleted
+    sink = ProductSink(config.output_path, setup.bands)
+    try:
+        # stage 4: pixel-wise inversion of the valid bands
+        with _stage(report, STAGE_INVERSION):
+            band_mask = mask_bands(table, config.tg_threshold)
+            valid = [i for i, m in enumerate(band_mask) if m == BAND_VALID]
             write = sink.open(valid, cube.n_rows, cube.n_cols)
             pixels = invert_cube(cube, setup.d_squared, table, valid, write,
                                  config.clip_negative, config.workers)
-        except BaseException:
-            sink.discard()
-            raise
-        report.masked_bands = {
-            str(i): reason for i, reason in enumerate(band_mask) if reason != BAND_VALID
-        }
-        report.degenerate_pixels, report.nonfinite_pixels, n_data, n_negative = pixels
-        report.negativity_rate = n_negative / n_data if n_data else 0.0
+            report.masked_bands = {
+                str(i): reason for i, reason in enumerate(band_mask) if reason != BAND_VALID
+            }
+            report.degenerate_pixels, report.nonfinite_pixels, n_data, n_negative = pixels
+            report.negativity_rate = n_negative / n_data if n_data else 0.0
 
-    # stage 5: export
-    with _stage(report, STAGE_EXPORT):
-        write_product(sink, band_mask, table)
+        # stage 5: export
+        with _stage(report, STAGE_EXPORT):
+            write_product(sink, band_mask, table)
+    finally:
+        sink.discard()  # a no-op for committed rasters
     # written after the export timing is recorded, so it includes it
     try:
         write_report(report, config.output_path)

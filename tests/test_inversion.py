@@ -753,6 +753,15 @@ class TestWorkerProcesses:
                 assert len(forks) == len(forked)
                 assert account[2] == 3 * 130 * 5  # every pixel is data
 
+    def test_no_fork_without_a_valid_band(self, forks):
+        cube, table = self._cube(200)  # 4 row tiles
+        blocks = []
+        account = invert_cube(cube, 1.0, table, [], lambda *block: blocks.append(block),
+                              workers=4)
+        assert account == (0, 0, 0, 0)
+        assert forks == []
+        assert blocks == []
+
     def test_no_fork_while_another_thread_is_alive(self, forks):
         cube, table = self._cube(130)
         alone = invert_in_memory(cube, 1.0, table, 0.01, workers=8)

@@ -156,6 +156,12 @@ class TestAlignSpectra:
         with pytest.raises(HsacError, match="^window start 900 must be < stop 400$"):
             align_spectra(a, a, (900, 400))
 
+    @pytest.mark.parametrize("window", [(400, 400), (math.nan, 900), (400, math.nan)])
+    def test_empty_or_nan_window(self, window):
+        a = spectrum([400, 500], [1, 2])
+        with pytest.raises(HsacError, match=f"^window start {window[0]} must be < stop "):
+            align_spectra(a, a, window)
+
 
 class TestExtractPixelSpectrum:
     @pytest.fixture

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import assert_no_child_process, invert_in_memory
 from hsac import cli, inversion, pipeline
-from hsac.atmosphere import BandAtmParams, aerosol_models, load_params_table
+from hsac.atmosphere import AtmosphericState, BandAtmParams, aerosol_models, load_params_table
 from hsac.inversion import ROW_TILE, forward_model_toa, invert_cube, to_rrs
 from hsac.pipeline import (
     ProcessingReport,
@@ -109,17 +109,6 @@ def read_params_table(path) -> dict[int, dict[str, float]]:
 
 
 class TestParseCli:
-    def test_run_defaults(self):
-        args = cli.build_parser().parse_args(
-            ["run", "--input", "in", "--output", "out"]
-        )
-        assert args.aerosol == "Continental"
-        assert args.tg_threshold == 0.85
-        assert args.provider == "analytic"
-        assert args.state_policy == "metadata_first"
-        assert args.workers == 0
-        assert not args.clip_negative
-
     def test_run_without_options_is_the_default_config(self):
         args = cli.build_parser().parse_args(["run", "--input", "X", "--output", "Y"])
         assert cli.config_from_args(args) == RunConfig(input_path="X", output_path="Y")
@@ -130,6 +119,43 @@ class TestParseCli:
                             lambda config: configs.append(config) or (True, 0.0))
         assert cli.main(["self-test"]) == 0
         assert configs == [RunConfig()]
+
+    # every run and self-test option with a value that is not its default; the
+    # run options are split over three cases, as RunConfig refuses some
+    # combinations
+    EVERY_OPTION = [
+        (["run", "--input", "X", "--output", "Y", "--aerosol", "Maritime",
+          "--tg-threshold", "0.5", "--aux-catalogue", "aux.json",
+          "--state-policy", "catalogue_first", "--workers", "3", "--clip-negative",
+          "--divide-total-gas"],
+         RunConfig(input_path="X", output_path="Y", aerosol="Maritime", tg_threshold=0.5,
+                   aux_catalogue_path="aux.json", state_policy="catalogue_first",
+                   worker_count=3, clip_negative=True, divide_total_gas=True)),
+        (["run", "--input", "X", "--output", "Y", "--aod550", "0.2", "--tcwv", "1.5",
+          "--tco3", "280"],
+         RunConfig(input_path="X", output_path="Y",
+                   override_state=AtmosphericState(0.2, 1.5, 280.0, source="override"))),
+        (["run", "--input", "X", "--output", "Y", "--provider", "table",
+          "--params-table", "p.csv"],
+         RunConfig(input_path="X", output_path="Y", provider="table",
+                   params_table_path="p.csv")),
+        (["self-test", "--workers", "2", "--aerosol", "Urban"],
+         RunConfig(worker_count=2, aerosol="Urban")),
+    ]
+
+    @pytest.mark.parametrize("argv,expected", EVERY_OPTION,
+                             ids=["run_analytic", "run_override", "run_table", "self_test"])
+    def test_every_option_sets_its_field(self, argv, expected):
+        assert cli.config_from_args(cli.build_parser().parse_args(argv)) == expected
+
+    def test_every_option_is_in_a_case(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("run", "self-test"):
+            flags = set(sub.choices[command]._option_string_actions) - {"-h", "--help"}
+            given = {f for argv, _ in self.EVERY_OPTION if argv[0] == command
+                     for f in argv if f.startswith("--")}
+            assert given == flags, command
 
     def test_auto_worker_count_is_the_cpus_this_process_may_run_on(self, monkeypatch):
         # pinned to one CPU of eight (by taskset or a cpuset, say)
@@ -209,7 +235,10 @@ class TestParseCli:
         ["compare", "--product", "p", "--reference", "r.csv", "--window", "400",
          "--pixel", "0,0"],
         ["compare", "--product", "p", "--reference", "r.csv", "--pixel", "1"],
-    ], ids=["run_workers", "self_test_workers", "compare_window", "compare_pixel"])
+        *(["compare", "--product", "p", "--reference", "r.csv", "--window", window,
+           "--pixel", "0,0"] for window in ("900:400", "400:400", "nan:900")),
+    ], ids=["run_workers", "self_test_workers", "compare_window", "compare_pixel",
+            "compare_window_reversed", "compare_window_empty", "compare_window_nan"])
     def test_option_error_exits_2_with_a_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert cli.main(argv) == 2
@@ -1085,6 +1114,19 @@ class TestRunEndToEnd:
         assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 6
         assert "r_rs.img.tmp" in capsys.readouterr().err
         assert len(calls) == 2
+        assert report_of(out)["failure_stage"] == "export"
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+    def test_commit_failure_deletes_the_payloads(self, scene_dir, tmp_path, monkeypatch,
+                                                 capsys):
+        # stage 4 has filled both payloads; the commit fails before it writes
+        def failing(sink, band_mask, table):
+            raise IoFailure("planted commit failure")
+
+        monkeypatch.setattr(pipeline, "write_product", failing)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 6
+        assert "stage export: planted commit failure" in capsys.readouterr().err
         assert report_of(out)["failure_stage"] == "export"
         assert sorted(p.name for p in out.iterdir()) == ["report.json"]
 
