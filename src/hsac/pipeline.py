@@ -319,45 +319,40 @@ def write_product(sink: ProductSink, band_mask: list[str], table: np.ndarray) ->
     """Commit the rho_w/R_rs rasters the sink was given during the
     inversion, then write the mask CSV and the band table as the params CSV."""
     out, bands = sink.output_path, sink.bands
-    try:
-        for name, writer in sink.rasters.items():
-            write_cube(os.path.join(out, name), writer)
-        replace_with_text(
-            os.path.join(out, "band_mask.csv"),
-            "band_index,center_nm,status\n"
-            + "".join(f"{i},{bands[i].center_wavelength},{status}\n"
-                      for i, status in enumerate(band_mask)),
-        )
-        replace_with_text(os.path.join(out, "band_params.csv"), serialize_params_table(table))
-    except OSError as exc:
-        raise IoFailure(f"writing product to {out}: {exc}") from exc
-
-
-def write_report(report: ProcessingReport, output_path: str) -> None:
-    os.makedirs(output_path, exist_ok=True)
+    for name, writer in sink.rasters.items():
+        write_cube(os.path.join(out, name), writer)
     replace_with_text(
-        os.path.join(output_path, "report.json"),
-        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n",
+        os.path.join(out, "band_mask.csv"),
+        "band_index,center_nm,status\n"
+        + "".join(f"{i},{bands[i].center_wavelength},{status}\n"
+                  for i, status in enumerate(band_mask)),
     )
+    replace_with_text(os.path.join(out, "band_params.csv"), serialize_params_table(table))
 
 
 def run_pipeline(config: RunConfig) -> ProcessingReport:
     """Execute the five stages on the scene directory `config.input_path`,
     exporting the product and its report to `config.output_path`; raises
-    StageError naming the failed stage (after writing a partial report when
-    the output directory is known)."""
+    StageError naming the failed stage, after writing a partial report
+    when it can."""
     report = ProcessingReport(worker_count=config.workers)
+    failure = None
     try:
-        return _run_pipeline(config, report)
+        _run_pipeline(config, report)
     except StageError as exc:
-        report.failure_stage = exc.stage
-        report.error = str(exc.cause)
-        if config.output_path:
-            try:
-                write_report(report, config.output_path)
-            except OSError:
-                pass
-        raise
+        failure = exc
+        report.failure_stage, report.error = exc.stage, str(exc.cause)
+    # the one report write, after the export timing is recorded
+    try:
+        os.makedirs(config.output_path, exist_ok=True)
+        replace_with_text(os.path.join(config.output_path, "report.json"),
+                          json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        if failure is None:
+            raise StageError(STAGE_EXPORT, exc) from exc
+    if failure is not None:
+        raise failure
+    return report
 
 
 @contextlib.contextmanager
@@ -373,7 +368,7 @@ def _stage(report: ProcessingReport, name: str):
         report.timings_ms[name] = (time.perf_counter() - t0) * 1000.0
 
 
-def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingReport:
+def _run_pipeline(config: RunConfig, report: ProcessingReport) -> None:
     # stage 1: ingest
     with _stage(report, STAGE_INGEST):
         metadata, cube = ingest_scene(config.input_path)
@@ -429,12 +424,6 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> ProcessingRepo
             write_product(sink, band_mask, table)
     finally:
         sink.discard()  # a no-op for committed rasters
-    # written after the export timing is recorded, so it includes it
-    try:
-        write_report(report, config.output_path)
-    except OSError as exc:
-        raise StageError(STAGE_EXPORT, exc) from exc
-    return report
 
 
 # --- self-test ------------------------------------------------------------

@@ -277,11 +277,16 @@ def read_text(path: str) -> str:
 
 def replace_with_text(path: str, text: str) -> None:
     """Write `text` to `path.tmp`, then rename it to `path`, so a reader
-    sees the old file or the whole new one."""
+    sees the old file or the whole new one; on failure `path.tmp` is deleted."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_cube(base_path: str, cube: RadianceCube | CubeWriter, interleave: str = "bsq") -> None:

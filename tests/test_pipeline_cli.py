@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_no_child_process, invert_in_memory
-from hsac import cli, inversion, pipeline
+from hsac import cli, inversion, pipeline, raster
 from hsac.atmosphere import AtmosphericState, BandAtmParams, aerosol_models, load_params_table
 from hsac.inversion import ROW_TILE, forward_model_toa, invert_cube, to_rrs
 from hsac.pipeline import (
@@ -41,6 +41,9 @@ from hsac.raster import (
 from hsac.scene import BandDefinition
 
 BAND_CENTERS = (500.0, 530.0, 560.0, 590.0, 620.0, 650.0)
+# the files of an exported product
+PRODUCT = {"rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img",
+           "band_mask.csv", "band_params.csv", "report.json"}
 
 
 def scene_xml(centers=BAND_CENTERS) -> str:
@@ -296,10 +299,19 @@ class TestRunEndToEnd:
         out = tmp_path / "out"
         code = cli.main(["run", "--input", str(scene_dir), "--output", str(out)])
         assert code == 0
-        for name in ("rho_w.hdr", "rho_w.img", "r_rs.hdr", "r_rs.img",
-                     "band_mask.csv", "band_params.csv", "report.json"):
+        for name in PRODUCT:
             assert (out / name).exists(), name
         assert "done:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_and_rerun_leave_exactly_the_product(self, tmp_path, workers):
+        scene = make_scene_dir(tmp_path / "scene", rows=130)  # three row tiles
+        out = tmp_path / "out"
+        for _ in range(2):
+            assert cli.main([
+                "run", "--input", str(scene), "--output", str(out), "--workers", str(workers),
+            ]) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(PRODUCT)
 
     def test_product_read_back(self, scene_dir, tmp_path):
         out = tmp_path / "out"
@@ -1069,15 +1081,58 @@ class TestRunEndToEnd:
         assert report["error"].startswith(f"{table}: header ")
 
     def test_report_write_failure_exits_6(self, scene_dir, tmp_path, monkeypatch, capsys):
-        def full_disk(report, output_path):
-            # fail only a report written after the export stage was timed
-            if "export" in report.timings_ms:
-                raise OSError(errno.ENOSPC, "No space left on device")
+        replace_with_text = pipeline.replace_with_text
 
-        monkeypatch.setattr(pipeline, "write_report", full_disk)
-        code = cli.main(["run", "--input", str(scene_dir), "--output", str(tmp_path / "o")])
-        assert code == 6
+        def full_disk(path, text):
+            if path.endswith("report.json"):
+                raise OSError(errno.ENOSPC, "No space left on device", path)
+            return replace_with_text(path, text)
+
+        monkeypatch.setattr(pipeline, "replace_with_text", full_disk)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 6
         assert "stage export" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == sorted(PRODUCT - {"report.json"})
+
+    def test_unwritable_partial_report_keeps_the_failed_stage(self, tmp_path, capsys):
+        # the output directory cannot be created over a regular file
+        out = tmp_path / "out"
+        out.write_text("a file", encoding="utf-8")
+        assert cli.main(["run", "--input", str(tmp_path / "missing"), "--output", str(out)]) == 3
+        assert "stage ingest" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "a file"
+
+    @pytest.mark.parametrize("name", ["rho_w.hdr", "r_rs.hdr", "band_mask.csv",
+                                      "band_params.csv", "report.json"])
+    @pytest.mark.parametrize("step", ["write", "rename"])
+    def test_failed_text_write_leaves_no_tmp(self, scene_dir, tmp_path, monkeypatch, capsys,
+                                             name, step):
+        tmp = name + ".tmp"
+        if step == "write":
+            # the temporary file is created, then its write fails
+            def failing(path, *args, **kwargs):
+                fh = open(path, *args, **kwargs)
+                if path.endswith(tmp):
+                    fh.close()
+                    raise OSError(errno.ENOSPC, "No space left on device", path)
+                return fh
+
+            monkeypatch.setattr(raster, "open", failing, raising=False)
+        else:
+            replace = os.replace
+
+            def failing(src, dst):
+                if src.endswith(tmp):
+                    raise OSError(errno.EIO, "Input/output error", src)
+                return replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", failing)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(out)]) == 6
+        assert f"{tmp}'" in capsys.readouterr().err
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        if name != "report.json":
+            assert report_of(out)["failure_stage"] == "export"
 
     def test_tile_write_failure_exits_6(self, tmp_path, monkeypatch, capsys):
         rows, cols = 130, 5
