@@ -66,11 +66,10 @@ def invert_band_plane(
     NODATA, so the plane equals `invert_cube`'s for every input.
     """
     plane = np.array(l_toa_plane, dtype=np.float64, order="C")  # a copy: nodata becomes 0.0
-    masks = (np.empty(plane.shape, dtype=bool), np.empty(plane.shape, dtype=bool))
-    _mark_input_nodata(plane, nodata, masks[0])
-    rho_w, denom = kernels.invert_plane(plane, *params.kernel_terms(d_squared), out=plane)
-    degenerate, *_ = _finish_block(rho_w, denom, masks, clip_negative=False)
-    return rho_w, degenerate
+    scratch = [np.empty_like(plane), *np.empty((2, *plane.shape), dtype=bool)]
+    degenerate, *_ = _invert_block(plane, params.kernel_terms(d_squared), nodata, scratch,
+                                   clip_negative=False)
+    return plane, degenerate
 
 
 def forward_model_toa(
@@ -103,23 +102,15 @@ def to_rrs(rho_w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mark_input_nodata(block: np.ndarray, nodata: float, mask: np.ndarray) -> None:
-    """Mark the pixels of a radiance block equal to the input's `nodata` in
-    `mask`, and set them to 0.0, so that the kernel sees no sentinel and a
-    block without anomalies keeps the fast path of `_finish_block`."""
-    np.equal(block, nodata, out=mask)
-    if mask.any():
-        np.copyto(block, 0.0, where=mask)
-
-
-def _finish_block(rho_w: np.ndarray, denom: np.ndarray,
-                  masks: tuple[np.ndarray, np.ndarray],
+def _invert_block(block: np.ndarray, terms, nodata_value: float, scratch: list[np.ndarray],
                   clip_negative: bool) -> tuple[int, int, int, int]:
-    """The pixel rule of the inversion, on one block of `kernels.invert_plane`
-    output in place: `denom` is the kernel's denominator, overwritten here,
-    and `masks` two bool arrays shaped like the block, the first holding the
-    input's nodata pixels (from `_mark_input_nodata`) on entry and every
-    NODATA pixel on return.
+    """The one block step of the inversion, in place on a float64 radiance
+    block: the pixels equal to the input's `nodata_value` are marked and
+    set to 0.0, so that the kernel sees no sentinel, `kernels.invert_plane`
+    turns the block into rho_w with the kernel terms `terms` (xa, xb, xc),
+    and the pixel rule and the opt-in clip finish it. `scratch` is a float64
+    array and two bool arrays shaped like the block, overwritten here: the
+    kernel's denominator, the mask of every NODATA pixel, and a work mask.
 
     Each pixel is counted in the first class it meets: input nodata,
     whatever the kernel gave it; then degenerate, |denom| < DENOMINATOR_EPS;
@@ -130,12 +121,18 @@ def _finish_block(rho_w: np.ndarray, denom: np.ndarray,
     Three reductions decide first whether any pixel can be of the last
     three classes: when denom >= DENOMINATOR_EPS and NEAR_NODATA < rho_w <=
     FLOAT32_MAX hold for every pixel (a NaN fails all three), none is, and
-    only the input nodata is set.
+    only the input nodata is set. As the input nodata was set to 0.0, a
+    block whose only anomaly is input nodata keeps this fast path.
 
     Returns the block's (degenerate, non-finite, data, negative) pixel counts.
     """
-    nodata, mask = masks
+    denom, nodata, mask = scratch
+    np.equal(block, nodata_value, out=nodata)
     n_input = int(np.count_nonzero(nodata))
+    if n_input:
+        np.copyto(block, 0.0, where=nodata)
+    # looked up on the module: perfbench traces kernels.invert_plane
+    rho_w, _ = kernels.invert_plane(block, *terms, out=block, denom=denom)
     if (np.min(denom, initial=np.inf) >= DENOMINATOR_EPS
             and np.min(rho_w, initial=np.inf) > NEAR_NODATA
             and np.max(rho_w, initial=-np.inf) <= FLOAT32_MAX):
@@ -174,23 +171,21 @@ def invert_cube(
 ) -> tuple[int, int, int, int]:
     """Invert the bands `valid` of a cube with the parameters of a (bands, 6)
     band table, one row tile at a time, and hand every finished block to
-    `write`; returns the pixel account, `_finish_block`'s (degenerate,
+    `write`; returns the pixel account, `_invert_block`'s (degenerate,
     non-finite, data, negative) counts summed over every block.
 
     One task per row tile of ROW_TILE rows walks the valid bands in blocks
     of g = max(1, BLOCK_PIXELS // (tile rows * cols)) bands. It allocates
     one workspace (a float64 block, a float64 denominator and two bool
     masks) and reuses it for every block: it copies the block's input rows
-    into the float64 block, marks the pixels equal to the cube's nodata
-    value and sets them to 0.0 (`_mark_input_nodata`), inverts the block in
-    place with `kernels.invert_plane` on the bands' coefficient columns, lets
-    `_finish_block` apply the one pixel rule and the opt-in clip, and calls
-    `write(r0, k0, block)` with the finished float64 block, planes k0..
-    (bands valid[k0:k0+g]) of rows r0.. . The block is overwritten after
-    `write` returns, so a writer copies what it keeps.
+    into the float64 block, lets `_invert_block` invert it in place with
+    the bands' coefficient columns, the cube's nodata value and the opt-in
+    clip, and calls `write(r0, k0, block)` with the finished float64 block,
+    planes k0.. (bands valid[k0:k0+g]) of rows r0.. . The block is
+    overwritten after `write` returns, so a writer copies what it keeps.
     Input nodata, degenerate, non-finite, near-nodata and float32-overflow
     pixels are NODATA in it, each counted once, in that order (see
-    `_finish_block`).
+    `_invert_block`).
 
     The calling process runs tiles 0, n, 2n, ... and n - 1 forked workers
     the rest (`_in_workers`), n = min(workers, row tiles), or 1 without
@@ -214,17 +209,15 @@ def invert_cube(
             g = max(1, min(n_valid, BLOCK_PIXELS // max(1, rows * n_cols)))
             shape = (g, rows, n_cols)
             work = np.empty(shape)
-            scratch = (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+            scratch = (np.empty(shape), *np.empty((2, *shape), dtype=bool))
             for k0 in range(0, n_valid, g):
                 block_bands = valid[k0:k0 + g]
                 n = len(block_bands)
-                block, denom, *masks = (a[:n] for a in (work, *scratch))
+                block = work[:n]
                 for j, b in enumerate(block_bands):
                     block[j] = cube.data[b, r0:r0 + rows, :]
-                _mark_input_nodata(block, nodata, masks[0])
-                kernels.invert_plane(block, *(c[k0:k0 + n] for c in columns),
-                                     out=block, denom=denom)
-                totals += _finish_block(block, denom, masks, clip_negative)
+                totals += _invert_block(block, [c[k0:k0 + n] for c in columns], nodata,
+                                        [a[:n] for a in scratch], clip_negative)
                 write(r0, k0, block)
         return totals
 

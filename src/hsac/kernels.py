@@ -9,12 +9,12 @@ c = E_s * T_up / pi, computed once per band by `atmosphere.kernel_terms`.
 The expression order is fixed: products are byte-identical across runs and
 worker counts only as long as it does not change.
 
-`invert_plane` and `forward_plane` take one plane, or a block of band planes
-with the coefficients as per-band (bands, 1, 1) columns. `invert_plane`
-is the arithmetic alone: it decides no pixel's fate, and its NaN, inf and
-degenerate values are left for `inversion._finish_block`. A caller that
-passes `out` and `denom` gets every intermediate in its own buffers, so the
-kernel allocates nothing and can run in place.
+`invert_plane` takes one plane, or a block of band planes with the
+coefficients as per-band (bands, 1, 1) columns; `forward_plane` takes one
+plane. `invert_plane` is the arithmetic alone: it decides no pixel's
+fate, and its NaN, inf and degenerate values are left for
+`inversion._invert_block`. Every intermediate goes to the caller's `out`
+and `denom`, so the kernel allocates nothing and can run in place.
 """
 
 from __future__ import annotations
@@ -22,17 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def invert_plane(l_toa, xa, xb, xc, out=None, denom=None):
+def invert_plane(l_toa, xa, xb, xc, out, denom):
     """rho_w of float64 `l_toa`, and the unit-free denominator 1 + xc * y'
     it was divided by. Returns (rho_w, denom).
 
     `out` receives rho_w and may be `l_toa` itself; `denom` is a float64
-    array shaped like `l_toa`. Both are allocated when not given.
+    array shaped like `l_toa`.
     """
-    if out is None:
-        out = np.empty_like(l_toa)
-    if denom is None:
-        denom = np.empty_like(l_toa)
     with np.errstate(all="ignore"):
         np.multiply(l_toa, xa, out=out)
         np.subtract(out, xb, out=out)
@@ -44,9 +40,8 @@ def invert_plane(l_toa, xa, xb, xc, out=None, denom=None):
 
 def forward_plane(rho_w, xa, xb, xc, nodata, eps):
     """A new array of the TOA radiance (xb + rho_w / (1 - xc * rho_w)) / xa
-    of float64 `rho_w`, a plane or a block with (bands, 1, 1) coefficient
-    columns, as for `invert_plane`; pixels equal to `nodata`, and pixels
-    where |1 - xc * rho_w| < eps, become `nodata`."""
+    of a float64 `rho_w` plane; pixels equal to `nodata`, and pixels where
+    |1 - xc * rho_w| < eps, become `nodata`."""
     nodata_mask = rho_w == nodata
     a = 1.0 - xc * rho_w
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__, inversion, kernels
+from . import __version__, inversion
 from .atmosphere import (
     T_G_O3,
     T_G_TOTAL,
@@ -31,23 +31,17 @@ from .atmosphere import (
     AnalyticProvider,
     AtmosphericState,
     AuxCatalogue,
+    BandAtmParams,
     Geometry,
     TableProvider,
     _load_table,
     aerosol_model,
-    kernel_terms,
     load_solar_irradiance,
     resolve_atmospheric_state,
     serialize_params_table,
 )
 from .errors import HsacError, IoFailure
-from .inversion import (
-    BAND_VALID,
-    DENOMINATOR_EPS,
-    invert_cube,
-    mask_bands,
-    shared_array,
-)
+from .inversion import BAND_VALID, forward_model_toa, invert_cube, mask_bands, shared_array
 from .metrics import (
     aggregate_reports,
     compare_spectra,
@@ -445,8 +439,9 @@ def synthesize_scene(
     config: RunConfig, size: int = SELF_TEST_SIZE, seed: int = SELF_TEST_SEED
 ) -> tuple[SceneMetadata, RadianceCube, SceneSetup, np.ndarray]:
     """Hermetic synthetic scene: the bundled 228-band sensor, set up for an
-    analytic `config`, and TOA radiance forward-modelled from
-    `self_test_reflectance` with the scene's analytic band table.
+    analytic `config`, and TOA radiance forward-modelled band by band from
+    `self_test_reflectance` with `forward_model_toa` and the scene's
+    analytic band table.
 
     Returns (metadata, radiance cube, setup, band table)."""
     bands = load_bundled_bands()
@@ -466,8 +461,9 @@ def synthesize_scene(
     setup = configure_scene(metadata, config)
     table = setup.analytic_table()
     rho_true = self_test_reflectance(len(bands), size, seed)
-    columns = kernel_terms(table, setup.d_squared).T[:, :, np.newaxis, np.newaxis]
-    l_toa = kernels.forward_plane(rho_true, *columns, NODATA, DENOMINATOR_EPS)
+    l_toa = np.empty_like(rho_true)
+    for b, row in enumerate(table.tolist()):
+        l_toa[b] = forward_model_toa(rho_true[b], setup.d_squared, BandAtmParams(b, *row))
     return metadata, RadianceCube(data=l_toa, nodata_value=NODATA), setup, table
 
 

@@ -12,8 +12,10 @@ as `<base>.img.tmp` and writes rows at their offsets with `os.pwrite`, from
 the caller's buffers, also from forked processes that inherit its file
 descriptor; the written pages sit in the page cache and do not count in the
 writer's resident memory. `write_cube` commits a writer: it writes the
-header, then renames header and payload into place, so a reader never sees
-a partial raster. An in-memory cube is written through a new writer first.
+header to a temporary file, then renames the payload and then the header
+into place, so a reader never sees a partial file, and a commit that fails
+before the payload's rename leaves the old raster whole. An in-memory cube
+is written through a new writer first.
 """
 
 from __future__ import annotations
@@ -290,8 +292,10 @@ def replace_with_text(path: str, text: str) -> None:
 
 
 def write_cube(base_path: str, cube: RadianceCube | CubeWriter, interleave: str = "bsq") -> None:
-    """Commit a raster at `base_path`: write the header, then rename header
-    and payload from their temporary names.
+    """Commit a raster at `base_path`: write the header to `<base>.hdr.tmp`,
+    then rename the payload, then the header, from their temporary names.
+    Whatever fails, both temporary files are deleted; a failure before the
+    payload's rename leaves an existing raster as it was.
 
     `cube` is a CubeWriter holding every row, or an in-memory RadianceCube,
     which is first written from its own buffer through a new CubeWriter
@@ -301,13 +305,18 @@ def write_cube(base_path: str, cube: RadianceCube | CubeWriter, interleave: str 
     if isinstance(cube, RadianceCube):
         writer = CubeWriter(base_path, cube.data.shape, cube.data.dtype,
                             cube.nodata_value, cube.wavelengths, interleave)
+    header = base_path + ".hdr"
     try:
         if writer is not cube:
             writer.write_rows(0, cube.data)
         writer.close()
-        replace_with_text(base_path + ".hdr", writer.header)
+        with open(header + ".tmp", "w", encoding="utf-8") as fh:
+            fh.write(writer.header)
         os.replace(writer.path, base_path + ".img")
+        os.replace(header + ".tmp", header)
     except OSError as exc:
         raise IoFailure(f"writing {base_path}: {exc}") from exc
     finally:
         writer.discard()  # a no-op once the payload is renamed
+        with contextlib.suppress(OSError):
+            os.unlink(header + ".tmp")

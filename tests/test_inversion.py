@@ -385,7 +385,9 @@ class TestInvertCube:
         zeros = [(0.25 - 1 / p.s_atm) / 2 for p in params]
         for p, l_zero in zip(params, zeros):
             assert p.kernel_terms(1.0) == (2.0, 0.25, p.s_atm)
-            _, denom = kernels.invert_plane(plane(l_zero), *p.kernel_terms(1.0))
+            l_toa = plane(l_zero)
+            _, denom = kernels.invert_plane(l_toa, *p.kernel_terms(1.0),
+                                            np.empty_like(l_toa), np.empty_like(l_toa))
             assert denom[0, 0] == 0.0
             out, count = invert_band_plane(np.array([[l_zero, 0.5]]), 1.0, p)
             assert out[0, 0] == NODATA != out[0, 1]
@@ -407,7 +409,8 @@ class TestInvertCube:
         p = BandAtmParams(0, l_path=0.25, t_g_o3=0.5, t_g_total=1.0, t_up=1.0,
                           s_atm=0.5, e_s=math.pi)
         l_toa = np.array([[(-2 - m * 2.0**-51 + 0.25) / 2 for m in (7, 8)]])
-        _, denom = kernels.invert_plane(l_toa, *p.kernel_terms(1.0))
+        _, denom = kernels.invert_plane(l_toa, *p.kernel_terms(1.0),
+                                        np.empty_like(l_toa), np.empty_like(l_toa))
         np.testing.assert_array_equal(denom, [[-14 * 2.0**-53, -16 * 2.0**-53]])
         out, count = invert_band_plane(l_toa, 1.0, p)
         assert count == 1
@@ -568,7 +571,7 @@ class TestInvertCube:
 
 class NumpySpy:
     """numpy as `inversion` sees it: each np.isfinite call, which only the
-    full pixel rule of `_finish_block` makes, is logged in `events`; with
+    full pixel rule of `_invert_block` makes, is logged in `events`; with
     `full_only`, np.min returns NaN, so that no block passes the fast path's
     reductions."""
 

@@ -307,11 +307,15 @@ class TestRunEndToEnd:
     def test_run_and_rerun_leave_exactly_the_product(self, tmp_path, workers):
         scene = make_scene_dir(tmp_path / "scene", rows=130)  # three row tiles
         out = tmp_path / "out"
+        runs = []
         for _ in range(2):
             assert cli.main([
                 "run", "--input", str(scene), "--output", str(out), "--workers", str(workers),
             ]) == 0
             assert sorted(p.name for p in out.iterdir()) == sorted(PRODUCT)
+            # report.json alone holds what differs between runs, its timings
+            runs.append({name: (out / name).read_bytes() for name in PRODUCT - {"report.json"}})
+        assert runs[0] == runs[1]
 
     def test_product_read_back(self, scene_dir, tmp_path):
         out = tmp_path / "out"
@@ -1134,6 +1138,31 @@ class TestRunEndToEnd:
         if name != "report.json":
             assert report_of(out)["failure_stage"] == "export"
 
+    def test_failed_payload_commit_keeps_the_old_raster(self, tmp_path, monkeypatch, capsys):
+        # a 6-row product re-run with a 7-row scene while the rename of
+        # r_rs.img fails: r_rs keeps the first run's header and payload
+        out = tmp_path / "out"
+        first = make_scene_dir(tmp_path / "first")
+        assert cli.main(["run", "--input", str(first), "--output", str(out)]) == 0
+        old = {name: (out / name).read_bytes() for name in ("r_rs.hdr", "r_rs.img")}
+        replace = os.replace
+
+        def failing(src, dst):
+            if src.endswith("r_rs.img.tmp"):
+                raise OSError(errno.EIO, "Input/output error", src)
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        second = make_scene_dir(tmp_path / "second", rows=7)
+        assert cli.main(["run", "--input", str(second), "--output", str(out)]) == 6
+        assert "stage export" in capsys.readouterr().err
+        assert read_cube(str(out / "r_rs")).n_rows == 6
+        assert {name: (out / name).read_bytes() for name in old} == old
+        # rasters of different names can still mix: rho_w was committed first
+        assert read_cube(str(out / "rho_w")).n_rows == 7
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        assert report_of(out)["failure_stage"] == "export"
+
     def test_tile_write_failure_exits_6(self, tmp_path, monkeypatch, capsys):
         rows, cols = 130, 5
         scene = make_scene_dir(tmp_path / "scene", rows=rows)
@@ -1481,8 +1510,8 @@ class TestSelfTest:
         assert config == RunConfig(aerosol=aerosol)  # the caller's config is left as it was
 
     def test_synthesized_scene_is_the_per_band_forward_model(self):
-        """The one forward-model call on the whole scene gives the bytes of
-        `forward_model_toa` run band by band on every bundled band."""
+        """The synthesized scene holds the bytes of `forward_model_toa` run
+        band by band on every bundled band."""
         _, cube, setup, table = pipeline.synthesize_scene(RunConfig(), size=16)
         rho = pipeline.self_test_reflectance(len(table), size=16)
         expected = np.stack([
