@@ -34,8 +34,8 @@ from .scene import (
     WAVELENGTH_MAX,
     WAVELENGTH_MIN,
     BandDefinition,
+    Geometry,
     SceneMetadata,
-    check_angles,
     check_state_value,
     iso_date,
 )
@@ -134,43 +134,6 @@ class AtmosphericState:
     def __post_init__(self):
         for name in STATE_KEYS:
             check_state_value(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Scene-average acquisition geometry, degrees."""
-
-    sza: float
-    saa: float
-    vza: float
-    vaa: float
-
-    def __post_init__(self):
-        check_angles(self.sza, self.saa, self.vza, self.vaa)
-
-    @property
-    def mu_s(self) -> float:
-        return math.cos(math.radians(self.sza))
-
-    @property
-    def mu_v(self) -> float:
-        return math.cos(math.radians(self.vza))
-
-    @property
-    def relative_azimuth(self) -> float:
-        """|saa - vaa| folded into [0, 180] degrees."""
-        phi = abs(self.saa - self.vaa) % 360.0
-        return 360.0 - phi if phi > 180.0 else phi
-
-    @property
-    def cos_scattering(self) -> float:
-        ts, tv = math.radians(self.sza), math.radians(self.vza)
-        phi = math.radians(self.relative_azimuth)
-        return -math.cos(ts) * math.cos(tv) - math.sin(ts) * math.sin(tv) * math.cos(phi)
-
-    @classmethod
-    def from_metadata(cls, meta: SceneMetadata) -> "Geometry":
-        return cls(sza=meta.sza, saa=meta.saa, vza=meta.vza, vaa=meta.vaa)
 
 
 # --- bundled tables -------------------------------------------------------
@@ -521,7 +484,8 @@ def resolve_atmospheric_state(
     value that neither source holds is an error naming its key.
     """
     if policy not in STATE_POLICIES:
-        raise HsacError(f"unknown state policy {policy!r}")
+        raise HsacError(f"unknown state policy {policy!r}; "
+                        f"choose from {', '.join(STATE_POLICIES)}")
     order = ("metadata", "catalogue") if policy == "metadata_first" else ("catalogue", "metadata")
 
     date = metadata.acquisition_date.isoformat()

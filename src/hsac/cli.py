@@ -19,6 +19,7 @@ from .pipeline import (
     STAGE_INGEST,
     STAGE_INVERSION,
     STAGE_RTM,
+    PROVIDERS,
     SELF_TEST_TOLERANCE,
     RunConfig,
     StageError,
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output directory")
     run.add_argument("--tg-threshold", type=float,
                      help="mask bands with total gas transmittance below this, in (0, 1]")
-    run.add_argument("--provider", choices=["analytic", "table"])
+    run.add_argument("--provider", choices=PROVIDERS)
     run.add_argument("--params-table", dest="params_table_path", metavar="PARAMS_TABLE",
                      help="parameter CSV for --provider table")
     run.add_argument("--aux-catalogue", dest="aux_catalogue_path", metavar="AUX_CATALOGUE",

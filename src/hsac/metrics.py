@@ -25,7 +25,7 @@ class SpectrumSample:
     def __post_init__(self):
         if len(self.wavelengths) != len(self.values):
             raise HsacError("wavelength/value lengths differ")
-        if np.any(np.diff(self.wavelengths) <= 0):
+        if not np.all(np.diff(self.wavelengths) > 0):  # a NaN fails too
             raise HsacError("wavelengths must be strictly increasing")
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__, inversion
 from .atmosphere import (
+    STATE_POLICIES,
     T_G_O3,
     T_G_TOTAL,
     AerosolModel,
@@ -32,7 +33,6 @@ from .atmosphere import (
     AtmosphericState,
     AuxCatalogue,
     BandAtmParams,
-    Geometry,
     TableProvider,
     _load_table,
     aerosol_model,
@@ -59,6 +59,7 @@ from .raster import (
 )
 from .scene import (
     BandDefinition,
+    Geometry,
     SceneMetadata,
     compute_julian_day,
     earth_sun_distance,
@@ -79,6 +80,7 @@ STAGE_CONFIGURE = "configure"
 STAGE_RTM = "rtm"
 STAGE_INVERSION = "inversion"
 STAGE_EXPORT = "export"
+PROVIDERS = ("analytic", "table")
 
 
 class StageError(HsacError):
@@ -109,6 +111,10 @@ class RunConfig:
     divide_total_gas: bool = False  # optional extra-gas correction mode, off by default
 
     def __post_init__(self):
+        for name, value, choices in (("provider", self.provider, PROVIDERS),
+                                     ("state policy", self.state_policy, STATE_POLICIES)):
+            if value not in choices:
+                raise HsacError(f"unknown {name} {value!r}; choose from {', '.join(choices)}")
         if self.provider == "table" and not self.params_table_path:
             raise HsacError("--params-table is required with --provider table")
         if self.params_table_path is not None and self.provider != "table":
@@ -223,10 +229,10 @@ def load_bundled_bands() -> list[BandDefinition]:
 
 @dataclass(frozen=True)
 class SceneSetup:
-    """Everything stage 2 derives from scene metadata and a RunConfig."""
+    """What stage 2 derives from scene metadata and a RunConfig, with the
+    metadata it was derived from."""
 
-    bands: list[BandDefinition]
-    geometry: Geometry
+    metadata: SceneMetadata
     state: AtmosphericState | None  # None for a table replay
     model: AerosolModel
     d_squared: float
@@ -234,16 +240,16 @@ class SceneSetup:
     def analytic_table(self) -> np.ndarray:
         """The analytic provider's (bands, 6) band table. Only it reads the
         simulation grid, the solar spectrum on that grid and the SRF table."""
-        grid = simulation_grid(self.bands, GRID_STEP)
+        grid = simulation_grid(self.metadata.bands, GRID_STEP)
         # pipeline globals, as perfbench traces AnalyticProvider and load_solar_irradiance
         e0 = resample_reference_spectrum(load_solar_irradiance(), grid)
-        provider = AnalyticProvider(grid, self.geometry, self.state, self.model, e0)
-        return provider.band_table(srf_table(self.bands, grid))
+        provider = AnalyticProvider(grid, self.metadata.geometry, self.state, self.model, e0)
+        return provider.band_table(srf_table(self.metadata.bands, grid))
 
 
 def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
-    """Stage 2: geometry, atmospheric state, aerosol model and d^2; the
-    configure stage itself checks the bands with `check_nyquist`.
+    """Stage 2: atmospheric state, aerosol model and d^2; the configure
+    stage itself checks the bands with `check_nyquist` and the state's tco3.
 
     The atmospheric state is the config's override state, if it has one,
     and is otherwise resolved for the analytic provider only: a table
@@ -258,8 +264,7 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
             metadata, policy=config.state_policy, catalogue=catalogue
         )
     return SceneSetup(
-        bands=list(metadata.bands),
-        geometry=Geometry.from_metadata(metadata),
+        metadata=metadata,
         state=state,
         model=aerosol_model(config.aerosol),
         d_squared=earth_sun_distance(
@@ -276,7 +281,7 @@ class ProductSink:
     offsets. `write_product` commits both; `discard` deletes whatever was
     not committed."""
 
-    def __init__(self, output_path: str, bands: list[BandDefinition]):
+    def __init__(self, output_path: str, bands: tuple[BandDefinition, ...]):
         self.output_path = output_path
         self.bands = bands
         self.rasters: dict[str, CubeWriter] = {}
@@ -371,7 +376,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> None:
     # stage 2: configure
     with _stage(report, STAGE_CONFIGURE):
         setup = configure_scene(metadata, config)
-        violations = check_nyquist(setup.bands)
+        violations = check_nyquist(metadata.bands)
         report.nyquist = {"step": GRID_STEP, "overall": not violations,
                           "violations": list(violations)}
         if violations:
@@ -380,15 +385,18 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> None:
                 f"for {len(violations)} bands"
             )
         report.srf_sources = dict(Counter("gaussian" if b.srf is None else "measured"
-                                          for b in setup.bands))
+                                          for b in metadata.bands))
         report.atmospheric_state = asdict(setup.state) if setup.state is not None else {}
+        if setup.state is not None and not 100.0 <= setup.state.tco3 <= 600.0:
+            warnings.warn(f"tco3 = {setup.state.tco3} DU outside plausible range [100, 600]")
 
     # stage 3: per-band RTM parameters
     with _stage(report, STAGE_RTM):
         if config.provider == "table":
             # freshly parsed, so the gas division below may edit it in place
+            n_bands = len(metadata.bands)
             table = _parse_file(config.params_table_path,
-                                lambda text: TableProvider.from_csv(text, len(setup.bands))).table
+                                lambda text: TableProvider.from_csv(text, n_bands)).table
         else:
             table = setup.analytic_table()
         if config.divide_total_gas:
@@ -398,7 +406,7 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> None:
 
     # stage 4 streams the product through a ProductSink and stage 5 commits it;
     # whatever fails before the commit, the sink's payloads are deleted
-    sink = ProductSink(config.output_path, setup.bands)
+    sink = ProductSink(config.output_path, metadata.bands)
     try:
         # stage 4: pixel-wise inversion of the valid bands
         with _stage(report, STAGE_INVERSION):
@@ -448,10 +456,7 @@ def synthesize_scene(
     metadata = SceneMetadata(
         acquisition_date=datetime.date(2024, 7, 24),
         acquisition_time=11 * 3600.0,
-        sza=30.0,
-        saa=145.0,
-        vza=5.0,
-        vaa=100.0,
+        geometry=Geometry(sza=30.0, saa=145.0, vza=5.0, vaa=100.0),
         aod550=0.12,
         tcwv=2.0,
         tco3=300.0,

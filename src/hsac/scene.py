@@ -11,7 +11,6 @@ import datetime as _dt
 import itertools
 import math
 import re
-import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
@@ -32,15 +31,6 @@ def check_state_value(name: str, value: float) -> None:
     """The one range rule for an atmospheric-state value: finite and >= 0."""
     if not 0.0 <= value < math.inf:
         raise HsacError(f"{name} must be finite and non-negative, got {value}")
-
-
-def check_angles(sza: float, saa: float, vza: float, vaa: float) -> None:
-    """The one range rule for acquisition angles, in degrees: zeniths in
-    [0, 90), azimuths in [0, 360)."""
-    for name, value, top in (("sza", sza, 90), ("vza", vza, 90),
-                             ("saa", saa, 360), ("vaa", vaa, 360)):
-        if not 0.0 <= value < top:
-            raise HsacError(f"{name} {value} outside [0, {top})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +94,48 @@ def check_measured_srfs(bands) -> None:
 
 
 @dataclass(frozen=True)
+class Geometry:
+    """Scene-average acquisition geometry, in degrees: zeniths in [0, 90),
+    azimuths in [0, 360), the one range rule for acquisition angles."""
+
+    sza: float
+    saa: float
+    vza: float
+    vaa: float
+
+    def __post_init__(self):
+        for name, top in (("sza", 90), ("vza", 90), ("saa", 360), ("vaa", 360)):
+            value = getattr(self, name)
+            if not 0.0 <= value < top:
+                raise HsacError(f"{name} {value} outside [0, {top})")
+
+    @property
+    def mu_s(self) -> float:
+        return math.cos(math.radians(self.sza))
+
+    @property
+    def mu_v(self) -> float:
+        return math.cos(math.radians(self.vza))
+
+    @property
+    def relative_azimuth(self) -> float:
+        """|saa - vaa| folded into [0, 180] degrees."""
+        phi = abs(self.saa - self.vaa) % 360.0
+        return 360.0 - phi if phi > 180.0 else phi
+
+    @property
+    def cos_scattering(self) -> float:
+        ts, tv = math.radians(self.sza), math.radians(self.vza)
+        phi = math.radians(self.relative_azimuth)
+        return -math.cos(ts) * math.cos(tv) - math.sin(ts) * math.sin(tv) * math.cos(phi)
+
+    @classmethod
+    def from_metadata(cls, meta: SceneMetadata) -> Geometry:
+        # the benchmark's scene generator (perfbench/scenes.py) calls it
+        return meta.geometry
+
+
+@dataclass(frozen=True)
 class SceneMetadata:
     """Scene-average acquisition geometry, timestamp and atmospheric state.
 
@@ -113,10 +145,7 @@ class SceneMetadata:
 
     acquisition_date: _dt.date
     acquisition_time: float  # seconds of day, UTC
-    sza: float
-    saa: float
-    vza: float
-    vaa: float
+    geometry: Geometry
     aod550: float | None
     tcwv: float | None
     tco3: float | None
@@ -124,16 +153,10 @@ class SceneMetadata:
     scene_id: str = ""
 
     def __post_init__(self):
-        check_angles(self.sza, self.saa, self.vza, self.vaa)
         for name in STATE_KEYS:
             value = getattr(self, name)
             if value is not None:
                 check_state_value(name, value)
-        if self.tco3 is not None and not 100.0 <= self.tco3 <= 600.0:
-            warnings.warn(
-                f"tco3 = {self.tco3} DU outside plausible range [100, 600]",
-                stacklevel=2,
-            )
         centers = [b.center_wavelength for b in self.bands]
         if any(b <= a for a, b in zip(centers, centers[1:])):
             raise HsacError("band center wavelengths must be strictly increasing")
@@ -144,7 +167,6 @@ class SceneMetadata:
 class SolarDistanceFactor:
     """Earth-Sun distance for a day of year, in AU, and its square."""
 
-    julian_day: int
     d_au: float
     d_squared: float
 
@@ -165,7 +187,7 @@ def earth_sun_distance(julian_day: int) -> SolarDistanceFactor:
     if not 1 <= julian_day <= 366:
         raise HsacError(f"julian day {julian_day} outside [1, 366]")
     d_au = 1.0 - 0.01672 * math.cos(math.radians(0.9856 * (julian_day - 4)))
-    return SolarDistanceFactor(julian_day=julian_day, d_au=d_au, d_squared=d_au * d_au)
+    return SolarDistanceFactor(d_au=d_au, d_squared=d_au * d_au)
 
 
 def iso_date(text) -> _dt.date | None:
@@ -304,13 +326,11 @@ def parse_scene_metadata(xml_document: str) -> SceneMetadata:
     return SceneMetadata(
         acquisition_date=acq_date,
         acquisition_time=seconds,
-        sza=sza,
-        saa=saa,
-        vza=vza,
-        vaa=vaa,
         aod550=_optional_float(root, "aod550"),
         tcwv=_optional_float(root, "tcwv"),
         tco3=_optional_float(root, "tco3"),
+        # after the state's elements, whose parse errors come first
+        geometry=Geometry(sza=sza, saa=saa, vza=vza, vaa=vaa),
         bands=tuple(bands),
         scene_id=scene_id,
     )

@@ -172,7 +172,7 @@ def resample_reference_spectrum(reference, grid: SpectralGrid) -> np.ndarray:
     as the table `load_solar_irradiance` returns or a list of pairs.
     """
     wl, values = np.asarray(reference, dtype=np.float64).T
-    if np.any(np.diff(wl) <= 0):
+    if not np.all(np.diff(wl) > 0):  # a NaN fails too
         raise HsacError("reference wavelengths must be strictly increasing")
     if grid.start < wl[0] - 1e-9 or grid.stop > wl[-1] + 1e-9:
         raise HsacError(

@@ -127,10 +127,10 @@ def write_scene_dir(path: Path, metadata: SceneMetadata, cube: RadianceCube) -> 
         "sceneId": metadata.scene_id,
         "acquisitionDate": metadata.acquisition_date.isoformat(),
         "acquisitionTime": time.time().isoformat(),
-        "sunZenith": repr(metadata.sza),
-        "sunAzimuth": repr(metadata.saa),
-        "viewZenith": repr(metadata.vza),
-        "viewAzimuth": repr(metadata.vaa),
+        "sunZenith": repr(metadata.geometry.sza),
+        "sunAzimuth": repr(metadata.geometry.saa),
+        "viewZenith": repr(metadata.geometry.vza),
+        "viewAzimuth": repr(metadata.geometry.vaa),
         "aod550": repr(metadata.aod550),
         "tcwv": repr(metadata.tcwv),
         "tco3": repr(metadata.tco3),

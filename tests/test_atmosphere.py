@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params, table_of
+from test_scene import FIXTURE_XML
 from hsac.atmosphere import (
     AOD_DATASET,
     OZONE_DATASET,
@@ -41,7 +42,7 @@ from hsac.atmosphere import (
 )
 from hsac.errors import HsacError
 from hsac.pipeline import RunConfig, configure_scene
-from hsac.scene import BandDefinition
+from hsac.scene import BandDefinition, parse_scene_metadata
 from hsac.spectral import (
     SpectralGrid,
     SRFTable,
@@ -102,11 +103,14 @@ class TestGeometry:
         ("saa", 360.0), ("saa", -0.5), ("vaa", 400.0),
     ])
     def test_out_of_range_angle_refused_as_in_metadata(self, name, value):
-        angles = {"sza": 30.0, "saa": 145.0, "vza": 5.0, "vaa": 100.0, name: value}
+        angles = {"sza": 35.2, "saa": 145.0, "vza": 5.0, "vaa": 100.0}
+        tag = {"sza": "sunZenith", "saa": "sunAzimuth", "vza": "viewZenith",
+               "vaa": "viewAzimuth"}[name]
+        doc = FIXTURE_XML.replace(f"<{tag}>{angles[name]}</{tag}>", f"<{tag}>{value}</{tag}>")
         with pytest.raises(HsacError, match=f"^{name} ") as from_metadata:
-            dataclasses.replace(scene_metadata(), **angles)
+            parse_scene_metadata(doc)
         with pytest.raises(HsacError, match=f"^{name} ") as from_geometry:
-            Geometry(**angles)
+            Geometry(**{**angles, name: value})
         assert str(from_geometry.value) == str(from_metadata.value)
         assert str(from_geometry.value).startswith(f"{name} {value} outside [0, ")
 
@@ -521,7 +525,7 @@ def scene_metadata(aod=0.12, tcwv=1.8, tco3=310.0):
     return SceneMetadata(
         acquisition_date=datetime.date(2024, 7, 24),
         acquisition_time=0.0,
-        sza=30.0, saa=0.0, vza=0.0, vaa=0.0,
+        geometry=Geometry(sza=30.0, saa=0.0, vza=0.0, vaa=0.0),
         aod550=aod, tcwv=tcwv, tco3=tco3,
     )
 
@@ -611,6 +615,11 @@ class TestStatePolicy:
         )
         assert len(calls) == lookups
         assert state.source == source
+
+    def test_unknown_policy_refused(self):
+        with pytest.raises(HsacError, match="^unknown state policy 'bogus'; choose from "
+                                            "metadata_first, catalogue_first$"):
+            resolve_atmospheric_state(scene_metadata(), policy="bogus")
 
     def test_missing_everywhere_raises(self):
         with pytest.raises(HsacError, match="^no value for aod550 from metadata or catalogue$"):

@@ -240,6 +240,10 @@ class TestCompareAndAggregate:
             np.mean([r.rmse for r in reports]), rel=1e-12
         )
 
+    def test_aggregate_of_no_report_refused(self):
+        with pytest.raises(HsacError, match="^nothing to aggregate$"):
+            aggregate_reports([])
+
 
 class TestReferenceFile:
     def test_load_with_label(self, tmp_path):

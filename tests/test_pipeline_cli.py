@@ -11,6 +11,7 @@ import re
 import signal
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from hsac.pipeline import (
     run_self_test,
     simulation_grid,
 )
-from hsac.errors import IoFailure
+from hsac.errors import HsacError, IoFailure
 from hsac.raster import (
     NODATA,
     CubeWriter,
@@ -87,12 +88,12 @@ def scene_dir(tmp_path):
     return make_scene_dir(tmp_path / "scene")
 
 
-def write_catalogue(tmp_path, aod550=0.21):
+def write_catalogue(tmp_path, aod550=0.21, tco3=295.0):
     """An auxiliary catalogue whose entries cover the whole globe on the fixture's date."""
     entries = [
         {"dataset": dataset, "date": "2024-07-24", "bbox": [-180, -90, 180, 90], "value": value}
         for dataset, value in (("MODIS/061/MCD19A2_GRANULES", aod550),
-                               ("NCEP_RE/surface_wv", 1.4), ("TOMS/MERGED", 295.0))
+                               ("NCEP_RE/surface_wv", 1.4), ("TOMS/MERGED", tco3))
     ]
     path = tmp_path / "aux.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
@@ -166,6 +167,25 @@ class TestParseCli:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert RunConfig().workers == 1
         assert RunConfig(worker_count=3).workers == 3
+
+    @pytest.mark.parametrize("cpus,expected", [(8, 8), (None, 1)], ids=["count", "unknown"])
+    def test_auto_worker_count_without_affinity_is_the_cpu_count(self, monkeypatch, cpus,
+                                                                 expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert RunConfig().workers == expected
+        assert RunConfig(worker_count=3).workers == 3
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"provider": "bogus"}, "unknown provider 'bogus'; choose from analytic, table"),
+        ({"state_policy": "bogus"},
+         "unknown state policy 'bogus'; choose from metadata_first, catalogue_first"),
+        ({"state_policy": "bogus", "aux_catalogue_path": "aux.json"},
+         "unknown state policy 'bogus'; choose from metadata_first, catalogue_first"),
+    ], ids=["provider", "state_policy", "state_policy_with_catalogue"])
+    def test_unknown_choice_refused_by_the_config(self, fields, message):
+        with pytest.raises(HsacError, match=f"^{re.escape(message)}$"):
+            RunConfig(input_path="X", output_path="Y", **fields)
 
     def test_unknown_aerosol_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -490,6 +510,41 @@ class TestRunEndToEnd:
         assert report_of(out)["nyquist"] == {
             "step": 2.5, "overall": False, "violations": [2]}
 
+    @pytest.mark.parametrize("source", ["metadata", "catalogue", "override"])
+    def test_implausible_tco3_warns_and_runs(self, scene_dir, tmp_path, source):
+        # the configure stage warns on the tco3 of the state it resolved
+        options = []
+        if source == "metadata":
+            xml = scene_dir / "scene.xml"
+            xml.write_text(xml.read_text(encoding="utf-8").replace(
+                "<tco3>300</tco3>", "<tco3>50</tco3>"), encoding="utf-8")
+        elif source == "catalogue":
+            options = ["--aux-catalogue", str(write_catalogue(tmp_path, tco3=50.0)),
+                       "--state-policy", "catalogue_first"]
+        else:
+            options = ["--aod550", "0.12", "--tcwv", "2", "--tco3", "50"]
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match=r"^tco3 = 50\.0 DU outside plausible range "
+                                             r"\[100, 600\]$"):
+            assert cli.main(["run", "--input", str(scene_dir), "--output", str(out),
+                             *options]) == 0
+        assert report_of(out)["atmospheric_state"]["tco3"] == 50.0
+
+    def test_table_replay_does_not_warn_on_the_tco3_it_never_reads(self, scene_dir,
+                                                                   tmp_path):
+        analytic = tmp_path / "analytic"
+        assert cli.main(["run", "--input", str(scene_dir), "--output", str(analytic)]) == 0
+        xml = scene_dir / "scene.xml"
+        xml.write_text(xml.read_text(encoding="utf-8").replace(
+            "<tco3>300</tco3>", "<tco3>50</tco3>"), encoding="utf-8")
+        replay = tmp_path / "replay"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([
+                "run", "--input", str(scene_dir), "--output", str(replay),
+                "--provider", "table", "--params-table", str(analytic / "band_params.csv"),
+            ]) == 0
+
     def test_srf_off_the_grid_fails_rtm_and_its_table_replays(self, scene_dir, tmp_path,
                                                                capsys):
         # only the analytic provider puts SRFs on the grid; a replay never reads them
@@ -596,7 +651,7 @@ class TestRunEndToEnd:
                         # nan, inf and -inf; the two 0.0 radiances are negative
                         assert valid == list(range(6))
                         assert account == (0, 3, 6 * rows * 5 - 4, 2)
-                        wavelengths = tuple(setup.bands[i].center_wavelength for i in valid)
+                        wavelengths = tuple(metadata.bands[i].center_wavelength for i in valid)
                         header = format_envi_header(rho_w.shape, np.float32, NODATA,
                                                     wavelengths, "bsq").encode()
                         expected = {
@@ -1385,6 +1440,21 @@ class TestCompareCli:
         captured = capsys.readouterr()
         assert captured.err == (f"hsac compare failed: {header}: product header lacks a "
                                 "wavelength list\n")
+        assert captured.out == ""
+
+    def test_product_nan_wavelength_exits_3_naming_the_header(self, scene_dir, tmp_path,
+                                                               capsys):
+        out, ref = self._run_and_reference(scene_dir, tmp_path)
+        header = out / "r_rs.hdr"
+        header.write_text(header.read_text(encoding="utf-8").replace("530.000000", "nan"),
+                          encoding="utf-8")
+        capsys.readouterr()
+        code = cli.main(["compare", "--product", str(out), "--reference", str(ref),
+                         "--pixel", "2,3"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"hsac compare failed: {header}: wavelengths must be "
+                                "strictly increasing\n")
         assert captured.out == ""
 
     def test_reference_with_blank_lines(self, scene_dir, tmp_path, capsys):

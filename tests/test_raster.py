@@ -159,6 +159,17 @@ class TestRoundTrip:
         assert read_cube(base).data.shape == shape
         assert (tmp_path / "cube.img").stat().st_size == 0
 
+    @pytest.mark.parametrize("dtype,interleave,message", [
+        (np.float64, "bsq", "cannot write dtype float64"),
+        (np.float32, "bip", "interleave 'bip' not in {bsq, bil}"),
+    ], ids=["float64", "bip"])
+    def test_unwritable_cube_refused_leaving_no_file(self, tmp_path, dtype, interleave,
+                                                     message):
+        cube = RadianceCube(data=np.zeros((2, 3, 4), dtype=dtype))
+        with pytest.raises(HsacError, match=f"^{re.escape(message)}$"):
+            write_cube(str(tmp_path / "cube"), cube, interleave)
+        assert list(tmp_path.iterdir()) == []
+
     def test_encode_header_consistency(self, tmp_path):
         # the bytes on disk, not only a read back: header says bil, payload is BIL
         data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
@@ -169,6 +180,13 @@ class TestRoundTrip:
 
 
 class TestCubeWriter:
+    def test_rows_of_another_dtype_refused(self, tmp_path):
+        writer = CubeWriter(str(tmp_path / "cube"), (2, 3, 4), np.float32, -9999.0, None)
+        with pytest.raises(HsacError, match="^rows are float64, the raster is float32$"):
+            writer.write_rows(0, np.zeros((2, 3, 4)))
+        writer.discard()
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("interleave", ["bsq", "bil"])
     def test_block_of_whole_bands_in_one_call(self, tmp_path, monkeypatch, interleave):
         """Bands 1..3 of a 5-band raster, every row in one call or one row a

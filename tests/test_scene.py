@@ -6,6 +6,7 @@ import pytest
 from hsac.errors import HsacError
 from hsac.scene import (
     BandDefinition,
+    Geometry,
     SceneMetadata,
     compute_julian_day,
     earth_sun_distance,
@@ -39,10 +40,10 @@ class TestParseSceneMetadata:
         assert meta.scene_id == "TEST-0001"
         assert meta.acquisition_date == datetime.date(2024, 7, 24)
         assert meta.acquisition_time == 11 * 3600 + 60 + 54
-        assert meta.sza == 35.2
-        assert meta.saa == 145.0
-        assert meta.vza == 5.0
-        assert meta.vaa == 100.0
+        assert meta.geometry.sza == 35.2
+        assert meta.geometry.saa == 145.0
+        assert meta.geometry.vza == 5.0
+        assert meta.geometry.vaa == 100.0
         assert meta.aod550 == 0.12
         assert meta.tcwv == 1.8
         assert meta.tco3 == 310
@@ -71,7 +72,7 @@ class TestParseSceneMetadata:
         doc = FIXTURE_XML.replace(
             "<sunZenith>35.2</sunZenith>", "<sunElevation>60.0</sunElevation>"
         )
-        assert parse_scene_metadata(doc).sza == 30.0
+        assert parse_scene_metadata(doc).geometry.sza == 30.0
 
     def test_inconsistent_elevation_and_zenith(self):
         doc = FIXTURE_XML.replace(
@@ -87,7 +88,7 @@ class TestParseSceneMetadata:
             "<sunZenith>35.2</sunZenith>",
             "<sunZenith>35.2</sunZenith><sunElevation>54.8</sunElevation>",
         )
-        assert parse_scene_metadata(doc).sza == 35.2
+        assert parse_scene_metadata(doc).geometry.sza == 35.2
 
     def test_missing_view_zenith_names_element(self):
         doc = FIXTURE_XML.replace("<viewZenith>5.0</viewZenith>", "")
@@ -172,11 +173,6 @@ class TestParseSceneMetadata:
         with pytest.raises(HsacError, match=r"band/@index is not an integer: 'two'"):
             parse_scene_metadata(FIXTURE_XML.replace('index="1"', 'index="two"'))
 
-    def test_tco3_implausible_warns(self):
-        doc = FIXTURE_XML.replace("<tco3>310</tco3>", "<tco3>50</tco3>")
-        with pytest.warns(UserWarning, match="tco3"):
-            parse_scene_metadata(doc)
-
 
 class TestInvariants:
     def test_fwhm_positive(self):
@@ -197,10 +193,7 @@ class TestInvariants:
             SceneMetadata(
                 acquisition_date=datetime.date(2024, 1, 1),
                 acquisition_time=0.0,
-                sza=30.0,
-                saa=0.0,
-                vza=0.0,
-                vaa=0.0,
+                geometry=Geometry(sza=30.0, saa=0.0, vza=0.0, vaa=0.0),
                 aod550=0.1,
                 tcwv=1.0,
                 tco3=300.0,

@@ -301,6 +301,11 @@ class TestResampleReference:
         out = resample_reference_spectrum(reference, grid)
         np.testing.assert_array_equal(out, grid.wavelengths * 0.01)
 
+    def test_nan_wavelength_refused(self):
+        grid = SpectralGrid(400, 500, 50.0)
+        with pytest.raises(HsacError, match="^reference wavelengths must be strictly increasing$"):
+            resample_reference_spectrum([(400.0, 1.0), (math.nan, 2.0), (500.0, 3.0)], grid)
+
     def test_midpoint_interpolation(self):
         grid = SpectralGrid(400, 500, 50.0)
         out = resample_reference_spectrum([(400.0, 1.0), (500.0, 2.0)], grid)
