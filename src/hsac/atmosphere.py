@@ -17,7 +17,6 @@ outputs are normalized to 1 AU; the d^2 factor is applied only by
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import operator
@@ -29,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import HsacError
+from .raster import read_numeric_csv
 from .scene import (
     STATE_KEYS,
     WAVELENGTH_MAX,
@@ -36,6 +36,7 @@ from .scene import (
     BandDefinition,
     Geometry,
     SceneMetadata,
+    check_band_indices,
     check_state_value,
     iso_date,
 )
@@ -63,17 +64,18 @@ IN_INTERVAL = {
 }
 
 
-def check_band_table(table: np.ndarray, first_band: int = 0) -> None:
+def check_band_table(table: np.ndarray, first_band: int = 0, lines=None) -> None:
     """The one range rule of band parameters. The error names the first
     band (row k is band first_band + k) that breaks it, and that band's
-    first field in rule order."""
+    first field in rule order; its line is lines[k], when given."""
     fails = np.array([~IN_INTERVAL[interval](table[:, col]) for col, interval in RANGE_RULE])
     if fails.any():
         band = int(np.flatnonzero(fails.any(axis=0))[0])
         col, interval = RANGE_RULE[int(np.argmax(fails[:, band]))]
         raise HsacError(
             f"band {first_band + band}: {FINE_FIELD_NAMES[col]} = "
-            f"{float(table[band, col])} outside {interval}"
+            f"{float(table[band, col])} outside {interval}",
+            line=None if lines is None else int(lines[band]),
         )
 
 
@@ -334,39 +336,22 @@ class AnalyticProvider:
 # --- table provider -------------------------------------------------------
 
 
-def load_params_table(text: str) -> np.ndarray:
-    """Parse a parameter CSV into a (bands, 6) band table in band order;
-    band indices must be complete and unique."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise HsacError("empty parameter table") from None
-    if [h.strip() for h in header] != PARAMS_TABLE_HEADER:
-        raise HsacError(f"header {header} != expected {PARAMS_TABLE_HEADER}")
-    rows: dict[int, list[float]] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(PARAMS_TABLE_HEADER):
-            raise HsacError(
-                f"row has {len(row)} fields, expected {len(PARAMS_TABLE_HEADER)}: {row}"
-            )
-        try:
-            idx = int(row[0])
-            values = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise HsacError(f"non-numeric row: {row}") from exc
-        if idx in rows:
-            raise HsacError(f"band {idx} appears more than once")
-        rows[idx] = values
-    # the n indices are unique, so none missing from 0..n-1 means exactly 0..n-1
-    missing = sorted(set(range(len(rows))) - set(rows))
-    if missing:
-        raise HsacError(f"band indices not contiguous from 0; problem: {missing}")
-    table = np.array([rows[i] for i in range(len(rows))], dtype=np.float64)
-    table = table.reshape(len(rows), len(FINE_FIELD_NAMES))
-    check_band_table(table)
+def load_params_table(text: str, n_bands: int) -> np.ndarray:
+    """Parse a parameter CSV into the (n_bands, 6) band table of an n_bands
+    scene: its first line is the header, and its rows, in any order, hold
+    the band indices 0..n_bands-1 once each."""
+    if not text:
+        raise HsacError("empty parameter table")
+    header = text.partition("\n")[0]
+    if [h.strip() for h in header.split(",")] != PARAMS_TABLE_HEADER:
+        raise HsacError(f"header {header.split(',')} != expected {PARAMS_TABLE_HEADER}")
+    # the header's line is left blank, so the rows keep their line numbers
+    values, lines = read_numeric_csv(text[len(header):], len(PARAMS_TABLE_HEADER), index=True)
+    check_band_indices(list(map(int, values[:, 0].tolist())), n_bands,
+                       f"{len(values)} rows for {n_bands} scene bands")
+    order = np.argsort(values[:, 0])
+    table = values[order, 1:]
+    check_band_table(table, lines=lines[order])
     return table
 
 
@@ -382,14 +367,6 @@ class TableProvider:
 
     def __init__(self, table: np.ndarray):
         self.table = table
-
-    @classmethod
-    def from_csv(cls, text: str, n_bands: int) -> "TableProvider":
-        """The table of an n_bands scene; a table of another size is refused."""
-        table = load_params_table(text)
-        if len(table) != n_bands:
-            raise HsacError(f"parameter table has {len(table)} bands, the scene has {n_bands}")
-        return cls(table)
 
     def band_params(self, band: BandDefinition, srfs: SRFTable) -> BandAtmParams:
         return BandAtmParams(band.index, *self.table[band.index].tolist())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HsacError
-from .raster import RadianceCube, read_text
+from .raster import RadianceCube, parse_file, read_numeric_csv
 
 
 @dataclass(frozen=True)
@@ -129,36 +129,29 @@ def pixel_spectrum(cube: RadianceCube, row: int, col: int) -> SpectrumSample:
 
 
 def load_reference_spectrum(path: str) -> SpectrumSample:
-    """CSV `wavelength_nm,value`; an optional `# label:` comment names it.
-    A row that is not two finite numbers, a wavelength not greater than the
-    previous row's, or no data row, is an error naming the file and line."""
-    label = ""
-    wl, values = [], []
-    for line_no, line in enumerate(read_text(path).splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line[1:].strip().lower().startswith("label:"):
-                label = line.split(":", 1)[1].strip()
-            continue
-        if line.lower().startswith("wavelength"):
-            continue
-        try:
-            w, v = map(float, line.split(","))
-            if not (math.isfinite(w) and math.isfinite(v)):
-                raise ValueError
-        except ValueError:
-            raise HsacError(
-                f"{path}:{line_no}: {line!r} is not two finite numbers") from None
-        if wl and w <= wl[-1]:
-            raise HsacError(f"{path}:{line_no}: wavelength {w:g} nm is not greater "
-                            f"than the previous row's {wl[-1]:g} nm")
-        wl.append(w)
-        values.append(v)
-    if not wl:
-        raise HsacError(f"{path}: no data rows")
-    return SpectrumSample(np.asarray(wl), np.asarray(values), label=label)
+    """CSV `wavelength_nm,value`, with `wavelength...` header lines and an
+    optional `# label:` comment. A row that is not two finite numbers, a
+    wavelength not above the last, or no row, is an error naming the file."""
+    return parse_file(path, _reference_spectrum)
+
+
+def _reference_spectrum(text: str) -> SpectrumSample:
+    values, lines = read_numeric_csv(
+        text, 2, skip=lambda line: line.lower().startswith("wavelength"))
+    if not len(values):
+        raise HsacError("no data rows")
+    wl, v = values.T
+    bad = ~np.isfinite(values).all(axis=1)
+    bad[1:] |= wl[1:] <= wl[:-1]  # after a non-finite row, which is bad first
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not np.isfinite(values[k]).all():
+            raise HsacError(f"{wl[k]:g}, {v[k]:g} is not two finite numbers", line=int(lines[k]))
+        raise HsacError(f"wavelength {wl[k]:g} nm is not greater than the previous row's "
+                        f"{wl[k - 1]:g} nm", line=int(lines[k]))
+    labels = [line.split(":", 1)[1].strip() for line in map(str.strip, text.splitlines())
+              if line.startswith("#") and line[1:].strip().lower().startswith("label:")]
+    return SpectrumSample(wl, v, label=labels[-1] if labels else "")
 
 
 def aggregate_reports(reports: list[ComparisonReport]) -> ComparisonReport:

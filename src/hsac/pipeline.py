@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__, inversion
+from . import __version__, atmosphere, inversion
 from .atmosphere import (
     STATE_POLICIES,
     T_G_O3,
@@ -33,7 +33,6 @@ from .atmosphere import (
     AtmosphericState,
     AuxCatalogue,
     BandAtmParams,
-    TableProvider,
     _load_table,
     aerosol_model,
     load_solar_irradiance,
@@ -52,8 +51,8 @@ from .raster import (
     NODATA,
     CubeWriter,
     RadianceCube,
+    parse_file,
     read_cube,
-    read_text,
     replace_with_text,
     write_cube,
 )
@@ -61,6 +60,7 @@ from .scene import (
     BandDefinition,
     Geometry,
     SceneMetadata,
+    check_band_indices,
     compute_julian_day,
     earth_sun_distance,
     parse_scene_metadata,
@@ -173,18 +173,9 @@ def _find_one(directory: str, pattern: str, what: str) -> str:
     return matches[0]
 
 
-def _parse_file(path: str, parse):
-    """parse(the text of the file at path); an error in the text names the file."""
-    text = read_text(path)
-    try:
-        return parse(text)
-    except HsacError as exc:
-        raise HsacError(f"{path}: {exc}") from exc
-
-
 def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
     xml_path = _find_one(input_path, "*.xml", "metadata XML")
-    metadata = _parse_file(xml_path, parse_scene_metadata)
+    metadata = parse_file(xml_path, parse_scene_metadata)
     hdr_path = _find_one(input_path, "*.hdr", "raster header")
     # the pipeline global, as perfbench traces hsac.pipeline.read_cube
     cube = read_cube(hdr_path[: -len(".hdr")])
@@ -195,20 +186,10 @@ def ingest_scene(input_path: str) -> tuple[SceneMetadata, RadianceCube]:
         )
     if not math.isfinite(cube.nodata_value):
         raise HsacError(f"{hdr_path}: data ignore value {cube.nodata_value} is not finite")
-    indices = [b.index for b in metadata.bands]
-    expected = range(cube.n_bands)
-    if indices != list(expected):
-        problems = {
-            "missing": sorted(set(expected) - set(indices)),
-            "unexpected": sorted(set(indices) - set(expected)),
-            "duplicated": sorted(i for i, n in Counter(indices).items() if n > 1),
-        }
-        raise HsacError(
-            f"{xml_path}: {len(indices)} <band> elements for {cube.n_bands} raster bands; "
-            f"band indices must be 0..{cube.n_bands - 1}: "
-            + ", ".join(f"{k} {v}" for k, v in problems.items() if v)
-        )
-    if not indices:
+    check_band_indices([b.index for b in metadata.bands], cube.n_bands,
+                       f"{xml_path}: {len(metadata.bands)} <band> elements for "
+                       f"{cube.n_bands} raster bands")
+    if not metadata.bands:
         raise HsacError(f"{xml_path}: no <band> elements")
     for band, listed in zip(metadata.bands, cube.wavelengths or ()):
         if not abs(listed - band.center_wavelength) <= band.fwhm / 2:  # NaN too
@@ -259,7 +240,7 @@ def configure_scene(metadata: SceneMetadata, config: RunConfig) -> SceneSetup:
     if state is None and config.provider == "analytic":
         catalogue = None
         if config.aux_catalogue_path:
-            catalogue = _parse_file(config.aux_catalogue_path, AuxCatalogue.from_json)
+            catalogue = parse_file(config.aux_catalogue_path, AuxCatalogue.from_json)
         state = resolve_atmospheric_state(
             metadata, policy=config.state_policy, catalogue=catalogue
         )
@@ -393,10 +374,11 @@ def _run_pipeline(config: RunConfig, report: ProcessingReport) -> None:
     # stage 3: per-band RTM parameters
     with _stage(report, STAGE_RTM):
         if config.provider == "table":
-            # freshly parsed, so the gas division below may edit it in place
+            # freshly parsed, so the gas division below may edit it in place; looked
+            # up on the module, as perfbench traces atmosphere.load_params_table
             n_bands = len(metadata.bands)
-            table = _parse_file(config.params_table_path,
-                                lambda text: TableProvider.from_csv(text, n_bands)).table
+            table = parse_file(config.params_table_path,
+                               lambda text: atmosphere.load_params_table(text, n_bands))
         else:
             table = setup.analytic_table()
         if config.divide_total_gas:
@@ -509,9 +491,7 @@ def compare_against_reference(
         derived = pixel_spectrum(cube, *pixel)
     except HsacError as exc:
         raise HsacError(f"{r_rs}.hdr: {exc}") from exc
-    reports = []
-    per_reference = {}
-    paths = {}
+    reports, per_reference, paths = [], {}, {}
     for path in reference_files:
         ref = load_reference_spectrum(path)
         name = ref.label or os.path.basename(path)

@@ -15,7 +15,8 @@ writer's resident memory. `write_cube` commits a writer: it writes the
 header to a temporary file, then renames the payload and then the header
 into place, so a reader never sees a partial file, and a commit that fails
 before the payload's rename leaves the old raster whole. An in-memory cube
-is written through a new writer first.
+is written through a new writer first. Every text input is read by
+`parse_file`, and every CSV of numbers by `read_numeric_csv`.
 """
 
 from __future__ import annotations
@@ -102,12 +103,8 @@ def _header_field(fields: dict, key: str, cast=int, default=None):
 def read_cube(base_path: str) -> RadianceCube:
     """Map `base_path`.hdr + `base_path`.img (or `base_path` raw) read-only.
     Every error it raises names the header."""
-    header = base_path + ".hdr"
-    text = read_text(header)  # names the file itself
-    try:
-        return _map_cube(parse_envi_header(text), base_path)
-    except HsacError as exc:
-        raise HsacError(f"{header}: {exc}") from exc
+    return parse_file(base_path + ".hdr",
+                      lambda text: _map_cube(parse_envi_header(text), base_path))
 
 
 def _map_cube(fields: dict, base_path: str) -> RadianceCube:
@@ -267,14 +264,60 @@ class CubeWriter:
             os.unlink(self.path)
 
 
-def read_text(path: str) -> str:
-    """The text of the UTF-8 file at `path`, without a leading byte-order
-    mark; other bytes are an error naming the file."""
+def parse_file(path: str, parse):
+    """parse(the text of the UTF-8 file at path, a leading byte-order mark
+    dropped); every error reads `<path>: ...`, or `<path>:<line>: ...`."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise HsacError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        return parse(text)
+    except HsacError as exc:
+        where = path if exc.line is None else f"{path}:{exc.line}"
+        raise HsacError(f"{where}: {exc}") from exc
+
+
+def to_numbers(groups: list[list[str]], dtype, error) -> np.ndarray:
+    """The strings of `groups`, one group after another, as a 1-D `dtype`
+    array made by one conversion. When one is not a number of that type,
+    the error is error(k, exc) for the first group k holding one."""
+    try:
+        return np.array([s for group in groups for s in group], dtype=dtype)
+    except (ValueError, OverflowError):
+        for k, group in enumerate(groups):
+            try:
+                np.array(group, dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise error(k, exc) from None
+        raise
+
+
+def read_numeric_csv(text: str, n_fields: int, skip=None, index: bool = False):
+    """The rows of a CSV of numbers, comma-separated without quoting: a
+    float64 (rows, n_fields) array and each row's line number (from 1).
+    Blank lines, `#` comments and the stripped lines that `skip` is true of
+    are not rows. With `index`, a row's first field is an integer (`1.0` is
+    not). The error names the line of the first row with another number of
+    fields, or else of the first row that is not numbers."""
+    rows, lines = [], []
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#") and not (skip and skip(line)):
+            rows.append(line.split(","))
+            lines.append(number)
+            if len(rows[-1]) != n_fields:
+                raise HsacError(f"row has {len(rows[-1])} fields, expected {n_fields}: "
+                                f"{line!r}", line=number)
+
+    def error(what):
+        return lambda k, exc: HsacError(f"{what}: {','.join(rows[k])!r}", line=lines[k])
+
+    if index:
+        to_numbers([fields[:1] for fields in rows], np.int64, error("index not an integer"))
+    values = to_numbers(rows, np.float64, error("non-numeric row"))
+    return values.reshape(-1, n_fields), np.array(lines)
 
 
 def replace_with_text(path: str, text: str) -> None:

@@ -12,11 +12,13 @@ import itertools
 import math
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import HsacError
+from .raster import to_numbers
 
 STATE_KEYS = ("aod550", "tcwv", "tco3")
 # the spectral support, in nm, of every band centre and of the bundled tables
@@ -91,6 +93,17 @@ def check_measured_srfs(bands) -> None:
         first = int(np.flatnonzero(fails.any(axis=0))[0])
         message = SRF_RULE_MESSAGES[int(np.argmax(fails[:, first]))]
         raise HsacError(f"band {measured[first].index}: {message}")
+
+
+def check_band_indices(indices: list[int], n: int, context: str) -> None:
+    """The one band-index rule: `indices`, in any order, are exactly 0..n-1.
+    The error is `context`, then the missing, unexpected and duplicated ones."""
+    if sorted(indices) != list(range(n)):
+        given, expected = set(indices), set(range(n))
+        problems = {"missing": expected - given, "unexpected": given - expected,
+                    "duplicated": {i for i, count in Counter(indices).items() if count > 1}}
+        raise HsacError(f"{context}; band indices must be 0..{n - 1}: "
+                        + ", ".join(f"{k} {sorted(v)}" for k, v in problems.items() if v))
 
 
 @dataclass(frozen=True)
@@ -235,16 +248,8 @@ def _parse_srfs(indices: list[int], nodes: list[ET.Element | None]) -> list[np.n
     for index, band_tokens in zip(indices, tokens):
         if band_tokens is not None and len(band_tokens) % 2 != 0:
             raise HsacError(f"band {index}: srf needs wavelength/response pairs")
-    try:
-        values = np.array(list(itertools.chain.from_iterable(filter(None, tokens))),
-                          dtype=np.float64)
-    except ValueError:
-        for index, band_tokens in zip(indices, tokens):
-            try:
-                np.array(band_tokens or [], dtype=np.float64)
-            except ValueError as exc:
-                raise HsacError(f"band {index}: <srf> token is not a number ({exc})") from exc
-        raise
+    values = to_numbers([t or [] for t in tokens], np.float64, lambda k, exc: HsacError(
+        f"band {indices[k]}: <srf> token is not a number ({exc})"))
     values.flags.writeable = False
     pairs = values.reshape(-1, 2)
     ends = itertools.accumulate(len(t or ()) // 2 for t in tokens)
@@ -297,15 +302,11 @@ def parse_scene_metadata(xml_document: str) -> SceneMetadata:
 
     band_parent = root.find("bandCharacterisation")
     band_nodes = band_parent.findall("band") if band_parent is not None else []
-    indices = []
-    for node in band_nodes:
-        idx_text = node.get("index")
-        if idx_text is None:
-            raise HsacError("a <band> element has no index attribute")
-        try:
-            indices.append(int(idx_text))
-        except ValueError as exc:
-            raise HsacError(f"band/@index is not an integer: {idx_text!r}") from exc
+    index_texts = [node.get("index") for node in band_nodes]
+    if None in index_texts:
+        raise HsacError("a <band> element has no index attribute")
+    indices = to_numbers([[t] for t in index_texts], np.int64, lambda k, exc: HsacError(
+        f"band/@index is not an integer: {index_texts[k]!r}")).tolist()
     srfs = _parse_srfs(indices, [node.find("srf") for node in band_nodes])
     bands = sorted(
         (

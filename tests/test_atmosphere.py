@@ -455,9 +455,10 @@ class TestBandTable:
     def test_rows_are_put_in_band_order(self):
         text = (TestParamsTable.HEADER + "2,0.3,0.92,0.82,0.97,0.07,1.7\n"
                 + "0,0.1,0.9,0.8,0.95,0.05,1.5\n" + "1,0.2,0.91,0.81,1.2,0.06,1.6\n")
-        with pytest.raises(HsacError, match="band 1: t_up"):
-            load_params_table(text)
-        table = load_params_table(text.replace("1.2", "0.96"))
+        with pytest.raises(HsacError, match="band 1: t_up") as exc:
+            load_params_table(text, 3)
+        assert exc.value.line == 4  # the row of band 1
+        table = load_params_table(text.replace("1.2", "0.96"), 3)
         assert table[:, L_PATH].tolist() == [0.1, 0.2, 0.3]
 
 
@@ -471,7 +472,7 @@ class TestParamsTable:
             + "1,0.2,0.91,0.81,0.96,0.06,1.6\n"
             + "2,0.3,0.92,0.82,0.97,0.07,1.7\n"
         )
-        table = load_params_table(text)
+        table = load_params_table(text, 3)
         assert table.shape == (3, 6)
         assert table[1, L_PATH] == 0.2
         assert table[2, E_S] == 1.7
@@ -479,27 +480,35 @@ class TestParamsTable:
     def test_invariant_violation_names_band_and_field(self):
         text = self.HEADER + "0,0.1,0.9,0.8,1.2,0.05,1.5\n"
         with pytest.raises(HsacError, match="band 0.*t_up"):
-            load_params_table(text)
+            load_params_table(text, 1)
 
     def test_duplicate_band(self):
         text = self.HEADER + "0,0.1,0.9,0.8,0.9,0.05,1.5\n0,0.1,0.9,0.8,0.9,0.05,1.5\n"
-        with pytest.raises(HsacError, match="^band 0 appears more than once$"):
-            load_params_table(text)
+        with pytest.raises(HsacError, match=r"^2 rows for 2 scene bands; band indices must be "
+                                            r"0\.\.1: missing \[1\], duplicated \[0\]$"):
+            load_params_table(text, 2)
 
     def test_missing_band(self):
         text = self.HEADER + "0,0.1,0.9,0.8,0.9,0.05,1.5\n2,0.1,0.9,0.8,0.9,0.05,1.5\n"
-        with pytest.raises(HsacError,
-                           match=r"^band indices not contiguous from 0; problem: \[1\]$"):
-            load_params_table(text)
+        with pytest.raises(HsacError, match=r"^2 rows for 2 scene bands; band indices must be "
+                                            r"0\.\.1: missing \[1\], unexpected \[2\]$"):
+            load_params_table(text, 2)
+
+    def test_negative_index_is_unexpected(self):
+        row = ",0.1,0.9,0.8,0.9,0.05,1.5\n"
+        text = self.HEADER + "".join(f"{i}{row}" for i in (-1, 0, 1))
+        with pytest.raises(HsacError, match=r"^3 rows for 3 scene bands; band indices must be "
+                                            r"0\.\.2: missing \[2\], unexpected \[-1\]$"):
+            load_params_table(text, 3)
 
     def test_schema_violation(self):
         with pytest.raises(HsacError, match=r"^header \['wrong', 'header'\] != expected \['band_index', "):
-            load_params_table("wrong,header\n")
+            load_params_table("wrong,header\n", 1)
 
     def test_serialization_round_trip_exact(self):
         rng = np.random.default_rng(23)
         table = table_of([random_params(rng, i) for i in range(10)])
-        back = load_params_table(serialize_params_table(table))
+        back = load_params_table(serialize_params_table(table), 10)
         assert back.tobytes() == table.tobytes()  # %.17g keeps float64 exact
 
 

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import errno
+import hashlib
 import itertools
 import json
 import math
@@ -644,7 +645,7 @@ class TestRunEndToEnd:
                     if expected is None:
                         # the same run held in memory, cast and formatted without a sink
                         params = load_params_table(
-                            (out / "band_params.csv").read_text(encoding="utf-8"))
+                            (out / "band_params.csv").read_text(encoding="utf-8"), 6)
                         rho_w, account, valid = invert_in_memory(
                             cube, setup.d_squared, params,
                             clip_negative="--clip-negative" in opts)
@@ -662,6 +663,31 @@ class TestRunEndToEnd:
                         }
                     for name, data in expected.items():
                         assert (out / name).read_bytes() == data, (out.name, name)
+
+    def test_bsq_and_bil_inputs_give_the_same_products(self, tmp_path):
+        # 760 nm sits in the O2-A feature and is masked between valid bands
+        # of one block (all valid bands of a 64x5 tile are one block); 130
+        # rows are three row tiles, so 3 workers fork
+        centers = (560.0, 665.0, 760.0, 865.0)
+        planted = {(0, 3, 1): np.nan, (1, 70, 2): -9999.0, (3, 129, 4): 0.0}
+        bsq = make_scene_dir(tmp_path / "bsq", centers=centers, pixels=planted, rows=130)
+        bil = tmp_path / "bil"
+        bil.mkdir()
+        (bil / "scene.xml").write_bytes((bsq / "scene.xml").read_bytes())
+        data = np.array(read_cube(str(bsq / "radiance")).data)
+        write_cube(str(bil / "radiance"), RadianceCube(data=data), interleave="bil")
+        assert "interleave = bil" in (bil / "radiance.hdr").read_text(encoding="utf-8")
+        products = {}
+        for scene, workers in itertools.product((bsq, bil), (1, 3)):
+            out = tmp_path / f"{scene.name}-w{workers}"
+            assert cli.main(["run", "--input", str(scene), "--output", str(out),
+                             "--workers", str(workers)]) == 0
+            assert report_of(out)["masked_bands"] == {"2": "masked_low_tg"}
+            products[out.name] = {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("rho_w.img", "r_rs.img", "band_mask.csv", "band_params.csv")
+            }
+        assert len({tuple(p.items()) for p in products.values()}) == 1, products
 
     def test_streamed_run_never_holds_the_cube(self, tmp_path, monkeypatch):
         # four row tiles; one tile of all bands is 10x BLOCK_PIXELS
@@ -1081,7 +1107,9 @@ class TestRunEndToEnd:
             "run", "--input", str(scene_dir), "--output", str(out),
             "--provider", "table", "--params-table", str(table),
         ]) == 4
-        assert f"parameter table has {n_rows} bands, the scene has 6" in capsys.readouterr().err
+        problem = "missing [4, 5]" if n_rows == 4 else "unexpected [6, 7]"
+        assert (f"{table}: {n_rows} rows for 6 scene bands; band indices must be 0..5: "
+                f"{problem}\n") in capsys.readouterr().err
         assert report_of(out)["failure_stage"] == "rtm"
 
     @pytest.mark.parametrize("field", ["l_path", "e_s"])
@@ -1107,9 +1135,11 @@ class TestRunEndToEnd:
         assert not (out / "rho_w.img").exists()
 
     @pytest.mark.parametrize("body,message", [
-        ("", "empty parameter table"),
-        ("{header}\n0,0.1,0.9,0.9\n", "row has 4 fields, expected 7: "),
-        ("{header}\n0,0.1,0.9,0.9,0.9,0.1,abc\n", "non-numeric row: "),
+        # each message follows the table's path
+        ("", ": empty parameter table"),
+        ("{header}\n0,0.1,0.9,0.9\n", ":2: row has 4 fields, expected 7: '0,0.1,0.9,0.9'"),
+        ("{header}\n0,0.1,0.9,0.9,0.9,0.1,abc\n",
+         ":2: non-numeric row: '0,0.1,0.9,0.9,0.9,0.1,abc'"),
     ], ids=["empty", "short_row", "non_numeric_row"])
     def test_malformed_params_table_exits_4_naming_the_file(self, scene_dir, tmp_path, capsys,
                                                             body, message):
@@ -1121,10 +1151,10 @@ class TestRunEndToEnd:
             "run", "--input", str(scene_dir), "--output", str(out),
             "--provider", "table", "--params-table", str(table),
         ]) == 4
-        assert f"{table}: {message}" in capsys.readouterr().err
+        assert f"{table}{message}\n" in capsys.readouterr().err
         report = report_of(out)
         assert report["failure_stage"] == "rtm"
-        assert report["error"].startswith(f"{table}: {message}")
+        assert report["error"] == f"{table}{message}"
 
     def test_corrupt_params_table_exits_4(self, scene_dir, tmp_path, capsys):
         table = tmp_path / "bad.csv"
